@@ -13,7 +13,7 @@ sampled gradient/Hessian of sigma at those nodes with the fixed basis
 tables, and match finite differences of the value to round-off.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,7 @@ from .errors import EmptyMarkedSetError
 from .fields import AnalyticLevelSet, ScalarField, discrete_gradient, eval_field
 from .mesh import element_volumes
 from .reference import face_node_indices, quadrature_for
-from .transfer import build_index, interpolate, locate_many
+from .transfer import build_index, locate_many
 
 
 @dataclass
@@ -101,12 +101,12 @@ def restrict(sigma, marked):
 class DiscreteLevelSet:
     """Level set given as an FE field on a (frozen) source mesh.
 
-    Queries locate each point in the source mesh; the value and the
-    gradient both come from the containing element's polynomial, so the
-    gradient is the exact derivative of the interpolated value away
-    from element faces (required for consistent line searches).  Second
-    derivatives come from one application of the FE discrete gradient
-    operator to sigma, differentiated element-wise.
+    All queries are located in the source mesh in one batched pass; the
+    value and the gradient both come from the containing element's
+    polynomial, so the gradient is the exact derivative of the
+    interpolated value away from element faces (required for consistent
+    line searches).  Second derivatives come from one application of the
+    FE discrete gradient operator to sigma, differentiated element-wise.
     """
 
     def __init__(self, field, node_field):
@@ -118,70 +118,41 @@ class DiscreteLevelSet:
         self._grad_fields = None
         self._loc_cache = (None, None)
 
-    def _locations(self, points):
-        # One-slot memo: value/gradient/Hessian queries within a solver
-        # iterate hit the same marked-node positions repeatedly.
+    def _located(self, points):
+        # Connectivity, basis values and gradients, and transposed element
+        # Jacobians at the located points.  One-slot memo: value/gradient/
+        # Hessian queries within a solver iterate repeat the same points.
         points = np.atleast_2d(np.asarray(points, dtype=float))
         key = points.tobytes()
-        if self._loc_cache[0] == key:
-            return self._loc_cache[1]
-        locations = locate_many(self.index, self.mesh, self.node_field, points)
-        self._loc_cache = (key, locations)
-        return locations
+        if self._loc_cache[0] != key:
+            loc = locate_many(self.index, self.mesh, self.node_field, points)
+            conn = self.mesh.connectivity[loc.element]
+            vals, grads = self.mesh.basis.eval_with_grad(loc.ref)
+            coords = self.node_field.as_matrix()[conn]
+            jac_t = np.einsum("pkb,pkd->pbd", grads, coords)
+            self._loc_cache = (key, (conn, vals, grads, jac_t))
+        return self._loc_cache[1]
 
     def values(self, points):
-        locations = self._locations(points)
-        mesh = self.mesh
-        out = np.zeros(len(locations))
-        for i, loc in enumerate(locations):
-            conn = mesh.connectivity[loc.element]
-            vals = mesh.basis.eval(loc.ref[None, :])[0]
-            out[i] = vals @ self.field.coefficients[conn]
-        return out
-
-    def _element_gradients(self, coefficients_list, locations):
-        """Per-point physical gradients of FE coefficient vectors, all
-        evaluated on the located elements."""
-        mesh = self.mesh
-        pts = self.node_field.as_matrix()
-        out = np.zeros((len(locations), len(coefficients_list), self.dim))
-        for i, loc in enumerate(locations):
-            conn = mesh.connectivity[loc.element]
-            _, grads = mesh.basis.eval_with_grad(loc.ref[None, :])
-            a = pts[conn].T @ grads[0]
-            for j, coeff in enumerate(coefficients_list):
-                out[i, j] = np.linalg.solve(a.T, grads[0].T @ coeff[conn])
-        return out
+        conn, vals, _, _ = self._located(points)
+        return np.einsum("pk,pk->p", vals, self.field.coefficients[conn])
 
     def gradients(self, points):
-        locations = self._locations(points)
-        g = self._element_gradients([self.field.coefficients], locations)
-        return g[:, 0, :]
+        return self._element_gradients(points, [self.field.coefficients])[:, 0]
 
     def hessians(self, points):
         if self._grad_fields is None:
             self._grad_fields = discrete_gradient(self.field, self.node_field)
-        locations = self._locations(points)
         coeffs = [g.coefficients for g in self._grad_fields]
-        rows = self._element_gradients(coeffs, locations)  # (n, dim, dim)
+        rows = self._element_gradients(points, coeffs)  # (n, dim, dim)
         return 0.5 * (rows + rows.transpose(0, 2, 1))
 
-    def sample(self, points, with_hessians=False):
-        """Values, gradients, and optionally Hessians with one location
-        pass per point."""
-        locations = self._locations(points)
-        vals = self.values(points)
-        coeffs = [self.field.coefficients]
-        if with_hessians:
-            if self._grad_fields is None:
-                self._grad_fields = discrete_gradient(self.field, self.node_field)
-            coeffs += [g.coefficients for g in self._grad_fields]
-        block = self._element_gradients(coeffs, locations)
-        grads = block[:, 0, :]
-        if not with_hessians:
-            return vals, grads, None
-        hess = block[:, 1:, :]
-        return vals, grads, 0.5 * (hess + hess.transpose(0, 2, 1))
+    def _element_gradients(self, points, coeffs):
+        """Physical gradients (n, len(coeffs), dim) of FE coefficient
+        vectors on the located elements, by one batched solve."""
+        conn, _, grads, jac_t = self._located(points)
+        rhs = np.einsum("pkb,jpk->pbj", grads, np.array(coeffs)[:, conn])
+        return np.linalg.solve(jac_t, rhs).transpose(0, 2, 1)
 
 
 def as_level_set_source(source, node_field=None):
@@ -196,13 +167,9 @@ def as_level_set_source(source, node_field=None):
 
 
 def _sample_source(source, points, with_hessians=False):
-    """(values, gradients, hessians-or-None) with one pass where possible."""
-    if hasattr(source, "sample"):
-        return source.sample(points, with_hessians=with_hessians)
-    vals = source.values(points)
-    grads = source.gradients(points)
+    """(values, gradients, hessians-or-None) of a level-set source."""
     hess = source.hessians(points) if with_hessians else None
-    return vals, grads, hess
+    return source.values(points), source.gradients(points), hess
 
 
 # ---------------------------------------------------------------------------

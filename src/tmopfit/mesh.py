@@ -6,6 +6,7 @@ component-major vector: the x-block of all nodes, then the y-block, etc.
 Degree of freedom (a, i) maps to flat index a * num_nodes + i.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -373,6 +374,16 @@ def write_mesh(path, mesh, node_field):
         fh.write("\n".join(lines) + "\n")
 
 
+def _nodes_per_element(geometry, order):
+    """Basis size of (geometry, order), without building the basis: a
+    corrupt order then fails on the first element line instead of
+    allocating a basis of that order."""
+    dim = GEOMETRY_DIM[geometry]
+    if geometry in ("triangle", "tet"):
+        return math.comb(order + dim, dim)
+    return (order + 1) ** dim
+
+
 def read_mesh(path):
     """Read the text format written by write_mesh.
 
@@ -402,66 +413,81 @@ def read_mesh(path):
             raise MeshParseError(f"expected '{keyword} <value>', got {line!r}", pos)
         return parts[1]
 
+    def take_count(keyword, minimum=0):
+        value = take_keyword(keyword)
+        try:
+            count = int(value)
+        except ValueError:
+            count = None
+        if count is None or count < minimum:
+            raise MeshParseError(
+                f"'{keyword}' needs an integer >= {minimum}, got {value!r}", pos
+            )
+        return count
+
+    def take_ints(what, length=None):
+        parts = take(what).split()
+        try:
+            row = np.array([int(p) for p in parts], dtype=np.int64)
+        except (ValueError, OverflowError) as exc:
+            raise MeshParseError(f"bad {what}: {exc}", pos) from exc
+        if len(row) < 2 or length not in (None, len(row)):
+            want = "attribute and nodes" if length is None else f"{length} integers"
+            raise MeshParseError(f"{what} needs {want}, got {len(row)}", pos)
+        return row
+
+    def check_node_ids(rows, first_line, what, num_nodes):
+        for r, row in enumerate(rows):
+            if np.any((row[1:] < 0) | (row[1:] >= num_nodes)):
+                raise MeshParseError(f"{what} node id out of range", first_line + r)
+
     header = take("header")
     if header.strip() != _FORMAT_HEADER:
         raise MeshParseError(
             f"unsupported format/version {header!r}, expected {_FORMAT_HEADER!r}", 1
         )
-    try:
-        dim = int(take_keyword("dim"))
-        order = int(take_keyword("order"))
-    except ValueError as exc:
-        raise MeshParseError(str(exc), pos) from exc
+    dim = take_count("dim", 1)
+    order = take_count("order", 1)
     geometry = take_keyword("geom")
     if geometry not in GEOMETRY_DIM:
         raise MeshParseError(f"unknown geometry {geometry!r}", pos)
+    if GEOMETRY_DIM[geometry] != dim:
+        raise MeshParseError(f"geometry {geometry!r} is not {dim}-dimensional", pos)
 
-    num_elements = int(take_keyword("elements"))
-    connectivity = []
-    attributes = []
-    for _ in range(num_elements):
-        parts = take("element line").split()
-        try:
-            row = [int(p) for p in parts]
-        except ValueError as exc:
-            raise MeshParseError(f"bad element line: {exc}", pos) from exc
-        if len(row) < 2:
-            raise MeshParseError("element line needs attribute and nodes", pos)
-        attributes.append(row[0])
-        connectivity.append(row[1:])
+    num_elements = take_count("elements", 1)
+    element_line = pos + 1
+    per_row = _nodes_per_element(geometry, order) + 1
+    elements = [take_ints("element line", per_row) for _ in range(num_elements)]
 
-    num_boundary = int(take_keyword("boundary"))
-    boundary = []
-    for _ in range(num_boundary):
-        parts = take("boundary line").split()
-        try:
-            row = [int(p) for p in parts]
-        except ValueError as exc:
-            raise MeshParseError(f"bad boundary line: {exc}", pos) from exc
-        boundary.append((row[0], np.asarray(row[1:], dtype=int)))
+    num_boundary = take_count("boundary")
+    boundary_line = pos + 1
+    boundary = [take_ints("boundary line") for _ in range(num_boundary)]
 
-    num_nodes = int(take_keyword("nodes"))
-    coords = np.zeros((num_nodes, dim))
-    for i in range(num_nodes):
+    num_nodes = take_count("nodes")
+    coords = []
+    for _ in range(num_nodes):
         parts = take("node line").split()
         if len(parts) != dim:
             raise MeshParseError(
                 f"expected {dim} coordinates, got {len(parts)}", pos
             )
         try:
-            coords[i] = [float(p) for p in parts]
+            coords.append([float(p) for p in parts])
         except ValueError as exc:
             raise MeshParseError(f"bad coordinate: {exc}", pos) from exc
+        if not np.all(np.isfinite(coords[-1])):
+            raise MeshParseError("non-finite node coordinate", pos)
+    check_node_ids(elements, element_line, "element", num_nodes)
+    check_node_ids(boundary, boundary_line, "boundary", num_nodes)
 
+    elements = np.array(elements)
     mesh = Mesh(
         dim=dim,
         order=order,
         geometry=geometry,
-        connectivity=np.asarray(connectivity, dtype=int),
-        attributes=np.asarray(attributes, dtype=int),
-        boundary=boundary,
+        connectivity=elements[:, 1:],
+        attributes=elements[:, 0],
+        boundary=[(int(row[0]), row[1:].astype(int)) for row in boundary],
         num_nodes=num_nodes,
     )
-    if not np.all(np.isfinite(coords)):
-        raise MeshParseError("non-finite node coordinate")
-    return mesh, NodeField.from_matrix(coords)
+    return mesh, NodeField.from_matrix(np.reshape(coords, (num_nodes, dim)))

@@ -316,18 +316,19 @@ class NodalBasis:
             return bool(np.all(p >= -tol) and np.all(p <= 1.0 + tol))
         return bool(np.all(p >= -tol) and p.sum() <= 1.0 + tol)
 
-    def clamp(self, point):
-        """Project a reference point onto the reference element."""
-        p = np.clip(np.asarray(point, dtype=float), 0.0, 1.0)
+    def clamp(self, points):
+        """Project reference points, shape (dim,) or (n, dim), onto the
+        reference element."""
+        p = np.clip(np.asarray(points, dtype=float), 0.0, 1.0)
         if self.geometry not in _TENSOR:
-            s = p.sum()
-            if s > 1.0:
-                # Pull back along the excess, keeping nonnegativity.
-                p -= (s - 1.0) / self.dim
-                p = np.clip(p, 0.0, 1.0)
-                s = p.sum()
-                if s > 1.0:
-                    p /= s
+            rows = p.reshape(-1, self.dim)  # a view: edits land in p
+            over = rows.sum(axis=1) > 1.0
+            # Pull back along the excess, keeping nonnegativity.
+            q = rows[over]
+            q = np.clip(q - ((q.sum(axis=1) - 1.0) / self.dim)[:, None], 0.0, 1.0)
+            s = q.sum(axis=1)
+            q[s > 1.0] /= s[s > 1.0, None]
+            rows[over] = q
         return p
 
     @property

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
+from .errors import (
+    InvalidMeshError,
+    NonpositiveDeterminantError,
+    TransferFailureError,
+)
 from .mesh import is_valid
 from .objective import gradient, hessian, value
 from .reference import quadrature_for
@@ -121,14 +126,14 @@ def solve(config, objective_config, mesh, node_field):
 
     valid, min_det = is_valid(mesh, x, quad)
     if not valid:
-        from .errors import InvalidMeshError
-
         raise InvalidMeshError(f"initial mesh invalid (min det A = {min_det:.3e})")
 
     def objective_fn(trial):
+        # Only a failed evaluation of a valid-looking trial mesh rejects
+        # the step; any other exception is a bug and propagates.
         try:
             return value(objective_config, mesh, trial)[0]
-        except Exception:
+        except (NonpositiveDeterminantError, TransferFailureError):
             return None
 
     def validity_fn(trial):

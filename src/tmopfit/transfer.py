@@ -1,10 +1,14 @@
 """Point location and high-order interpolation from a source mesh.
 
-This is the pathway that keeps the level-set function available while
-the mesh evolves: queries in physical space are mapped back to
-(element, reference coordinate) pairs on the source mesh by inverting
-the isoparametric map with a damped Newton iteration, after which any
-FE function on that mesh can be interpolated.
+Queries in physical space are mapped back to (element, reference
+coordinate) pairs on the source mesh, after which any FE function on
+that mesh can be interpolated; this keeps the level-set function
+available while the mesh evolves.  As in GSLIB findpts, all queries are
+located together: a background grid (CSR arrays) gives each point its
+candidate elements, one damped Newton iteration inverts the element map
+on every (point, candidate) pair at once, and points no candidate
+accepts go through a chunked sweep over all elements.  Each point gets
+the first accepted candidate in cell order, else the smallest residual.
 """
 
 from dataclasses import dataclass
@@ -13,8 +17,13 @@ import numpy as np
 
 from .errors import TransferFailureError
 from .fields import ScalarField
-from .mesh import element_node_coords
 from .reference import quadrature_for
+
+ACCEPT_TOL = 1e-10  # residual / domain size for an interior point
+PROJECT_TOL = 1e-8  # residual / domain size for a boundary projection
+_MAX_ITER = 50
+_MAX_HALVINGS = 12
+_CHUNK = 8192  # (point, element) pairs per Newton batch; bounds memory
 
 
 @dataclass
@@ -28,179 +37,202 @@ class PointLocation:
 
 
 @dataclass
+class PointLocations:
+    """Result of locating a batch of points; row i describes point i.
+
+    counts: "points", first-pass (point, candidate) "pairs", points sent
+    to the "fallback" sweep over all elements, and "projected" points.
+    """
+
+    element: np.ndarray  # (n,) int; -1 when no element was tried
+    ref: np.ndarray  # (n, dim); NaN where element is -1
+    status: np.ndarray  # (n,) str, as PointLocation.status
+    distance: np.ndarray  # (n,) residual; 0 for interior points
+    counts: dict
+
+    def __getitem__(self, i):
+        e = int(self.element[i])
+        ref = None if e < 0 else self.ref[i]
+        return PointLocation(e, ref, str(self.status[i]), float(self.distance[i]))
+
+
+@dataclass
 class LocatorIndex:
-    """Inflated per-element bounding boxes on a uniform background grid."""
+    """Inflated per-element bounding boxes on a uniform background grid;
+    grid cell c (C-order flat index) holds the element ids
+    cell_elems[cell_start[c]:cell_start[c + 1]], in ascending order."""
 
     boxes: np.ndarray  # (num_elements, 2, dim): lo, hi
     grid_lo: np.ndarray
     grid_hi: np.ndarray
     grid_shape: tuple
-    cells: dict  # cell tuple -> list of element ids
+    cell_start: np.ndarray  # (num_cells + 1,)
+    cell_elems: np.ndarray
     scale: float  # characteristic domain size
+
+
+def _grid_cells(x, grid_lo, grid_hi, n):
+    """Per-axis background-grid cell of each row of x, clipped to the grid."""
+    span = np.maximum(grid_hi - grid_lo, 1e-12)
+    return np.clip(np.floor((x - grid_lo) / span * n).astype(int), 0, n - 1)
+
+
+def _ragged_arange(counts):
+    """Concatenation of arange(c) for each c in counts."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def build_index(mesh, node_field, inflate=0.1):
     """Bounding boxes from node and quadrature-point images, inflated."""
     quad = quadrature_for(mesh.geometry, mesh.order)
-    basis_vals = mesh.basis.eval(quad.points)
-    pts = node_field.as_matrix()
-    boxes = np.zeros((mesh.num_elements, 2, mesh.dim))
-    for e in range(mesh.num_elements):
-        coords = pts[mesh.connectivity[e]]
-        samples = np.vstack([coords, basis_vals @ coords])
-        lo = samples.min(axis=0)
-        hi = samples.max(axis=0)
-        pad = inflate * np.maximum(hi - lo, 1e-12)
-        boxes[e, 0] = lo - pad
-        boxes[e, 1] = hi + pad
-
+    coords = node_field.as_matrix()[mesh.connectivity]  # (E, K, dim)
+    images = np.einsum("qk,ekd->eqd", mesh.basis.eval(quad.points), coords)
+    samples = np.concatenate([coords, images], axis=1)
+    lo, hi = samples.min(axis=1), samples.max(axis=1)
+    pad = inflate * np.maximum(hi - lo, 1e-12)
+    boxes = np.stack([lo - pad, hi + pad], axis=1)
     grid_lo = boxes[:, 0, :].min(axis=0)
     grid_hi = boxes[:, 1, :].max(axis=0)
-    span = np.maximum(grid_hi - grid_lo, 1e-12)
-    n_per_axis = max(1, int(round(mesh.num_elements ** (1.0 / mesh.dim))))
-    shape = (n_per_axis,) * mesh.dim
+    n = max(1, int(round(mesh.num_elements ** (1.0 / mesh.dim))))
+    lo_cell = _grid_cells(boxes[:, 0], grid_lo, grid_hi, n)
+    extent = _grid_cells(boxes[:, 1], grid_lo, grid_hi, n) - lo_cell + 1
+    # Expand axis by axis into (element, covered cell) pairs.
+    elems, cell = np.arange(mesh.num_elements), np.zeros(mesh.num_elements, int)
+    for a in range(mesh.dim):
+        count = extent[elems, a]
+        elems, cell = np.repeat(elems, count), np.repeat(cell * n, count)
+        cell += lo_cell[elems, a] + _ragged_arange(count)
+    order = np.argsort(cell, kind="stable")
+    cell_start = np.zeros(n**mesh.dim + 1, dtype=int)
+    cell_start[1:] = np.cumsum(np.bincount(cell, minlength=n**mesh.dim))
+    scale = float(np.maximum(grid_hi - grid_lo, 1e-12).max())
+    shape = (n,) * mesh.dim
+    return LocatorIndex(boxes, grid_lo, grid_hi, shape, cell_start, elems[order], scale)
 
-    cells = {}
-    for e in range(mesh.num_elements):
-        lo_cell = np.floor((boxes[e, 0] - grid_lo) / span * n_per_axis).astype(int)
-        hi_cell = np.floor((boxes[e, 1] - grid_lo) / span * n_per_axis).astype(int)
-        lo_cell = np.clip(lo_cell, 0, n_per_axis - 1)
-        hi_cell = np.clip(hi_cell, 0, n_per_axis - 1)
-        ranges = [range(lo_cell[a], hi_cell[a] + 1) for a in range(mesh.dim)]
-        for cell in np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(
-            -1, mesh.dim
-        ):
-            cells.setdefault(tuple(cell), []).append(e)
 
-    return LocatorIndex(
-        boxes=boxes,
-        grid_lo=grid_lo,
-        grid_hi=grid_hi,
-        grid_shape=shape,
-        cells=cells,
-        scale=float(span.max()),
-    )
+def _candidate_pairs(index, points):
+    """(point, element) pairs from each point's grid cell whose inflated
+    box holds the point, ordered by point and then by cell order."""
+    cells = _grid_cells(points, index.grid_lo, index.grid_hi, index.grid_shape[0])
+    cell = np.ravel_multi_index(tuple(cells.T), index.grid_shape)
+    start = index.cell_start[cell]
+    count = index.cell_start[cell + 1] - start
+    pt = np.repeat(np.arange(len(points)), count)
+    elem = index.cell_elems[np.repeat(start, count) + _ragged_arange(count)]
+    box = index.boxes[elem]
+    inside = np.all((points[pt] >= box[:, 0]) & (points[pt] <= box[:, 1]), axis=1)
+    return pt[inside], elem[inside]
 
 
 def candidate_elements(index, point):
     """Element ids whose inflated boxes may contain the point."""
-    n = index.grid_shape[0]
-    span = np.maximum(index.grid_hi - index.grid_lo, 1e-12)
-    cell = np.floor((np.asarray(point) - index.grid_lo) / span * n).astype(int)
-    cell = np.clip(cell, 0, n - 1)
-    cands = index.cells.get(tuple(cell), [])
-    lo, hi = index.boxes[:, 0, :], index.boxes[:, 1, :]
-    return [
-        e
-        for e in cands
-        if np.all(point >= lo[e]) and np.all(point <= hi[e])
-    ]
+    return _candidate_pairs(index, np.atleast_2d(point))[1].tolist()
 
 
-def _invert_map(mesh, coords, point, basis, max_iter=50):
-    """Damped Newton for the reference coordinates of a physical point.
+def _newton(basis, coords, points):
+    """Damped Newton for the reference coordinates of each points[i] in
+    the element with node coordinates coords[i], all rows at once.
 
-    Returns (ref, residual_norm).  The iterate is clamped to the
-    reference element each step; the update is halved whenever the
-    residual fails to decrease.
+    Returns (ref, residual_norm).  Iterates are clamped to the reference
+    element; a step is halved while the residual fails to decrease.
     """
-    ref = basis.center.copy()
-    vals, grads = basis.eval_with_grad(ref[None, :])
-    res = vals[0] @ coords - point
-    res_norm = np.linalg.norm(res)
-    for _ in range(max_iter):
-        if res_norm == 0.0:
+    ref = np.tile(basis.center, (len(points), 1))
+    vals, grads = basis.eval_with_grad(ref)
+    res = np.einsum("pk,pkd->pd", vals, coords) - points
+    res_norm = np.linalg.norm(res, axis=1)
+    stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
+    active = np.ones(len(points), dtype=bool)
+    for _ in range(_MAX_ITER):
+        active &= res_norm != 0.0
+        jac = np.einsum("pkd,pkb->pdb", coords[active], grads[active])
+        solvable = np.abs(np.linalg.det(jac)) > 0.0
+        active[np.flatnonzero(active)[~solvable]] = False
+        idx = np.flatnonzero(active)
+        if not len(idx):
             break
-        a = coords.T @ grads[0]
-        try:
-            step = np.linalg.solve(a, -res)
-        except np.linalg.LinAlgError:
-            break
-        improved = False
-        for _ in range(12):
-            trial = basis.clamp(ref + step)
-            tvals, tgrads = basis.eval_with_grad(trial[None, :])
-            tres = tvals[0] @ coords - point
-            tnorm = np.linalg.norm(tres)
-            if tnorm < res_norm:
-                ref, res, res_norm = trial, tres, tnorm
-                grads = tgrads
-                improved = True
+        step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
+        for _ in range(_MAX_HALVINGS):
+            trial = basis.clamp(ref[idx] + step)
+            tvals, tgrads = basis.eval_with_grad(trial)
+            tres = np.einsum("pk,pkd->pd", tvals, coords[idx]) - points[idx]
+            tnorm = np.linalg.norm(tres, axis=1)
+            better = tnorm < res_norm[idx]
+            done = idx[better]
+            ref[done], res[done] = trial[better], tres[better]
+            res_norm[done], grads[done] = tnorm[better], tgrads[better]
+            idx, step = idx[~better], 0.5 * step[~better]
+            if not len(idx):
                 break
-            step = 0.5 * step
-        if not improved:
-            break
-        if res_norm <= 1e-14 * max(1.0, np.abs(coords).max()):
-            break
+        active[idx] = False
+        active &= res_norm > stop
     return ref, res_norm
 
 
-def locate(index, mesh, node_field, point, accept_tol=1e-10, project_tol=1e-8):
-    """Find the element and reference coordinates containing a point.
+def locate_points(index, mesh, node_field, points):
+    """Find the element and reference coordinates of every point.
 
-    Falls back to a sweep over all elements when the grid candidates
-    fail, and to the nearest boundary point (within project_tol of the
-    domain) for slightly exterior queries.
+    Points within ACCEPT_TOL * scale of an element image are
+    "interior"; slightly exterior points within PROJECT_TOL * scale of
+    the domain are "boundary-projected" onto the nearest element point;
+    the rest are "not-found".  Returns a PointLocations.
     """
-    point = np.asarray(point, dtype=float)
-    basis = mesh.basis
-    pts = node_field.as_matrix()
-    scale = index.scale
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n, num_elements = len(points), mesh.num_elements
+    accept = ACCEPT_TOL * index.scale
+    element, ref = np.full(n, -1), np.full((n, mesh.dim), np.nan)
+    dist = np.full(n, np.inf)
 
-    best = (None, None, np.inf)
+    def search(pt, elem):
+        # Per point, in pair order: the first accepted pair, else the
+        # smallest residual (first on ties) if it beats the current one.
+        for s in range(0, len(pt), _CHUNK):
+            p, e = pt[s : s + _CHUNK], elem[s : s + _CHUNK]
+            coords = node_field.as_matrix()[mesh.connectivity[e]]
+            pair_ref, res = _newton(mesh.basis, coords, points[p])
+            key = np.where(res <= accept, 0.0, res)
+            order = np.lexsort((np.arange(len(p)), key, p))
+            best = order[np.unique(p[order], return_index=True)[1]]
+            best = best[(res[best] < dist[p[best]]) & (dist[p[best]] > accept)]
+            q = p[best]
+            element[q], ref[q], dist[q] = e[best], pair_ref[best], res[best]
 
-    def try_elements(elems):
-        nonlocal best
-        for e in elems:
-            coords = pts[mesh.connectivity[e]]
-            ref, res_norm = _invert_map(mesh, coords, point, basis)
-            if res_norm < best[2]:
-                best = (e, ref, res_norm)
-            if res_norm <= accept_tol * scale:
-                return True
-        return False
+    pt, elem = _candidate_pairs(index, points)
+    search(pt, elem)
+    fallback = np.flatnonzero(dist > accept)
+    per_chunk = max(1, _CHUNK // num_elements)
+    for s in range(0, len(fallback), per_chunk):
+        f = fallback[s : s + per_chunk]
+        search(np.repeat(f, num_elements), np.tile(np.arange(num_elements), len(f)))
 
-    hit = try_elements(candidate_elements(index, point))
-    if not hit and best[2] > accept_tol * scale:
-        hit = try_elements(
-            e for e in range(mesh.num_elements)
-        )
-    e, ref, res_norm = best
-    if e is not None and res_norm <= accept_tol * scale:
-        return PointLocation(e, ref, "interior")
-    if e is not None and res_norm <= project_tol * scale:
-        return PointLocation(e, ref, "boundary-projected", float(res_norm))
-    return PointLocation(
-        -1 if e is None else e,
-        None if e is None else ref,
-        "not-found",
-        float(res_norm if e is not None else np.inf),
+    interior = dist <= accept
+    projected = ~interior & (dist <= PROJECT_TOL * index.scale)
+    status = np.select(
+        [interior, projected], ["interior", "boundary-projected"], "not-found"
     )
+    counts = {"points": n, "pairs": len(pt), "fallback": len(fallback),
+              "projected": int(projected.sum())}
+    return PointLocations(element, ref, status, np.where(interior, 0.0, dist), counts)
+
+
+def locate(index, mesh, node_field, point):
+    """Find the element and reference coordinates containing a point."""
+    return locate_points(index, mesh, node_field, point)[0]
 
 
 def locate_many(index, mesh, node_field, points):
-    """Locate a batch of points; raises on any not-found."""
-    locations = []
-    missing = []
-    for p in np.atleast_2d(points):
-        loc = locate(index, mesh, node_field, p)
-        if loc.status == "not-found":
-            missing.append(p)
-        locations.append(loc)
-    if missing:
-        raise TransferFailureError(missing)
-    return locations
+    """Locate a batch of points as a PointLocations; raises
+    TransferFailureError on any not-found."""
+    loc = locate_points(index, mesh, node_field, points)
+    if np.any(loc.status == "not-found"):
+        raise TransferFailureError(np.atleast_2d(points)[loc.status == "not-found"])
+    return loc
 
 
 def interpolate(field, node_field, index, points):
     """Evaluate an FE function at physical points via point location."""
-    locations = locate_many(index, field.mesh, node_field, points)
-    basis = field.mesh.basis
-    out = np.zeros(len(locations))
-    for i, loc in enumerate(locations):
-        vals = basis.eval(loc.ref[None, :])[0]
-        out[i] = vals @ field.coefficients[field.mesh.connectivity[loc.element]]
-    return out
+    loc = locate_many(index, field.mesh, node_field, points)
+    coeff = field.coefficients[field.mesh.connectivity[loc.element]]
+    return np.einsum("pk,pk->p", field.mesh.basis.eval(loc.ref), coeff)
 
 
 def transfer_field(sigma0, nodes0, current_mesh, current_nodes, index=None):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tmopfit.errors import MeshParseError
 from tmopfit.mesh import (
@@ -15,7 +17,7 @@ from tmopfit.mesh import (
     read_mesh,
     write_mesh,
 )
-from tmopfit.reference import quadrature_for
+from tmopfit.reference import GEOMETRY_DIM, quadrature_for
 
 
 def test_identity_map_position():
@@ -199,3 +201,108 @@ def test_boundary_node_ids_on_unit_square():
     # every domain-edge node is found: 4 sides x (4*2+1) minus corners
     expected = 4 * (4 * 2 + 1) - 4
     assert len(ids) == expected
+
+
+def _written_lines(tmp_path):
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    path = tmp_path / "mesh.mesh"
+    write_mesh(path, mesh, nodes)
+    return path.read_text().splitlines()
+
+
+def _line_of(lines, keyword):
+    return next(i for i, line in enumerate(lines) if line.startswith(keyword))
+
+
+@pytest.mark.parametrize(
+    "case", ["elements x", "boundary x", "nodes x", "extra node", "empty boundary"]
+)
+def test_malformed_input_reports_line(tmp_path, case):
+    lines = _written_lines(tmp_path)
+    if case.endswith(" x"):
+        bad = _line_of(lines, case.split()[0])
+        lines[bad] = case
+    elif case == "extra node":
+        bad = _line_of(lines, "elements") + 2  # the second of 4 elements
+        lines[bad] += " 0"
+    else:
+        bad = _line_of(lines, "boundary") + 1
+        lines[bad] = ""
+    path = tmp_path / "broken.mesh"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshParseError) as err:
+        read_mesh(path)
+    assert err.value.line == bad + 1
+
+
+@st.composite
+def small_meshes(draw):
+    geometry = draw(st.sampled_from(["quad", "triangle", "hex", "tet"]))
+    dim = GEOMETRY_DIM[geometry]
+    order = draw(st.integers(1, 3 if dim == 2 else 2))
+    mesh, nodes = make_cartesian(dim, draw(st.integers(1, 2)), order, geometry)
+    mesh.attributes = np.array(
+        draw(st.lists(st.integers(-5, 99), min_size=mesh.num_elements,
+                      max_size=mesh.num_elements))
+    )
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    mat = draw(
+        st.lists(st.lists(finite, min_size=dim, max_size=dim),
+                 min_size=mesh.num_nodes, max_size=mesh.num_nodes)
+    )
+    return mesh, NodeField.from_matrix(np.array(mat))
+
+
+_FUZZ_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@_FUZZ_SETTINGS
+@given(small_meshes())
+def test_write_read_roundtrip_is_exact(tmp_path_factory, mesh_and_nodes):
+    mesh, nodes = mesh_and_nodes
+    path = tmp_path_factory.mktemp("fuzz") / "m.mesh"
+    write_mesh(path, mesh, nodes)
+    mesh2, nodes2 = read_mesh(path)
+    assert (mesh2.dim, mesh2.order, mesh2.geometry) == (
+        mesh.dim, mesh.order, mesh.geometry,
+    )
+    assert np.array_equal(mesh2.connectivity, mesh.connectivity)
+    assert np.array_equal(mesh2.attributes, mesh.attributes)
+    assert np.array_equal(nodes2.coords, nodes.coords)
+    assert len(mesh2.boundary) == len(mesh.boundary)
+    for (a1, n1), (a2, n2) in zip(mesh.boundary, mesh2.boundary):
+        assert a1 == a2 and np.array_equal(n1, n2)
+
+
+_TOKENS = st.sampled_from(
+    ["x", "", "-1", "0", "1", "2", "3", "7", "0.5", "nan", "inf", "1e400",
+     "99999999999999999999999", "dim", "order", "geom", "quad", "tet",
+     "elements", "boundary", "nodes"]
+)
+
+
+@_FUZZ_SETTINGS
+@given(small_meshes(), st.data())
+def test_single_line_corruption_raises_parse_error(
+    tmp_path_factory, mesh_and_nodes, data
+):
+    mesh, nodes = mesh_and_nodes
+    path = tmp_path_factory.mktemp("fuzz") / "m.mesh"
+    write_mesh(path, mesh, nodes)
+    lines = path.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    action = data.draw(st.sampled_from(["replace", "delete", "duplicate", "append"]))
+    if action == "delete":
+        del lines[i]
+    elif action == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        tokens = " ".join(data.draw(st.lists(_TOKENS, max_size=5), label="tokens"))
+        lines[i] = tokens if action == "replace" else f"{lines[i]} {tokens}"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        read_mesh(path)
+    except MeshParseError as err:
+        assert err.line is not None and 1 <= err.line <= len(lines) + 1

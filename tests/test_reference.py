@@ -198,3 +198,27 @@ def test_simplex_edge_nodes_are_gauss_lobatto():
         (np.abs(tet.nodes[:, 1]) < 1e-14) & (np.abs(tet.nodes[:, 2]) < 1e-14)
     ][:, 0]
     assert np.allclose(np.sort(edge), g, atol=1e-14)
+
+
+def clamp_one_point(basis, point):
+    """One-point projection onto the reference element (reference loop)."""
+    p = np.clip(np.asarray(point, dtype=float), 0.0, 1.0)
+    if basis.geometry in ("triangle", "tet"):
+        s = p.sum()
+        if s > 1.0:
+            p -= (s - 1.0) / basis.dim
+            p = np.clip(p, 0.0, 1.0)
+            s = p.sum()
+            if s > 1.0:
+                p /= s
+    return p
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_clamp_batch_matches_one_point_clamp(geometry):
+    basis = NodalBasis(geometry, 2)
+    rng = np.random.default_rng(41)
+    points = rng.uniform(-1.0, 2.0, (500, basis.dim))
+    expected = np.array([clamp_one_point(basis, p) for p in points])
+    assert np.array_equal(basis.clamp(points), expected)
+    assert np.array_equal(basis.clamp(points[7]), expected[7])

@@ -194,3 +194,22 @@ def test_solver_config_validation():
         SolverConfig(eps=0.0)
     with pytest.raises(ValueError):
         SolverConfig(backtrack_factor=1.5)
+
+
+def test_programming_error_in_value_propagates(monkeypatch):
+    # Only evaluation failures of a trial mesh reject a line-search step;
+    # a bug inside value() must not pass for a rejected step.
+    import tmopfit.solver as solver
+
+    mesh, nodes, cfg = quad_problem()
+    calls = []
+
+    def broken_value(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise IndexError("bug in value")
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "value", broken_value)
+    with pytest.raises(IndexError):
+        solve(SolverConfig(), cfg, mesh, displaced_nodes(mesh, nodes))

@@ -1,19 +1,27 @@
 """Point location and field transfer between meshes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from tmopfit import transfer
 from tmopfit.errors import TransferFailureError
 from tmopfit.fields import AnalyticLevelSet, project
-from tmopfit.mesh import NodeField, element_position, make_cartesian
+from tmopfit.mesh import Mesh, NodeField, element_position, make_cartesian
+from tmopfit.reference import GEOMETRY_DIM, NodalBasis
 from tmopfit.transfer import (
     build_index,
     candidate_elements,
     interpolate,
     locate,
     locate_many,
+    locate_points,
     transfer_field,
 )
+
+# (cells per axis, order) of the meshes used per geometry.
+GEOMETRY_MESHES = {"quad": (4, 3), "triangle": (4, 3), "hex": (3, 2), "tet": (2, 2)}
 
 
 def poly_ls(dim, order, seed=0):
@@ -29,7 +37,7 @@ def poly_ls(dim, order, seed=0):
 
 def smooth_motion(mesh, nodes, amplitude=0.02):
     mat = nodes.as_matrix().copy()
-    bump = amplitude * np.sin(np.pi * mat[:, 0]) * np.sin(np.pi * mat[:, 1])
+    bump = amplitude * np.prod(np.sin(np.pi * mat), axis=1)
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     mat[interior, 0] += bump[interior]
     mat[interior, 1] -= bump[interior]
@@ -88,31 +96,47 @@ def test_locate_outside_domain():
     assert loc.distance > 0.05
 
 
-def test_locate_roundtrip_200_random_points():
-    mesh, nodes = make_cartesian(2, 4, 3, "quad")
+def random_ref(rng, geometry):
+    ref = rng.random(GEOMETRY_DIM[geometry])
+    if geometry in ("triangle", "tet"):
+        ref /= max(1.0, ref.sum())
+    return ref
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
+def test_locate_roundtrip_200_random_points(geometry):
+    n_cells, order = GEOMETRY_MESHES[geometry]
+    mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
     moved = smooth_motion(mesh, nodes)
     index = build_index(mesh, moved)
     rng = np.random.default_rng(17)
-    worst = 0.0
+    points = []
     for _ in range(200):
         e = int(rng.integers(mesh.num_elements))
-        ref = rng.random(2)
-        p = element_position(mesh, moved, e, ref)
+        points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
+    batch = locate_points(index, mesh, moved, np.array(points))
+    assert np.all(batch.status == "interior")
+    worst = 0.0
+    for i, p in enumerate(points):
         loc = locate(index, mesh, moved, p)
         assert loc.status == "interior"
+        assert loc.element == batch.element[i]
+        assert np.allclose(loc.ref, batch.ref[i], atol=1e-12)
         back = element_position(mesh, moved, loc.element, loc.ref)
         worst = max(worst, float(np.linalg.norm(back - p)))
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_interpolation_reproduces_polynomials(order):
-    mesh, nodes = make_cartesian(2, 3, order, "quad")
-    ls, fn = poly_ls(2, order, seed=order)
+def test_interpolation_reproduces_polynomials(order, geometry):
+    dim = GEOMETRY_DIM[geometry]
+    mesh, nodes = make_cartesian(dim, 3 if dim == 2 else 2, order, geometry)
+    ls, fn = poly_ls(dim, order, seed=order)
     sigma = project(ls, mesh, nodes)
     index = build_index(mesh, nodes)
     rng = np.random.default_rng(23)
-    queries = rng.random((60, 2))
+    queries = rng.random((60, dim))
     got = interpolate(sigma, nodes, index, queries)
     assert np.abs(got - fn(queries)).max() < 1e-10
 
@@ -179,3 +203,108 @@ def test_marginally_outside_point_is_projected():
     assert loc.status in ("interior", "boundary-projected")
     pos = element_position(mesh, nodes, loc.element, loc.ref)
     assert np.linalg.norm(pos - [1.0, 0.5]) < 1e-8
+
+
+def test_locate_points_counts():
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    index = build_index(mesh, nodes)
+    points = np.array([[0.25, 0.25], [0.5, 0.5], [1.0 + 5e-9, 0.5], [3.0, 3.0]])
+    loc = locate_points(index, mesh, nodes, points)
+    # Candidates per point: 1, 4 (shared vertex), 2, 0 (outside every box).
+    # The projected and the outside point both miss the grid candidates.
+    assert loc.counts == {"points": 4, "pairs": 7, "fallback": 2, "projected": 1}
+    assert list(loc.status) == [
+        "interior", "interior", "boundary-projected", "not-found"
+    ]
+    assert loc.distance[0] == 0.0 and 0.0 < loc.distance[2] < 1e-8
+
+
+def emptied_grid(index):
+    return dataclasses.replace(
+        index,
+        cell_start=np.zeros_like(index.cell_start),
+        cell_elems=np.empty(0, dtype=int),
+    )
+
+
+@pytest.mark.parametrize("geometry", ["quad", "triangle"])
+def test_fallback_sweep_matches_grid_pass(geometry):
+    mesh, nodes = make_cartesian(2, 4, 2, geometry)
+    moved = smooth_motion(mesh, nodes)
+    index = build_index(mesh, moved)
+    rng = np.random.default_rng(31)
+    points = [[0.5, 0.5], [0.25, 0.75]]  # shared vertices
+    for _ in range(40):
+        e = int(rng.integers(mesh.num_elements))
+        points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
+    points = np.array(points)
+    grid = locate_points(index, mesh, moved, points)
+    sweep = locate_points(emptied_grid(index), mesh, moved, points)
+    assert grid.counts["fallback"] == 0
+    assert sweep.counts["pairs"] == 0 and sweep.counts["fallback"] == len(points)
+    assert np.array_equal(sweep.element, grid.element)
+    assert np.abs(sweep.ref - grid.ref).max() < 1e-12
+    assert np.all(sweep.status == "interior")
+
+
+def test_small_newton_chunks_give_the_same_locations(monkeypatch):
+    mesh, nodes = make_cartesian(2, 4, 2, "triangle")
+    moved = smooth_motion(mesh, nodes)
+    index = build_index(mesh, moved)
+    points = np.vstack([moved.as_matrix()[::3], [[1.0 + 5e-9, 0.5], [3.0, 3.0]]])
+    whole = locate_points(index, mesh, moved, points)
+    # Chunks that split the candidates, and the sweep, of single points.
+    monkeypatch.setattr(transfer, "_CHUNK", 13)
+    for idx in (index, emptied_grid(index)):
+        chunked = locate_points(idx, mesh, moved, points)
+        assert np.array_equal(chunked.element, whole.element)
+        assert np.array_equal(chunked.status, whole.status)
+        assert np.allclose(chunked.ref, whole.ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("geometry", ["quad", "triangle"])
+def test_shared_vertex_resolves_to_first_accepted_candidate(geometry):
+    mesh, nodes = make_cartesian(2, 2, 1, geometry)
+    index = build_index(mesh, nodes)
+    vertex = np.array([0.5, 0.5])
+    cands = candidate_elements(index, vertex)
+    assert len(cands) > 1 and cands == sorted(cands)
+    # Element 0 has the vertex as a corner, so it is the first candidate
+    # in cell order that accepts the point.
+    loc = locate(index, mesh, nodes, vertex)
+    assert loc.status == "interior" and loc.element == cands[0] == 0
+
+
+def tiled_mesh(mesh, nodes, copies):
+    """copies overlapping copies of a mesh, as one mesh."""
+    conn = np.vstack([mesh.connectivity + c * mesh.num_nodes for c in range(copies)])
+    tiled = Mesh(
+        mesh.dim, mesh.order, mesh.geometry, conn,
+        np.ones(len(conn), dtype=int), num_nodes=copies * mesh.num_nodes,
+    )
+    return tiled, NodeField.from_matrix(np.tile(nodes.as_matrix(), (copies, 1)))
+
+
+def test_transfer_eval_calls_do_not_grow_with_points(monkeypatch):
+    mesh, nodes = make_cartesian(2, 4, 2, "quad")
+    ls, _ = poly_ls(2, 2, seed=5)
+    sigma = project(ls, mesh, nodes)
+    moved_nodes = smooth_motion(mesh, nodes)
+    calls = []
+    original = NodalBasis.eval_with_grad
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(NodalBasis, "eval_with_grad", counting)
+    counts = []
+    for copies in (1, 4):
+        tiled, tiled_nodes = tiled_mesh(mesh, moved_nodes, copies)
+        calls.clear()
+        moved = transfer_field(sigma, nodes, tiled, tiled_nodes)
+        assert len(moved.coefficients) == copies * mesh.num_nodes
+        counts.append(len(calls))
+    # Same points four times over: the same Newton batches, four times
+    # taller, and no call per point.
+    assert counts[0] == counts[1] < mesh.num_nodes
