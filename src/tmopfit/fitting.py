@@ -19,9 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import EmptyMarkedSetError
-from .fields import AnalyticLevelSet, ScalarField, discrete_gradient, eval_field
+from .fields import AnalyticLevelSet, ScalarField, discrete_gradient
 from .mesh import element_volumes
-from .reference import face_node_indices, quadrature_for
+from .reference import face_node_indices, quadrature_for, quadrature_tables
 from .transfer import build_index, locate_many
 
 
@@ -80,11 +80,9 @@ def mark_interface_nodes(mesh, mode, sigma=None):
 
 def attributes_from_sign(mesh, sigma):
     """Per-element attribute 1/2 from the sign of sigma at the center."""
-    center = mesh.basis.center
-    attrs = np.ones(mesh.num_elements, dtype=int)
-    for e in range(mesh.num_elements):
-        attrs[e] = 1 if eval_field(sigma, None, e, center) < 0.0 else 2
-    return attrs
+    center_vals = mesh.basis.eval(mesh.basis.center[None, :])[0]
+    values = np.einsum("en,n->e", sigma.coefficients[mesh.connectivity], center_vals)
+    return np.where(values < 0.0, 1, 2)
 
 
 def restrict(sigma, marked):
@@ -188,7 +186,6 @@ class PenaltyConfig:
     weight: float
     source: object
     normalization: float
-    hessian_mode: str = "analytic"  # or "fd-of-gradient"
 
     def __post_init__(self):
         if self.weight < 0.0:
@@ -197,9 +194,7 @@ class PenaltyConfig:
             raise ValueError("normalization must be positive")
 
 
-def make_penalty(
-    weight, source, mesh, node_field, targets, hessian_mode="analytic"
-):
+def make_penalty(weight, source, mesh, node_field, targets):
     """PenaltyConfig with the normalization implied by the target kind."""
     if targets.volumetric:
         normalization = float(element_volumes(mesh, node_field).sum())
@@ -209,16 +204,15 @@ def make_penalty(
         weight=weight,
         source=as_level_set_source(source, node_field),
         normalization=normalization,
-        hessian_mode=hessian_mode,
     )
 
 
 class _PenaltyTables:
     """Per-mesh quadrature tables and marked-element bookkeeping."""
 
-    def __init__(self, mesh, marked, targets, quadrature):
-        self.quadrature = quadrature
-        self.basis_vals = mesh.basis.eval(quadrature.points)  # (N_q, N_w)
+    def __init__(self, mesh, marked, targets):
+        # (N_q, N_w)
+        self.basis_vals, _ = quadrature_tables(mesh.geometry, mesh.order)
         marked_mask = np.zeros(mesh.num_nodes, dtype=bool)
         marked_mask[marked.indices] = True
         self.elements = []
@@ -227,16 +221,11 @@ class _PenaltyTables:
             local = np.flatnonzero(marked_mask[conn])
             if len(local):
                 self.elements.append((e, conn, local))
-        self.wdet = quadrature.weights[None, :] * targets.detw[:, None]
+        weights = quadrature_for(mesh.geometry, mesh.order).weights
+        self.wdet = weights[None, :] * targets.detw[:, None]
 
 
-def _tables(mesh, marked, targets, quadrature):
-    if quadrature is None:
-        quadrature = quadrature_for(mesh.geometry, mesh.order)
-    return _PenaltyTables(mesh, marked, targets, quadrature)
-
-
-def penalty_value(penalty, marked, mesh, node_field, targets, quadrature=None):
+def penalty_value(penalty, marked, mesh, node_field, targets):
     """F_sigma at the current node positions.
 
     Marked coefficients are sampled from the level-set source at the
@@ -245,7 +234,7 @@ def penalty_value(penalty, marked, mesh, node_field, targets, quadrature=None):
     """
     if penalty.weight == 0.0:
         return 0.0
-    tables = _tables(mesh, marked, targets, quadrature)
+    tables = _PenaltyTables(mesh, marked, targets)
     sbar = np.zeros(mesh.num_nodes)
     sbar[marked.indices] = penalty.source.values(
         node_field.as_matrix()[marked.indices]
@@ -257,7 +246,7 @@ def penalty_value(penalty, marked, mesh, node_field, targets, quadrature=None):
     return penalty.weight / penalty.normalization * float(total)
 
 
-def penalty_gradient(penalty, marked, mesh, node_field, targets, quadrature=None):
+def penalty_gradient(penalty, marked, mesh, node_field, targets):
     """Derivative of F_sigma with respect to all node coordinates.
 
     Entry (a, i) is nonzero only for marked nodes i: it pairs the
@@ -268,7 +257,7 @@ def penalty_gradient(penalty, marked, mesh, node_field, targets, quadrature=None
     grad = np.zeros(mesh.dim * mesh.num_nodes)
     if penalty.weight == 0.0:
         return grad
-    tables = _tables(mesh, marked, targets, quadrature)
+    tables = _PenaltyTables(mesh, marked, targets)
     pts = node_field.as_matrix()[marked.indices]
     svals, sgrads, _ = _sample_source(penalty.source, pts)
     sbar = np.zeros(mesh.num_nodes)
@@ -287,28 +276,17 @@ def penalty_gradient(penalty, marked, mesh, node_field, targets, quadrature=None
     return grad
 
 
-def penalty_hessian(
-    penalty, marked, mesh, node_field, targets, quadrature=None, mode=None
-):
+def penalty_hessian(penalty, marked, mesh, node_field, targets):
     """Second derivative of F_sigma as a sparse symmetric matrix.
 
-    Analytic mode combines the product of first-derivative factors with
-    the sbar-weighted second derivatives of sigma at the marked nodes;
-    "fd-of-gradient" differences penalty_gradient columnwise over the
-    marked degrees of freedom instead.
+    Combines the product of first-derivative factors with the
+    sbar-weighted second derivatives of sigma at the marked nodes.
     """
-    mode = mode or penalty.hessian_mode
     ndof = mesh.dim * mesh.num_nodes
     if penalty.weight == 0.0:
         return sp.csr_matrix((ndof, ndof))
-    if mode == "fd-of-gradient":
-        return _penalty_hessian_fd(
-            penalty, marked, mesh, node_field, targets, quadrature
-        )
-    if mode != "analytic":
-        raise ValueError(f"unknown penalty hessian mode {mode!r}")
 
-    tables = _tables(mesh, marked, targets, quadrature)
+    tables = _PenaltyTables(mesh, marked, targets)
     pts = node_field.as_matrix()[marked.indices]
     svals, sgrads, shess = _sample_source(penalty.source, pts, with_hessians=True)
     sbar = np.zeros(mesh.num_nodes)
@@ -345,39 +323,3 @@ def penalty_hessian(
     ).tocsr()
     return 0.5 * (h + h.T)
 
-
-def _penalty_hessian_fd(penalty, marked, mesh, node_field, targets, quadrature):
-    """Columnwise finite differences of penalty_gradient.
-
-    F_sigma depends on the marked node positions only, so only those
-    columns can be nonzero.
-    """
-    ndof = mesh.dim * mesh.num_nodes
-    h = 1e-6
-    cols = {}
-    work = node_field.copy()
-    for a in range(mesh.dim):
-        for i in marked.indices:
-            dof = a * mesh.num_nodes + int(i)
-            work.coords[dof] += h
-            gp = penalty_gradient(penalty, marked, mesh, work, targets, quadrature)
-            work.coords[dof] -= 2.0 * h
-            gm = penalty_gradient(penalty, marked, mesh, work, targets, quadrature)
-            work.coords[dof] += h
-            cols[dof] = (gp - gm) / (2.0 * h)
-    rows_idx, cols_idx, vals = [], [], []
-    for dof, col in cols.items():
-        nz = np.flatnonzero(col)
-        rows_idx.append(nz)
-        cols_idx.append(np.full(len(nz), dof))
-        vals.append(col[nz])
-    if not rows_idx:
-        return sp.csr_matrix((ndof, ndof))
-    hmat = sp.coo_matrix(
-        (
-            np.concatenate(vals),
-            (np.concatenate(rows_idx), np.concatenate(cols_idx)),
-        ),
-        shape=(ndof, ndof),
-    ).tocsr()
-    return 0.5 * (hmat + hmat.T)

@@ -20,8 +20,11 @@ from .reference import (
     face_node_indices,
     gauss_lobatto_nodes,
     quadrature_for,
+    quadrature_tables,
     reference_element,
 )
+
+_CHUNK_POINTS = 256  # quadrature points per element chunk of batched kernels
 
 
 @dataclass
@@ -60,7 +63,9 @@ class Mesh:
                 f"{ref.num_nodes} nodes per element, got "
                 f"{self.connectivity.shape[1]}"
             )
-        if self.connectivity.size and self.connectivity.max() >= self.num_nodes:
+        if self.connectivity.size and (
+            self.connectivity.min() < 0 or self.connectivity.max() >= self.num_nodes
+        ):
             raise InvalidMeshError("node index out of range")
 
     @property
@@ -182,7 +187,27 @@ def element_jacobians(mesh, node_field, element_id, ref_grads):
     return mats, np.linalg.det(mats)
 
 
-def is_valid(mesh, node_field, quadrature=None):
+def element_chunks(mesh):
+    """Slices of consecutive elements holding about _CHUNK_POINTS
+    quadrature points each (at least one element)."""
+    num_points = quadrature_for(mesh.geometry, mesh.order).num_points
+    size = max(1, _CHUNK_POINTS // num_points)
+    return [slice(s, s + size) for s in range(0, mesh.num_elements, size)]
+
+
+def quadrature_jacobians(mesh, node_field, elements):
+    """Jacobians A of the element maps at the quadrature points.
+
+    Returns shape (Q, E_c, dim, dim) for the elements selected by
+    `elements` (a slice or index array), points first.
+    """
+    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
+    coords = node_field.as_matrix()[mesh.connectivity[elements]]  # (E_c, N, dim)
+    # (Q, N, b) x (E_c, N, a) -> (Q, b, E_c, a): one GEMM over the nodes.
+    return np.tensordot(ref_grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
+
+
+def is_valid(mesh, node_field):
     """Check det A > 0 at every quadrature point of every element.
 
     Returns
@@ -191,38 +216,27 @@ def is_valid(mesh, node_field, quadrature=None):
     min_det : float
         Minimum Jacobian determinant over all sampled points.
     """
-    if quadrature is None:
-        quadrature = quadrature_for(mesh.geometry, mesh.order)
-    _, ref_grads = mesh.basis.eval_with_grad(quadrature.points)
-    min_det = np.inf
-    for e in range(mesh.num_elements):
-        _, dets = element_jacobians(mesh, node_field, e, ref_grads)
-        min_det = min(min_det, dets.min())
+    min_det = min(
+        np.linalg.det(quadrature_jacobians(mesh, node_field, chunk)).min()
+        for chunk in element_chunks(mesh)
+    )
     return bool(min_det > 0.0), float(min_det)
 
 
-def domain_volume(mesh, node_field, quadrature=None):
+def domain_volume(mesh, node_field):
     """Total volume: sum over elements of the Jacobian-weighted quadrature."""
-    if quadrature is None:
-        quadrature = quadrature_for(mesh.geometry, mesh.order)
-    _, ref_grads = mesh.basis.eval_with_grad(quadrature.points)
-    total = 0.0
-    for e in range(mesh.num_elements):
-        _, dets = element_jacobians(mesh, node_field, e, ref_grads)
-        total += quadrature.weights @ dets
-    return float(total)
+    return float(element_volumes(mesh, node_field).sum())
 
 
-def element_volumes(mesh, node_field, quadrature=None):
+def element_volumes(mesh, node_field):
     """Per-element volumes via quadrature; shape (num_elements,)."""
-    if quadrature is None:
-        quadrature = quadrature_for(mesh.geometry, mesh.order)
-    _, ref_grads = mesh.basis.eval_with_grad(quadrature.points)
-    vols = np.zeros(mesh.num_elements)
-    for e in range(mesh.num_elements):
-        _, dets = element_jacobians(mesh, node_field, e, ref_grads)
-        vols[e] = quadrature.weights @ dets
-    return vols
+    weights = quadrature_for(mesh.geometry, mesh.order).weights
+    return np.concatenate(
+        [
+            weights @ np.linalg.det(quadrature_jacobians(mesh, node_field, chunk))
+            for chunk in element_chunks(mesh)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,28 @@
 """Assembly of the total objective F = F_mu + F_sigma over all nodes.
 
 F_mu integrates the quality metric in target coordinates: the reference
-quadrature weights are multiplied by det W.  Degrees of freedom flagged
-in the fixed-node mask are removed from the gradient and replaced by
-identity rows/columns in the Hessian.
+quadrature weights are multiplied by det W.  One kernel serves F, its
+gradient and its Hessian: elements are taken in chunks of about
+mesh._CHUNK_POINTS quadrature points, T = A W^{-1} is formed for the
+whole chunk with shape (Q, E_c, d, d), and the metric is evaluated once
+per chunk.  W^{-1} and the weights w det W are folded into the metric
+derivatives, so the reference-gradient table B (Q d x N, the same for
+every element) turns them into element gradients and element Hessians
+B^T D_e B with one GEMM per chunk.  Degrees of freedom flagged in the
+fixed-node mask are removed from the gradient and replaced by identity
+rows/columns in the Hessian.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
-from .mesh import element_node_coords
+from .mesh import element_chunks, quadrature_jacobians
 from .quality import metric_batch, metric_values
-from .reference import quadrature_for
+from .reference import quadrature_for, quadrature_tables
 
 
 @dataclass
@@ -28,10 +35,10 @@ class ObjectiveConfig:
     penalty: object = None  # PenaltyConfig or None
     marked: object = None  # MarkedSet or None
     fixed_mask: np.ndarray = None  # bool, length dim * num_nodes; True = fixed
-    metric_hessian_mode: str = "analytic"
 
-    def quadrature(self, mesh):
-        return quadrature_for(mesh.geometry, mesh.order)
+    @property
+    def has_penalty(self):
+        return self.penalty is not None and self.marked is not None
 
 
 @dataclass
@@ -45,37 +52,46 @@ class ObjectiveReport:
     worst_mu: float
 
 
-def _basis_tables(mesh, quadrature):
-    return mesh.basis.eval_with_grad(quadrature.points)
+def _chunks(config, mesh, node_field):
+    """Yield (elements, T) per element chunk, T = A W^{-1} of shape
+    (Q, E_c, d, d); raises NonpositiveDeterminantError naming the first
+    element with det T <= 0."""
+    winv = config.targets.winv
+    for chunk in element_chunks(mesh):
+        t = quadrature_jacobians(mesh, node_field, chunk) @ winv[chunk]
+        tau = np.linalg.det(t)
+        bad = np.flatnonzero((tau <= 0.0).any(axis=0))
+        if len(bad):
+            e = int(bad[0])
+            raise NonpositiveDeterminantError(chunk.start + e, float(tau[:, e].min()))
+        yield chunk, t
 
 
-def _element_t(mesh, node_field, e, ref_grads, targets):
-    coords = element_node_coords(mesh, node_field, e)
-    a = np.einsum("id,qib->qdb", coords, ref_grads)
-    t = a @ targets.winv[e]
-    return t
+def _weights(config, mesh):
+    """w_q det W_e, shape (Q, E)."""
+    weights = quadrature_for(mesh.geometry, mesh.order).weights
+    return np.outer(weights, config.targets.detw)
+
+
+def _gemm_table(mesh):
+    """Reference gradients as B^T, shape (N, Q d); column (q, b)."""
+    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
+    return ref_grads.transpose(1, 0, 2).reshape(mesh.basis.num_nodes, -1)
 
 
 def value(config, mesh, node_field, with_worst=False):
     """(F, F_mu, F_sigma) and optionally the worst metric value."""
-    quad = config.quadrature(mesh)
-    _, ref_grads = _basis_tables(mesh, quad)
-    targets = config.targets
+    wdet = _weights(config, mesh)
     f_mu = 0.0
     worst = 0.0
-    for e in range(mesh.num_elements):
-        t = _element_t(mesh, node_field, e, ref_grads, targets)
-        tau = np.linalg.det(t)
-        if np.any(tau <= 0.0):
-            raise NonpositiveDeterminantError(e, float(tau.min()))
-        vals = metric_values(config.metric_id, t, config.gamma)
-        f_mu += (quad.weights * targets.detw[e]) @ vals
-        if with_worst:
-            worst = max(worst, float(vals.max()))
+    for chunk, t in _chunks(config, mesh, node_field):
+        vals = metric_values(config.metric_id, t, config.gamma)  # (Q, E_c)
+        f_mu += np.vdot(wdet[:, chunk], vals)
+        worst = max(worst, float(vals.max()))
     f_sigma = 0.0
-    if config.penalty is not None and config.marked is not None:
+    if config.has_penalty:
         f_sigma = penalty_value(
-            config.penalty, config.marked, mesh, node_field, targets, quad
+            config.penalty, config.marked, mesh, node_field, config.targets
         )
     total = float(f_mu) + float(f_sigma)
     if with_worst:
@@ -92,26 +108,24 @@ def evaluate(config, mesh, node_field):
 
 def gradient(config, mesh, node_field):
     """Masked derivative of F with respect to all node coordinates."""
-    quad = config.quadrature(mesh)
-    _, ref_grads = _basis_tables(mesh, quad)
-    targets = config.targets
-    nnod = mesh.num_nodes
-    grad = np.zeros(mesh.dim * nnod)
-    for e in range(mesh.num_elements):
-        t = _element_t(mesh, node_field, e, ref_grads, targets)
-        tau = np.linalg.det(t)
-        if np.any(tau <= 0.0):
-            raise NonpositiveDeterminantError(e, float(tau.min()))
+    dim, nnod = mesh.dim, mesh.num_nodes
+    wdet = _weights(config, mesh)
+    winv = config.targets.winv
+    bt = _gemm_table(mesh)
+    # local[i, e, a] = sum_q sum_b' B[(q, b'), i] P[q, b', e, a]
+    local = np.empty((mesh.basis.num_nodes, mesh.num_elements, dim))
+    for chunk, t in _chunks(config, mesh, node_field):
         _, dmu, _ = metric_batch(config.metric_id, t, config.gamma, order=1)
-        dhat = np.einsum("qib,be->qie", ref_grads, targets.winv[e])
-        wdet = quad.weights * targets.detw[e]
-        local = np.einsum("q,qie,qae->ia", wdet, dhat, dmu)
-        conn = mesh.connectivity[e]
-        for a in range(mesh.dim):
-            np.add.at(grad, a * nnod + conn, local[:, a])
-    if config.penalty is not None and config.marked is not None:
+        # P[q, b', e, a] = w_q det W_e sum_c W^{-1}[e, b', c] dmu[q, e, a, c]
+        p = np.einsum("qeac,ebc->qbea", dmu * wdet[:, chunk, None, None], winv[chunk])
+        local[:, chunk] = (bt @ p.reshape(bt.shape[1], -1)).reshape(len(bt), -1, dim)
+    conn = mesh.connectivity.T  # (N, E), matching local
+    grad = np.concatenate(
+        [np.bincount(conn.ravel(), local[..., a].ravel(), nnod) for a in range(dim)]
+    )
+    if config.has_penalty:
         grad += penalty_gradient(
-            config.penalty, config.marked, mesh, node_field, targets, quad
+            config.penalty, config.marked, mesh, node_field, config.targets
         )
     if config.fixed_mask is not None:
         grad[config.fixed_mask] = 0.0
@@ -120,58 +134,44 @@ def gradient(config, mesh, node_field):
 
 def hessian(config, mesh, node_field):
     """Masked sparse symmetric Hessian of F."""
-    quad = config.quadrature(mesh)
-    _, ref_grads = _basis_tables(mesh, quad)
-    targets = config.targets
-    nnod = mesh.num_nodes
-    ndof = mesh.dim * nnod
-    nw = mesh.basis.num_nodes
-
-    rows, cols, vals = [], [], []
-    for e in range(mesh.num_elements):
-        t = _element_t(mesh, node_field, e, ref_grads, targets)
-        tau = np.linalg.det(t)
-        if np.any(tau <= 0.0):
-            raise NonpositiveDeterminantError(e, float(tau.min()))
-        _, _, d2mu = metric_batch(
-            config.metric_id, t, config.gamma, config.metric_hessian_mode
-        )
-        dhat = np.einsum("qib,be->qie", ref_grads, targets.winv[e])
-        wdet = quad.weights * targets.detw[e]
-        local = _local_hessian(wdet, d2mu, dhat, mesh.dim, nw)
-        conn = mesh.connectivity[e]
-        dof = np.stack([a * nnod + conn for a in range(mesh.dim)], axis=1)
-        dof_flat = dof.reshape(-1)  # matches (i, a) raveling of local
-        rows.append(np.repeat(dof_flat, nw * mesh.dim))
-        cols.append(np.tile(dof_flat, nw * mesh.dim))
-        vals.append(local.reshape(-1))
+    dim, nnod, nw = mesh.dim, mesh.num_nodes, mesh.basis.num_nodes
+    ndof = dim * nnod
+    wdet = _weights(config, mesh)
+    winv = config.targets.winv
+    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
+    grads_t = ref_grads.transpose(0, 2, 1)  # (Q, d, N)
+    bt = _gemm_table(mesh)
+    nq = len(grads_t)
+    # Element blocks B^T D_e B as local[i, e, a, b, j], row dof (a, i),
+    # column dof (b, j).
+    local = np.empty((nw, mesh.num_elements, dim, dim, nw))
+    for chunk, t in _chunks(config, mesh, node_field):
+        _, _, d2mu = metric_batch(config.metric_id, t, config.gamma)
+        ne = len(d2mu[0])
+        # D[q, b', e, a, b, c'] = w_q det W_e
+        #   sum_{c, f} W^{-1}[e, b', c] d2mu[q, e, a, c, b, f] W^{-1}[e, c', f]
+        wd = d2mu * wdet[:, chunk, None, None, None, None]
+        wd = wd.reshape(nq, ne, -1, dim) @ winv[chunk].transpose(0, 2, 1)
+        wd = winv[chunk][None, :, None] @ wd.reshape(nq, ne, dim, dim, -1)
+        dd = wd.reshape(nq, ne, dim, dim, dim, dim).transpose(0, 3, 1, 2, 4, 5)
+        # One small matmul per point, then one GEMM over (q, b').
+        x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
+        block = bt @ x.reshape(bt.shape[1], -1)  # (N, e a b N)
+        local[:, chunk] = block.reshape(nw, -1, dim, dim, nw)
+    dof = np.arange(dim) * nnod + mesh.connectivity.T[:, :, None]  # (N, E, d)
+    rows = np.broadcast_to(dof[:, :, :, None, None], local.shape)
+    cols = np.broadcast_to(dof.transpose(1, 2, 0)[None, :, None], local.shape)
     h = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
+        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)
     ).tocsr()
-    if config.penalty is not None and config.marked is not None:
+    if config.has_penalty:
         h = h + penalty_hessian(
-            config.penalty, config.marked, mesh, node_field, targets, quad
+            config.penalty, config.marked, mesh, node_field, config.targets
         )
     h = 0.5 * (h + h.T)
     if config.fixed_mask is not None:
         h = _mask_hessian(h, config.fixed_mask)
     return h
-
-
-def _local_hessian(wdet, d2mu, dhat, dim, nw):
-    """Element Hessian block local[i, a, j, b] via batched matmuls.
-
-    local = sum_q wdet_q  dhat[q,i,e] d2mu[q,a,e,b,f] dhat[q,j,f].
-    """
-    nq = len(wdet)
-    # (q, a, b, e, f) -> batched (e, f) matrices per (q, a, b)
-    k = (wdet[:, None, None, None, None] * d2mu).transpose(0, 1, 3, 2, 4)
-    k = np.ascontiguousarray(k).reshape(nq, dim * dim, dim, dim)
-    x = np.matmul(dhat[:, None, :, :], k)  # (q, ab, nw, f)
-    y = np.matmul(x, dhat[:, None, :, :].transpose(0, 1, 3, 2))  # (q, ab, nw, nw)
-    local_ab = y.sum(axis=0).reshape(dim, dim, nw, nw)
-    return np.ascontiguousarray(local_ab.transpose(2, 0, 3, 1))
 
 
 def _mask_hessian(h, mask):

@@ -3,8 +3,9 @@
 Metrics are scalar functions of the weighted Jacobian T = A W^{-1}.
 Values, first derivatives dmu/dT and second derivatives d2mu/dT2 are
 computed analytically by composing a few matrix invariants (|T|^2, det T,
-|T^{-1}|^2, |T^t T|^2), each carried as a second-order jet.  A finite
-difference fallback for the second derivatives sits behind hessian_mode.
+|T^{-1}|^2, |T^t T|^2), each carried as a second-order jet.  The
+invariants a metric needs are seeded once per batch, also for the
+blended metrics mu80 and mu333.
 """
 
 from dataclasses import dataclass
@@ -124,82 +125,107 @@ def _outer(x, y):
     return x[..., :, :, None, None] * y[..., None, None, :, :]
 
 
-def _seed_invariants(t, order=2):
-    """Jets of |T|^2, det T, |T^{-1}|^2, |T^t T|^2 for batched T.
+def _seed_invariants(t, tau, names, order):
+    """Jets of |T|^2, det T, |T^{-1}|^2, |T^t T|^2 for batched T with
+    determinants tau.
 
-    order=1 skips the second-derivative tensors.
+    Returns {name: jet} for the requested names among "frob2", "det",
+    "invfrob2" and "ttfrob2"; order=1 skips the second-derivative tensors.
     """
     d = t.shape[-1]
     eye = np.eye(d)
-    tau = np.linalg.det(t)
     k = np.linalg.inv(t)
     kt = np.swapaxes(k, -1, -2)
     second = order >= 2
+    out = {}
 
-    frob2_d2 = None
-    det_d2 = None
-    inv_d2 = None
-    q_d2 = None
-    if second:
-        frob2_d2 = (
-            2.0
-            * np.einsum("ac,bd->abcd", eye, eye)
-            * np.ones_like(tau)[..., None, None, None, None]
-        )
-        det_d2 = tau[..., None, None, None, None] * (
-            np.einsum("...ab,...cd->...abcd", kt, kt)
-            - np.einsum("...bc,...da->...abcd", k, k)
-        )
+    if "frob2" in names:
+        frob2_d2 = None
+        if second:
+            frob2_d2 = (
+                2.0
+                * np.einsum("ac,bd->abcd", eye, eye)
+                * np.ones_like(tau)[..., None, None, None, None]
+            )
+        out["frob2"] = _Jet(np.einsum("...ab,...ab->...", t, t), 2.0 * t, frob2_d2)
 
-    frob2 = _Jet(np.einsum("...ab,...ab->...", t, t), 2.0 * t, frob2_d2)
-    det = _Jet(tau, tau[..., None, None] * kt, det_d2)
+    if "det" in names:
+        det_d2 = None
+        if second:
+            det_d2 = tau[..., None, None, None, None] * (
+                np.einsum("...ab,...cd->...abcd", kt, kt)
+                - np.einsum("...bc,...da->...abcd", k, k)
+            )
+        out["det"] = _Jet(tau, tau[..., None, None] * kt, det_d2)
 
-    m = kt @ k @ kt
-    if second:
-        b = kt @ k
-        g = k @ kt
-        inv_d2 = 2.0 * (
-            np.einsum("...fc,...ed->...cdef", k, m)
-            + np.einsum("...ce,...fd->...cdef", b, g)
-            + np.einsum("...de,...cf->...cdef", k, m)
-        )
-    invfrob2 = _Jet(np.einsum("...ab,...ab->...", k, k), -2.0 * m, inv_d2)
+    if "invfrob2" in names:
+        m = kt @ k @ kt
+        inv_d2 = None
+        if second:
+            b = kt @ k
+            g = k @ kt
+            inv_d2 = 2.0 * (
+                np.einsum("...fc,...ed->...cdef", k, m)
+                + np.einsum("...ce,...fd->...cdef", b, g)
+                + np.einsum("...de,...cf->...cdef", k, m)
+            )
+        out["invfrob2"] = _Jet(np.einsum("...ab,...ab->...", k, k), -2.0 * m, inv_d2)
 
-    tt = np.swapaxes(t, -1, -2) @ t
-    if second:
-        ttt = t @ np.swapaxes(t, -1, -2)
-        q_d2 = 4.0 * (
-            np.einsum("ac,...db->...abcd", eye, tt)
-            + np.einsum("...ad,...cb->...abcd", t, t)
-            + np.einsum("bd,...ac->...abcd", eye, ttt)
-        )
-    ttfrob2 = _Jet(np.einsum("...ab,...ab->...", tt, tt), 4.0 * t @ tt, q_d2)
+    if "ttfrob2" in names:
+        tt = np.swapaxes(t, -1, -2) @ t
+        q_d2 = None
+        if second:
+            ttt = t @ np.swapaxes(t, -1, -2)
+            q_d2 = 4.0 * (
+                np.einsum("ac,...db->...abcd", eye, tt)
+                + np.einsum("...ad,...cb->...abcd", t, t)
+                + np.einsum("bd,...ac->...abcd", eye, ttt)
+            )
+        out["ttfrob2"] = _Jet(np.einsum("...ab,...ab->...", tt, tt), 4.0 * t @ tt, q_d2)
 
-    return frob2, det, invfrob2, ttfrob2
+    return out
 
 
-def _metric_jet(metric_id, t, gamma, order=2):
-    frob2, det, invfrob2, ttfrob2 = _seed_invariants(t, order)
+# Invariants each unblended metric is composed of.
+_INVARIANTS = {
+    "mu2": ("frob2", "det"),
+    "mu58": ("frob2", "det", "ttfrob2"),
+    "mu77": ("det",),
+    "mu302": ("frob2", "invfrob2"),
+    "mu316": ("det",),
+}
+
+# Blended metrics: (1 - gamma) * first + gamma * second.
+_BLENDS = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
+
+
+def _compose(metric_id, inv):
+    """Jet of an unblended metric from its seeded invariant jets."""
     if metric_id == "mu2":
-        return 0.5 * (frob2 / det) - 1.0
+        return 0.5 * (inv["frob2"] / inv["det"]) - 1.0
     if metric_id == "mu58":
-        inv_det = det.reciprocal()
+        inv_det = inv["det"].reciprocal()
+        frob2, ttfrob2 = inv["frob2"], inv["ttfrob2"]
         return ttfrob2 * inv_det.squared() - 2.0 * (frob2 * inv_det) + 2.0
     if metric_id == "mu77":
+        det = inv["det"]
         return 0.5 * (det - det.reciprocal()).squared()
-    if metric_id == "mu80":
-        return (1.0 - gamma) * _metric_jet(
-            "mu2", t, gamma, order
-        ) + gamma * _metric_jet("mu77", t, gamma, order)
     if metric_id == "mu302":
-        return (frob2 * invfrob2) / 9.0 - 1.0
-    if metric_id == "mu316":
-        return 0.5 * (det + det.reciprocal()) - 1.0
-    if metric_id == "mu333":
-        return (1.0 - gamma) * _metric_jet(
-            "mu302", t, gamma, order
-        ) + gamma * _metric_jet("mu316", t, gamma, order)
-    raise ValueError(f"unknown metric id {metric_id!r}")
+        return (inv["frob2"] * inv["invfrob2"]) / 9.0 - 1.0
+    det = inv["det"]  # mu316
+    return 0.5 * (det + det.reciprocal()) - 1.0
+
+
+def _metric_jet(metric_id, t, tau, gamma, order):
+    parts = _BLENDS.get(metric_id, (metric_id,))
+    if not all(part in _INVARIANTS for part in parts):
+        raise ValueError(f"unknown metric id {metric_id!r}")
+    names = {name for part in parts for name in _INVARIANTS[part]}
+    inv = _seed_invariants(t, tau, names, order)
+    if len(parts) == 1:
+        return _compose(metric_id, inv)
+    first, second = (_compose(part, inv) for part in parts)
+    return (1.0 - gamma) * first + gamma * second
 
 
 @dataclass
@@ -211,7 +237,7 @@ class MetricEval:
     d2mu: np.ndarray
 
 
-def metric_batch(metric_id, t, gamma=0.5, hessian_mode="analytic", order=2):
+def metric_batch(metric_id, t, gamma=0.5, order=2):
     """Evaluate a metric on batched T of shape (..., d, d).
 
     Returns (values, dmu, d2mu) with shapes (...,), (..., d, d) and
@@ -222,33 +248,14 @@ def metric_batch(metric_id, t, gamma=0.5, hessian_mode="analytic", order=2):
     tau = np.linalg.det(t)
     if np.any(tau <= 0.0):
         raise NonpositiveDeterminantError(None, float(tau.min()))
-    if order < 2:
-        jet = _metric_jet(metric_id, t, gamma, order=1)
-        return jet.value, jet.d1, None
-    jet = _metric_jet(metric_id, t, gamma)
-    if hessian_mode == "analytic":
-        return jet.value, jet.d1, jet.d2
-    if hessian_mode != "fd":
-        raise ValueError(f"unknown hessian_mode {hessian_mode!r}")
-    d = t.shape[-1]
-    h = np.zeros(t.shape + (d, d))
-    step = 1e-7
-    for c in range(d):
-        for e in range(d):
-            dt = np.zeros_like(t)
-            dt[..., c, e] = step
-            jp = _metric_jet(metric_id, t + dt, gamma)
-            jm = _metric_jet(metric_id, t - dt, gamma)
-            h[..., c, e] = (jp.d1 - jm.d1) / (2.0 * step)
-    # symmetrize the mixed-partial pairing
-    h = 0.5 * (h + h.transpose(*range(h.ndim - 4), -2, -1, -4, -3))
-    return jet.value, jet.d1, h
+    jet = _metric_jet(metric_id, t, tau, gamma, order)
+    return jet.value, jet.d1, jet.d2
 
 
-def metric(metric_id, t, gamma=0.5, hessian_mode="analytic"):
+def metric(metric_id, t, gamma=0.5):
     """Evaluate a single d x d weighted Jacobian; see metric_batch."""
     value, dmu, d2mu = metric_batch(
-        metric_id, np.asarray(t, dtype=float)[None, ...], gamma, hessian_mode
+        metric_id, np.asarray(t, dtype=float)[None, ...], gamma
     )
     return MetricEval(float(value[0]), dmu[0], d2mu[0])
 

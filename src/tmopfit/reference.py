@@ -447,6 +447,17 @@ def quadrature_for(geometry, order):
     return QuadratureRule(geometry, pts, wts, 2 * n - 1)
 
 
+@lru_cache(maxsize=None)
+def quadrature_tables(geometry, order):
+    """Basis values (Q, N) and reference gradients (Q, N, dim) at the
+    points of quadrature_for(geometry, order); shared and read-only."""
+    rule = quadrature_for(geometry, order)
+    tables = reference_element(geometry, order).basis.eval_with_grad(rule.points)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 # Supporting hyperplane (normal, offset) of each reference face, in
 # REFERENCE_FACES order: points p on the face satisfy normal . p == offset.
 _FACE_PLANES = {

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .mesh import is_valid
 from .objective import gradient, hessian, value
-from .reference import quadrature_for
 
 
 @dataclass
@@ -121,23 +120,28 @@ def solve(config, objective_config, mesh, node_field):
     accepted iterate is returned with the corresponding reason.
     """
     t_start = time.time()
-    quad = quadrature_for(mesh.geometry, mesh.order)
     x = node_field.copy()
 
-    valid, min_det = is_valid(mesh, x, quad)
+    valid, min_det = is_valid(mesh, x)
     if not valid:
         raise InvalidMeshError(f"initial mesh invalid (min det A = {min_det:.3e})")
+
+    # The line search evaluates validity and then F on each trial, so
+    # after it returns these hold (F, F_mu, F_sigma) and min det A of the
+    # accepted trial.
+    last = {}
 
     def objective_fn(trial):
         # Only a failed evaluation of a valid-looking trial mesh rejects
         # the step; any other exception is a bug and propagates.
         try:
-            return value(objective_config, mesh, trial)[0]
+            last["f"] = value(objective_config, mesh, trial)
         except (NonpositiveDeterminantError, TransferFailureError):
             return None
+        return last["f"][0]
 
     def validity_fn(trial):
-        ok, _ = is_valid(mesh, trial, quad)
+        ok, last["min_det"] = is_valid(mesh, trial)
         return ok
 
     report = SolveReport()
@@ -196,9 +200,9 @@ def solve(config, objective_config, mesh, node_field):
 
         prev_x, prev_grad = x.coords.copy(), grad
         x = trial
-        f, f_mu, f_sigma = value(objective_config, mesh, x)
+        f, f_mu, f_sigma = last["f"]
+        min_det = last["min_det"]
         grad = gradient(objective_config, mesh, x)
-        _, min_det = is_valid(mesh, x, quad)
         report.iterations = it
         report.history.append(
             (it, f, f_mu, f_sigma, float(np.linalg.norm(grad)), alpha, min_det)

@@ -129,21 +129,34 @@ def candidate_elements(index, point):
     return _candidate_pairs(index, np.atleast_2d(point))[1].tolist()
 
 
-def _newton(basis, coords, points):
+def _newton(basis, coords, points, owner=None, accept=0.0):
     """Damped Newton for the reference coordinates of each points[i] in
     the element with node coordinates coords[i], all rows at once.
 
     Returns (ref, residual_norm).  Iterates are clamped to the reference
     element; a step is halved while the residual fails to decrease.
+    owner, if given, names the point of each row, with the rows of a
+    point consecutive and in priority order: a row then stops once an
+    earlier row of its point has a residual <= accept, because residuals
+    only decrease and the earlier row will be chosen.
     """
-    ref = np.tile(basis.center, (len(points), 1))
+    n = len(points)
+    ref = np.tile(basis.center, (n, 1))
     vals, grads = basis.eval_with_grad(ref)
     res = np.einsum("pk,pkd->pd", vals, coords) - points
     res_norm = np.linalg.norm(res, axis=1)
     stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
-    active = np.ones(len(points), dtype=bool)
+    active = np.ones(n, dtype=bool)
+    if owner is not None:
+        owner = np.unique(owner, return_inverse=True)[1]  # 0, 1, ... per point
+        rows, last_row = np.arange(n), np.full(owner[-1] + 1, n)
     for _ in range(_MAX_ITER):
         active &= res_norm != 0.0
+        if owner is not None:
+            hit = np.flatnonzero(res_norm <= accept)
+            hit_owner, first = np.unique(owner[hit], return_index=True)
+            last_row[hit_owner] = hit[first]
+            active &= rows <= last_row[owner]
         jac = np.einsum("pkd,pkb->pdb", coords[active], grads[active])
         solvable = np.abs(np.linalg.det(jac)) > 0.0
         active[np.flatnonzero(active)[~solvable]] = False
@@ -188,7 +201,7 @@ def locate_points(index, mesh, node_field, points):
         for s in range(0, len(pt), _CHUNK):
             p, e = pt[s : s + _CHUNK], elem[s : s + _CHUNK]
             coords = node_field.as_matrix()[mesh.connectivity[e]]
-            pair_ref, res = _newton(mesh.basis, coords, points[p])
+            pair_ref, res = _newton(mesh.basis, coords, points[p], p, accept)
             key = np.where(res <= accept, 0.0, res)
             order = np.lexsort((np.arange(len(p)), key, p))
             best = order[np.unique(p[order], return_index=True)[1]]

@@ -8,6 +8,7 @@ from tmopfit.fields import AnalyticLevelSet, ScalarField, project
 from tmopfit.fitting import (
     DiscreteLevelSet,
     MarkedSet,
+    attributes_from_sign,
     make_penalty,
     mark_interface_nodes,
     penalty_gradient,
@@ -147,6 +148,21 @@ def fd_penalty_gradient(penalty, marked, mesh, nodes, targets, step=1e-7):
     return out
 
 
+def fd_penalty_hessian(penalty, marked, mesh, nodes, targets, step=1e-6):
+    """Symmetrized columnwise central differences of penalty_gradient."""
+    ndof = mesh.dim * mesh.num_nodes
+    out = np.zeros((ndof, ndof))
+    work = nodes.copy()
+    for dof in range(ndof):
+        work.coords[dof] += step
+        gp = penalty_gradient(penalty, marked, mesh, work, targets)
+        work.coords[dof] -= 2 * step
+        gm = penalty_gradient(penalty, marked, mesh, work, targets)
+        work.coords[dof] += step
+        out[:, dof] = (gp - gm) / (2 * step)
+    return 0.5 * (out + out.T)
+
+
 @pytest.mark.parametrize("source_kind", ["analytic", "discrete"])
 def test_penalty_gradient_matches_fd_random_configs(source_kind):
     rng = np.random.default_rng(42)
@@ -250,9 +266,7 @@ def test_penalty_hessian_symmetric_and_matches_fd():
     penalty = make_penalty(2.0, ls, mesh, nodes, targets)
     h = penalty_hessian(penalty, marked, mesh, nodes, targets).toarray()
     assert np.abs(h - h.T).max() < 1e-10
-    h_fd = penalty_hessian(
-        penalty, marked, mesh, nodes, targets, mode="fd-of-gradient"
-    ).toarray()
+    h_fd = fd_penalty_hessian(penalty, marked, mesh, nodes, targets)
     denom = max(np.linalg.norm(h_fd), 1e-12)
     assert np.linalg.norm(h - h_fd) / denom < 1e-4
 
@@ -319,3 +333,22 @@ def test_penalty_config_validation():
     ls = linear_ls([1.0, 0.0], 0.0)
     with pytest.raises(ValueError):
         make_penalty(-1.0, ls, mesh, nodes, targets)
+
+
+def test_attributes_from_sign_match_per_element_loop():
+    from tmopfit.cases import CASE_DEFAULTS
+    from tmopfit.fields import eval_field
+
+    for case in CASE_DEFAULTS.values():
+        mesh, nodes = make_cartesian(
+            case.dim, case.resolution, case.order, case.geometry
+        )
+        sigma = project(builtin_levelset(case.levelset), mesh, nodes)
+        center = mesh.basis.center
+        loop = [
+            1 if eval_field(sigma, None, e, center) < 0.0 else 2
+            for e in range(mesh.num_elements)
+        ]
+        attrs = attributes_from_sign(mesh, sigma)
+        assert attrs.tolist() == loop
+        assert 1 in loop and 2 in loop

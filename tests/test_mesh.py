@@ -5,8 +5,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tmopfit.errors import MeshParseError
+from tmopfit.errors import InvalidMeshError, MeshParseError
 from tmopfit.mesh import (
+    Mesh,
     NodeField,
     domain_volume,
     element_jacobian,
@@ -18,6 +19,12 @@ from tmopfit.mesh import (
     write_mesh,
 )
 from tmopfit.reference import GEOMETRY_DIM, quadrature_for
+
+
+@pytest.mark.parametrize("row", [[0, 1, 2, -1], [0, 1, 2, 4]])
+def test_mesh_rejects_node_ids_out_of_range(row):
+    with pytest.raises(InvalidMeshError):
+        Mesh(2, 1, "quad", [row], [1], num_nodes=4)
 
 
 def test_identity_map_position():

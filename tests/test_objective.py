@@ -1,12 +1,23 @@
 """Total objective assembly: values, gradients, Hessians, masking."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import tmopfit.mesh
+from tmopfit import quality
 from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet
 from tmopfit.fitting import MarkedSet, make_penalty
-from tmopfit.mesh import NodeField, make_cartesian
+from tmopfit.mesh import (
+    NodeField,
+    element_chunks,
+    element_volumes,
+    is_valid,
+    make_cartesian,
+)
 from tmopfit.objective import (
     ObjectiveConfig,
     boundary_fixed_mask,
@@ -16,7 +27,8 @@ from tmopfit.objective import (
     hessian,
     value,
 )
-from tmopfit.quality import make_targets
+from tmopfit.quality import METRIC_IDS, make_targets, metric_batch
+from tmopfit.reference import quadrature_for
 
 
 def perturbed(mesh, nodes, seed=0, amplitude=0.02):
@@ -169,14 +181,19 @@ def test_translation_invariance_and_gradient_sum():
 
 def test_inverted_mesh_reports_element():
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    mat = nodes.as_matrix().copy()
-    conn = mesh.connectivity[3]
-    mat[conn[0]], mat[conn[1]] = mat[conn[1]].copy(), mat[conn[0]].copy()
-    bad = NodeField.from_matrix(mat)
     cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
-    with pytest.raises(NonpositiveDeterminantError) as err:
-        value(cfg, mesh, bad)
-    assert err.value.element_id is not None
+    conn = mesh.connectivity[3]
+    # Swapping the top (domain-boundary) edge of element 3 inverts only
+    # element 3; swapping its bottom edge, shared with element 2, inverts
+    # both, and the first one is reported.
+    for (i, j), first in (((2, 3), 3), ((0, 1), 2)):
+        mat = nodes.as_matrix().copy()
+        mat[[conn[i], conn[j]]] = mat[[conn[j], conn[i]]]
+        bad = NodeField.from_matrix(mat)
+        for fn in (value, gradient, hessian):
+            with pytest.raises(NonpositiveDeterminantError) as err:
+                fn(cfg, mesh, bad)
+            assert err.value.element_id == first
 
 
 def test_fix_nodes_extends_mask():
@@ -187,3 +204,127 @@ def test_fix_nodes_extends_mask():
     mask2 = fix_nodes(mask, mesh, [node])
     assert mask2[node] and mask2[mesh.num_nodes + node]
     assert mask2.sum() == mask.sum() + 2
+
+
+# ---------------------------------------------------------------------------
+# The chunked element kernel against a per-element reference loop
+
+# geometry -> (dim, cells per axis, order)
+KERNEL_MESHES = {
+    "quad": (2, 2, 2), "triangle": (2, 2, 3), "hex": (3, 2, 2), "tet": (3, 1, 2),
+}
+
+
+def reference_assembly(cfg, mesh, nodes):
+    """F_mu, its gradient and its Hessian one element at a time."""
+    quad = quadrature_for(mesh.geometry, mesh.order)
+    _, ref_grads = mesh.basis.eval_with_grad(quad.points)
+    nnod, dim = mesh.num_nodes, mesh.dim
+    f = 0.0
+    grad = np.zeros(dim * nnod)
+    hess = np.zeros((dim * nnod, dim * nnod))
+    for e in range(mesh.num_elements):
+        coords = nodes.as_matrix()[mesh.connectivity[e]]
+        a = np.einsum("id,qib->qdb", coords, ref_grads)
+        t = a @ cfg.targets.winv[e]
+        vals, dmu, d2mu = metric_batch(cfg.metric_id, t, cfg.gamma)
+        wdet = quad.weights * cfg.targets.detw[e]
+        dhat = np.einsum("qib,be->qie", ref_grads, cfg.targets.winv[e])
+        f += wdet @ vals
+        local_g = np.einsum("q,qie,qae->ia", wdet, dhat, dmu)
+        local_h = np.einsum(
+            "q,qie,qaebf,qjf->iajb", wdet, dhat, d2mu, dhat, optimize=True
+        )
+        dof = (np.arange(dim)[None, :] * nnod + mesh.connectivity[e][:, None]).ravel()
+        np.add.at(grad, dof, local_g.ravel())
+        n = len(dof)
+        hess[np.ix_(dof, dof)] += local_h.reshape(n, n)
+    return f, grad, 0.5 * (hess + hess.T)
+
+
+def kernel_config(metric_id, geometry):
+    dim, n_cells, order = KERNEL_MESHES[geometry]
+    mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
+    targets = make_targets(mesh, nodes, "initial-size")
+    current = perturbed(mesh, nodes, seed=9, amplitude=0.05 / order)
+    return ObjectiveConfig(metric_id, targets), mesh, current
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
+@pytest.mark.parametrize("metric_id", METRIC_IDS)
+def test_kernel_matches_per_element_loop(metric_id, geometry):
+    cfg, mesh, current = kernel_config(metric_id, geometry)
+    f_ref, g_ref, h_ref = reference_assembly(cfg, mesh, current)
+    assert rel_err(value(cfg, mesh, current)[1], f_ref) < 1e-12
+    assert rel_err(gradient(cfg, mesh, current), g_ref) < 1e-12
+    assert rel_err(hessian(cfg, mesh, current).toarray(), h_ref) < 1e-12
+
+
+@pytest.mark.parametrize("geometry", ["triangle", "hex"])
+def test_one_element_chunks_match_default(monkeypatch, geometry):
+    cfg, mesh, current = kernel_config("mu80", geometry)
+    assert len(element_chunks(mesh)) < mesh.num_elements
+    default = (
+        value(cfg, mesh, current),
+        gradient(cfg, mesh, current),
+        hessian(cfg, mesh, current).toarray(),
+        is_valid(mesh, current),
+        element_volumes(mesh, current),
+    )
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
+    assert len(element_chunks(mesh)) == mesh.num_elements
+    single = (
+        value(cfg, mesh, current),
+        gradient(cfg, mesh, current),
+        hessian(cfg, mesh, current).toarray(),
+        is_valid(mesh, current),
+        element_volumes(mesh, current),
+    )
+    for got, want in zip(single, default):
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("metric_id", ["mu80", "mu333"])
+def test_blended_metrics_seed_invariants_once(monkeypatch, metric_id):
+    calls = []
+    seed = quality._seed_invariants
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return seed(*args, **kwargs)
+
+    monkeypatch.setattr(quality, "_seed_invariants", counting)
+    dim = 2 if metric_id == "mu80" else 3
+    t = np.eye(dim) + 0.1 * np.random.default_rng(0).standard_normal((4, dim, dim))
+    for order in (1, 2):
+        calls.clear()
+        metric_batch(metric_id, t, order=order)
+        assert len(calls) == 1
+    geometry = "quad" if dim == 2 else "hex"
+    cfg, mesh, current = kernel_config(metric_id, geometry)
+    calls.clear()
+    hessian(cfg, mesh, current)
+    assert len(calls) == len(element_chunks(mesh))
+
+
+def test_repeated_hessians_keep_memory_flat():
+    cfg, mesh, current = kernel_config("mu333", "hex")
+    hessian(cfg, mesh, current)
+    # With the collector off, a reference cycle would keep each call's
+    # metric jets alive.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        hessian(cfg, mesh, current)
+        first, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            hessian(cfg, mesh, current)
+        last, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert last - first < 64 * 1024

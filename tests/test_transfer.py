@@ -308,3 +308,46 @@ def test_transfer_eval_calls_do_not_grow_with_points(monkeypatch):
     # Same points four times over: the same Newton batches, four times
     # taller, and no call per point.
     assert counts[0] == counts[1] < mesh.num_nodes
+
+
+def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
+    # The same locations as running every pair to its own stop, for fewer
+    # basis evaluations.
+    full_newton = transfer._newton
+    calls = []
+    original = NodalBasis.eval_with_grad
+
+    def counting(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    def located(idx, mesh, moved, points, newton):
+        monkeypatch.setattr(transfer, "_newton", newton)
+        calls.clear()
+        loc = locate_points(idx, mesh, moved, points)
+        return loc, len(calls), sum(calls)
+
+    monkeypatch.setattr(NodalBasis, "eval_with_grad", counting)
+    totals = np.zeros((2, 2), dtype=int)
+    for geometry, sweep in (("quad", True), ("triangle", False), ("hex", False)):
+        n_cells, order = GEOMETRY_MESHES[geometry]
+        mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
+        moved = smooth_motion(mesh, nodes)
+        index = build_index(mesh, moved)
+        if sweep:
+            index = emptied_grid(index)
+        rng = np.random.default_rng(17)
+        points = []
+        for _ in range(200):  # the points of test_locate_roundtrip_200_random_points
+            e = int(rng.integers(mesh.num_elements))
+            points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
+        points = np.array(points)
+        every_pair = located(
+            index, mesh, moved, points, lambda b, c, p, *_: full_newton(b, c, p)
+        )
+        pruned = located(index, mesh, moved, points, full_newton)
+        for key in ("element", "ref", "status", "distance"):
+            assert np.array_equal(getattr(pruned[0], key), getattr(every_pair[0], key))
+        assert pruned[1] <= every_pair[1] and pruned[2] < every_pair[2]
+        totals += [every_pair[1:], pruned[1:]]
+    assert np.all(totals[1] < totals[0])
