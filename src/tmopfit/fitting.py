@@ -5,15 +5,24 @@ the target elements,
 
     F_sigma = (weight / normalization) * sum_E int sbar(x)^2 det(W),
 
-where sbar keeps the sigma coefficients only at marked nodes.  Because
-the quadrature lives at fixed reference points and W is fixed, F_sigma
-depends on the node positions solely through the sampled values
-sigma(x_s) at marked nodes; its derivatives therefore combine the
-sampled gradient/Hessian of sigma at those nodes with the fixed basis
-tables, and match finite differences of the value to round-off.
+where sbar keeps the sigma coefficients only at marked nodes.  The
+quadrature points and W are fixed, so F_sigma is a fixed quadratic form
+in the values s_i = sigma(x_i) sampled at the marked nodes.  With the
+marked-node Gram matrix M_ij = sum_E int phi_i phi_j det(W) (i, j
+marked), c = weight / normalization, and g_ia, H_i,ab the gradient and
+Hessian of sigma sampled at node i:
+
+    F_sigma = c s^T M s,
+    dF_sigma / dx_(a,i) = 2 c (M s)_i g_ia,
+    d2F_sigma / dx_(a,i) dx_(b,j) = 2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
+
+M depends only on the connectivity, the marked set and det W; it is
+built once and kept on the PenaltyConfig.
 """
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -164,12 +173,6 @@ def as_level_set_source(source, node_field=None):
     raise TypeError(f"unsupported level-set source {type(source).__name__}")
 
 
-def _sample_source(source, points, with_hessians=False):
-    """(values, gradients, hessians-or-None) of a level-set source."""
-    hess = source.hessians(points) if with_hessians else None
-    return source.values(points), source.gradients(points), hess
-
-
 # ---------------------------------------------------------------------------
 # Penalty configuration and evaluation
 
@@ -186,6 +189,7 @@ class PenaltyConfig:
     weight: float
     source: object
     normalization: float
+    _gram: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.weight < 0.0:
@@ -207,26 +211,49 @@ def make_penalty(weight, source, mesh, node_field, targets):
     )
 
 
-class _PenaltyTables:
-    """Per-mesh quadrature tables and marked-element bookkeeping."""
+def _gram(penalty, marked, mesh, targets):
+    """_build_gram, kept on the penalty until mesh, marked or targets is
+    another object (none of them is modified in place)."""
+    key = (mesh, marked, targets)
+    if penalty._gram is None or any(map(operator.is_not, penalty._gram[0], key)):
+        penalty._gram = (key, _build_gram(mesh, marked, targets))
+    return penalty._gram[1]
 
-    def __init__(self, mesh, marked, targets):
-        # (N_q, N_w)
-        self.basis_vals, _ = quadrature_tables(mesh.geometry, mesh.order)
-        marked_mask = np.zeros(mesh.num_nodes, dtype=bool)
-        marked_mask[marked.indices] = True
-        self.elements = []
-        for e in range(mesh.num_elements):
-            conn = mesh.connectivity[e]
-            local = np.flatnonzero(marked_mask[conn])
-            if len(local):
-                self.elements.append((e, conn, local))
-        weights = quadrature_for(mesh.geometry, mesh.order).weights
-        self.wdet = weights[None, :] * targets.detw[:, None]
+
+class _GramForm(NamedTuple):
+    matrix: sp.csr_matrix  # M in marked numbering, sorted indices
+    row: np.ndarray  # (row, col) of each stored entry k of M
+    col: np.ndarray
+    diag: np.ndarray  # the k with row == col
+    dofs: tuple  # (rows, cols) of the penalty_hessian entries (k, a, b)
+
+
+def _build_gram(mesh, marked, targets):
+    m, nnod = len(marked), mesh.num_nodes
+    vals, _ = quadrature_tables(mesh.geometry, mesh.order)
+    weights = quadrature_for(mesh.geometry, mesh.order).weights
+    ref = np.einsum("q,qi,qj->ij", weights, vals, vals)
+    ref = 0.5 * (ref + ref.T)  # exactly symmetric, and so is M
+    local = np.full(nnod, -1)
+    local[marked.indices] = np.arange(m)
+    lm = local[mesh.connectivity]  # (E, N); -1 where unmarked
+    e, i, j = np.nonzero((lm[:, :, None] >= 0) & (lm[:, None, :] >= 0))
+    keys, slot = np.unique(lm[e, i] * m + lm[e, j], return_inverse=True)
+    row, col = np.divmod(keys, m)
+    indptr = np.searchsorted(row, np.arange(m + 1))
+    matrix = sp.csr_matrix(
+        (np.bincount(slot, targets.detw[e] * ref[i, j]), col, indptr), shape=(m, m)
+    )
+    offsets = np.arange(mesh.dim) * nnod
+    shape = (len(keys), mesh.dim, mesh.dim)
+    rows = np.broadcast_to(marked.indices[row, None, None] + offsets[:, None], shape)
+    cols = np.broadcast_to(marked.indices[col, None, None] + offsets, shape)
+    dofs = (rows.ravel(), cols.ravel())
+    return _GramForm(matrix, row, col, np.flatnonzero(row == col), dofs)
 
 
 def penalty_value(penalty, marked, mesh, node_field, targets):
-    """F_sigma at the current node positions.
+    """F_sigma = c s^T M s at the current node positions.
 
     Marked coefficients are sampled from the level-set source at the
     current marked-node positions, so the value is consistent with the
@@ -234,92 +261,44 @@ def penalty_value(penalty, marked, mesh, node_field, targets):
     """
     if penalty.weight == 0.0:
         return 0.0
-    tables = _PenaltyTables(mesh, marked, targets)
-    sbar = np.zeros(mesh.num_nodes)
-    sbar[marked.indices] = penalty.source.values(
-        node_field.as_matrix()[marked.indices]
-    )
-    total = 0.0
-    for e, conn, _ in tables.elements:
-        vals_q = tables.basis_vals @ sbar[conn]
-        total += tables.wdet[e] @ vals_q**2
-    return penalty.weight / penalty.normalization * float(total)
+    gram = _gram(penalty, marked, mesh, targets)
+    s = penalty.source.values(node_field.as_matrix()[marked.indices])
+    return penalty.weight / penalty.normalization * float(s @ (gram.matrix @ s))
 
 
 def penalty_gradient(penalty, marked, mesh, node_field, targets):
     """Derivative of F_sigma with respect to all node coordinates.
 
-    Entry (a, i) is nonzero only for marked nodes i: it pairs the
-    level-set gradient sampled at the moving node (the motion of the
-    sampling point x_s) with the fixed integral weight of that node's
-    basis function against sbar.
+    Entry (a, i) is nonzero only for marked nodes i: 2 c (M s)_i g_ia.
     """
     grad = np.zeros(mesh.dim * mesh.num_nodes)
     if penalty.weight == 0.0:
         return grad
-    tables = _PenaltyTables(mesh, marked, targets)
+    gram = _gram(penalty, marked, mesh, targets)
     pts = node_field.as_matrix()[marked.indices]
-    svals, sgrads, _ = _sample_source(penalty.source, pts)
-    sbar = np.zeros(mesh.num_nodes)
-    sbar[marked.indices] = svals
-    gfull = np.zeros((mesh.num_nodes, mesh.dim))
-    gfull[marked.indices] = sgrads
+    svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
     coeff = 2.0 * penalty.weight / penalty.normalization
-    for e, conn, local in tables.elements:
-        vals_q = tables.basis_vals @ sbar[conn]
-        weight_q = tables.wdet[e] * vals_q
-        moments = weight_q @ tables.basis_vals[:, local]  # (n_local,)
-        for a in range(mesh.dim):
-            grad[a * mesh.num_nodes + conn[local]] += (
-                coeff * moments * gfull[conn[local], a]
-            )
+    moments = gram.matrix @ svals
+    grad.reshape(mesh.dim, -1)[:, marked.indices] = (coeff * moments[:, None] * sgrads).T
     return grad
 
 
 def penalty_hessian(penalty, marked, mesh, node_field, targets):
-    """Second derivative of F_sigma as a sparse symmetric matrix.
+    """Second derivative of F_sigma as an unsummed sparse COO matrix.
 
-    Combines the product of first-derivative factors with the
-    sbar-weighted second derivatives of sigma at the marked nodes.
+    Its entries come in a fixed order for given (mesh, marked, targets):
+    (k, a, b) for each stored entry k = (i, j) of M, with value
+    2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
     """
+    gram = _gram(penalty, marked, mesh, targets)
     ndof = mesh.dim * mesh.num_nodes
     if penalty.weight == 0.0:
-        return sp.csr_matrix((ndof, ndof))
-
-    tables = _PenaltyTables(mesh, marked, targets)
+        return sp.coo_matrix((np.zeros(len(gram.dofs[0])), gram.dofs), (ndof, ndof))
     pts = node_field.as_matrix()[marked.indices]
-    svals, sgrads, shess = _sample_source(penalty.source, pts, with_hessians=True)
-    sbar = np.zeros(mesh.num_nodes)
-    sbar[marked.indices] = svals
-    gfull = np.zeros((mesh.num_nodes, mesh.dim))
-    gfull[marked.indices] = sgrads
-    hess_by_node = {int(n): shess[i] for i, n in enumerate(marked.indices)}
-
-    coeff = 2.0 * penalty.weight / penalty.normalization
-    rows, cols, vals = [], [], []
-    nnod = mesh.num_nodes
-    for e, conn, local in tables.elements:
-        nodes = conn[local]
-        vals_q = tables.basis_vals @ sbar[conn]
-        phi = tables.basis_vals[:, local]  # (N_q, n_local)
-        mass = (tables.wdet[e][:, None] * phi).T @ phi  # (n_local, n_local)
-        moments = (tables.wdet[e] * vals_q) @ phi  # (n_local,)
-        g = gfull[nodes]  # (n_local, dim)
-        for a in range(mesh.dim):
-            for b in range(mesh.dim):
-                block = coeff * np.outer(g[:, a], g[:, b]) * mass
-                diag = coeff * moments * np.array(
-                    [hess_by_node[int(n)][a, b] for n in nodes]
-                )
-                block[np.arange(len(nodes)), np.arange(len(nodes))] += diag
-                rows.append(np.repeat(a * nnod + nodes, len(nodes)))
-                cols.append(np.tile(b * nnod + nodes, len(nodes)))
-                vals.append(block.ravel())
-    if not rows:
-        return sp.csr_matrix((ndof, ndof))
-    h = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(ndof, ndof),
-    ).tocsr()
-    return 0.5 * (h + h.T)
-
+    svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
+    shess = penalty.source.hessians(pts)
+    mass = gram.matrix.data[:, None, None]
+    blocks = sgrads[gram.row, :, None] * sgrads[gram.col, None, :] * mass
+    blocks[gram.diag] += (gram.matrix @ svals)[:, None, None] * shess
+    data = 2.0 * penalty.weight / penalty.normalization * blocks.ravel()
+    return sp.coo_matrix((data, gram.dofs), shape=(ndof, ndof))

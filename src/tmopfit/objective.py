@@ -11,9 +11,21 @@ every element) turns them into element gradients and element Hessians
 B^T D_e B with one GEMM per chunk.  Degrees of freedom flagged in the
 fixed-node mask are removed from the gradient and replaced by identity
 rows/columns in the Hessian.
+
+The Hessian's sparsity is fixed for a given mesh, penalty, marked set
+and mask, so a scatter plan for it is built once and kept on the
+ObjectiveConfig: the CSR pattern of the F_mu element blocks and the
+penalty_hessian entries without masked rows and columns, plus the fixed
+DOFs' diagonal; the slot of every assembled entry (entries in masked
+rows or columns go to a dropped slot past the end); and the transpose
+permutation of the slots.  Assembly is one bincount into the slots, ones
+on the fixed diagonal, and data = (data + data[transpose]) / 2, so H is
+exactly symmetric.  Entries that cancel stay as explicit zeros.
 """
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,21 +47,11 @@ class ObjectiveConfig:
     penalty: object = None  # PenaltyConfig or None
     marked: object = None  # MarkedSet or None
     fixed_mask: np.ndarray = None  # bool, length dim * num_nodes; True = fixed
+    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def has_penalty(self):
         return self.penalty is not None and self.marked is not None
-
-
-@dataclass
-class ObjectiveReport:
-    """Objective breakdown at one mesh configuration."""
-
-    f: float
-    f_mu: float
-    f_sigma: float
-    grad_norm: float
-    worst_mu: float
 
 
 def _chunks(config, mesh, node_field):
@@ -79,31 +81,19 @@ def _gemm_table(mesh):
     return ref_grads.transpose(1, 0, 2).reshape(mesh.basis.num_nodes, -1)
 
 
-def value(config, mesh, node_field, with_worst=False):
-    """(F, F_mu, F_sigma) and optionally the worst metric value."""
+def value(config, mesh, node_field):
+    """(F, F_mu, F_sigma)."""
     wdet = _weights(config, mesh)
     f_mu = 0.0
-    worst = 0.0
     for chunk, t in _chunks(config, mesh, node_field):
         vals = metric_values(config.metric_id, t, config.gamma)  # (Q, E_c)
         f_mu += np.vdot(wdet[:, chunk], vals)
-        worst = max(worst, float(vals.max()))
     f_sigma = 0.0
     if config.has_penalty:
         f_sigma = penalty_value(
             config.penalty, config.marked, mesh, node_field, config.targets
         )
-    total = float(f_mu) + float(f_sigma)
-    if with_worst:
-        return total, float(f_mu), float(f_sigma), worst
-    return total, float(f_mu), float(f_sigma)
-
-
-def evaluate(config, mesh, node_field):
-    """Full ObjectiveReport including the masked gradient norm."""
-    total, f_mu, f_sigma, worst = value(config, mesh, node_field, with_worst=True)
-    grad = gradient(config, mesh, node_field)
-    return ObjectiveReport(total, f_mu, f_sigma, float(np.linalg.norm(grad)), worst)
+    return float(f_mu) + float(f_sigma), float(f_mu), float(f_sigma)
 
 
 def gradient(config, mesh, node_field):
@@ -158,33 +148,62 @@ def hessian(config, mesh, node_field):
         x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
         block = bt @ x.reshape(bt.shape[1], -1)  # (N, e a b N)
         local[:, chunk] = block.reshape(nw, -1, dim, dim, nw)
-    dof = np.arange(dim) * nnod + mesh.connectivity.T[:, :, None]  # (N, E, d)
-    rows = np.broadcast_to(dof[:, :, :, None, None], local.shape)
-    cols = np.broadcast_to(dof.transpose(1, 2, 0)[None, :, None], local.shape)
-    h = sp.coo_matrix(
-        (local.ravel(), (rows.ravel(), cols.ravel())), shape=(ndof, ndof)
-    ).tocsr()
+    h_sigma = None
+    values = local.ravel()
     if config.has_penalty:
-        h = h + penalty_hessian(
+        h_sigma = penalty_hessian(
             config.penalty, config.marked, mesh, node_field, config.targets
         )
-    h = 0.5 * (h + h.T)
-    if config.fixed_mask is not None:
-        h = _mask_hessian(h, config.fixed_mask)
-    return h
+        values = np.concatenate([values, h_sigma.data])
+    plan = _plan(config, mesh, h_sigma)
+    data = np.bincount(plan.slots, values, len(plan.indices) + 1)[:-1]
+    data[plan.fixed] = 1.0
+    data = 0.5 * (data + data[plan.transpose])
+    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(ndof, ndof))
 
 
-def _mask_hessian(h, mask):
-    """Replace masked rows/columns by identity."""
+def _plan(config, mesh, h_sigma):
+    """_build_plan, kept on the config until the mesh, penalty, marked set
+    or mask is another object (none of them is modified in place)."""
+    key = (mesh, config.penalty, config.marked, config.fixed_mask)
+    if config._plan is None or any(map(operator.is_not, config._plan[0], key)):
+        config._plan = (key, _build_plan(config, mesh, h_sigma))
+    return config._plan[1]
+
+
+class _ScatterPlan(NamedTuple):
+    indptr: np.ndarray  # CSR pattern of the masked Hessian
+    indices: np.ndarray
+    slots: np.ndarray  # of local.ravel(), then h_sigma; len(indices) = dropped
+    fixed: np.ndarray  # slots of the fixed-DOF diagonal
+    transpose: np.ndarray  # slot of (col, row) for each slot (row, col)
+
+
+def _build_plan(config, mesh, h_sigma):
+    ndof = mesh.dim * mesh.num_nodes
+    mask = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
+    dof = np.arange(mesh.dim) * mesh.num_nodes + mesh.connectivity.T[:, :, None]
+    # Entry (i, e, a, b, j) of the element blocks: row dof (a, i), column (b, j).
+    parts = [(dof[:, :, :, None, None], dof.transpose(1, 2, 0)[None, :, None])]
+    if h_sigma is not None:
+        parts.append((h_sigma.row.astype(np.int64), h_sigma.col))
+    keys = np.concatenate([(rows * ndof + cols).ravel() for rows, cols in parts])
+    kept = np.concatenate([~(mask[rows] | mask[cols]).ravel() for rows, cols in parts])
     fixed = np.flatnonzero(mask)
-    if len(fixed) == 0:
-        return h
-    h = h.tocoo()
-    keep = ~(mask[h.row] | mask[h.col])
-    rows = np.concatenate([h.row[keep], fixed])
-    cols = np.concatenate([h.col[keep], fixed])
-    vals = np.concatenate([h.data[keep], np.ones(len(fixed))])
-    return sp.coo_matrix((vals, (rows, cols)), shape=h.shape).tocsr()
+    pattern, inverse = np.unique(
+        np.concatenate([keys[kept], fixed * (ndof + 1)]), return_inverse=True
+    )
+    index = np.int32 if len(pattern) < 2**31 - 1 else np.int64
+    slots = np.full(len(keys), len(pattern), dtype=index)
+    slots[kept] = inverse[: len(inverse) - len(fixed)]
+    row, col = np.divmod(pattern, ndof)
+    return _ScatterPlan(
+        indptr=np.searchsorted(row, np.arange(ndof + 1)).astype(index),
+        indices=col.astype(index),
+        slots=slots,
+        fixed=inverse[len(inverse) - len(fixed) :],
+        transpose=np.searchsorted(pattern, col * ndof + row).astype(index),
+    )
 
 
 def boundary_fixed_mask(mesh):

@@ -10,6 +10,7 @@ points and strictly decreasing F.  Convergence is declared on
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -46,7 +47,13 @@ class SolverConfig:
 class SolveReport:
     """Per-iteration history and termination status.
 
-    history rows: (iter, F, F_mu, F_sigma, grad_norm, step, min_det).
+    history rows: (iter, F, F_mu, F_sigma, grad_norm, step, min_det,
+    direction, minres_iterations, minres_info, halvings).  direction is
+    the kind of the accepted step ("newton", "lbfgs" or "steepest";
+    "none" in row 0); the MINRES columns describe that iteration's Newton
+    solve (0 when none ran); halvings counts the step halvings of all its
+    line searches, so a steepest-descent retry after the first direction
+    exhausted its budget shows more than max_halvings.
     """
 
     iterations: int = 0
@@ -55,12 +62,33 @@ class SolveReport:
     wall_time: float = 0.0
 
     def history_csv(self):
-        lines = ["iter,F,Fmu,Fsigma,gradnorm,step,mindet"]
+        lines = [
+            "iter,F,Fmu,Fsigma,gradnorm,step,mindet,"
+            "direction,minres_iterations,minres_info,halvings"
+        ]
         for row in self.history:
             lines.append(
-                "{:d},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e}".format(*row)
+                "{:d},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e},"
+                "{:s},{:d},{:d},{:d}".format(*row)
             )
         return "\n".join(lines) + "\n"
+
+
+class NewtonStep(NamedTuple):
+    """A search direction and how it was found.
+
+    kind is "newton" for the MINRES solution and "steepest" for -grad.
+    np.asarray(step) is the direction, so code comparing the result of
+    newton_step with -grad (perfbench/tracing.py) sees the fallback.
+    """
+
+    direction: np.ndarray
+    kind: str
+    minres_iterations: int
+    minres_info: int
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.direction, dtype=dtype, copy=copy)
 
 
 def newton_step(hess, grad, config=SolverConfig()):
@@ -68,25 +96,30 @@ def newton_step(hess, grad, config=SolverConfig()):
 
     MINRES with an l1-Jacobi preconditioner (diagonal of row-wise
     absolute sums).  Falls back to steepest descent when MINRES stalls
-    or returns a non-descent direction.
+    or returns a non-descent direction.  Returns a NewtonStep.
     """
-    row_l1 = np.abs(hess).sum(axis=1).A1 if hasattr(np.abs(hess), "A1") else None
-    if row_l1 is None:
-        row_l1 = np.asarray(np.abs(hess).sum(axis=1)).ravel()
+    row_l1 = abs(hess) @ np.ones(hess.shape[1])
     row_l1 = np.where(row_l1 > 0.0, row_l1, 1.0)
     precond = spla.LinearOperator(
         hess.shape, matvec=lambda v: v / row_l1, dtype=float
     )
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
     p, info = spla.minres(
         hess,
         -grad,
         rtol=config.minres_tol,
         maxiter=config.minres_max_iterations,
         M=precond,
+        callback=count,
     )
     if info != 0 or not np.all(np.isfinite(p)) or p @ grad >= 0.0:
-        return -grad
-    return p
+        return NewtonStep(-grad, "steepest", iterations, info)
+    return NewtonStep(p, "newton", iterations, info)
 
 
 def line_search(
@@ -94,23 +127,23 @@ def line_search(
 ):
     """Largest backtracked step keeping the mesh valid and decreasing F.
 
-    Returns (alpha, f_trial, trial_node_field) or (None, None, None)
-    after max_halvings failures.
+    Returns (alpha, f_trial, trial_node_field, halvings), or
+    (None, None, None, max_halvings + 1) when every step fails.
     """
     if not np.any(direction):
         raise ValueError("zero direction is not a descent direction")
     if grad is not None and direction @ grad >= 0.0:
         raise ValueError("direction is not a descent direction")
     alpha = 1.0
-    for _ in range(config.max_halvings + 1):
+    for halvings in range(config.max_halvings + 1):
         trial = node_field.copy()
         trial.coords = node_field.coords + alpha * direction
         if validity_fn(trial):
             f_trial = objective_fn(trial)
             if f_trial is not None and f_trial < f_current:
-                return alpha, f_trial, trial
+                return alpha, f_trial, trial, halvings
         alpha *= config.backtrack_factor
-    return None, None, None
+    return None, None, None, config.max_halvings + 1
 
 
 def solve(config, objective_config, mesh, node_field):
@@ -150,7 +183,9 @@ def solve(config, objective_config, mesh, node_field):
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
         raise ValueError("objective or gradient is not finite at the start")
     grad_norm0 = float(np.linalg.norm(grad))
-    report.history.append((0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det))
+    report.history.append(
+        (0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det, "none", 0, 0, 0)
+    )
     if grad_norm0 <= config.eps_abs:
         report.reason = "converged"
         report.wall_time = time.time() - t_start
@@ -165,9 +200,10 @@ def solve(config, objective_config, mesh, node_field):
             report.reason = "converged"
             break
 
+        minres_iterations = minres_info = 0
         if config.method == "newton":
             h = hessian(objective_config, mesh, x)
-            p = newton_step(h, grad, config)
+            p, kind, minres_iterations, minres_info = newton_step(h, grad, config)
         elif config.method == "lbfgs":
             if prev_x is not None:
                 s = x.coords - prev_x
@@ -178,22 +214,24 @@ def solve(config, objective_config, mesh, node_field):
                     if len(lbfgs_s) > config.lbfgs_memory:
                         lbfgs_s.pop(0)
                         lbfgs_y.pop(0)
-            p = _lbfgs_direction(grad, lbfgs_s, lbfgs_y)
+            p, kind = _lbfgs_direction(grad, lbfgs_s, lbfgs_y), "lbfgs"
             if p @ grad >= 0.0:
-                p = -grad
+                p, kind = -grad, "steepest"
         else:
             raise ValueError(f"unknown method {config.method!r}")
 
         f_current = f
-        alpha, f_trial, trial = line_search(
+        alpha, f_trial, trial, halvings = line_search(
             objective_fn, validity_fn, x, p, f_current, grad, config
         )
         if alpha is None and p @ grad < 0.0 and not np.array_equal(p, -grad):
             # Newton/L-BFGS direction exhausted the backtracking budget;
             # steepest descent still has untried scales.
-            alpha, f_trial, trial = line_search(
+            kind = "steepest"
+            alpha, f_trial, trial, more = line_search(
                 objective_fn, validity_fn, x, -grad, f_current, grad, config
             )
+            halvings += more
         if alpha is None:
             report.reason = "line-search-failure"
             break
@@ -205,7 +243,8 @@ def solve(config, objective_config, mesh, node_field):
         grad = gradient(objective_config, mesh, x)
         report.iterations = it
         report.history.append(
-            (it, f, f_mu, f_sigma, float(np.linalg.norm(grad)), alpha, min_det)
+            (it, f, f_mu, f_sigma, float(np.linalg.norm(grad)), alpha, min_det,
+             kind, minres_iterations, minres_info, halvings)
         )
     else:
         report.reason = "max-iter"

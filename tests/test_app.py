@@ -163,7 +163,7 @@ def test_run_case_writes_outputs(tmp_path):
     ):
         assert (tmp_path / name).exists(), name
     header = (tmp_path / "history.csv").read_text().splitlines()[0]
-    assert header == "iter,F,Fmu,Fsigma,gradnorm,step,mindet"
+    assert header.startswith("iter,F,Fmu,Fsigma,gradnorm,step,mindet,")
     report = FitReport.from_json((tmp_path / "report.json").read_text())
     assert report.case == "fit2d-quad"
     assert report.e_s is not None and report.e_s >= 0.0

@@ -19,6 +19,7 @@ from tmopfit.fitting import (
 from tmopfit.levelsets import builtin_levelset, sphere
 from tmopfit.mesh import NodeField, make_cartesian
 from tmopfit.quality import make_targets
+from tmopfit.reference import quadrature_for, quadrature_tables
 
 
 def linear_ls(coeffs, offset):
@@ -352,3 +353,97 @@ def test_attributes_from_sign_match_per_element_loop():
         attrs = attributes_from_sign(mesh, sigma)
         assert attrs.tolist() == loop
         assert 1 in loop and 2 in loop
+
+
+# ---------------------------------------------------------------------------
+# The Gram-matrix penalty against a per-element reference loop
+
+
+def reference_penalty(penalty, marked, mesh, nodes, targets):
+    """F_sigma, its gradient and its dense Hessian one element at a time:
+    the element integrals of sbar^2, their node moments and mass blocks."""
+    nnod, dim = mesh.num_nodes, mesh.dim
+    basis_vals, _ = quadrature_tables(mesh.geometry, mesh.order)
+    wdet = quadrature_for(mesh.geometry, mesh.order).weights * targets.detw[:, None]
+    pts = nodes.as_matrix()[marked.indices]
+    sbar, g, h = np.zeros(nnod), np.zeros((nnod, dim)), np.zeros((nnod, dim, dim))
+    sbar[marked.indices] = penalty.source.values(pts)
+    g[marked.indices] = penalty.source.gradients(pts)
+    h[marked.indices] = penalty.source.hessians(pts)
+    c = penalty.weight / penalty.normalization
+    f, grad, hess = 0.0, np.zeros(dim * nnod), np.zeros((dim * nnod, dim * nnod))
+    for e, conn in enumerate(mesh.connectivity):
+        local = np.flatnonzero(np.isin(conn, marked.indices))
+        if not len(local):
+            continue
+        ids = conn[local]
+        vals_q = basis_vals @ sbar[conn]
+        f += c * wdet[e] @ vals_q**2
+        phi = basis_vals[:, local]
+        mass = (wdet[e][:, None] * phi).T @ phi
+        moments = (wdet[e] * vals_q) @ phi
+        for a in range(dim):
+            grad[a * nnod + ids] += 2 * c * moments * g[ids, a]
+            for b in range(dim):
+                block = 2 * c * np.outer(g[ids, a], g[ids, b]) * mass
+                block[np.diag_indices(len(ids))] += 2 * c * moments * h[ids, a, b]
+                hess[np.ix_(a * nnod + ids, b * nnod + ids)] += block
+    return f, grad, 0.5 * (hess + hess.T)
+
+
+# geometry -> (dim, cells per axis, order)
+PENALTY_MESHES = {
+    "quad": (2, 2, 2), "triangle": (2, 2, 3), "hex": (3, 2, 2), "tet": (3, 1, 2),
+}
+
+
+def penalty_setup(geometry, source_kind, seed=0):
+    """A perturbed mesh, a quadratic level set (analytic or discrete on the
+    unperturbed mesh) and a random third of the nodes marked."""
+    rng = np.random.default_rng(seed)
+    dim, n_cells, order = PENALTY_MESHES[geometry]
+    mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
+    lin, quad_c = rng.uniform(-1, 1, dim), rng.uniform(-0.5, 0.5, dim)
+    analytic = AnalyticLevelSet(
+        "composite", dim,
+        lambda p: 0.1 + p @ lin + (p**2) @ quad_c,
+        lambda p: lin + 2 * p * quad_c,
+        lambda p: np.tile(np.diag(2 * quad_c), (len(p), 1, 1)),
+    )
+    source = analytic
+    if source_kind == "discrete":
+        source = DiscreteLevelSet(project(analytic, mesh, nodes), nodes)
+    targets = make_targets(mesh, nodes, "initial-size")
+    penalty = make_penalty(rng.uniform(0.5, 3.0), source, mesh, nodes, targets)
+    marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
+    mat = nodes.as_matrix().copy()
+    mat[interior] += 0.03 / order * rng.uniform(-1, 1, (len(interior), dim))
+    return penalty, marked, mesh, NodeField.from_matrix(mat), targets
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("source_kind", ["analytic", "discrete"])
+@pytest.mark.parametrize("geometry", list(PENALTY_MESHES))
+def test_penalty_matches_per_element_loop(geometry, source_kind):
+    args = penalty_setup(geometry, source_kind)
+    f_ref, g_ref, h_ref = reference_penalty(*args)
+    assert rel_err(penalty_value(*args), f_ref) < 1e-12
+    assert rel_err(penalty_gradient(*args), g_ref) < 1e-12
+    h = penalty_hessian(*args)
+    assert h.format == "coo"
+    assert rel_err(h.toarray(), h_ref) < 1e-12
+
+
+def test_penalty_hessian_entries_keep_their_order():
+    penalty, marked, mesh, nodes, targets = penalty_setup("quad", "analytic")
+    first = penalty_hessian(penalty, marked, mesh, nodes, targets)
+    moved = nodes.copy()
+    moved.coords = nodes.coords * 0.99 + 0.005
+    second = penalty_hessian(penalty, marked, mesh, moved, targets)
+    assert np.array_equal(first.row, second.row)
+    assert np.array_equal(first.col, second.col)
+    assert not np.array_equal(first.data, second.data)

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tmopfit.mesh
 from tmopfit import quality
 from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet
-from tmopfit.fitting import MarkedSet, make_penalty
+from tmopfit.fitting import MarkedSet, make_penalty, penalty_hessian
 from tmopfit.mesh import (
     NodeField,
     element_chunks,
@@ -21,7 +22,6 @@ from tmopfit.mesh import (
 from tmopfit.objective import (
     ObjectiveConfig,
     boundary_fixed_mask,
-    evaluate,
     fix_nodes,
     gradient,
     hessian,
@@ -66,13 +66,10 @@ def test_report_additivity_and_fields():
     penalty = make_penalty(3.0, ls, mesh, nodes, targets)
     cfg = ObjectiveConfig("mu80", targets, penalty=penalty, marked=marked)
     current = perturbed(mesh, nodes, seed=2)
-    report = evaluate(cfg, mesh, current)
-    assert report.f_sigma > 0.0
-    assert abs(report.f - (report.f_mu + report.f_sigma)) < 1e-14 * max(
-        1.0, abs(report.f)
-    )
-    assert report.grad_norm > 0.0
-    assert report.worst_mu > 0.0
+    f, f_mu, f_sigma = value(cfg, mesh, current)
+    assert f_sigma > 0.0 and f_mu > 0.0
+    assert abs(f - (f_mu + f_sigma)) < 1e-14 * max(1.0, abs(f))
+    assert np.linalg.norm(gradient(cfg, mesh, current)) > 0.0
 
 
 def test_gradient_zero_at_uniform_mesh():
@@ -328,3 +325,77 @@ def test_repeated_hessians_keep_memory_flat():
         tracemalloc.stop()
         gc.enable()
     assert last - first < 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# The scatter plan against a COO assembly of the same terms
+
+
+def coo_reference_hessian(cfg, mesh, nodes):
+    """F_mu from the per-element loop plus the penalty COO, summed by
+    scipy, symmetrized, then masked rows/columns replaced by identity."""
+    _, _, h_mu = reference_assembly(cfg, mesh, nodes)
+    h_sigma = penalty_hessian(cfg.penalty, cfg.marked, mesh, nodes, cfg.targets)
+    h = sp.coo_matrix(h_mu) + h_sigma.tocsr()
+    h = (0.5 * (h + h.T)).tocoo()
+    mask = cfg.fixed_mask
+    keep = ~(mask[h.row] | mask[h.col])
+    fixed = np.flatnonzero(mask)
+    return sp.coo_matrix(
+        (
+            np.concatenate([h.data[keep], np.ones(len(fixed))]),
+            (np.concatenate([h.row[keep], fixed]), np.concatenate([h.col[keep], fixed])),
+        ),
+        shape=h.shape,
+    ).toarray()
+
+
+def plan_config(geometry):
+    dim = KERNEL_MESHES[geometry][0]
+    cfg, mesh, current = kernel_config("mu80" if dim == 2 else "mu333", geometry)
+    rng = np.random.default_rng(4)
+    ls = AnalyticLevelSet(
+        "composite", dim,
+        lambda p: (p**2).sum(axis=1) - 0.3,
+        lambda p: 2 * p,
+        lambda p: np.tile(2 * np.eye(dim), (len(p), 1, 1)),
+    )
+    marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
+    cfg.penalty = make_penalty(5.0, ls, mesh, current, cfg.targets)
+    cfg.marked = marked
+    # Fix the boundary and a few marked nodes, so that the mask cuts
+    # through both the element blocks and the penalty entries.
+    cfg.fixed_mask = fix_nodes(boundary_fixed_mask(mesh), mesh, marked.indices[::3])
+    return cfg, mesh, current
+
+
+@pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
+def test_plan_hessian_matches_coo_assembly(geometry):
+    cfg, mesh, current = plan_config(geometry)
+    h = hessian(cfg, mesh, current)
+    want = coo_reference_hessian(cfg, mesh, current)
+    assert rel_err(h.toarray(), want) < 1e-12
+    fixed = np.flatnonzero(cfg.fixed_mask)
+    dense = h.toarray()
+    assert np.array_equal(dense[fixed], np.eye(len(dense))[fixed])
+    assert (h != h.T).nnz == 0
+
+
+@pytest.mark.parametrize("geometry", ["triangle", "hex"])
+def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geometry):
+    cfg, mesh, current = plan_config(geometry)
+    default = hessian(cfg, mesh, current)
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
+    single = hessian(cfg, mesh, current)
+    assert (single != single.T).nnz == 0
+    assert np.array_equal(single.indptr, default.indptr)
+    assert np.array_equal(single.indices, default.indices)
+    assert np.allclose(single.data, default.data, rtol=1e-13, atol=1e-13 * abs(default).max())
+
+
+def test_plan_follows_a_new_mask():
+    cfg, mesh, current = plan_config("quad")
+    hessian(cfg, mesh, current)
+    cfg.fixed_mask = boundary_fixed_mask(mesh)
+    want = coo_reference_hessian(cfg, mesh, current)
+    assert rel_err(hessian(cfg, mesh, current).toarray(), want) < 1e-12

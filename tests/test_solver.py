@@ -14,23 +14,48 @@ from tmopfit.solver import SolverConfig, line_search, newton_step, solve
 
 def test_newton_step_identity():
     g = np.array([1.0, -2.0, 3.0, 0.5])
-    p = newton_step(sp.identity(4, format="csr"), g)
-    assert np.allclose(p, -g, atol=1e-10)
+    step = newton_step(sp.identity(4, format="csr"), g)
+    assert np.allclose(step.direction, -g, atol=1e-10)
+    assert step.kind == "newton" and step.minres_info == 0
+    assert step.minres_iterations >= 1
 
 
 def test_newton_step_diagonal_system():
     d = np.array([1.0, 2.0, 4.0, 8.0])
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    p = newton_step(sp.diags(d).tocsr(), g)
+    p = newton_step(sp.diags(d).tocsr(), g).direction
     assert np.allclose(p, -g / d, atol=1e-8)
 
 
 def test_newton_step_indefinite_falls_back_to_descent():
     h = sp.diags([-1.0, -2.0]).tocsr()  # ascent direction from the solve
     g = np.array([1.0, 1.0])
-    p = newton_step(h, g)
-    assert np.allclose(p, -g)
-    assert p @ g < 0.0
+    step = newton_step(h, g)
+    assert np.allclose(step.direction, -g)
+    assert step.direction @ g < 0.0
+    assert step.kind == "steepest"
+    # The step converts to its direction, so comparing it with -grad
+    # (as perfbench/tracing.py does) detects the fallback.
+    assert np.array_equal(step, -g)
+
+
+def test_newton_step_preconditions_with_l1_row_sums(monkeypatch):
+    import tmopfit.solver as solver
+
+    rng = np.random.default_rng(0)
+    a = sp.random(6, 6, density=0.5, random_state=1) - 2.0 * sp.identity(6)
+    h = (a + a.T + 8.0 * sp.identity(6)).tocsr()
+    seen = {}
+    minres = solver.spla.minres
+
+    def spy(hess, rhs, **kwargs):
+        seen["M"] = kwargs["M"]
+        return minres(hess, rhs, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "minres", spy)
+    newton_step(h, rng.standard_normal(6))
+    row_sums = np.abs(h.toarray()).sum(axis=1)
+    assert np.allclose(seen["M"].matvec(np.ones(6)) * row_sums, 1.0, rtol=1e-15)
 
 
 def quad_problem():
@@ -66,10 +91,11 @@ def test_line_search_accepts_descent_step():
 
         return is_valid(mesh, trial)[0]
 
-    alpha, f_trial, trial = line_search(
+    alpha, f_trial, trial, halvings = line_search(
         objective_fn, validity_fn, start, -1e-3 * g, f0, g, scfg
     )
     assert alpha is not None and f_trial < f0
+    assert alpha == scfg.backtrack_factor**halvings
 
 
 def test_line_search_halves_on_inverting_step():
@@ -96,10 +122,11 @@ def test_line_search_halves_on_inverting_step():
     full = start.copy()
     full.coords = start.coords + direction
     assert not validity_fn(full)
-    alpha, f_trial, trial = line_search(
+    alpha, f_trial, trial, halvings = line_search(
         objective_fn, validity_fn, start, direction, f0, g, scfg
     )
     assert alpha is not None and alpha < 1.0
+    assert halvings > 0 and alpha == scfg.backtrack_factor**halvings
     assert validity_fn(trial) and f_trial < f0
 
 
@@ -184,9 +211,17 @@ def test_history_csv_schema():
     _, report = solve(SolverConfig(), cfg, mesh, displaced_nodes(mesh, nodes))
     csv = report.history_csv()
     lines = csv.strip().splitlines()
-    assert lines[0] == "iter,F,Fmu,Fsigma,gradnorm,step,mindet"
+    assert lines[0] == (
+        "iter,F,Fmu,Fsigma,gradnorm,step,mindet,"
+        "direction,minres_iterations,minres_info,halvings"
+    )
     assert len(lines) == len(report.history) + 1
-    assert len(lines[1].split(",")) == 7
+    assert all(len(line.split(",")) == 11 for line in lines[1:])
+    assert lines[1].split(",")[7:] == ["none", "0", "0", "0"]
+    for row in report.history[1:]:
+        assert row[7] in ("newton", "steepest")
+        assert row[8] > 0 or row[7] == "steepest"
+        assert row[5] == SolverConfig().backtrack_factor ** row[10]
 
 
 def test_solver_config_validation():
@@ -213,3 +248,40 @@ def test_programming_error_in_value_propagates(monkeypatch):
     monkeypatch.setattr(solver, "value", broken_value)
     with pytest.raises(IndexError):
         solve(SolverConfig(), cfg, mesh, displaced_nodes(mesh, nodes))
+
+
+def test_gram_matrix_and_scatter_plan_built_once_per_solve(monkeypatch):
+    import tmopfit.fitting as fitting
+    import tmopfit.objective as objective
+    import tmopfit.solver as solver
+
+    counts = {"gram": 0, "plan": 0, "hessian": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(fitting, "_build_gram", counting("gram", fitting._build_gram))
+    monkeypatch.setattr(objective, "_build_plan", counting("plan", objective._build_plan))
+    monkeypatch.setattr(solver, "hessian", counting("hessian", solver.hessian))
+    mesh, nodes = make_cartesian(2, 4, 2, "quad")
+    targets = make_targets(mesh, nodes, "initial-size")
+    ls = AnalyticLevelSet(
+        "composite", 2,
+        lambda p: p[:, 1] - 0.55 + 0.1 * p[:, 0],
+        lambda p: np.tile([0.1, 1.0], (len(p), 1)),
+        lambda p: np.zeros((len(p), 2, 2)),
+    )
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
+    band = interior[np.abs(ls.values(nodes.as_matrix()[interior])) < 0.1]
+    cfg = ObjectiveConfig(
+        "mu80", targets, penalty=make_penalty(50.0, ls, mesh, nodes, targets),
+        marked=MarkedSet(band), fixed_mask=boundary_fixed_mask(mesh),
+    )
+    _, report = solve(SolverConfig(), cfg, mesh, nodes)
+    assert report.reason == "converged"
+    assert counts["hessian"] == report.iterations > 1
+    assert counts["gram"] == 1 and counts["plan"] == 1
