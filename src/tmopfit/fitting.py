@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import EmptyMarkedSetError
 from .fields import AnalyticLevelSet, ScalarField, discrete_gradient
@@ -221,11 +220,22 @@ def _gram(penalty, marked, mesh, targets):
 
 
 class _GramForm(NamedTuple):
-    matrix: sp.csr_matrix  # M in marked numbering, sorted indices
-    row: np.ndarray  # (row, col) of each stored entry k of M
-    col: np.ndarray
+    row: np.ndarray  # M in marked numbering: entries k = (row, col, data),
+    col: np.ndarray  # sorted by row, then col
+    data: np.ndarray
     diag: np.ndarray  # the k with row == col
     dofs: tuple  # (rows, cols) of the penalty_hessian entries (k, a, b)
+
+    def __matmul__(self, s):
+        return np.bincount(self.row, self.data * s[self.col], len(s))
+
+
+class PenaltyHessian(NamedTuple):
+    """Unsummed sparse COO matrix: entry k adds data[k] at (row[k], col[k])."""
+
+    row: np.ndarray
+    col: np.ndarray
+    data: np.ndarray
 
 
 def _build_gram(mesh, marked, targets):
@@ -240,16 +250,13 @@ def _build_gram(mesh, marked, targets):
     e, i, j = np.nonzero((lm[:, :, None] >= 0) & (lm[:, None, :] >= 0))
     keys, slot = np.unique(lm[e, i] * m + lm[e, j], return_inverse=True)
     row, col = np.divmod(keys, m)
-    indptr = np.searchsorted(row, np.arange(m + 1))
-    matrix = sp.csr_matrix(
-        (np.bincount(slot, targets.detw[e] * ref[i, j]), col, indptr), shape=(m, m)
-    )
+    data = np.bincount(slot, targets.detw[e] * ref[i, j])
     offsets = np.arange(mesh.dim) * nnod
     shape = (len(keys), mesh.dim, mesh.dim)
     rows = np.broadcast_to(marked.indices[row, None, None] + offsets[:, None], shape)
     cols = np.broadcast_to(marked.indices[col, None, None] + offsets, shape)
     dofs = (rows.ravel(), cols.ravel())
-    return _GramForm(matrix, row, col, np.flatnonzero(row == col), dofs)
+    return _GramForm(row, col, data, np.flatnonzero(row == col), dofs)
 
 
 def penalty_value(penalty, marked, mesh, node_field, targets):
@@ -263,7 +270,7 @@ def penalty_value(penalty, marked, mesh, node_field, targets):
         return 0.0
     gram = _gram(penalty, marked, mesh, targets)
     s = penalty.source.values(node_field.as_matrix()[marked.indices])
-    return penalty.weight / penalty.normalization * float(s @ (gram.matrix @ s))
+    return penalty.weight / penalty.normalization * float(s @ (gram @ s))
 
 
 def penalty_gradient(penalty, marked, mesh, node_field, targets):
@@ -278,27 +285,26 @@ def penalty_gradient(penalty, marked, mesh, node_field, targets):
     pts = node_field.as_matrix()[marked.indices]
     svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
     coeff = 2.0 * penalty.weight / penalty.normalization
-    moments = gram.matrix @ svals
+    moments = gram @ svals
     grad.reshape(mesh.dim, -1)[:, marked.indices] = (coeff * moments[:, None] * sgrads).T
     return grad
 
 
 def penalty_hessian(penalty, marked, mesh, node_field, targets):
-    """Second derivative of F_sigma as an unsummed sparse COO matrix.
+    """Second derivative of F_sigma as a PenaltyHessian (unsummed COO).
 
     Its entries come in a fixed order for given (mesh, marked, targets):
     (k, a, b) for each stored entry k = (i, j) of M, with value
     2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
     """
     gram = _gram(penalty, marked, mesh, targets)
-    ndof = mesh.dim * mesh.num_nodes
     if penalty.weight == 0.0:
-        return sp.coo_matrix((np.zeros(len(gram.dofs[0])), gram.dofs), (ndof, ndof))
+        return PenaltyHessian(*gram.dofs, np.zeros(len(gram.dofs[0])))
     pts = node_field.as_matrix()[marked.indices]
     svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
     shess = penalty.source.hessians(pts)
-    mass = gram.matrix.data[:, None, None]
+    mass = gram.data[:, None, None]
     blocks = sgrads[gram.row, :, None] * sgrads[gram.col, None, :] * mass
-    blocks[gram.diag] += (gram.matrix @ svals)[:, None, None] * shess
+    blocks[gram.diag] += (gram @ svals)[:, None, None] * shess
     data = 2.0 * penalty.weight / penalty.normalization * blocks.ravel()
-    return sp.coo_matrix((data, gram.dofs), shape=(ndof, ndof))
+    return PenaltyHessian(*gram.dofs, data)

@@ -14,10 +14,12 @@ rows/columns in the Hessian.
 
 The Hessian's sparsity is fixed for a given mesh, penalty, marked set
 and mask, so a scatter plan for it is built once and kept on the
-ObjectiveConfig: the CSR pattern of the F_mu element blocks and the
-penalty_hessian entries without masked rows and columns, plus the fixed
-DOFs' diagonal; the slot of every assembled entry (entries in masked
-rows or columns go to a dropped slot past the end); and the transpose
+ObjectiveConfig: the CSR pattern of the Hessian, which is the node
+adjacency of the elements expanded by d x d blocks, without entries in
+masked rows and columns but with every diagonal entry (the penalty
+couples only nodes of a common element, so its entries lie inside this
+pattern); the slot of every assembled entry (entries in masked rows or
+columns go to a dropped slot past the end); and the transpose
 permutation of the slots.  Assembly is one bincount into the slots, ones
 on the fixed diagonal, and data = (data + data[transpose]) / 2, so H is
 exactly symmetric.  Entries that cancel stay as explicit zeros.
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
@@ -123,7 +124,7 @@ def gradient(config, mesh, node_field):
 
 
 def hessian(config, mesh, node_field):
-    """Masked sparse symmetric Hessian of F."""
+    """Masked symmetric Hessian of F as a CSRMatrix."""
     dim, nnod, nw = mesh.dim, mesh.num_nodes, mesh.basis.num_nodes
     ndof = dim * nnod
     wdet = _weights(config, mesh)
@@ -132,6 +133,14 @@ def hessian(config, mesh, node_field):
     grads_t = ref_grads.transpose(0, 2, 1)  # (Q, d, N)
     bt = _gemm_table(mesh)
     nq = len(grads_t)
+    h_sigma = None
+    if config.has_penalty:
+        h_sigma = penalty_hessian(
+            config.penalty, config.marked, mesh, node_field, config.targets
+        )
+    # Built before the element blocks, so that its set-up does not add to
+    # their memory.
+    plan = _plan(config, mesh, h_sigma)
     # Element blocks B^T D_e B as local[i, e, a, b, j], row dof (a, i),
     # column dof (b, j).
     local = np.empty((nw, mesh.num_elements, dim, dim, nw))
@@ -148,18 +157,41 @@ def hessian(config, mesh, node_field):
         x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
         block = bt @ x.reshape(bt.shape[1], -1)  # (N, e a b N)
         local[:, chunk] = block.reshape(nw, -1, dim, dim, nw)
-    h_sigma = None
     values = local.ravel()
-    if config.has_penalty:
-        h_sigma = penalty_hessian(
-            config.penalty, config.marked, mesh, node_field, config.targets
-        )
+    if h_sigma is not None:
         values = np.concatenate([values, h_sigma.data])
-    plan = _plan(config, mesh, h_sigma)
     data = np.bincount(plan.slots, values, len(plan.indices) + 1)[:-1]
     data[plan.fixed] = 1.0
     data = 0.5 * (data + data[plan.transpose])
-    return sp.csr_matrix((data, plan.indices, plan.indptr), shape=(ndof, ndof))
+    return CSRMatrix(plan.indptr, plan.indices, data, (ndof, ndof))
+
+
+class CSRMatrix(NamedTuple):
+    """Square sparse matrix in CSR form whose every row stores at least
+    one entry (the Hessian stores its whole diagonal), as the row-wise
+    reductions below require."""
+
+    indptr: np.ndarray  # intp
+    indices: np.ndarray  # intp, ascending within each row
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+    def __matmul__(self, x):
+        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+
+    def abs_row_sums(self):
+        """sum_j |a_ij| for every row i."""
+        return np.add.reduceat(np.abs(self.data), self.indptr[:-1])
+
+    def toarray(self):
+        dense = np.zeros(self.shape)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        dense[rows, self.indices] = self.data
+        return dense
 
 
 def _plan(config, mesh, h_sigma):
@@ -180,29 +212,62 @@ class _ScatterPlan(NamedTuple):
 
 
 def _build_plan(config, mesh, h_sigma):
-    ndof = mesh.dim * mesh.num_nodes
+    dim, nnod = mesh.dim, mesh.num_nodes
+    ndof = dim * nnod
     mask = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
-    dof = np.arange(mesh.dim) * mesh.num_nodes + mesh.connectivity.T[:, :, None]
-    # Entry (i, e, a, b, j) of the element blocks: row dof (a, i), column (b, j).
-    parts = [(dof[:, :, :, None, None], dof.transpose(1, 2, 0)[None, :, None])]
-    if h_sigma is not None:
-        parts.append((h_sigma.row.astype(np.int64), h_sigma.col))
-    keys = np.concatenate([(rows * ndof + cols).ravel() for rows, cols in parts])
-    kept = np.concatenate([~(mask[rows] | mask[cols]).ravel() for rows, cols in parts])
-    fixed = np.flatnonzero(mask)
-    pattern, inverse = np.unique(
-        np.concatenate([keys[kept], fixed * (ndof + 1)]), return_inverse=True
+    conn = mesh.connectivity
+    # Node pairs (i, j) of a common element, and (i, i) for every node so
+    # that every row holds its diagonal, ascending in i * nnod + j;
+    # pair[e, i, j] is the pair of element e's local nodes i and j,
+    # diagonal[i] the pair (i, i), and node i's pairs are
+    # first[i]:first[i + 1].
+    shape = conn.shape + conn.shape[1:]
+    pairs, pair = np.unique(
+        np.concatenate([(conn[:, :, None] * nnod + conn[:, None, :]).ravel(),
+                        np.arange(nnod) * (nnod + 1)]),
+        return_inverse=True,
     )
-    index = np.int32 if len(pattern) < 2**31 - 1 else np.int64
-    slots = np.full(len(keys), len(pattern), dtype=index)
-    slots[kept] = inverse[: len(inverse) - len(fixed)]
-    row, col = np.divmod(pattern, ndof)
+    pair, diagonal = pair[: np.prod(shape)].reshape(shape), pair[np.prod(shape) :]
+    npairs, (pi, pj) = len(pairs), np.divmod(pairs, nnod)
+    first = np.searchsorted(pi, np.arange(nnod + 1))
+    deg = np.diff(first)
+    # The unmasked pattern is the pairs expanded by d x d: rows (a, i) in
+    # order, each holding its columns (b, j) b-major, so entry
+    # ((a, i), (b, j)) of pair p sits at offset[p, a, b].
+    ar = np.arange(dim)
+    within = (dim - 1) * first[pi] + np.arange(npairs)  # d first[i] + p - first[i]
+    block = within[:, None] + deg[pi][:, None] * ar  # (p, b) in row block a = 0
+    offset = block[:, None, :] + dim * npairs * ar[:, None]  # (p, a, b)
+    # Pair p and column dof of each entry of row block a = 0, in order.
+    p_at, b_at = np.empty(dim * npairs, np.intp), np.empty(dim * npairs, np.intp)
+    p_at[block] = np.arange(npairs)[:, None]
+    b_at[block] = ar
+    col = b_at * nnod + pj[p_at]
+    # Masked entries off the diagonal are dropped from the pattern, and
+    # assembled entries in masked rows or columns go to the dropped slot;
+    # both are (a, entry of row block a).
+    free = ~(mask.reshape(dim, nnod)[:, pi[p_at]] | mask[col])
+    keep = free | ((ar[:, None] == b_at) & (pi == pj)[p_at])
+    index = np.int32 if keep.size < 2**31 - 1 else np.int64
+    renumber = np.cumsum(keep, dtype=index) - 1
+    dropped = renumber[-1] + 1
+    slot = np.where(free.ravel(), renumber, dropped)[offset]  # (p, a, b)
+    # Entry (i, e, a, b, j) of the element blocks: row dof (a, i), column (b, j).
+    parts = [slot[pair.transpose(1, 0, 2)].transpose(0, 1, 3, 4, 2).ravel()]
+    if h_sigma is not None:
+        (ha, hi), (hb, hj) = np.divmod(h_sigma.row, nnod), np.divmod(h_sigma.col, nnod)
+        parts.append(slot[np.searchsorted(pairs, hi * nnod + hj), ha, hb])
+    transposed = np.empty(npairs, np.intp)
+    transposed[pair] = pair.transpose(0, 2, 1)
+    transposed[diagonal] = diagonal
+    fa, fi = np.divmod(np.flatnonzero(mask), nnod)
+    row_starts = (dim * npairs * ar[:, None] + dim * first[:-1]).ravel()
     return _ScatterPlan(
-        indptr=np.searchsorted(row, np.arange(ndof + 1)).astype(index),
-        indices=col.astype(index),
-        slots=slots,
-        fixed=inverse[len(inverse) - len(fixed) :],
-        transpose=np.searchsorted(pattern, col * ndof + row).astype(index),
+        indptr=np.concatenate([[0], np.cumsum(np.add.reduceat(keep.ravel(), row_starts))]),
+        indices=np.broadcast_to(col, keep.shape)[keep],
+        slots=np.concatenate(parts),
+        fixed=renumber[offset[diagonal[fi], fa, fa]],
+        transpose=renumber[offset[transposed[p_at], b_at, ar[:, None]][keep]],
     )
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import OutOfDomainError
 
@@ -116,9 +115,41 @@ def gauss_legendre_rule(n_points):
 
 
 def _jacobi_rule_01(n_points, alpha):
-    """Gauss-Jacobi rule on [0, 1] with weight (1 - t)**alpha absorbed."""
-    x, w = roots_jacobi(n_points, alpha, 0.0)
-    return 0.5 * (x + 1.0), w / 2.0 ** (alpha + 1)
+    """Gauss-Jacobi rule on [0, 1] with weight (1 - t)**alpha absorbed.
+
+    Golub-Welsch on [-1, 1] with weight (1 - x)**alpha, alpha > 0: the
+    points are the eigenvalues of the Jacobi matrix of the orthonormal
+    polynomials p_k, polished by one Newton step on p_n; the weights are
+    the Christoffel numbers 1 / sum_{k<n} p_k(x)**2, scaled to the
+    integral of the weight.
+    """
+    k = np.arange(n_points + 1.0)
+    t = 2.0 * k + alpha
+    diag = -(alpha**2) / (t * (t + 2.0))  # a_k
+    off = 2.0 * k[1:] * (k[1:] + alpha) / (t[1:] * np.sqrt(t[1:] ** 2 - 1.0))  # b_k
+    jacobi = np.diag(diag[:-1]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+
+    def recurrence(x):
+        # b_k p_k = (x - a_{k-1}) p_{k-1} - b_{k-1} p_{k-2}, p_0 = 1:
+        # p_n, dp_n/dx and sum_{k<n} p_k**2.
+        p_prev, p, dp_prev, dp = np.zeros_like(x), np.ones_like(x), 0.0, 0.0
+        squares = np.zeros_like(x)
+        for j in range(n_points):
+            squares += p * p
+            back = off[j - 1] if j else 0.0
+            p_prev, p, dp_prev, dp = (
+                p,
+                ((x - diag[j]) * p - back * p_prev) / off[j],
+                dp,
+                ((x - diag[j]) * dp + p - back * dp_prev) / off[j],
+            )
+        return p, dp, squares
+
+    x = np.linalg.eigvalsh(jacobi)
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    _, _, squares = recurrence(x)
+    return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * squares)
 
 
 def _lagrange_table(nodes, t):

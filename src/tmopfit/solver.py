@@ -1,19 +1,21 @@
 """Nonlinear minimization of the mesh objective.
 
-Newton directions solve H p = -grad with MINRES and an l1-Jacobi
-preconditioner; an L-BFGS two-loop alternative is available.  Every
-step passes through a backtracking line search that accepts the largest
-step in {1, 1/2, 1/4, ...} keeping det A positive at all quadrature
-points and strictly decreasing F.  Convergence is declared on
+Newton directions solve H p = -grad with MINRES (Paige and Saunders,
+"Solution of sparse indefinite systems of linear equations", SIAM J.
+Numer. Anal. 12, 1975) and an l1-Jacobi preconditioner; an L-BFGS
+two-loop alternative is available.  Every step passes through a
+backtracking line search that accepts the largest step in
+{1, 1/2, 1/4, ...} keeping det A positive at all quadrature points and
+strictly decreasing F.  Convergence is declared on
 |grad F(x)| / |grad F(x0)| <= eps.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import (
     InvalidMeshError,
@@ -48,12 +50,13 @@ class SolveReport:
     """Per-iteration history and termination status.
 
     history rows: (iter, F, F_mu, F_sigma, grad_norm, step, min_det,
-    direction, minres_iterations, minres_info, halvings).  direction is
-    the kind of the accepted step ("newton", "lbfgs" or "steepest";
-    "none" in row 0); the MINRES columns describe that iteration's Newton
-    solve (0 when none ran); halvings counts the step halvings of all its
-    line searches, so a steepest-descent retry after the first direction
-    exhausted its budget shows more than max_halvings.
+    direction, minres_iterations, minres_info, halvings,
+    minres_residual).  direction is the kind of the accepted step
+    ("newton", "lbfgs" or "steepest"; "none" in row 0); the MINRES
+    columns describe that iteration's Newton solve (0 when none ran);
+    halvings counts the step halvings of all its line searches, so a
+    steepest-descent retry after the first direction exhausted its budget
+    shows more than max_halvings.
     """
 
     iterations: int = 0
@@ -64,12 +67,12 @@ class SolveReport:
     def history_csv(self):
         lines = [
             "iter,F,Fmu,Fsigma,gradnorm,step,mindet,"
-            "direction,minres_iterations,minres_info,halvings"
+            "direction,minres_iterations,minres_info,halvings,minres_residual"
         ]
         for row in self.history:
             lines.append(
                 "{:d},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e},{:.16e},"
-                "{:s},{:d},{:d},{:d}".format(*row)
+                "{:s},{:d},{:d},{:d},{:.16e}".format(*row)
             )
         return "\n".join(lines) + "\n"
 
@@ -77,15 +80,18 @@ class SolveReport:
 class NewtonStep(NamedTuple):
     """A search direction and how it was found.
 
-    kind is "newton" for the MINRES solution and "steepest" for -grad.
-    np.asarray(step) is the direction, so code comparing the result of
-    newton_step with -grad (perfbench/tracing.py) sees the fallback.
+    kind is "newton" for the MINRES solution and "steepest" for -grad;
+    minres_residual is MINRES's final estimate of its relative residual in
+    the preconditioner's norm.  np.asarray(step) is the direction, so code
+    comparing the result of newton_step with -grad (perfbench/tracing.py)
+    sees the fallback.
     """
 
     direction: np.ndarray
     kind: str
     minres_iterations: int
     minres_info: int
+    minres_residual: float
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.direction, dtype=dtype, copy=copy)
@@ -94,32 +100,112 @@ class NewtonStep(NamedTuple):
 def newton_step(hess, grad, config=SolverConfig()):
     """Approximate solution of H p = -grad, guaranteed descent.
 
-    MINRES with an l1-Jacobi preconditioner (diagonal of row-wise
-    absolute sums).  Falls back to steepest descent when MINRES stalls
-    or returns a non-descent direction.  Returns a NewtonStep.
+    hess is an objective.CSRMatrix.  MINRES with an l1-Jacobi
+    preconditioner (diagonal of row-wise absolute sums).  Falls back to
+    steepest descent when MINRES stalls or returns a non-descent
+    direction.  Returns a NewtonStep.
     """
-    row_l1 = abs(hess) @ np.ones(hess.shape[1])
+    row_l1 = hess.abs_row_sums()
     row_l1 = np.where(row_l1 > 0.0, row_l1, 1.0)
-    precond = spla.LinearOperator(
-        hess.shape, matvec=lambda v: v / row_l1, dtype=float
-    )
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    p, info = spla.minres(
-        hess,
-        -grad,
-        rtol=config.minres_tol,
-        maxiter=config.minres_max_iterations,
-        M=precond,
-        callback=count,
+    p, info, iterations, residual = minres(
+        hess, -grad, row_l1, config.minres_tol, config.minres_max_iterations
     )
     if info != 0 or not np.all(np.isfinite(p)) or p @ grad >= 0.0:
-        return NewtonStep(-grad, "steepest", iterations, info)
-    return NewtonStep(p, "newton", iterations, info)
+        return NewtonStep(-grad, "steepest", iterations, info, residual)
+    return NewtonStep(p, "newton", iterations, info, residual)
+
+
+class MinresResult(NamedTuple):
+    x: np.ndarray
+    info: int  # 0, or maxiter when the iteration cap stopped the solve
+    iterations: int
+    residual: float  # estimate of |b - A x| / |b|, both in the M^-1 norm
+
+
+def minres(a, b, diag, rtol, maxiter):
+    """MINRES for symmetric a x = b from x = 0, preconditioned by the
+    positive diagonal M = diag(diag) (each step solves with M).
+
+    A line-by-line port of the SOL MATLAB minres without shift: the same
+    Lanczos and QR recurrences, and the same stopping tests on
+    |r| / (|A| |x|), |A r| / (|A| |r|), cond(A), |A| |x| eps and the
+    iteration cap, with the norms estimated from the recurrences.  a
+    needs only a @ v.
+    """
+    eps = np.finfo(float).eps
+    x = np.zeros(len(b))
+    r1 = b.copy()
+    y = r1 / diag
+    beta1 = r1 @ y
+    if beta1 == 0.0:
+        return MinresResult(x, 0, 0, 0.0)
+    beta1 = math.sqrt(beta1)
+
+    oldb = dbar = epsln = 0.0
+    phibar = beta = beta1
+    rhs1, rhs2, tnorm2 = beta1, 0.0, 0.0
+    gmax, gmin = 0.0, np.finfo(float).max
+    cs, sn = -1.0, 0.0
+    w = np.zeros(len(b))
+    w2 = np.zeros(len(b))
+    r2 = r1
+    istop = itn = 0
+    while itn < maxiter:
+        itn += 1
+        v = (1.0 / beta) * y
+        y = a @ v
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = v @ y
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = r2 / diag
+        oldb, beta = beta, math.sqrt(r2 @ y)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # b is an eigenvector: terminate below
+
+        # Apply the previous rotation, then compute the next one.
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.hypot(gbar, dbar)
+        gamma = max(math.hypot(gbar, beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        z = rhs1 / gamma
+        rhs1, rhs2 = rhs2 - delta * z, -epsln * z
+
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(x @ x)
+        test1 = math.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
+        test2 = math.inf if anorm == 0 else root / anorm
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if gmax / gmin >= 0.1 / eps:
+                istop = 4
+            if anorm * ynorm * eps >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+    return MinresResult(x, maxiter if istop == 6 else 0, itn, phibar / beta1)
 
 
 def line_search(
@@ -184,7 +270,7 @@ def solve(config, objective_config, mesh, node_field):
         raise ValueError("objective or gradient is not finite at the start")
     grad_norm0 = float(np.linalg.norm(grad))
     report.history.append(
-        (0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det, "none", 0, 0, 0)
+        (0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det, "none", 0, 0, 0, 0.0)
     )
     if grad_norm0 <= config.eps_abs:
         report.reason = "converged"
@@ -201,9 +287,12 @@ def solve(config, objective_config, mesh, node_field):
             break
 
         minres_iterations = minres_info = 0
+        minres_residual = 0.0
         if config.method == "newton":
             h = hessian(objective_config, mesh, x)
-            p, kind, minres_iterations, minres_info = newton_step(h, grad, config)
+            p, kind, minres_iterations, minres_info, minres_residual = newton_step(
+                h, grad, config
+            )
         elif config.method == "lbfgs":
             if prev_x is not None:
                 s = x.coords - prev_x
@@ -244,7 +333,7 @@ def solve(config, objective_config, mesh, node_field):
         report.iterations = it
         report.history.append(
             (it, f, f_mu, f_sigma, float(np.linalg.norm(grad)), alpha, min_det,
-             kind, minres_iterations, minres_info, halvings)
+             kind, minres_iterations, minres_info, halvings, minres_residual)
         )
     else:
         report.reason = "max-iter"

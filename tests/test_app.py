@@ -1,11 +1,16 @@
 """Level sets, error measures, VTK output, reports, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tmopfit
 from tmopfit.cases import (
     FitReport,
     compute_E,
@@ -20,6 +25,21 @@ from tmopfit.fitting import MarkedSet
 from tmopfit.levelsets import builtin_levelset
 from tmopfit.mesh import NodeField, make_cartesian, write_mesh
 from tmopfit.vtk import write_vtk
+
+
+def test_package_imports_no_scipy():
+    # scipy is a test-only dependency; importing it would add about a
+    # third of a second to every run.
+    code = (
+        "import sys, tmopfit.cases, tmopfit.cli, tmopfit.checks; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = str(Path(tmopfit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_sphere_levelset_values():

@@ -13,6 +13,7 @@ from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet
 from tmopfit.fitting import MarkedSet, make_penalty, penalty_hessian
 from tmopfit.mesh import (
+    Mesh,
     NodeField,
     element_chunks,
     element_volumes,
@@ -336,7 +337,9 @@ def coo_reference_hessian(cfg, mesh, nodes):
     scipy, symmetrized, then masked rows/columns replaced by identity."""
     _, _, h_mu = reference_assembly(cfg, mesh, nodes)
     h_sigma = penalty_hessian(cfg.penalty, cfg.marked, mesh, nodes, cfg.targets)
-    h = sp.coo_matrix(h_mu) + h_sigma.tocsr()
+    h = sp.coo_matrix(h_mu) + sp.csr_matrix(
+        (h_sigma.data, (h_sigma.row, h_sigma.col)), shape=h_mu.shape
+    )
     h = (0.5 * (h + h.T)).tocoo()
     mask = cfg.fixed_mask
     keep = ~(mask[h.row] | mask[h.col])
@@ -378,7 +381,7 @@ def test_plan_hessian_matches_coo_assembly(geometry):
     fixed = np.flatnonzero(cfg.fixed_mask)
     dense = h.toarray()
     assert np.array_equal(dense[fixed], np.eye(len(dense))[fixed])
-    assert (h != h.T).nnz == 0
+    assert np.array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])
@@ -387,10 +390,75 @@ def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geo
     default = hessian(cfg, mesh, current)
     monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
     single = hessian(cfg, mesh, current)
-    assert (single != single.T).nnz == 0
+    assert np.array_equal(single.toarray(), single.toarray().T)
     assert np.array_equal(single.indptr, default.indptr)
     assert np.array_equal(single.indices, default.indices)
-    assert np.allclose(single.data, default.data, rtol=1e-13, atol=1e-13 * abs(default).max())
+    atol = 1e-13 * np.abs(default.data).max()
+    assert np.allclose(single.data, default.data, rtol=1e-13, atol=atol)
+
+
+def unique_plan_pattern(cfg, mesh, h_sigma):
+    """(indptr, indices) of the masked Hessian from np.unique over every
+    element-block and penalty entry, plus the fixed diagonal."""
+    ndof = mesh.dim * mesh.num_nodes
+    mask = cfg.fixed_mask
+    dof = np.arange(mesh.dim) * mesh.num_nodes + mesh.connectivity.T[:, :, None]
+    blocks = np.broadcast_arrays(
+        dof[:, :, :, None, None], dof.transpose(1, 2, 0)[None, :, None]
+    )
+    rows = np.concatenate([blocks[0].ravel(), h_sigma.row])
+    cols = np.concatenate([blocks[1].ravel(), h_sigma.col])
+    kept = ~(mask[rows] | mask[cols])
+    fixed = np.flatnonzero(mask)
+    pattern = np.unique(np.concatenate([(rows * ndof + cols)[kept], fixed * (ndof + 1)]))
+    row, col = np.divmod(pattern, ndof)
+    return np.searchsorted(row, np.arange(ndof + 1)), col
+
+
+@pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
+def test_plan_pattern_matches_unique_over_all_entries(geometry):
+    cfg, mesh, current = plan_config(geometry)
+    h = hessian(cfg, mesh, current)
+    h_sigma = penalty_hessian(cfg.penalty, cfg.marked, mesh, current, cfg.targets)
+    indptr, indices = unique_plan_pattern(cfg, mesh, h_sigma)
+    assert np.array_equal(h.indptr, indptr)
+    assert np.array_equal(h.indices, indices)
+
+
+@pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
+def test_csr_hessian_matches_scipy_conversion(geometry):
+    cfg, mesh, current = plan_config(geometry)
+    h = hessian(cfg, mesh, current)
+    ref = sp.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
+    assert h.indptr.dtype == h.indices.dtype == np.intp
+    assert h.nnz == ref.nnz and h.shape == ref.shape
+    # Every row stores its diagonal entry, which the row-wise sums need.
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    assert np.count_nonzero(rows == h.indices) == h.shape[0]
+    assert np.array_equal(h.toarray(), ref.toarray())
+    abs_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
+    assert np.allclose(h.abs_row_sums(), abs_sums, rtol=1e-14, atol=0.0)
+    x = np.random.default_rng(6).standard_normal(h.shape[0])
+    scale = abs(ref) @ np.abs(x)
+    assert np.all(np.abs(h @ x - ref @ x) <= 1e-14 * scale)
+
+
+def test_hessian_stores_the_diagonal_of_a_node_in_no_element():
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    mesh = Mesh(
+        mesh.dim, mesh.order, mesh.geometry, mesh.connectivity, mesh.attributes,
+        mesh.boundary, num_nodes=mesh.num_nodes + 1,
+    )
+    nodes = NodeField.from_matrix(np.vstack([nodes.as_matrix(), [[0.5, 0.5]]]))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    h = hessian(cfg, mesh, perturbed(mesh, nodes, seed=3))
+    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
+    assert np.count_nonzero(rows == h.indices) == h.shape[0]
+    # The unused node's rows hold only its own d x d block.
+    unused = [mesh.num_nodes - 1, 2 * mesh.num_nodes - 1]
+    assert np.array_equal(np.diff(h.indptr)[unused], [2, 2])
+    x = np.random.default_rng(8).standard_normal(h.shape[0])
+    assert np.allclose(h @ x, h.toarray() @ x, rtol=1e-14, atol=1e-14)
 
 
 def test_plan_follows_a_new_mask():

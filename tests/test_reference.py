@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import roots_jacobi
 
 from tmopfit.errors import OutOfDomainError
 from tmopfit.reference import (
@@ -15,6 +16,7 @@ from tmopfit.reference import (
     gauss_lobatto_rule,
     quadrature_for,
     reference_element,
+    _jacobi_rule_01,
 )
 
 ORDERS = (1, 2, 3)
@@ -35,6 +37,17 @@ def exact_monomial_integral(geometry, exponents):
         return factorial(i) * factorial(j) / factorial(i + j + 2)
     i, j, k = e
     return factorial(i) * factorial(j) * factorial(k) / factorial(i + j + k + 3)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_rule_matches_scipy_roots_jacobi(n, alpha):
+    x, w = roots_jacobi(n, alpha, 0.0)
+    points, weights = _jacobi_rule_01(n, alpha)
+    assert np.abs(points - 0.5 * (x + 1.0)).max() <= 1e-15
+    # roots_jacobi's own weights are accurate to about 5e-14 relative.
+    assert np.abs(weights / (w / 2.0 ** (alpha + 1)) - 1.0).max() <= 1e-13
+    assert np.all(np.diff(points) > 0.0) and np.all(weights > 0.0)
 
 
 def test_gauss_lobatto_two_and_three_points():

@@ -3,32 +3,42 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from tmopfit.fields import AnalyticLevelSet
 from tmopfit.fitting import MarkedSet, make_penalty
 from tmopfit.mesh import NodeField, make_cartesian
-from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, value
+from tmopfit.objective import CSRMatrix, ObjectiveConfig, boundary_fixed_mask, value
 from tmopfit.quality import make_targets
-from tmopfit.solver import SolverConfig, line_search, newton_step, solve
+from tmopfit.solver import SolverConfig, line_search, minres, newton_step, solve
+
+
+def csr(dense):
+    """CSRMatrix of a dense matrix, storing its nonzeros and its diagonal."""
+    dense = np.asarray(dense, dtype=float)
+    rows, cols = np.nonzero((dense != 0.0) | np.eye(len(dense), dtype=bool))
+    indptr = np.searchsorted(rows, np.arange(len(dense) + 1))
+    return CSRMatrix(indptr, cols, dense[rows, cols], dense.shape)
 
 
 def test_newton_step_identity():
     g = np.array([1.0, -2.0, 3.0, 0.5])
-    step = newton_step(sp.identity(4, format="csr"), g)
+    step = newton_step(csr(np.eye(4)), g)
     assert np.allclose(step.direction, -g, atol=1e-10)
     assert step.kind == "newton" and step.minres_info == 0
     assert step.minres_iterations >= 1
+    assert 0.0 <= step.minres_residual <= SolverConfig().minres_tol
 
 
 def test_newton_step_diagonal_system():
     d = np.array([1.0, 2.0, 4.0, 8.0])
     g = np.array([1.0, 2.0, 3.0, 4.0])
-    p = newton_step(sp.diags(d).tocsr(), g).direction
+    p = newton_step(csr(np.diag(d)), g).direction
     assert np.allclose(p, -g / d, atol=1e-8)
 
 
 def test_newton_step_indefinite_falls_back_to_descent():
-    h = sp.diags([-1.0, -2.0]).tocsr()  # ascent direction from the solve
+    h = csr(np.diag([-1.0, -2.0]))  # ascent direction from the solve
     g = np.array([1.0, 1.0])
     step = newton_step(h, g)
     assert np.allclose(step.direction, -g)
@@ -39,23 +49,89 @@ def test_newton_step_indefinite_falls_back_to_descent():
     assert np.array_equal(step, -g)
 
 
+def symmetric_system(seed=1, shift=8.0):
+    a = sp.random(6, 6, density=0.5, random_state=seed).toarray() - 2.0 * np.eye(6)
+    return a + a.T + shift * np.eye(6)
+
+
 def test_newton_step_preconditions_with_l1_row_sums(monkeypatch):
     import tmopfit.solver as solver
 
     rng = np.random.default_rng(0)
-    a = sp.random(6, 6, density=0.5, random_state=1) - 2.0 * sp.identity(6)
-    h = (a + a.T + 8.0 * sp.identity(6)).tocsr()
+    dense = symmetric_system()
     seen = {}
-    minres = solver.spla.minres
 
-    def spy(hess, rhs, **kwargs):
-        seen["M"] = kwargs["M"]
-        return minres(hess, rhs, **kwargs)
+    def spy(hess, rhs, diag, rtol, maxiter):
+        seen["diag"] = diag
+        return minres(hess, rhs, diag, rtol, maxiter)
 
-    monkeypatch.setattr(solver.spla, "minres", spy)
-    newton_step(h, rng.standard_normal(6))
-    row_sums = np.abs(h.toarray()).sum(axis=1)
-    assert np.allclose(seen["M"].matvec(np.ones(6)) * row_sums, 1.0, rtol=1e-15)
+    monkeypatch.setattr(solver, "minres", spy)
+    newton_step(csr(dense), rng.standard_normal(6))
+    row_sums = np.abs(dense).sum(axis=1)
+    assert np.allclose(seen["diag"] / row_sums, 1.0, rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# minres against scipy.sparse.linalg.minres with the same products A v and
+# the same l1-Jacobi preconditioner
+
+
+def scipy_minres(a, b, diag, rtol, maxiter):
+    """(x, info, iterations) of scipy's minres on the same system."""
+    count = []
+    op = spla.LinearOperator(a.shape, matvec=lambda v: a @ v, dtype=float)
+    precond = spla.LinearOperator(a.shape, matvec=lambda v: v / diag, dtype=float)
+    x, info = spla.minres(
+        op, b, rtol=rtol, maxiter=maxiter, M=precond, callback=count.append
+    )
+    return x, info, len(count)
+
+
+def spectrum_system(n, seed, indefinite):
+    """Symmetric n x n with eigenvalues of modulus 0.5..4, every third one
+    negative when indefinite."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.5, 4.0, n)
+    if indefinite:
+        eig[::3] *= -1.0
+    dense = (q * eig) @ q.T
+    return 0.5 * (dense + dense.T)
+
+
+@pytest.mark.parametrize(
+    "name, dense, rtol, maxiter",
+    [
+        ("spd", spectrum_system(40, 2, indefinite=False), 1e-10, 500),
+        ("indefinite", spectrum_system(40, 3, indefinite=True), 1e-8, 500),
+        ("capped", spectrum_system(60, 4, indefinite=True), 1e-12, 7),
+    ],
+)
+def test_minres_matches_scipy(name, dense, rtol, maxiter):
+    b = np.random.default_rng(5).standard_normal(len(dense))
+    diag = np.abs(dense).sum(axis=1)
+    x_want, info_want, its_want = scipy_minres(csr(dense), b, diag, rtol, maxiter)
+    got = minres(csr(dense), b, diag, rtol, maxiter)
+    assert (got.iterations, got.info) == (its_want, info_want)
+    assert np.abs(got.x - x_want).max() <= 1e-12 * max(np.abs(x_want).max(), 1.0)
+    if name == "capped":
+        assert got.info == maxiter == got.iterations
+        assert got.residual > rtol
+    else:
+        assert got.info == 0
+        # The residual estimate is the true preconditioned relative residual.
+        r = b - dense @ got.x
+        true = np.sqrt(r @ (r / diag) / (b @ (b / diag)))
+        assert got.residual == pytest.approx(true, rel=1e-3, abs=1e-14)
+
+
+def test_minres_zero_rhs_matches_scipy():
+    dense = symmetric_system()
+    diag = np.abs(dense).sum(axis=1)
+    x_want, info_want, its_want = scipy_minres(csr(dense), np.zeros(6), diag, 1e-8, 50)
+    got = minres(csr(dense), np.zeros(6), diag, 1e-8, 50)
+    assert (got.iterations, got.info, got.residual) == (its_want, info_want, 0.0)
+    assert np.array_equal(got.x, x_want) and not np.any(got.x)
 
 
 def quad_problem():
@@ -213,15 +289,17 @@ def test_history_csv_schema():
     lines = csv.strip().splitlines()
     assert lines[0] == (
         "iter,F,Fmu,Fsigma,gradnorm,step,mindet,"
-        "direction,minres_iterations,minres_info,halvings"
+        "direction,minres_iterations,minres_info,halvings,minres_residual"
     )
     assert len(lines) == len(report.history) + 1
-    assert all(len(line.split(",")) == 11 for line in lines[1:])
-    assert lines[1].split(",")[7:] == ["none", "0", "0", "0"]
+    assert all(len(line.split(",")) == 12 for line in lines[1:])
+    assert lines[1].split(",")[7:] == ["none", "0", "0", "0", f"{0.0:.16e}"]
     for row in report.history[1:]:
         assert row[7] in ("newton", "steepest")
         assert row[8] > 0 or row[7] == "steepest"
         assert row[5] == SolverConfig().backtrack_factor ** row[10]
+        # MINRES's residual estimate never grows from |b|.
+        assert 0.0 < row[11] <= 1.0 or row[7] == "steepest"
 
 
 def test_solver_config_validation():
