@@ -207,6 +207,35 @@ def quadrature_jacobians(mesh, node_field, elements):
     return np.tensordot(ref_grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
 
 
+def det_inv(t):
+    """Determinants and inverses of the d x d matrices t, shape (..., d, d)
+    with d <= 3, in closed form: the adjugate over the determinant.
+
+    Returns det (...,) and inv (..., d, d), inf or nan where det is 0.
+    inv is a view of an array stored as (d, d, ...), so each inv[..., a, b]
+    is contiguous.
+    """
+    t = np.asarray(t, dtype=float)
+    batch, d = t.shape[:-2], t.shape[-1]
+    x = np.ascontiguousarray(t.reshape(-1, d, d).T)  # x[a, b, p] = t[p, b, a]
+    # The cofactors of x = t^T are the adjugate of t.
+    if d == 1:
+        cof = np.ones_like(x)
+    elif d == 2:
+        cof = x[::-1, ::-1] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
+    else:
+        # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
+        # indices mod 3, read from x extended cyclically by two rows and
+        # columns.
+        e = np.concatenate([x, x[:2]])
+        e = np.concatenate([e, e[:, :2]], axis=1)
+        cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
+    det = np.einsum("bp,bp->p", x[0], cof[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = cof / det
+    return det.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
+
+
 def is_valid(mesh, node_field):
     """Check det A > 0 at every quadrature point of every element.
 
@@ -217,7 +246,7 @@ def is_valid(mesh, node_field):
         Minimum Jacobian determinant over all sampled points.
     """
     min_det = min(
-        np.linalg.det(quadrature_jacobians(mesh, node_field, chunk)).min()
+        det_inv(quadrature_jacobians(mesh, node_field, chunk))[0].min()
         for chunk in element_chunks(mesh)
     )
     return bool(min_det > 0.0), float(min_det)

@@ -4,13 +4,17 @@ F_mu integrates the quality metric in target coordinates: the reference
 quadrature weights are multiplied by det W.  One kernel serves F, its
 gradient and its Hessian: elements are taken in chunks of about
 mesh._CHUNK_POINTS quadrature points, T = A W^{-1} is formed for the
-whole chunk with shape (Q, E_c, d, d), and the metric is evaluated once
-per chunk.  W^{-1} and the weights w det W are folded into the metric
-derivatives, so the reference-gradient table B (Q d x N, the same for
-every element) turns them into element gradients and element Hessians
-B^T D_e B with one GEMM per chunk.  Degrees of freedom flagged in the
-fixed-node mask are removed from the gradient and replaced by identity
-rows/columns in the Hessian.
+whole chunk with shape (Q, E_c, d, d), det T is checked with the
+closed-form mesh.det_inv, and the metric is evaluated once per chunk.
+dmu and d2mu arrive as points-first views of the points-last arrays of
+quality's jets; the first product with each reads through the view and
+writes the layout the next step needs.  W^{-1} and the weights w det W
+are folded into the metric derivatives (for the Hessian, one GEMM per
+element over the two contracted indices of T), so the reference-gradient
+table B (Q d x N, the same for every element) turns them into element
+gradients and element Hessians B^T D_e B with one GEMM per chunk.
+Degrees of freedom flagged in the fixed-node mask are removed from the
+gradient and replaced by identity rows/columns in the Hessian.
 
 The Hessian's sparsity is fixed for a given mesh, penalty, marked set
 and mask, so a scatter plan for it is built once and kept on the
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
-from .mesh import element_chunks, quadrature_jacobians
+from .mesh import det_inv, element_chunks, quadrature_jacobians
 from .quality import metric_batch, metric_values
 from .reference import quadrature_for, quadrature_tables
 
@@ -62,7 +66,7 @@ def _chunks(config, mesh, node_field):
     winv = config.targets.winv
     for chunk in element_chunks(mesh):
         t = quadrature_jacobians(mesh, node_field, chunk) @ winv[chunk]
-        tau = np.linalg.det(t)
+        tau, _ = det_inv(t)
         bad = np.flatnonzero((tau <= 0.0).any(axis=0))
         if len(bad):
             e = int(bad[0])
@@ -141,25 +145,29 @@ def hessian(config, mesh, node_field):
     # Built before the element blocks, so that its set-up does not add to
     # their memory.
     plan = _plan(config, mesh, h_sigma)
+    # winv2[e, (c, f), (b', c')] = W^{-1}[e, b', c] W^{-1}[e, c', f]
+    winv2 = np.einsum("ebc,egf->ecfbg", winv, winv).reshape(-1, dim**2, dim**2)
     # Element blocks B^T D_e B as local[i, e, a, b, j], row dof (a, i),
-    # column dof (b, j).
-    local = np.empty((nw, mesh.num_elements, dim, dim, nw))
+    # column dof (b, j), then the penalty entries: the values in the order
+    # of plan.slots, in one array.
+    nsigma = 0 if h_sigma is None else len(h_sigma.data)
+    values = np.empty(nw * mesh.num_elements * dim * dim * nw + nsigma)
+    local = values[: len(values) - nsigma].reshape(nw, mesh.num_elements, dim, dim, nw)
     for chunk, t in _chunks(config, mesh, node_field):
         _, _, d2mu = metric_batch(config.metric_id, t, config.gamma)
         ne = len(d2mu[0])
         # D[q, b', e, a, b, c'] = w_q det W_e
-        #   sum_{c, f} W^{-1}[e, b', c] d2mu[q, e, a, c, b, f] W^{-1}[e, c', f]
-        wd = d2mu * wdet[:, chunk, None, None, None, None]
-        wd = wd.reshape(nq, ne, -1, dim) @ winv[chunk].transpose(0, 2, 1)
-        wd = winv[chunk][None, :, None] @ wd.reshape(nq, ne, dim, dim, -1)
-        dd = wd.reshape(nq, ne, dim, dim, dim, dim).transpose(0, 3, 1, 2, 4, 5)
+        #   sum_{c, f} W^{-1}[e, b', c] d2mu[q, e, a, c, b, f] W^{-1}[e, c', f],
+        # one GEMM per element over (c, f) with d2mu as (e, q, a, b, c, f).
+        wd = d2mu.transpose(1, 0, 2, 4, 3, 5) * wdet[:, chunk].T[:, :, None, None, None, None]
+        wd = wd.reshape(ne, -1, dim**2) @ winv2[chunk]
+        dd = wd.reshape(ne, nq, dim, dim, dim, dim).transpose(1, 4, 0, 2, 3, 5)
         # One small matmul per point, then one GEMM over (q, b').
         x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
         block = bt @ x.reshape(bt.shape[1], -1)  # (N, e a b N)
         local[:, chunk] = block.reshape(nw, -1, dim, dim, nw)
-    values = local.ravel()
     if h_sigma is not None:
-        values = np.concatenate([values, h_sigma.data])
+        values[len(values) - nsigma :] = h_sigma.data
     data = np.bincount(plan.slots, values, len(plan.indices) + 1)[:-1]
     data[plan.fixed] = 1.0
     data = 0.5 * (data + data[plan.transpose])
@@ -215,6 +223,7 @@ def _build_plan(config, mesh, h_sigma):
     dim, nnod = mesh.dim, mesh.num_nodes
     ndof = dim * nnod
     mask = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
+    free = ~mask.reshape(dim, nnod)  # free[a, i]: dof (a, i) is free
     conn = mesh.connectivity
     # Node pairs (i, j) of a common element, and (i, i) for every node so
     # that every row holds its diagonal, ascending in i * nnod + j;
@@ -230,45 +239,51 @@ def _build_plan(config, mesh, h_sigma):
     pair, diagonal = pair[: np.prod(shape)].reshape(shape), pair[np.prod(shape) :]
     npairs, (pi, pj) = len(pairs), np.divmod(pairs, nnod)
     first = np.searchsorted(pi, np.arange(nnod + 1))
-    deg = np.diff(first)
-    # The unmasked pattern is the pairs expanded by d x d: rows (a, i) in
-    # order, each holding its columns (b, j) b-major, so entry
-    # ((a, i), (b, j)) of pair p sits at offset[p, a, b].
-    ar = np.arange(dim)
-    within = (dim - 1) * first[pi] + np.arange(npairs)  # d first[i] + p - first[i]
-    block = within[:, None] + deg[pi][:, None] * ar  # (p, b) in row block a = 0
-    offset = block[:, None, :] + dim * npairs * ar[:, None]  # (p, a, b)
-    # Pair p and column dof of each entry of row block a = 0, in order.
-    p_at, b_at = np.empty(dim * npairs, np.intp), np.empty(dim * npairs, np.intp)
-    p_at[block] = np.arange(npairs)[:, None]
-    b_at[block] = ar
-    col = b_at * nnod + pj[p_at]
-    # Masked entries off the diagonal are dropped from the pattern, and
-    # assembled entries in masked rows or columns go to the dropped slot;
-    # both are (a, entry of row block a).
-    free = ~(mask.reshape(dim, nnod)[:, pi[p_at]] | mask[col])
-    keep = free | ((ar[:, None] == b_at) & (pi == pj)[p_at])
-    index = np.int32 if keep.size < 2**31 - 1 else np.int64
-    renumber = np.cumsum(keep, dtype=index) - 1
-    dropped = renumber[-1] + 1
-    slot = np.where(free.ravel(), renumber, dropped)[offset]  # (p, a, b)
+    # A free row (a, i) holds the free columns (b, j) of node i's pairs,
+    # b-major, j ascending: colpos[b, p] is the place of column (b, pj[p])
+    # in a free row of node pi[p], length[i] the length of that row.  A
+    # fixed row holds only its diagonal.
+    colfree = free[:, pj]
+    seen = np.concatenate([np.zeros((dim, 1), np.intp), np.cumsum(colfree, axis=1)], axis=1)
+    count = seen[:, first[1:]] - seen[:, first[:-1]]  # (b, i)
+    colpos = (np.cumsum(count, axis=0) - count)[:, pi] + seen[:, :-1] - seen[:, first[pi]]
+    length = count.sum(axis=0)
+    indptr = np.concatenate([[0], np.cumsum(np.where(free, length, 1))])
+    nnz = indptr[-1]
+    index = np.int32 if nnz < 2**31 - 1 else np.int64
+    rowstart, colpos = indptr[:-1].reshape(dim, nnod).astype(index), colpos.astype(index)
+
+    def slot(a, i, b, p):
+        """Slot of entry ((a, i), (b, pj[p])) of pair p, or the dropped slot
+        nnz when its row or column is fixed."""
+        return np.where(free[a, i] & colfree[b, p], rowstart[a, i] + colpos[b, p], index(nnz))
+
     # Entry (i, e, a, b, j) of the element blocks: row dof (a, i), column (b, j).
-    parts = [slot[pair.transpose(1, 0, 2)].transpose(0, 1, 3, 4, 2).ravel()]
+    ar = np.arange(dim)
+    slots = [slot(ar[:, None, None], conn.T[:, :, None, None, None], ar[:, None],
+                  pair.transpose(1, 0, 2)[:, :, None, None]).ravel()]
     if h_sigma is not None:
         (ha, hi), (hb, hj) = np.divmod(h_sigma.row, nnod), np.divmod(h_sigma.col, nnod)
-        parts.append(slot[np.searchsorted(pairs, hi * nnod + hj), ha, hb])
-    transposed = np.empty(npairs, np.intp)
+        slots.append(slot(ha, hi, hb, np.searchsorted(pairs, hi * nnod + hj)))
+    transposed = np.empty(npairs, index)
     transposed[pair] = pair.transpose(0, 2, 1)
     transposed[diagonal] = diagonal
-    fa, fi = np.divmod(np.flatnonzero(mask), nnod)
-    row_starts = (dim * npairs * ar[:, None] + dim * first[:-1]).ravel()
-    return _ScatterPlan(
-        indptr=np.concatenate([[0], np.cumsum(np.add.reduceat(keep.ravel(), row_starts))]),
-        indices=np.broadcast_to(col, keep.shape)[keep],
-        slots=np.concatenate(parts),
-        fixed=renumber[offset[diagonal[fi], fa, fa]],
-        transpose=renumber[offset[transposed[p_at], b_at, ar[:, None]][keep]],
-    )
+    # Column block b and pair p of every entry of a free row (a, i), read
+    # from node i's row template: its length[i] places (b, p).  A fixed
+    # row's entry reads place 0 (a spare place when there are no free
+    # columns at all) and is then set to its diagonal.
+    tstart = np.concatenate([[0], np.cumsum(length)])
+    template = np.zeros((2, tstart[-1] + 1), index)
+    template[:, (tstart[pi] + colpos)[colfree]] = np.nonzero(colfree)
+    shift = np.where(free, tstart[:-1], 0) - rowstart
+    b, p = template[:, np.arange(nnz, dtype=index) + np.repeat(shift, np.diff(indptr))]
+    a = np.repeat(np.arange(dim, dtype=index), np.diff(indptr[::nnod]))
+    indices = b * nnod + pj[p]
+    transpose = rowstart[b, pj[p]] + colpos[a, transposed[p]]
+    fixed = rowstart.ravel()[mask]
+    indices[fixed] = np.flatnonzero(mask)
+    transpose[fixed] = fixed
+    return _ScatterPlan(indptr, indices, np.concatenate(slots), fixed, transpose)
 
 
 def boundary_fixed_mask(mesh):

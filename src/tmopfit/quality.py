@@ -3,9 +3,14 @@
 Metrics are scalar functions of the weighted Jacobian T = A W^{-1}.
 Values, first derivatives dmu/dT and second derivatives d2mu/dT2 are
 computed analytically by composing a few matrix invariants (|T|^2, det T,
-|T^{-1}|^2, |T^t T|^2), each carried as a second-order jet.  The
-invariants a metric needs are seeded once per batch, also for the
-blended metrics mu80 and mu333.
+|T^{-1}|^2, |T^t T|^2), each carried as a jet of order 0, 1 or 2.  Jets
+carry the points last: value (P,), d1 (d, d, P) and d2 (d, d, d, d, P),
+so every jet operation runs over rows of length P and outer products are
+plain broadcasts.  det T and T^{-1} come from the closed-form
+mesh.det_inv.  The invariants a metric needs are seeded once per batch,
+also for the blended metrics mu80 and mu333; metric_values is the
+order-0 jet.  metric_batch hands the derivatives back points first, as
+views of the points-last arrays.
 """
 
 from dataclasses import dataclass
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMeshError, NonpositiveDeterminantError
-from .mesh import element_volumes, is_valid
+from .mesh import det_inv, element_volumes, is_valid
 from .reference import REFERENCE_MEASURE
 
 METRIC_IDS = ("mu2", "mu58", "mu77", "mu80", "mu302", "mu316", "mu333")
@@ -40,76 +45,62 @@ IDEAL_TARGETS = {
 
 
 # ---------------------------------------------------------------------------
-# Second-order jets of scalar functions of T
+# Jets of scalar functions of T, points last
 
 
 class _Jet:
-    """Scalar value with first and second derivatives with respect to T.
+    """Scalar function of T with its derivatives up to the jet's order.
 
-    value: (...,); d1: (..., d, d); d2: (..., d, d, d, d) or None for a
-    first-order-only jet.  Supports the arithmetic needed to compose
-    quality metrics from invariants.
+    parts = (value, d1, d2)[: order + 1], points last.  A part may have
+    length 1 in P (a constant second derivative).
     """
 
-    __slots__ = ("value", "d1", "d2")
+    __slots__ = ("parts",)
 
-    def __init__(self, value, d1, d2):
-        self.value = value
-        self.d1 = d1
-        self.d2 = d2
+    def __init__(self, *parts):
+        self.parts = parts
 
     def __add__(self, other):
         if np.isscalar(other):
-            return _Jet(self.value + other, self.d1, self.d2)
-        d2 = None if self.d2 is None else self.d2 + other.d2
-        return _Jet(self.value + other.value, self.d1 + other.d1, d2)
+            return _Jet(self.parts[0] + other, *self.parts[1:])
+        return _Jet(*(u + v for u, v in zip(self.parts, other.parts)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if np.isscalar(other):
-            return _Jet(self.value - other, self.d1, self.d2)
-        d2 = None if self.d2 is None else self.d2 - other.d2
-        return _Jet(self.value - other.value, self.d1 - other.d1, d2)
-
-    def __rsub__(self, other):
-        return _Jet(other - self.value, -self.d1, None if self.d2 is None else -self.d2)
+            return _Jet(self.parts[0] - other, *self.parts[1:])
+        return _Jet(*(u - v for u, v in zip(self.parts, other.parts)))
 
     def __mul__(self, other):
         if np.isscalar(other):
-            return _Jet(
-                self.value * other,
-                self.d1 * other,
-                None if self.d2 is None else self.d2 * other,
-            )
-        u, v = self, other
-        u0 = u.value[..., None, None]
-        v0 = v.value[..., None, None]
-        if u.d2 is None:
-            d2 = None
-        else:
-            cross = _outer(u.d1, v.d1)
-            d2 = (
-                u0[..., None, None] * v.d2
-                + v0[..., None, None] * u.d2
-                + cross
-                + cross.transpose(*range(cross.ndim - 4), -2, -1, -4, -3)
-            )
-        return _Jet(u.value * v.value, u0 * v.d1 + v0 * u.d1, d2)
+            return _Jet(*(u * other for u in self.parts))
+        (u0, *u), (v0, *v) = self.parts, other.parts
+        parts = [u0 * v0]
+        if u:
+            parts.append(u0 * v[0] + v0 * u[0])
+        if len(u) > 1:
+            d2 = _outer(u[0], v[0])
+            d2 = d2 + d2.transpose(2, 3, 0, 1, 4)
+            d2 += u0 * v[1]
+            d2 += v0 * u[1]
+            parts.append(d2)
+        return _Jet(*parts)
 
     __rmul__ = __mul__
 
     def reciprocal(self):
-        inv = 1.0 / self.value
-        inv2 = (inv**2)[..., None, None]
-        if self.d2 is None:
-            d2 = None
-        else:
-            inv3 = (inv**3)[..., None, None, None, None]
-            d2 = -self.d2 * inv2[..., None, None] + 2.0 * inv3 * _outer(
-                self.d1, self.d1
-            )
-        return _Jet(inv, -self.d1 * inv2, d2)
+        (u0, *u) = self.parts
+        inv = 1.0 / u0
+        parts = [inv]
+        if u:
+            parts.append(-inv**2 * u[0])
+        if len(u) > 1:
+            d2 = _outer(u[0], u[0])
+            d2 *= 2.0 * inv**3
+            d2 -= inv**2 * u[1]
+            parts.append(d2)
+        return _Jet(*parts)
 
     def __truediv__(self, other):
         if np.isscalar(other):
@@ -121,69 +112,61 @@ class _Jet:
 
 
 def _outer(x, y):
-    """(..., a, b) x (..., c, d) -> (..., a, b, c, d)."""
-    return x[..., :, :, None, None] * y[..., None, None, :, :]
+    """(a, b, P) x (c, d, P) -> (a, b, c, d, P)."""
+    return x[:, :, None, None] * y[None, None]
 
 
-def _seed_invariants(t, tau, names, order):
-    """Jets of |T|^2, det T, |T^{-1}|^2, |T^t T|^2 for batched T with
-    determinants tau.
+def _matmul(x, y):
+    """Per-point matrix product of (d, d, P) arrays."""
+    return (x[:, :, None] * y[None]).sum(axis=1)
+
+
+def _seed_invariants(t, tau, k, names, order):
+    """Jets of |T|^2, det T, |T^{-1}|^2, |T^t T|^2 at points-last T
+    (d, d, P) with determinants tau (P,) and inverses k (d, d, P).
 
     Returns {name: jet} for the requested names among "frob2", "det",
-    "invfrob2" and "ttfrob2"; order=1 skips the second-derivative tensors.
+    "invfrob2" and "ttfrob2", up to the given order (0, 1 or 2).  Second
+    derivatives are summed in place, so that few (d, d, d, d, P) arrays
+    are alive at once.
     """
-    d = t.shape[-1]
-    eye = np.eye(d)
-    k = np.linalg.inv(t)
-    kt = np.swapaxes(k, -1, -2)
+    eye = np.eye(len(t))
+    kt, tt = k.transpose(1, 0, 2), t.transpose(1, 0, 2)
     second = order >= 2
-    out = {}
-
+    parts = {}
     if "frob2" in names:
-        frob2_d2 = None
+        parts["frob2"] = [np.einsum("abp,abp->p", t, t), 2.0 * t]
         if second:
-            frob2_d2 = (
-                2.0
-                * np.einsum("ac,bd->abcd", eye, eye)
-                * np.ones_like(tau)[..., None, None, None, None]
-            )
-        out["frob2"] = _Jet(np.einsum("...ab,...ab->...", t, t), 2.0 * t, frob2_d2)
-
+            parts["frob2"].append(2.0 * np.einsum("ac,bd->abcd", eye, eye)[..., None])
     if "det" in names:
-        det_d2 = None
+        parts["det"] = [tau, tau * kt]
         if second:
-            det_d2 = tau[..., None, None, None, None] * (
-                np.einsum("...ab,...cd->...abcd", kt, kt)
-                - np.einsum("...bc,...da->...abcd", k, k)
-            )
-        out["det"] = _Jet(tau, tau[..., None, None] * kt, det_d2)
-
+            d2 = _outer(kt, kt)
+            d2 -= kt[:, None, None, :] * k[None, :, :, None]
+            d2 *= tau
+            parts["det"].append(d2)
     if "invfrob2" in names:
-        m = kt @ k @ kt
-        inv_d2 = None
+        parts["invfrob2"] = [np.einsum("abp,abp->p", k, k)]
+        if order:
+            b = _matmul(kt, k)
+            m = _matmul(b, kt)
+            parts["invfrob2"].append(-2.0 * m)
         if second:
-            b = kt @ k
-            g = k @ kt
-            inv_d2 = 2.0 * (
-                np.einsum("...fc,...ed->...cdef", k, m)
-                + np.einsum("...ce,...fd->...cdef", b, g)
-                + np.einsum("...de,...cf->...cdef", k, m)
-            )
-        out["invfrob2"] = _Jet(np.einsum("...ab,...ab->...", k, k), -2.0 * m, inv_d2)
-
+            d2 = kt[:, None, None, :] * m.transpose(1, 0, 2)[None, :, :, None]
+            d2 += b[:, None, :, None] * _matmul(k, kt)[None, :, None, :]
+            d2 += m[:, None, None, :] * k[None, :, :, None]
+            d2 *= 2.0
+            parts["invfrob2"].append(d2)
     if "ttfrob2" in names:
-        tt = np.swapaxes(t, -1, -2) @ t
-        q_d2 = None
+        gram = _matmul(tt, t)
+        parts["ttfrob2"] = [np.einsum("abp,abp->p", gram, gram), 4.0 * _matmul(t, gram)]
         if second:
-            ttt = t @ np.swapaxes(t, -1, -2)
-            q_d2 = 4.0 * (
-                np.einsum("ac,...db->...abcd", eye, tt)
-                + np.einsum("...ad,...cb->...abcd", t, t)
-                + np.einsum("bd,...ac->...abcd", eye, ttt)
-            )
-        out["ttfrob2"] = _Jet(np.einsum("...ab,...ab->...", tt, tt), 4.0 * t @ tt, q_d2)
-
-    return out
+            d2 = eye[:, None, :, None, None] * gram[None, :, None, :]
+            d2 += t[:, None, None, :] * tt[None, :, :, None]
+            d2 += eye[None, :, None, :, None] * _matmul(t, tt)[:, None, :, None]
+            d2 *= 4.0
+            parts["ttfrob2"].append(d2)
+    return {name: _Jet(*jet[: order + 1]) for name, jet in parts.items()}
 
 
 # Invariants each unblended metric is composed of.
@@ -216,16 +199,30 @@ def _compose(metric_id, inv):
     return 0.5 * (det + det.reciprocal()) - 1.0
 
 
-def _metric_jet(metric_id, t, tau, gamma, order):
+def _metric_jet(metric_id, t, gamma, order):
+    """Parts of the metric's jet at T of shape (..., d, d), points first:
+    (...,), (..., d, d) and (..., d, d, d, d), up to the given order.
+
+    The jet itself is computed points last; d1 and d2 come back as
+    views.  Raises NonpositiveDeterminantError if any det T <= 0.
+    """
     parts = _BLENDS.get(metric_id, (metric_id,))
     if not all(part in _INVARIANTS for part in parts):
         raise ValueError(f"unknown metric id {metric_id!r}")
+    t = np.asarray(t, dtype=float)
+    batch, d = t.shape[:-2], t.shape[-1]
+    t = np.ascontiguousarray(np.moveaxis(t, (-2, -1), (0, 1)).reshape(d, d, -1))
+    tau, k = det_inv(np.moveaxis(t, (0, 1), (-2, -1)))
+    if np.any(tau <= 0.0):
+        raise NonpositiveDeterminantError(None, float(tau.min()))
     names = {name for part in parts for name in _INVARIANTS[part]}
-    inv = _seed_invariants(t, tau, names, order)
+    inv = _seed_invariants(t, tau, np.moveaxis(k, (-2, -1), (0, 1)), names, order)
     if len(parts) == 1:
-        return _compose(metric_id, inv)
-    first, second = (_compose(part, inv) for part in parts)
-    return (1.0 - gamma) * first + gamma * second
+        jet = _compose(metric_id, inv)
+    else:
+        first, second = (_compose(part, inv) for part in parts)
+        jet = (1.0 - gamma) * first + gamma * second
+    return [np.moveaxis(u, -1, 0).reshape(batch + u.shape[:-1]) for u in jet.parts]
 
 
 @dataclass
@@ -244,12 +241,8 @@ def metric_batch(metric_id, t, gamma=0.5, order=2):
     (..., d, d, d, d); d2mu is None when order=1.  Raises
     NonpositiveDeterminantError if any det T <= 0.
     """
-    t = np.asarray(t, dtype=float)
-    tau = np.linalg.det(t)
-    if np.any(tau <= 0.0):
-        raise NonpositiveDeterminantError(None, float(tau.min()))
-    jet = _metric_jet(metric_id, t, tau, gamma, order)
-    return jet.value, jet.d1, jet.d2
+    values, dmu, *d2mu = _metric_jet(metric_id, t, gamma, order)
+    return values, dmu, d2mu[0] if d2mu else None
 
 
 def metric(metric_id, t, gamma=0.5):
@@ -261,37 +254,9 @@ def metric(metric_id, t, gamma=0.5):
 
 
 def metric_values(metric_id, t, gamma=0.5):
-    """Metric values only (no derivatives) on batched T; cheap path for
-    line-search objective evaluations."""
-    t = np.asarray(t, dtype=float)
-    tau = np.linalg.det(t)
-    if np.any(tau <= 0.0):
-        raise NonpositiveDeterminantError(None, float(tau.min()))
-    if metric_id == "mu2":
-        return 0.5 * np.einsum("...ab,...ab->...", t, t) / tau - 1.0
-    if metric_id == "mu58":
-        tt = np.swapaxes(t, -1, -2) @ t
-        q = np.einsum("...ab,...ab->...", tt, tt)
-        f = np.einsum("...ab,...ab->...", t, t)
-        return q / tau**2 - 2.0 * f / tau + 2.0
-    if metric_id == "mu77":
-        return 0.5 * (tau - 1.0 / tau) ** 2
-    if metric_id == "mu80":
-        return (1.0 - gamma) * metric_values("mu2", t) + gamma * metric_values(
-            "mu77", t
-        )
-    if metric_id == "mu302":
-        k = np.linalg.inv(t)
-        f = np.einsum("...ab,...ab->...", t, t)
-        fi = np.einsum("...ab,...ab->...", k, k)
-        return f * fi / 9.0 - 1.0
-    if metric_id == "mu316":
-        return 0.5 * (tau + 1.0 / tau) - 1.0
-    if metric_id == "mu333":
-        return (1.0 - gamma) * metric_values("mu302", t) + gamma * metric_values(
-            "mu316", t
-        )
-    raise ValueError(f"unknown metric id {metric_id!r}")
+    """Metric values only (the order-0 jet) on batched T; the line
+    search's objective evaluations take this path."""
+    return _metric_jet(metric_id, t, gamma, 0)[0]
 
 
 # ---------------------------------------------------------------------------

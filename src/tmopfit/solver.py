@@ -28,6 +28,16 @@ from .objective import gradient, hessian, value
 
 @dataclass
 class SolverConfig:
+    """Settings of solve.
+
+    minres_tol is the rtol of minres: MINRES stops once |r| / (|A| |x|)
+    <= minres_tol (its test1, or |A r| / (|A| |r|) <= minres_tol, test2),
+    with the norms estimated from its recurrences.  It does not bound
+    |r| / |b|: the history's minres_residual column is |r| / |b|, both in
+    the M^-1 norm of the l1-Jacobi preconditioner M, and can exceed
+    minres_tol.
+    """
+
     method: str = "newton"  # or "lbfgs"
     eps: float = 1e-6
     eps_abs: float = 1e-12  # numerical-zero floor for |grad F(x0)| = 0
@@ -53,7 +63,8 @@ class SolveReport:
     direction, minres_iterations, minres_info, halvings,
     minres_residual).  direction is the kind of the accepted step
     ("newton", "lbfgs" or "steepest"; "none" in row 0); the MINRES
-    columns describe that iteration's Newton solve (0 when none ran);
+    columns describe that iteration's Newton solve (0 when none ran;
+    minres_residual is |r| / |b| in the M^-1 norm, see SolverConfig);
     halvings counts the step halvings of all its line searches, so a
     steepest-descent retry after the first direction exhausted its budget
     shows more than max_halvings.

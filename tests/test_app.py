@@ -1,5 +1,7 @@
 """Level sets, error measures, VTK output, reports, and the CLI."""
 
+import ast
+import importlib
 import json
 import os
 import subprocess
@@ -40,6 +42,27 @@ def test_package_imports_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_functions_exist():
+    # The benchmark's traced runs wrap the functions named in TARGETS of
+    # perfbench/tracing.py and leave out the per-layer metrics of any
+    # that no longer exists.  Read, not imported: it is the benchmark's.
+    tracing = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    missing = []
+    for name, (module, qualname) in targets.items():
+        owner = importlib.import_module(f"tmopfit.{module}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
 
 
 def test_sphere_levelset_values():

@@ -1,5 +1,7 @@
 """Mesh representation, Jacobians, Cartesian generation, file I/O."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,6 +11,7 @@ from tmopfit.errors import InvalidMeshError, MeshParseError
 from tmopfit.mesh import (
     Mesh,
     NodeField,
+    det_inv,
     domain_volume,
     element_jacobian,
     element_jacobians,
@@ -78,6 +81,36 @@ def test_inverted_element_detected():
     assert dets.min() < 0.0
     ok, min_det = is_valid(mesh, bad)
     assert not ok and min_det < 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_det_inv_matches_linalg(dim):
+    rng = np.random.default_rng(60 + dim)
+    random = rng.standard_normal((4, 5, dim, dim))
+    # The last row is the sum of the others up to 1e-9: det ~ 1e-9.
+    near = rng.standard_normal((20, dim, dim))
+    near[:, -1] = near[:, :-1].sum(axis=1) + 1e-9 * rng.standard_normal((20, dim))
+    # Every other matrix of a batch, transposed, rows reversed.
+    strided = np.swapaxes(rng.standard_normal((6, 3, dim, dim)), -1, -2)[::2, :, ::-1]
+    for t in (random, near, strided, random[0, 0]):
+        det, inv = det_inv(t)
+        assert det.shape == t.shape[:-2] and inv.shape == t.shape
+        # Errors relative to the Hadamard bound on |det|, and to the
+        # condition number for the inverse.
+        hadamard = np.prod(np.linalg.norm(t, axis=-1), axis=-1)
+        assert np.all(np.abs(det - np.linalg.det(t)) <= 1e-14 * hadamard)
+        want = np.linalg.inv(t)
+        err = np.abs(inv - want).max(axis=(-2, -1)) / np.abs(want).max(axis=(-2, -1))
+        assert np.all(err <= 1e-14 * np.linalg.cond(t))
+    # Each entry of the inverses is contiguous over the batch.
+    assert det_inv(random)[1][..., -1, 0].flags.c_contiguous
+
+
+def test_det_inv_of_singular_matrices_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        det, inv = det_inv(np.zeros((2, 3, 3)))
+    assert np.array_equal(det, [0.0, 0.0]) and not np.isfinite(inv).any()
 
 
 def test_small_perturbation_remains_valid():

@@ -158,13 +158,16 @@ def test_mu80_hessian_matches_fd_of_gradient():
 
 
 def test_metric_values_matches_jet_values():
+    # metric_values is the order-0 jet: the same arithmetic as the values
+    # of metric_batch, in 2D and 3D alike.
     rng = np.random.default_rng(31)
     for mid in METRIC_IDS:
-        d = METRIC_DIM[mid]
-        t = np.stack([random_valid_t(rng, d) for _ in range(5)])
-        vals, _, _ = metric_batch(mid, t)
-        fast = metric_values(mid, t)
-        assert np.abs(vals - fast).max() < 1e-13
+        for d in (2, 3):
+            t = np.stack([random_valid_t(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+            vals, _, _ = metric_batch(mid, t, 0.3)
+            fast = metric_values(mid, t, 0.3)
+            assert fast.shape == (2, 3)
+            assert np.array_equal(vals, fast)
 
 
 def test_unit_size_targets_are_ideal_maps():
@@ -235,3 +238,144 @@ def test_cartesian_triangle_mesh_not_ideal_for_equilateral_targets():
     mats, _ = element_jacobians(mesh, nodes, 0, grads)
     t = mats @ tg.winv[0]
     assert metric_values("mu58", t).min() > 0.1
+
+
+# ---------------------------------------------------------------------------
+# The points-last jets against the points-first jets they replaced
+
+
+class PointsFirstJet:
+    """Second-order jet with the points first: value (...,), d1
+    (..., d, d), d2 (..., d, d, d, d) or None for order 1."""
+
+    def __init__(self, value, d1, d2):
+        self.value, self.d1, self.d2 = value, d1, d2
+
+    def __add__(self, other):
+        if np.isscalar(other):
+            return PointsFirstJet(self.value + other, self.d1, self.d2)
+        d2 = None if self.d2 is None else self.d2 + other.d2
+        return PointsFirstJet(self.value + other.value, self.d1 + other.d1, d2)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if np.isscalar(other):
+            return self + (-other)
+        return self + (-1.0) * other
+
+    def __mul__(self, other):
+        if np.isscalar(other):
+            d2 = None if self.d2 is None else self.d2 * other
+            return PointsFirstJet(self.value * other, self.d1 * other, d2)
+        u0, v0 = self.value[..., None, None], other.value[..., None, None]
+        d2 = None
+        if self.d2 is not None:
+            cross = points_first_outer(self.d1, other.d1)
+            d2 = (u0[..., None, None] * other.d2 + v0[..., None, None] * self.d2
+                  + cross + np.moveaxis(cross, (-2, -1), (-4, -3)))
+        return PointsFirstJet(self.value * other.value, u0 * other.d1 + v0 * self.d1, d2)
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        inv = 1.0 / self.value
+        inv2 = (inv**2)[..., None, None]
+        d2 = None
+        if self.d2 is not None:
+            d2 = (-self.d2 * inv2[..., None, None]
+                  + 2.0 * (inv**3)[..., None, None, None, None]
+                  * points_first_outer(self.d1, self.d1))
+        return PointsFirstJet(inv, -self.d1 * inv2, d2)
+
+    def __truediv__(self, other):
+        return self * other.reciprocal()
+
+
+def points_first_outer(x, y):
+    return x[..., :, :, None, None] * y[..., None, None, :, :]
+
+
+def points_first_metric_batch(metric_id, t, gamma, order):
+    """(values, dmu, d2mu) from invariant jets seeded with np.linalg."""
+    d = t.shape[-1]
+    eye = np.eye(d)
+    tau, k = np.linalg.det(t), np.linalg.inv(t)
+    kt = np.swapaxes(k, -1, -2)
+    second = order >= 2
+    ones = np.ones_like(tau)[..., None, None, None, None]
+    frob2 = PointsFirstJet(
+        np.einsum("...ab,...ab->...", t, t), 2.0 * t,
+        2.0 * np.einsum("ac,bd->abcd", eye, eye) * ones if second else None,
+    )
+    det = PointsFirstJet(
+        tau, tau[..., None, None] * kt,
+        tau[..., None, None, None, None] * (
+            np.einsum("...ab,...cd->...abcd", kt, kt)
+            - np.einsum("...bc,...da->...abcd", k, k)
+        ) if second else None,
+    )
+    m = kt @ k @ kt
+    invfrob2 = PointsFirstJet(
+        np.einsum("...ab,...ab->...", k, k), -2.0 * m,
+        2.0 * (
+            np.einsum("...fc,...ed->...cdef", k, m)
+            + np.einsum("...ce,...fd->...cdef", kt @ k, k @ kt)
+            + np.einsum("...de,...cf->...cdef", k, m)
+        ) if second else None,
+    )
+    tt, ttt = np.swapaxes(t, -1, -2) @ t, t @ np.swapaxes(t, -1, -2)
+    ttfrob2 = PointsFirstJet(
+        np.einsum("...ab,...ab->...", tt, tt), 4.0 * t @ tt,
+        4.0 * (
+            np.einsum("ac,...db->...abcd", eye, tt)
+            + np.einsum("...ad,...cb->...abcd", t, t)
+            + np.einsum("bd,...ac->...abcd", eye, ttt)
+        ) if second else None,
+    )
+
+    def compose(mid):
+        if mid == "mu2":
+            return 0.5 * (frob2 / det) + (-1.0)
+        if mid == "mu58":
+            inv_det = det.reciprocal()
+            return ttfrob2 * (inv_det * inv_det) - 2.0 * (frob2 * inv_det) + 2.0
+        if mid == "mu77":
+            diff = det - det.reciprocal()
+            return 0.5 * (diff * diff)
+        if mid == "mu302":
+            return (frob2 * invfrob2) * (1.0 / 9.0) + (-1.0)
+        return 0.5 * (det + det.reciprocal()) + (-1.0)  # mu316
+
+    blends = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
+    if metric_id in blends:
+        first, second_part = map(compose, blends[metric_id])
+        jet = (1.0 - gamma) * first + gamma * second_part
+    else:
+        jet = compose(metric_id)
+    return jet.value, jet.d1, jet.d2
+
+
+def random_batch(rng, dim, shape):
+    return np.stack([random_valid_t(rng, dim) for _ in range(np.prod(shape))]).reshape(
+        shape + (dim, dim)
+    )
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_metric_batch_matches_points_first_jets(mid, dim):
+    rng = np.random.default_rng(40 + dim)
+    t = random_batch(rng, dim, (7, 5))
+    for order in (1, 2):
+        got = metric_batch(mid, t, 0.3, order)
+        want = points_first_metric_batch(mid, t, 0.3, order)
+        assert got[0].shape == (7, 5) and got[1].shape == (7, 5, dim, dim)
+        if order == 1:
+            assert got[2] is None
+            got, want = got[:2], want[:2]
+        else:
+            assert got[2].shape == (7, 5) + (dim,) * 4
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
