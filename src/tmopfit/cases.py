@@ -48,7 +48,6 @@ class TestCase:
     w_sigma: float
     mode: str  # "fit" | "relax" | "fixed"
     gamma: float = 0.5
-    method: str = "newton"
     max_iterations: int = 200
     eps: float = 1e-6
     align_w_sigma: float = 1e4
@@ -195,9 +194,7 @@ def _align_mesh_to_levelset(case, mesh, nodes, level_set):
         marked=marked,
         fixed_mask=boundary_fixed_mask(mesh),
     )
-    scfg = SolverConfig(
-        method="newton", eps=1e-4, max_iterations=case.align_max_iterations
-    )
+    scfg = SolverConfig(eps=1e-4, max_iterations=case.align_max_iterations)
     aligned, _ = solve(scfg, config, mesh, nodes)
     return aligned
 
@@ -243,9 +240,7 @@ def run_case(case, out_dir=None):
         marked=marked if penalty is not None else None,
         fixed_mask=mask,
     )
-    scfg = SolverConfig(
-        method=case.method, eps=case.eps, max_iterations=case.max_iterations
-    )
+    scfg = SolverConfig(eps=case.eps, max_iterations=case.max_iterations)
     t0 = time.time()
     final_nodes, report = solve(scfg, config, mesh, nodes)
     wall = time.time() - t0

@@ -15,7 +15,6 @@ def _cmd_run(args):
         order=args.order,
         w_sigma=args.wsigma,
         metric_id=args.metric,
-        method=args.method,
         max_iterations=args.max_iter,
     )
     case = named_case(args.case, **overrides)
@@ -83,7 +82,6 @@ def build_parser():
         "--mode", choices=("fixed", "relax"), default=None,
         help="interface treatment for relaxation cases",
     )
-    p_run.add_argument("--method", choices=("newton", "lbfgs"), default=None)
     p_run.add_argument("--max-iter", type=int, default=None)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)

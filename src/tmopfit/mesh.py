@@ -130,14 +130,8 @@ class NodeField:
         """Coordinates as an (num_nodes, dim) array (view when possible)."""
         return self.coords.reshape(self.dim, self.num_nodes).T
 
-    def node(self, i):
-        return self.as_matrix()[i]
-
     def copy(self):
         return NodeField(self.dim, self.num_nodes, self.coords.copy())
-
-    def dof_index(self, component, node):
-        return component * self.num_nodes + node
 
 
 @dataclass

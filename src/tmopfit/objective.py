@@ -16,21 +16,19 @@ gradients and element Hessians B^T D_e B with one GEMM per chunk.
 Degrees of freedom flagged in the fixed-node mask are removed from the
 gradient and replaced by identity rows/columns in the Hessian.
 
-The Hessian's sparsity is fixed for a given mesh, penalty, marked set
-and mask, so a scatter plan for it is built once and kept on the
-ObjectiveConfig: the CSR pattern of the Hessian, which is the node
-adjacency of the elements expanded by d x d blocks, without entries in
-masked rows and columns but with every diagonal entry (the penalty
-couples only nodes of a common element, so its entries lie inside this
-pattern); the slot of every assembled entry (entries in masked rows or
-columns go to a dropped slot past the end); and the transpose
-permutation of the slots.  Assembly is one bincount into the slots, ones
-on the fixed diagonal, and data = (data + data[transpose]) / 2, so H is
-exactly symmetric.  Entries that cancel stay as explicit zeros.
+The Hessian is never assembled into a global matrix (as in the partial
+assembly of Camier et al., "Accelerating high-order mesh optimization
+using finite element partial assembly on GPUs").  hessian returns an
+ElementHessian holding the element blocks B^T D_e B, each made exactly
+symmetric as its chunk is written, the element dofs, the penalty's COO
+entries and the fixed-dof mask.  H x zeroes x on the fixed dofs, gathers
+it at the element dofs, applies all blocks with one batched matmul and
+sums them back with one bincount, adds one bincount for the penalty
+entries and copies x into the fixed rows.  That, and the exact diagonal
+for the Jacobi preconditioner, is all MINRES needs.
 """
 
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -52,7 +50,6 @@ class ObjectiveConfig:
     penalty: object = None  # PenaltyConfig or None
     marked: object = None  # MarkedSet or None
     fixed_mask: np.ndarray = None  # bool, length dim * num_nodes; True = fixed
-    _plan: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def has_penalty(self):
@@ -128,7 +125,7 @@ def gradient(config, mesh, node_field):
 
 
 def hessian(config, mesh, node_field):
-    """Masked symmetric Hessian of F as a CSRMatrix."""
+    """Masked symmetric Hessian of F as an ElementHessian."""
     dim, nnod, nw = mesh.dim, mesh.num_nodes, mesh.basis.num_nodes
     ndof = dim * nnod
     wdet = _weights(config, mesh)
@@ -137,22 +134,10 @@ def hessian(config, mesh, node_field):
     grads_t = ref_grads.transpose(0, 2, 1)  # (Q, d, N)
     bt = _gemm_table(mesh)
     nq = len(grads_t)
-    h_sigma = None
-    if config.has_penalty:
-        h_sigma = penalty_hessian(
-            config.penalty, config.marked, mesh, node_field, config.targets
-        )
-    # Built before the element blocks, so that its set-up does not add to
-    # their memory.
-    plan = _plan(config, mesh, h_sigma)
     # winv2[e, (c, f), (b', c')] = W^{-1}[e, b', c] W^{-1}[e, c', f]
     winv2 = np.einsum("ebc,egf->ecfbg", winv, winv).reshape(-1, dim**2, dim**2)
-    # Element blocks B^T D_e B as local[i, e, a, b, j], row dof (a, i),
-    # column dof (b, j), then the penalty entries: the values in the order
-    # of plan.slots, in one array.
-    nsigma = 0 if h_sigma is None else len(h_sigma.data)
-    values = np.empty(nw * mesh.num_elements * dim * dim * nw + nsigma)
-    local = values[: len(values) - nsigma].reshape(nw, mesh.num_elements, dim, dim, nw)
+    # blocks[e, (a, i), (b, j)]: row dof (a, i), column dof (b, j) of element e.
+    blocks = np.empty((mesh.num_elements, dim * nw, dim * nw))
     for chunk, t in _chunks(config, mesh, node_field):
         _, _, d2mu = metric_batch(config.metric_id, t, config.gamma)
         ne = len(d2mu[0])
@@ -164,126 +149,73 @@ def hessian(config, mesh, node_field):
         dd = wd.reshape(ne, nq, dim, dim, dim, dim).transpose(1, 4, 0, 2, 3, 5)
         # One small matmul per point, then one GEMM over (q, b').
         x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
-        block = bt @ x.reshape(bt.shape[1], -1)  # (N, e a b N)
-        local[:, chunk] = block.reshape(nw, -1, dim, dim, nw)
-    if h_sigma is not None:
-        values[len(values) - nsigma :] = h_sigma.data
-    data = np.bincount(plan.slots, values, len(plan.indices) + 1)[:-1]
-    data[plan.fixed] = 1.0
-    data = 0.5 * (data + data[plan.transpose])
-    return CSRMatrix(plan.indptr, plan.indices, data, (ndof, ndof))
+        block = (bt @ x.reshape(bt.shape[1], -1)).reshape(nw, ne, dim, dim, nw)
+        local = blocks[chunk]
+        local.reshape(ne, dim, nw, dim, nw)[...] = block.transpose(1, 2, 0, 3, 4)
+        local += local.transpose(0, 2, 1)
+        local *= 0.5
+    dofs = (np.arange(dim)[:, None] * nnod + mesh.connectivity[:, None, :]).reshape(
+        mesh.num_elements, -1
+    )
+    h_sigma = None
+    if config.has_penalty:
+        h_sigma = penalty_hessian(
+            config.penalty, config.marked, mesh, node_field, config.targets
+        )
+    fixed = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
+    return ElementHessian(blocks, dofs, h_sigma, fixed)
 
 
-class CSRMatrix(NamedTuple):
-    """Square sparse matrix in CSR form whose every row stores at least
-    one entry (the Hessian stores its whole diagonal), as the row-wise
-    reductions below require."""
+class ElementHessian(NamedTuple):
+    """H = sum_e B_e^T D_e B_e + H_sigma, never assembled, with the fixed
+    dofs' rows and columns replaced by identity ones."""
 
-    indptr: np.ndarray  # intp
-    indices: np.ndarray  # intp, ascending within each row
-    data: np.ndarray
-    shape: tuple
+    blocks: np.ndarray  # (E, K, K), K = d N, exactly symmetric
+    dofs: np.ndarray  # (E, K): global dof a * num_nodes + node of each row
+    penalty: object  # fitting.PenaltyHessian (unsummed COO) or None
+    fixed: np.ndarray  # bool, one per dof
+
+    @property
+    def shape(self):
+        return (len(self.fixed), len(self.fixed))
 
     @property
     def nnz(self):
-        return len(self.data)
+        """Stored entries: element blocks plus penalty entries."""
+        return self.blocks.size + (0 if self.penalty is None else len(self.penalty.data))
 
     def __matmul__(self, x):
-        return np.add.reduceat(self.data * x[self.indices], self.indptr[:-1])
+        xf = np.where(self.fixed, 0.0, x)
+        y = np.bincount(
+            self.dofs.ravel(), (self.blocks @ xf[self.dofs, None]).ravel(), len(x)
+        )
+        if self.penalty is not None:
+            p = self.penalty
+            y += np.bincount(p.row, p.data * xf[p.col], len(x))
+        y[self.fixed] = x[self.fixed]
+        return y
 
-    def abs_row_sums(self):
-        """sum_j |a_ij| for every row i."""
-        return np.add.reduceat(np.abs(self.data), self.indptr[:-1])
+    def diagonal(self):
+        diag = np.bincount(
+            self.dofs.ravel(), np.diagonal(self.blocks, axis1=1, axis2=2).ravel(),
+            len(self.fixed),
+        )
+        if self.penalty is not None:
+            p = self.penalty
+            on = p.row == p.col
+            diag += np.bincount(p.row[on], p.data[on], len(diag))
+        diag[self.fixed] = 1.0
+        return diag
 
     def toarray(self):
         dense = np.zeros(self.shape)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        dense[rows, self.indices] = self.data
+        np.add.at(dense, (self.dofs[:, :, None], self.dofs[:, None, :]), self.blocks)
+        if self.penalty is not None:
+            np.add.at(dense, (self.penalty.row, self.penalty.col), self.penalty.data)
+        dense[self.fixed] = 0.0
+        dense[:, self.fixed] = 0.0
+        dense[self.fixed, self.fixed] = 1.0
         return dense
-
-
-def _plan(config, mesh, h_sigma):
-    """_build_plan, kept on the config until the mesh, penalty, marked set
-    or mask is another object (none of them is modified in place)."""
-    key = (mesh, config.penalty, config.marked, config.fixed_mask)
-    if config._plan is None or any(map(operator.is_not, config._plan[0], key)):
-        config._plan = (key, _build_plan(config, mesh, h_sigma))
-    return config._plan[1]
-
-
-class _ScatterPlan(NamedTuple):
-    indptr: np.ndarray  # CSR pattern of the masked Hessian
-    indices: np.ndarray
-    slots: np.ndarray  # of local.ravel(), then h_sigma; len(indices) = dropped
-    fixed: np.ndarray  # slots of the fixed-DOF diagonal
-    transpose: np.ndarray  # slot of (col, row) for each slot (row, col)
-
-
-def _build_plan(config, mesh, h_sigma):
-    dim, nnod = mesh.dim, mesh.num_nodes
-    ndof = dim * nnod
-    mask = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
-    free = ~mask.reshape(dim, nnod)  # free[a, i]: dof (a, i) is free
-    conn = mesh.connectivity
-    # Node pairs (i, j) of a common element, and (i, i) for every node so
-    # that every row holds its diagonal, ascending in i * nnod + j;
-    # pair[e, i, j] is the pair of element e's local nodes i and j,
-    # diagonal[i] the pair (i, i), and node i's pairs are
-    # first[i]:first[i + 1].
-    shape = conn.shape + conn.shape[1:]
-    pairs, pair = np.unique(
-        np.concatenate([(conn[:, :, None] * nnod + conn[:, None, :]).ravel(),
-                        np.arange(nnod) * (nnod + 1)]),
-        return_inverse=True,
-    )
-    pair, diagonal = pair[: np.prod(shape)].reshape(shape), pair[np.prod(shape) :]
-    npairs, (pi, pj) = len(pairs), np.divmod(pairs, nnod)
-    first = np.searchsorted(pi, np.arange(nnod + 1))
-    # A free row (a, i) holds the free columns (b, j) of node i's pairs,
-    # b-major, j ascending: colpos[b, p] is the place of column (b, pj[p])
-    # in a free row of node pi[p], length[i] the length of that row.  A
-    # fixed row holds only its diagonal.
-    colfree = free[:, pj]
-    seen = np.concatenate([np.zeros((dim, 1), np.intp), np.cumsum(colfree, axis=1)], axis=1)
-    count = seen[:, first[1:]] - seen[:, first[:-1]]  # (b, i)
-    colpos = (np.cumsum(count, axis=0) - count)[:, pi] + seen[:, :-1] - seen[:, first[pi]]
-    length = count.sum(axis=0)
-    indptr = np.concatenate([[0], np.cumsum(np.where(free, length, 1))])
-    nnz = indptr[-1]
-    index = np.int32 if nnz < 2**31 - 1 else np.int64
-    rowstart, colpos = indptr[:-1].reshape(dim, nnod).astype(index), colpos.astype(index)
-
-    def slot(a, i, b, p):
-        """Slot of entry ((a, i), (b, pj[p])) of pair p, or the dropped slot
-        nnz when its row or column is fixed."""
-        return np.where(free[a, i] & colfree[b, p], rowstart[a, i] + colpos[b, p], index(nnz))
-
-    # Entry (i, e, a, b, j) of the element blocks: row dof (a, i), column (b, j).
-    ar = np.arange(dim)
-    slots = [slot(ar[:, None, None], conn.T[:, :, None, None, None], ar[:, None],
-                  pair.transpose(1, 0, 2)[:, :, None, None]).ravel()]
-    if h_sigma is not None:
-        (ha, hi), (hb, hj) = np.divmod(h_sigma.row, nnod), np.divmod(h_sigma.col, nnod)
-        slots.append(slot(ha, hi, hb, np.searchsorted(pairs, hi * nnod + hj)))
-    transposed = np.empty(npairs, index)
-    transposed[pair] = pair.transpose(0, 2, 1)
-    transposed[diagonal] = diagonal
-    # Column block b and pair p of every entry of a free row (a, i), read
-    # from node i's row template: its length[i] places (b, p).  A fixed
-    # row's entry reads place 0 (a spare place when there are no free
-    # columns at all) and is then set to its diagonal.
-    tstart = np.concatenate([[0], np.cumsum(length)])
-    template = np.zeros((2, tstart[-1] + 1), index)
-    template[:, (tstart[pi] + colpos)[colfree]] = np.nonzero(colfree)
-    shift = np.where(free, tstart[:-1], 0) - rowstart
-    b, p = template[:, np.arange(nnz, dtype=index) + np.repeat(shift, np.diff(indptr))]
-    a = np.repeat(np.arange(dim, dtype=index), np.diff(indptr[::nnod]))
-    indices = b * nnod + pj[p]
-    transpose = rowstart[b, pj[p]] + colpos[a, transposed[p]]
-    fixed = rowstart.ravel()[mask]
-    indices[fixed] = np.flatnonzero(mask)
-    transpose[fixed] = fixed
-    return _ScatterPlan(indptr, indices, np.concatenate(slots), fixed, transpose)
 
 
 def boundary_fixed_mask(mesh):

@@ -2,11 +2,10 @@
 
 Newton directions solve H p = -grad with MINRES (Paige and Saunders,
 "Solution of sparse indefinite systems of linear equations", SIAM J.
-Numer. Anal. 12, 1975) and an l1-Jacobi preconditioner; an L-BFGS
-two-loop alternative is available.  Every step passes through a
-backtracking line search that accepts the largest step in
-{1, 1/2, 1/4, ...} keeping det A positive at all quadrature points and
-strictly decreasing F.  Convergence is declared on
+Numer. Anal. 12, 1975) and a Jacobi preconditioner on |diag H|.  Every
+step passes through a backtracking line search that accepts the largest
+step in {1, 1/2, 1/4, ...} keeping det A positive at all quadrature
+points and strictly decreasing F.  Convergence is declared on
 |grad F(x)| / |grad F(x0)| <= eps.
 """
 
@@ -34,17 +33,15 @@ class SolverConfig:
     <= minres_tol (its test1, or |A r| / (|A| |r|) <= minres_tol, test2),
     with the norms estimated from its recurrences.  It does not bound
     |r| / |b|: the history's minres_residual column is |r| / |b|, both in
-    the M^-1 norm of the l1-Jacobi preconditioner M, and can exceed
-    minres_tol.
+    the M^-1 norm of the Jacobi preconditioner M = |diag H|, and can
+    exceed minres_tol.
     """
 
-    method: str = "newton"  # or "lbfgs"
     eps: float = 1e-6
     eps_abs: float = 1e-12  # numerical-zero floor for |grad F(x0)| = 0
     max_iterations: int = 100
     minres_tol: float = 1e-8
     minres_max_iterations: int = 500
-    lbfgs_memory: int = 10
     backtrack_factor: float = 0.5
     max_halvings: int = 20
 
@@ -62,7 +59,7 @@ class SolveReport:
     history rows: (iter, F, F_mu, F_sigma, grad_norm, step, min_det,
     direction, minres_iterations, minres_info, halvings,
     minres_residual).  direction is the kind of the accepted step
-    ("newton", "lbfgs" or "steepest"; "none" in row 0); the MINRES
+    ("newton" or "steepest"; "none" in row 0); the MINRES
     columns describe that iteration's Newton solve (0 when none ran;
     minres_residual is |r| / |b| in the M^-1 norm, see SolverConfig);
     halvings counts the step halvings of all its line searches, so a
@@ -93,9 +90,9 @@ class NewtonStep(NamedTuple):
 
     kind is "newton" for the MINRES solution and "steepest" for -grad;
     minres_residual is MINRES's final estimate of its relative residual in
-    the preconditioner's norm.  np.asarray(step) is the direction, so code
-    comparing the result of newton_step with -grad (perfbench/tracing.py)
-    sees the fallback.
+    the norm of the Jacobi preconditioner on |diag H|.  np.asarray(step)
+    is the direction, so code comparing the result of newton_step with
+    -grad (perfbench/tracing.py) sees the fallback.
     """
 
     direction: np.ndarray
@@ -111,15 +108,16 @@ class NewtonStep(NamedTuple):
 def newton_step(hess, grad, config=SolverConfig()):
     """Approximate solution of H p = -grad, guaranteed descent.
 
-    hess is an objective.CSRMatrix.  MINRES with an l1-Jacobi
-    preconditioner (diagonal of row-wise absolute sums).  Falls back to
+    hess needs only hess @ v and hess.diagonal(): an
+    objective.ElementHessian or a dense array.  MINRES with a Jacobi
+    preconditioner on |diag H| (1 where the diagonal is 0).  Falls back to
     steepest descent when MINRES stalls or returns a non-descent
     direction.  Returns a NewtonStep.
     """
-    row_l1 = hess.abs_row_sums()
-    row_l1 = np.where(row_l1 > 0.0, row_l1, 1.0)
+    diag = np.abs(hess.diagonal())
+    diag = np.where(diag > 0.0, diag, 1.0)
     p, info, iterations, residual = minres(
-        hess, -grad, row_l1, config.minres_tol, config.minres_max_iterations
+        hess, -grad, diag, config.minres_tol, config.minres_max_iterations
     )
     if info != 0 or not np.all(np.isfinite(p)) or p @ grad >= 0.0:
         return NewtonStep(-grad, "steepest", iterations, info, residual)
@@ -288,44 +286,23 @@ def solve(config, objective_config, mesh, node_field):
         report.wall_time = time.time() - t_start
         return x, report
 
-    lbfgs_s, lbfgs_y = [], []
-    prev_x, prev_grad = None, None
-
     for it in range(1, config.max_iterations + 1):
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm / grad_norm0 <= config.eps or grad_norm <= config.eps_abs:
             report.reason = "converged"
             break
 
-        minres_iterations = minres_info = 0
-        minres_residual = 0.0
-        if config.method == "newton":
-            h = hessian(objective_config, mesh, x)
-            p, kind, minres_iterations, minres_info, minres_residual = newton_step(
-                h, grad, config
-            )
-        elif config.method == "lbfgs":
-            if prev_x is not None:
-                s = x.coords - prev_x
-                yv = grad - prev_grad
-                if s @ yv > 1e-12 * np.linalg.norm(s) * np.linalg.norm(yv):
-                    lbfgs_s.append(s)
-                    lbfgs_y.append(yv)
-                    if len(lbfgs_s) > config.lbfgs_memory:
-                        lbfgs_s.pop(0)
-                        lbfgs_y.pop(0)
-            p, kind = _lbfgs_direction(grad, lbfgs_s, lbfgs_y), "lbfgs"
-            if p @ grad >= 0.0:
-                p, kind = -grad, "steepest"
-        else:
-            raise ValueError(f"unknown method {config.method!r}")
+        h = hessian(objective_config, mesh, x)
+        p, kind, minres_iterations, minres_info, minres_residual = newton_step(
+            h, grad, config
+        )
 
         f_current = f
         alpha, f_trial, trial, halvings = line_search(
             objective_fn, validity_fn, x, p, f_current, grad, config
         )
         if alpha is None and p @ grad < 0.0 and not np.array_equal(p, -grad):
-            # Newton/L-BFGS direction exhausted the backtracking budget;
+            # The Newton direction exhausted the backtracking budget;
             # steepest descent still has untried scales.
             kind = "steepest"
             alpha, f_trial, trial, more = line_search(
@@ -336,7 +313,6 @@ def solve(config, objective_config, mesh, node_field):
             report.reason = "line-search-failure"
             break
 
-        prev_x, prev_grad = x.coords.copy(), grad
         x = trial
         f, f_mu, f_sigma = last["f"]
         min_det = last["min_det"]
@@ -354,20 +330,3 @@ def solve(config, objective_config, mesh, node_field):
     report.wall_time = time.time() - t_start
     return x, report
 
-
-def _lbfgs_direction(grad, s_list, y_list):
-    """Two-loop recursion; initial scaling from the latest pair."""
-    q = grad.copy()
-    alphas = []
-    for s, y in zip(reversed(s_list), reversed(y_list)):
-        rho = 1.0 / (y @ s)
-        a = rho * (s @ q)
-        alphas.append((a, rho, s, y))
-        q -= a * y
-    if s_list:
-        s, y = s_list[-1], y_list[-1]
-        q *= (s @ y) / (y @ y)
-    for a, rho, s, y in reversed(alphas):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return -q

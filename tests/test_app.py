@@ -65,6 +65,29 @@ def test_traced_functions_exist():
     assert missing == []
 
 
+def test_traced_results_expose_what_the_hooks_read():
+    # The trace hooks add hessian(...).nnz to a count and compare
+    # np.asarray(newton_step(...)) with -grad.
+    from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, gradient, hessian
+    from tmopfit.quality import make_targets
+    from tmopfit.solver import newton_step
+
+    mesh, nodes = make_cartesian(2, 3, 2, "quad")
+    cfg = ObjectiveConfig(
+        "mu2", make_targets(mesh, nodes, "unit"), fixed_mask=boundary_fixed_mask(mesh)
+    )
+    moved = nodes.copy()
+    interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
+    moved.coords[interior] += 0.02
+    h = hessian(cfg, mesh, moved)
+    assert isinstance(h.nnz, int) and h.nnz > 0
+    grad = gradient(cfg, mesh, moved)
+    step = newton_step(h, grad)
+    assert step.kind == "newton"
+    assert np.array_equal(np.asarray(step), step.direction)
+    assert not np.array_equal(np.asarray(step), -grad)
+
+
 def test_sphere_levelset_values():
     ls = builtin_levelset("sphere2d")
     assert abs(ls.values(np.array([[0.5, 0.9]]))[0] - 0.1) < 1e-14

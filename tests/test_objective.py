@@ -30,6 +30,7 @@ from tmopfit.objective import (
 )
 from tmopfit.quality import METRIC_IDS, make_targets, metric_batch
 from tmopfit.reference import quadrature_for
+from tmopfit.solver import newton_step
 
 
 def perturbed(mesh, nodes, seed=0, amplitude=0.02):
@@ -329,7 +330,8 @@ def test_repeated_hessians_keep_memory_flat():
 
 
 # ---------------------------------------------------------------------------
-# The scatter plan against a COO assembly of the same terms
+# The element-by-element Hessian operator against a COO assembly of the
+# same terms
 
 
 def coo_reference_hessian(cfg, mesh, nodes):
@@ -372,16 +374,23 @@ def plan_config(geometry):
     return cfg, mesh, current
 
 
+def random_vector(h, seed):
+    return np.random.default_rng(seed).standard_normal(h.shape[0])
+
+
 @pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
 def test_plan_hessian_matches_coo_assembly(geometry):
     cfg, mesh, current = plan_config(geometry)
     h = hessian(cfg, mesh, current)
     want = coo_reference_hessian(cfg, mesh, current)
-    assert rel_err(h.toarray(), want) < 1e-12
-    fixed = np.flatnonzero(cfg.fixed_mask)
     dense = h.toarray()
+    assert rel_err(dense, want) < 1e-12
+    fixed = np.flatnonzero(cfg.fixed_mask)
     assert np.array_equal(dense[fixed], np.eye(len(dense))[fixed])
     assert np.array_equal(dense, dense.T)
+    x = random_vector(h, 2)
+    assert rel_err(h @ x, want @ x) < 1e-12
+    assert rel_err(h.diagonal(), want.diagonal()) < 1e-12
 
 
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])
@@ -391,56 +400,48 @@ def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geo
     monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
     single = hessian(cfg, mesh, current)
     assert np.array_equal(single.toarray(), single.toarray().T)
-    assert np.array_equal(single.indptr, default.indptr)
-    assert np.array_equal(single.indices, default.indices)
-    atol = 1e-13 * np.abs(default.data).max()
-    assert np.allclose(single.data, default.data, rtol=1e-13, atol=atol)
+    assert np.array_equal(single.dofs, default.dofs)
+    atol = 1e-13 * np.abs(default.blocks).max()
+    assert np.allclose(single.blocks, default.blocks, rtol=1e-13, atol=atol)
 
 
-def unique_plan_pattern(cfg, mesh, h_sigma):
-    """(indptr, indices) of the masked Hessian from np.unique over every
-    element-block and penalty entry, plus the fixed diagonal."""
-    ndof = mesh.dim * mesh.num_nodes
-    mask = cfg.fixed_mask
-    dof = np.arange(mesh.dim) * mesh.num_nodes + mesh.connectivity.T[:, :, None]
-    blocks = np.broadcast_arrays(
-        dof[:, :, :, None, None], dof.transpose(1, 2, 0)[None, :, None]
+def scipy_entries(h, magnitude=False):
+    """The operator's stored entries (or their moduli) as an unsummed scipy
+    COO matrix with the fixed rows and columns replaced by identity ones."""
+    rows = np.broadcast_to(h.dofs[:, :, None], h.blocks.shape).ravel()
+    cols = np.broadcast_to(h.dofs[:, None, :], h.blocks.shape).ravel()
+    data = [h.blocks.ravel()]
+    if h.penalty is not None:
+        rows, cols = np.concatenate([rows, h.penalty.row]), np.concatenate([cols, h.penalty.col])
+        data.append(h.penalty.data)
+    data = np.abs(np.concatenate(data)) if magnitude else np.concatenate(data)
+    keep = ~(h.fixed[rows] | h.fixed[cols])
+    fixed = np.flatnonzero(h.fixed)
+    return sp.coo_matrix(
+        (
+            np.concatenate([data[keep], np.ones(len(fixed))]),
+            (np.concatenate([rows[keep], fixed]), np.concatenate([cols[keep], fixed])),
+        ),
+        shape=h.shape,
     )
-    rows = np.concatenate([blocks[0].ravel(), h_sigma.row])
-    cols = np.concatenate([blocks[1].ravel(), h_sigma.col])
-    kept = ~(mask[rows] | mask[cols])
-    fixed = np.flatnonzero(mask)
-    pattern = np.unique(np.concatenate([(rows * ndof + cols)[kept], fixed * (ndof + 1)]))
-    row, col = np.divmod(pattern, ndof)
-    return np.searchsorted(row, np.arange(ndof + 1)), col
-
-
-@pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
-def test_plan_pattern_matches_unique_over_all_entries(geometry):
-    cfg, mesh, current = plan_config(geometry)
-    h = hessian(cfg, mesh, current)
-    h_sigma = penalty_hessian(cfg.penalty, cfg.marked, mesh, current, cfg.targets)
-    indptr, indices = unique_plan_pattern(cfg, mesh, h_sigma)
-    assert np.array_equal(h.indptr, indptr)
-    assert np.array_equal(h.indices, indices)
 
 
 @pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
 def test_csr_hessian_matches_scipy_conversion(geometry):
     cfg, mesh, current = plan_config(geometry)
     h = hessian(cfg, mesh, current)
-    ref = sp.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)
-    assert h.indptr.dtype == h.indices.dtype == np.intp
-    assert h.nnz == ref.nnz and h.shape == ref.shape
-    # Every row stores its diagonal entry, which the row-wise sums need.
-    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    assert np.count_nonzero(rows == h.indices) == h.shape[0]
-    assert np.array_equal(h.toarray(), ref.toarray())
-    abs_sums = np.asarray(abs(ref).sum(axis=1)).ravel()
-    assert np.allclose(h.abs_row_sums(), abs_sums, rtol=1e-14, atol=0.0)
-    x = np.random.default_rng(6).standard_normal(h.shape[0])
-    scale = abs(ref) @ np.abs(x)
-    assert np.all(np.abs(h @ x - ref @ x) <= 1e-14 * scale)
+    ref = scipy_entries(h).tocsr()
+    assert isinstance(h.nnz, int)
+    assert h.nnz == h.blocks.size + len(h.penalty.data)
+    assert h.shape == ref.shape == (mesh.dim * mesh.num_nodes,) * 2
+    # Sums in another order: rounding bounded by the sums of |entries|.
+    # (scipy's abs() would sum the duplicates first.)
+    magnitude = scipy_entries(h, magnitude=True)
+    bound = 1e-14 * magnitude.toarray()
+    assert np.all(np.abs(h.toarray() - ref.toarray()) <= bound)
+    assert np.all(np.abs(h.diagonal() - ref.diagonal()) <= bound.diagonal())
+    x = random_vector(h, 6)
+    assert np.all(np.abs(h @ x - ref @ x) <= 1e-14 * (magnitude @ np.abs(x)))
 
 
 def test_hessian_stores_the_diagonal_of_a_node_in_no_element():
@@ -451,14 +452,18 @@ def test_hessian_stores_the_diagonal_of_a_node_in_no_element():
     )
     nodes = NodeField.from_matrix(np.vstack([nodes.as_matrix(), [[0.5, 0.5]]]))
     cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
-    h = hessian(cfg, mesh, perturbed(mesh, nodes, seed=3))
-    rows = np.repeat(np.arange(h.shape[0]), np.diff(h.indptr))
-    assert np.count_nonzero(rows == h.indices) == h.shape[0]
-    # The unused node's rows hold only its own d x d block.
+    current = perturbed(mesh, nodes, seed=3)
+    h = hessian(cfg, mesh, current)
     unused = [mesh.num_nodes - 1, 2 * mesh.num_nodes - 1]
-    assert np.array_equal(np.diff(h.indptr)[unused], [2, 2])
-    x = np.random.default_rng(8).standard_normal(h.shape[0])
+    x = random_vector(h, 8)
+    # Nothing couples the unused node: zero rows, zero diagonal.
+    assert not np.any((h @ x)[unused])
+    assert not np.any(h.diagonal()[unused])
     assert np.allclose(h @ x, h.toarray() @ x, rtol=1e-14, atol=1e-14)
+    grad = gradient(cfg, mesh, current)
+    step = newton_step(h, grad)
+    assert step.kind == "newton" and np.all(np.isfinite(step.direction))
+    assert not np.any(step.direction[unused])
 
 
 def test_plan_follows_a_new_mask():
@@ -466,4 +471,8 @@ def test_plan_follows_a_new_mask():
     hessian(cfg, mesh, current)
     cfg.fixed_mask = boundary_fixed_mask(mesh)
     want = coo_reference_hessian(cfg, mesh, current)
-    assert rel_err(hessian(cfg, mesh, current).toarray(), want) < 1e-12
+    h = hessian(cfg, mesh, current)
+    assert rel_err(h.toarray(), want) < 1e-12
+    x = random_vector(h, 9)
+    assert rel_err(h @ x, want @ x) < 1e-12
+    assert rel_err(h.diagonal(), want.diagonal()) < 1e-12
