@@ -8,17 +8,14 @@ then optimize with the interface either fixed or weakly relaxed.
 """
 
 import json
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyMarkedSetError
-from .fields import ScalarField, project
+from .fields import project
 from .fitting import (
-    DiscreteLevelSet,
-    MarkedSet,
     attributes_from_sign,
     make_penalty,
     mark_interface_nodes,
@@ -29,7 +26,7 @@ from .mesh import make_cartesian, write_mesh
 from .objective import ObjectiveConfig, boundary_fixed_mask, fix_nodes
 from .quality import make_targets
 from .solver import SolverConfig, solve
-from .transfer import build_index, transfer_field
+from .transfer import transfer_field
 from .vtk import write_vtk
 
 
@@ -241,12 +238,9 @@ def run_case(case, out_dir=None):
         fixed_mask=mask,
     )
     scfg = SolverConfig(eps=case.eps, max_iterations=case.max_iterations)
-    t0 = time.time()
     final_nodes, report = solve(scfg, config, mesh, nodes)
-    wall = time.time() - t0
 
-    index0 = build_index(mesh, initial_nodes)
-    sigma_final = transfer_field(sigma0, initial_nodes, mesh, final_nodes, index0)
+    sigma_final = transfer_field(sigma0, initial_nodes, mesh, final_nodes)
     sigma_bar = restrict(sigma_final, marked)
     e_avg, e_max = compute_E(sigma_bar, marked)
     e_s = None
@@ -266,7 +260,7 @@ def run_case(case, out_dir=None):
         e_avg=e_avg,
         e_max=e_max,
         iterations=report.iterations,
-        wall_time_s=wall,
+        wall_time_s=report.wall_time,
         converged=report.reason == "converged",
         reason=report.reason,
     )

@@ -1,12 +1,27 @@
 """Command-line driver: run cases, check derivatives, inspect meshes."""
 
 import argparse
+import math
 import sys
-
-import numpy as np
 
 from .cases import CASE_DEFAULTS, named_case, run_case
 from .mesh import is_valid, read_mesh
+from .quality import METRIC_IDS
+
+
+def _at_least(minimum, kind):
+    """argparse type: a finite `kind` value >= minimum."""
+
+    def parse(text):
+        value = kind(text)  # argparse reports a ValueError as an invalid value
+        if not (math.isfinite(value) and value >= minimum):
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} >= {minimum}, got {text!r}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def _cmd_run(args):
@@ -74,15 +89,15 @@ def build_parser():
 
     p_run = sub.add_parser("run", help="run a named test case")
     p_run.add_argument("case", choices=sorted(CASE_DEFAULTS))
-    p_run.add_argument("--res", type=int, default=None, help="cells per axis")
-    p_run.add_argument("--order", type=int, default=None, help="mesh order")
-    p_run.add_argument("--wsigma", type=float, default=None, help="fitting weight")
-    p_run.add_argument("--metric", default=None, help="quality metric id")
+    p_run.add_argument("--res", type=_at_least(1, int), help="cells per axis")
+    p_run.add_argument("--order", type=_at_least(1, int), help="mesh order")
+    p_run.add_argument("--wsigma", type=_at_least(0, float), help="fitting weight")
+    p_run.add_argument("--metric", choices=METRIC_IDS, help="quality metric id")
     p_run.add_argument(
         "--mode", choices=("fixed", "relax"), default=None,
         help="interface treatment for relaxation cases",
     )
-    p_run.add_argument("--max-iter", type=int, default=None)
+    p_run.add_argument("--max-iter", type=_at_least(1, int))
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.set_defaults(func=_cmd_run)
 

@@ -5,10 +5,6 @@ class TmopFitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class OutOfDomainError(TmopFitError):
-    """A reference point lies outside the reference element."""
-
-
 class InvalidMeshError(TmopFitError):
     """A mesh is structurally unusable (e.g. nonpositive Jacobians)."""
 

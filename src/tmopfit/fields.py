@@ -5,12 +5,13 @@ node i.  The level-set function sigma and its derived gradient/Hessian
 fields are all represented this way.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularJacobianError
-from .mesh import element_node_coords
+
+_HESSIAN_STEP = 1e-6  # central-difference step of AnalyticLevelSet.hessians
 
 
 @dataclass
@@ -52,7 +53,7 @@ class AnalyticLevelSet:
     def gradients(self, points):
         return np.asarray(self.grad_fn(np.atleast_2d(points)), dtype=float)
 
-    def hessians(self, points, step=1e-6):
+    def hessians(self, points):
         """Second derivatives; central differences of the gradient if no
         closed form was supplied."""
         points = np.atleast_2d(points)
@@ -62,10 +63,10 @@ class AnalyticLevelSet:
         hess = np.zeros((n, d, d))
         for a in range(d):
             shift = np.zeros(d)
-            shift[a] = step
+            shift[a] = _HESSIAN_STEP
             gp = self.gradients(points + shift)
             gm = self.gradients(points - shift)
-            hess[:, :, a] = (gp - gm) / (2.0 * step)
+            hess[:, :, a] = (gp - gm) / (2.0 * _HESSIAN_STEP)
         return 0.5 * (hess + hess.transpose(0, 2, 1))
 
 
@@ -73,32 +74,6 @@ def project(analytic, mesh, node_field):
     """Nodal interpolation of an analytic function onto the mesh basis."""
     values = analytic.values(node_field.as_matrix())
     return ScalarField(mesh, values)
-
-
-def eval_field(field, node_field, element_id, ref_point):
-    """Field value at a reference point of an element."""
-    vals = field.mesh.basis.eval(np.atleast_2d(ref_point))[0]
-    return float(vals @ field.coefficients[field.mesh.connectivity[element_id]])
-
-
-def eval_field_grad(field, node_field, element_id, ref_point):
-    """Physical gradient A^{-T} grad_ref at a reference point."""
-    mesh = field.mesh
-    coords = element_node_coords(mesh, node_field, element_id)
-    _, grads = mesh.basis.eval_with_grad(np.atleast_2d(ref_point))
-    a = coords.T @ grads[0]
-    _check_not_singular(a, element_id)
-    ref_grad = grads[0].T @ field.coefficients[mesh.connectivity[element_id]]
-    return np.linalg.solve(a.T, ref_grad)
-
-
-def _check_not_singular(a, element_id):
-    det = np.linalg.det(a)
-    scale = max(np.linalg.norm(a) / np.sqrt(a.shape[0]), 1e-30) ** a.shape[0]
-    if abs(det) <= 1e-14 * scale:
-        raise SingularJacobianError(
-            f"singular Jacobian (det {det:.3e}) in element {element_id}"
-        )
 
 
 def nodal_physical_gradients(field, node_field):
@@ -109,22 +84,29 @@ def nodal_physical_gradients(field, node_field):
     gradients; contributions are arithmetic-averaged.
     """
     mesh = field.mesh
-    basis = mesh.basis
-    _, ref_grads = basis.eval_with_grad(basis.nodes)  # (N_w, N_w, d)
-    pts = node_field.as_matrix()
-    out = np.zeros((mesh.num_nodes, mesh.dim))
-    counts = np.zeros(mesh.num_nodes)
-    for e in range(mesh.num_elements):
-        conn = mesh.connectivity[e]
-        coords = pts[conn]
-        coeff = field.coefficients[conn]
-        for loc in range(len(conn)):
-            a = coords.T @ ref_grads[loc]
-            _check_not_singular(a, e)
-            g = np.linalg.solve(a.T, ref_grads[loc].T @ coeff)
-            out[conn[loc]] += g
-            counts[conn[loc]] += 1
-    return out / counts[:, None]
+    basis, conn, dim = mesh.basis, mesh.connectivity, mesh.dim
+    _, ref_grads = basis.eval_with_grad(basis.nodes)  # (N, N, dim)
+    # Per element e and local node l, the columns of m[e, l] are A^T (the
+    # transposed element Jacobian at the node) and the reference gradient
+    # of the field there.
+    values = np.concatenate(
+        [node_field.as_matrix()[conn], field.coefficients[conn][..., None]], axis=2
+    )
+    m = np.einsum("lkb,ekc->elbc", ref_grads, values)
+    jac_t = m[..., :dim]
+    det = np.linalg.det(jac_t)
+    scale = np.maximum(np.linalg.norm(jac_t, axis=(2, 3)) / np.sqrt(dim), 1e-30) ** dim
+    singular = np.argwhere(np.abs(det) <= 1e-14 * scale)
+    if len(singular):
+        e, loc = singular[0]
+        raise SingularJacobianError(
+            f"singular Jacobian (det {det[e, loc]:.3e}) in element {e}"
+        )
+    grads = np.linalg.solve(jac_t, m[..., dim:])[..., 0]  # (E, N, dim)
+    slots = (conn[..., None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(slots, grads.ravel(), mesh.num_nodes * dim)
+    counts = np.bincount(conn.ravel(), minlength=mesh.num_nodes)
+    return sums.reshape(-1, dim) / counts[:, None]
 
 
 def discrete_gradient(field, node_field):

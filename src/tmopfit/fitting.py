@@ -47,9 +47,6 @@ class MarkedSet:
     def __len__(self):
         return len(self.indices)
 
-    def __contains__(self, i):
-        return bool(np.isin(i, self.indices))
-
 
 def mark_interface_nodes(mesh, mode, sigma=None):
     """Select the nodes to constrain onto the zero level set.

@@ -15,10 +15,8 @@ from .errors import InvalidMeshError, MeshParseError
 from .reference import (
     GEOMETRY_DIM,
     REFERENCE_FACES,
-    REFERENCE_MEASURE,
     corner_local_indices,
     face_node_indices,
-    gauss_lobatto_nodes,
     quadrature_for,
     quadrature_tables,
     reference_element,
@@ -80,14 +78,6 @@ class Mesh:
     def basis(self):
         return self.reference.basis
 
-    def node_elements(self):
-        """For each node, list of (element id, local node id) pairs."""
-        adj = [[] for _ in range(self.num_nodes)]
-        for e, conn in enumerate(self.connectivity):
-            for loc, n in enumerate(conn):
-                adj[n].append((e, loc))
-        return adj
-
     def face_map(self):
         """Map from face key (sorted corner node ids) to incident elements.
 
@@ -132,53 +122,6 @@ class NodeField:
 
     def copy(self):
         return NodeField(self.dim, self.num_nodes, self.coords.copy())
-
-
-@dataclass
-class ElementJacobian:
-    """Jacobian matrix A of the reference-to-physical map at one point."""
-
-    matrix: np.ndarray
-    det: float
-
-
-def element_node_coords(mesh, node_field, element_id):
-    """Coordinates of one element's nodes, shape (nodes_per_element, dim)."""
-    if element_id < 0 or element_id >= mesh.num_elements:
-        raise ValueError(f"invalid element id {element_id}")
-    return node_field.as_matrix()[mesh.connectivity[element_id]]
-
-
-def element_position(mesh, node_field, element_id, ref_point):
-    """Physical image of a reference point under the element map."""
-    coords = element_node_coords(mesh, node_field, element_id)
-    vals = mesh.basis.eval(np.atleast_2d(ref_point))[0]
-    return vals @ coords
-
-
-def element_jacobian(mesh, node_field, element_id, ref_point):
-    """Jacobian of the element map at a reference point."""
-    coords = element_node_coords(mesh, node_field, element_id)
-    _, grads = mesh.basis.eval_with_grad(np.atleast_2d(ref_point))
-    a = coords.T @ grads[0]
-    return ElementJacobian(a, float(np.linalg.det(a)))
-
-
-def element_jacobians(mesh, node_field, element_id, ref_grads):
-    """Jacobians at many reference points from precomputed basis gradients.
-
-    Parameters
-    ----------
-    ref_grads : ndarray, shape (n_points, nodes_per_element, dim)
-
-    Returns
-    -------
-    mats : ndarray, shape (n_points, dim, dim)
-    dets : ndarray, shape (n_points,)
-    """
-    coords = element_node_coords(mesh, node_field, element_id)
-    mats = np.einsum("id,qib->qdb", coords, ref_grads)
-    return mats, np.linalg.det(mats)
 
 
 def element_chunks(mesh):
@@ -244,11 +187,6 @@ def is_valid(mesh, node_field):
         for chunk in element_chunks(mesh)
     )
     return bool(min_det > 0.0), float(min_det)
-
-
-def domain_volume(mesh, node_field):
-    """Total volume: sum over elements of the Jacobian-weighted quadrature."""
-    return float(element_volumes(mesh, node_field).sum())
 
 
 def element_volumes(mesh, node_field):

@@ -11,8 +11,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfDomainError
-
 GEOMETRIES = ("segment", "triangle", "quad", "tet", "hex")
 
 GEOMETRY_DIM = {"segment": 1, "triangle": 2, "quad": 2, "tet": 3, "hex": 3}
@@ -340,13 +338,6 @@ class NodalBasis:
         grads = np.einsum("nmd,mj->njd", mono_grads, self._vinv)
         return vals, grads
 
-    def contains(self, point, tol=1e-10):
-        """True if a reference point is inside the element within tol."""
-        p = np.asarray(point, dtype=float)
-        if self.geometry in _TENSOR:
-            return bool(np.all(p >= -tol) and np.all(p <= 1.0 + tol))
-        return bool(np.all(p >= -tol) and p.sum() <= 1.0 + tol)
-
     def clamp(self, points):
         """Project reference points, shape (dim,) or (n, dim), onto the
         reference element."""
@@ -382,33 +373,12 @@ class ReferenceElement:
     def num_nodes(self):
         return self.basis.num_nodes
 
-    @property
-    def measure(self):
-        return REFERENCE_MEASURE[self.geometry]
-
 
 @lru_cache(maxsize=None)
 def reference_element(geometry, order):
     """Shared, immutable reference element for (geometry, order)."""
     basis = NodalBasis(geometry, order)
     return ReferenceElement(geometry, basis.dim, order, basis)
-
-
-def eval_basis(basis, ref_point, tol=1e-10):
-    """Basis values and reference gradients at a single reference point.
-
-    Raises
-    ------
-    OutOfDomainError
-        If the point lies outside the reference element beyond tol.
-    """
-    point = np.asarray(ref_point, dtype=float)
-    if not basis.contains(point, tol=tol):
-        raise OutOfDomainError(
-            f"point {point} outside reference {basis.geometry}"
-        )
-    vals, grads = basis.eval_with_grad(point[None, :])
-    return vals[0], grads[0]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ points and strictly decreasing F.  Convergence is declared on
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .objective import gradient, hessian, value
 
 @dataclass
 class SolverConfig:
-    """Settings of solve.
+    """Settings of solve: the convergence tolerance eps and the iteration
+    cap.  The other attributes are class constants, the same for every
+    solve.
 
     minres_tol is the rtol of minres: MINRES stops once |r| / (|A| |x|)
     <= minres_tol (its test1, or |A r| / (|A| |r|) <= minres_tol, test2),
@@ -38,18 +40,17 @@ class SolverConfig:
     """
 
     eps: float = 1e-6
-    eps_abs: float = 1e-12  # numerical-zero floor for |grad F(x0)| = 0
     max_iterations: int = 100
-    minres_tol: float = 1e-8
-    minres_max_iterations: int = 500
-    backtrack_factor: float = 0.5
-    max_halvings: int = 20
+
+    eps_abs: ClassVar[float] = 1e-12  # numerical-zero floor for |grad F(x0)| = 0
+    minres_tol: ClassVar[float] = 1e-8
+    minres_max_iterations: ClassVar[int] = 500
+    backtrack_factor: ClassVar[float] = 0.5
+    max_halvings: ClassVar[int] = 20
 
     def __post_init__(self):
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack factor must be in (0, 1)")
 
 
 @dataclass

@@ -21,6 +21,7 @@ from .reference import quadrature_for
 
 ACCEPT_TOL = 1e-10  # residual / domain size for an interior point
 PROJECT_TOL = 1e-8  # residual / domain size for a boundary projection
+_INFLATE = 0.1  # element bounding boxes grow by this fraction of their size
 _MAX_ITER = 50
 _MAX_HALVINGS = 12
 _CHUNK = 8192  # (point, element) pairs per Newton batch; bounds memory
@@ -82,14 +83,14 @@ def _ragged_arange(counts):
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def build_index(mesh, node_field, inflate=0.1):
+def build_index(mesh, node_field):
     """Bounding boxes from node and quadrature-point images, inflated."""
     quad = quadrature_for(mesh.geometry, mesh.order)
     coords = node_field.as_matrix()[mesh.connectivity]  # (E, K, dim)
     images = np.einsum("qk,ekd->eqd", mesh.basis.eval(quad.points), coords)
     samples = np.concatenate([coords, images], axis=1)
     lo, hi = samples.min(axis=1), samples.max(axis=1)
-    pad = inflate * np.maximum(hi - lo, 1e-12)
+    pad = _INFLATE * np.maximum(hi - lo, 1e-12)
     boxes = np.stack([lo - pad, hi + pad], axis=1)
     grid_lo = boxes[:, 0, :].min(axis=0)
     grid_hi = boxes[:, 1, :].max(axis=0)
@@ -248,13 +249,12 @@ def interpolate(field, node_field, index, points):
     return np.einsum("pk,pk->p", field.mesh.basis.eval(loc.ref), coeff)
 
 
-def transfer_field(sigma0, nodes0, current_mesh, current_nodes, index=None):
+def transfer_field(sigma0, nodes0, current_mesh, current_nodes):
     """Interpolate a field from its source mesh onto a current mesh.
 
     Coefficient i of the result is sigma0 evaluated at the position of
     current node i (nodal interpolation; the bases are interpolatory).
     """
-    if index is None:
-        index = build_index(sigma0.mesh, nodes0)
+    index = build_index(sigma0.mesh, nodes0)
     values = interpolate(sigma0, nodes0, index, current_nodes.as_matrix())
     return ScalarField(current_mesh, values)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +45,48 @@ def test_package_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def unused_imports(tree):
+    """Names a module imports at top level and never reads.  A read inside
+    a function whose parameter has the same name does not count."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, ast.Name) and node.id not in shadowed:
+            used.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            for child in args.defaults + args.kw_defaults + getattr(node, "decorator_list", []):
+                if child is not None:
+                    visit(child, shadowed)
+            params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            shadowed = shadowed | {p.arg for p in params if p is not None}
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for child in body:
+                visit(child, shadowed)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(tree, frozenset())
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_package_has_no_unused_imports():
+    # Neither pyflakes nor ruff is a dependency; this covers their F401.
+    package = Path(tmopfit.__file__).resolve().parent
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(package.glob("*.py"))
+        for line, name in unused_imports(ast.parse(path.read_text()))
+    ]
+    assert unused == []
+
+
 def test_traced_functions_exist():
     # The benchmark's traced runs wrap the functions named in TARGETS of
     # perfbench/tracing.py and leave out the per-layer metrics of any
@@ -65,12 +108,15 @@ def test_traced_functions_exist():
     assert missing == []
 
 
-def test_traced_results_expose_what_the_hooks_read():
-    # The trace hooks add hessian(...).nnz to a count and compare
-    # np.asarray(newton_step(...)) with -grad.
+def test_traced_results_expose_what_the_hooks_read(monkeypatch):
+    # The trace hooks add hessian(...).nnz to a count, compare
+    # np.asarray(newton_step(...)) with -grad, turn line_search's step into
+    # halvings with its seventh positional argument's backtrack_factor, and
+    # count transfer_field(...).coefficients.
+    import tmopfit.solver as solver
     from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, gradient, hessian
     from tmopfit.quality import make_targets
-    from tmopfit.solver import newton_step
+    from tmopfit.transfer import transfer_field
 
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     cfg = ObjectiveConfig(
@@ -82,10 +128,38 @@ def test_traced_results_expose_what_the_hooks_read():
     h = hessian(cfg, mesh, moved)
     assert isinstance(h.nnz, int) and h.nnz > 0
     grad = gradient(cfg, mesh, moved)
-    step = newton_step(h, grad)
+    step = solver.newton_step(h, grad)
     assert step.kind == "newton"
     assert np.array_equal(np.asarray(step), step.direction)
     assert not np.array_equal(np.asarray(step), -grad)
+
+    searches = []
+    original = solver.line_search
+
+    def recorded(*args):
+        searches.append((args, original(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(solver, "line_search", recorded)
+    solver.solve(solver.SolverConfig(), cfg, mesh, moved)
+    assert searches
+    for args, (alpha, _, _, halvings) in searches:
+        factor = args[6].backtrack_factor
+        assert round(math.log(alpha) / math.log(factor)) == halvings
+
+    sigma = ScalarField(mesh, np.arange(mesh.num_nodes, dtype=float))
+    assert len(transfer_field(sigma, nodes, mesh, moved).coefficients) == mesh.num_nodes
+
+
+@pytest.mark.parametrize(
+    "flag", [["--metric", "mu999"], ["--wsigma", "-1"], ["--res", "0"],
+             ["--order", "0"], ["--max-iter", "-3"]],
+)
+def test_cli_run_rejects_bad_arguments(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fit2d-quad", *flag])
+    assert exit_info.value.code == 2
+    assert flag[0] in capsys.readouterr().err
 
 
 def test_sphere_levelset_values():

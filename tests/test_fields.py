@@ -8,13 +8,13 @@ from tmopfit.fields import (
     AnalyticLevelSet,
     ScalarField,
     discrete_gradient,
-    eval_field,
-    eval_field_grad,
     nodal_physical_gradients,
     project,
 )
+from tmopfit.fitting import DiscreteLevelSet
 from tmopfit.levelsets import builtin_levelset
 from tmopfit.mesh import NodeField, make_cartesian
+from tmopfit.reference import GEOMETRY_DIM
 
 
 def linear_level_set(coeffs, offset):
@@ -76,40 +76,44 @@ def test_polynomial_reproduction(geometry, order):
 
     ls = AnalyticLevelSet("composite", dim, fn, lambda p: None)
     sigma = project(ls, mesh, nodes)
+    elements, refs = [], []
     for _ in range(100):
-        e = rng.integers(mesh.num_elements)
+        elements.append(rng.integers(mesh.num_elements))
         ref = rng.random(dim)
         if geometry in ("triangle", "tet"):
             ref *= 0.9 / max(1.0, ref.sum())
-        from tmopfit.mesh import element_position
-
-        phys = element_position(mesh, nodes, e, ref)
-        got = eval_field(sigma, nodes, e, ref)
-        assert abs(got - fn(phys[None, :])[0]) < 1e-12
+        refs.append(ref)
+    conn = mesh.connectivity[elements]
+    vals = mesh.basis.eval(np.array(refs))
+    phys = np.einsum("pk,pkd->pd", vals, nodes.as_matrix()[conn])
+    got = np.einsum("pk,pk->p", vals, sigma.coefficients[conn])
+    assert np.abs(got - fn(phys)).max() < 1e-12
 
 
 def test_eval_at_node_returns_coefficient():
     mesh, nodes = make_cartesian(2, 2, 3, "quad")
     rng = np.random.default_rng(9)
     sigma = ScalarField(mesh, rng.standard_normal(mesh.num_nodes))
-    e = 2
-    for loc, ref in enumerate(mesh.basis.nodes):
-        got = eval_field(sigma, nodes, e, ref)
-        assert abs(got - sigma.coefficients[mesh.connectivity[e][loc]]) < 1e-12
+    coeff = sigma.coefficients[mesh.connectivity[2]]
+    got = mesh.basis.eval(mesh.basis.nodes) @ coeff
+    assert np.abs(got - coeff).max() < 1e-12
 
 
 def test_gradient_of_linear_field():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     sigma = project(linear_level_set([1.0, 0.0], 0.0), mesh, nodes)
-    g = eval_field_grad(sigma, nodes, 4, (0.3, 0.8))
-    assert np.allclose(g, [1.0, 0.0], atol=1e-12)
+    # The image of reference point (0.3, 0.8) in element 4.
+    point = mesh.basis.eval([[0.3, 0.8]]) @ nodes.as_matrix()[mesh.connectivity[4]]
+    g = DiscreteLevelSet(sigma, nodes).gradients(point)
+    assert np.allclose(g, [[1.0, 0.0]], atol=1e-12)
 
 
 def test_quadratic_field_value_at_midpoint():
     mesh, nodes = make_cartesian(2, 1, 2, "quad")
     ls = AnalyticLevelSet("composite", 2, lambda p: p[:, 0] ** 2, lambda p: None)
     sigma = project(ls, mesh, nodes)
-    assert abs(eval_field(sigma, nodes, 0, (0.5, 0.5)) - 0.25) < 1e-13
+    got = mesh.basis.eval([[0.5, 0.5]])[0] @ sigma.coefficients[mesh.connectivity[0]]
+    assert abs(got - 0.25) < 1e-13
 
 
 def test_discrete_gradient_linear_exact():
@@ -171,6 +175,37 @@ def test_singular_jacobian_raises():
     collapsed = NodeField.from_matrix(mat)
     sigma = ScalarField(mesh, np.ones(mesh.num_nodes))
     with pytest.raises(SingularJacobianError):
-        eval_field_grad(sigma, collapsed, 0, (0.5, 0.5))
-    with pytest.raises(SingularJacobianError):
         nodal_physical_gradients(sigma, collapsed)
+
+
+def test_singular_jacobian_names_the_first_singular_element():
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    mat = nodes.as_matrix().copy()
+    # Corners (1, 0) and (1, 1) belong to elements 2 and 3 only; moved onto
+    # node (1, 0.5) they make both elements' Jacobians singular.
+    for corner in ([1.0, 0.0], [1.0, 1.0]):
+        mat[np.argmin(np.linalg.norm(mat - corner, axis=1))] = [1.0, 0.5]
+    sigma = ScalarField(mesh, np.ones(mesh.num_nodes))
+    with pytest.raises(SingularJacobianError, match="in element 2$"):
+        nodal_physical_gradients(sigma, NodeField.from_matrix(mat))
+
+
+@pytest.mark.parametrize("geometry,order", [("quad", 3), ("triangle", 3), ("hex", 2), ("tet", 2)])
+def test_nodal_physical_gradients_match_per_node_loop(geometry, order):
+    dim = GEOMETRY_DIM[geometry]
+    mesh, nodes = make_cartesian(dim, 2, order, geometry)
+    mat = nodes.as_matrix().copy()
+    mat[:, 0] += 0.03 * np.prod(np.sin(np.pi * mat), axis=1)  # curved elements
+    moved = NodeField.from_matrix(mat)
+    rng = np.random.default_rng(5)
+    sigma = ScalarField(mesh, rng.standard_normal(mesh.num_nodes))
+    _, ref_grads = mesh.basis.eval_with_grad(mesh.basis.nodes)
+    want, counts = np.zeros((mesh.num_nodes, dim)), np.zeros(mesh.num_nodes)
+    for conn in mesh.connectivity:
+        for loc, node in enumerate(conn):
+            a = mat[conn].T @ ref_grads[loc]
+            want[node] += np.linalg.solve(a.T, ref_grads[loc].T @ sigma.coefficients[conn])
+            counts[node] += 1
+    want /= counts[:, None]
+    got = nodal_physical_gradients(sigma, moved)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

@@ -71,12 +71,11 @@ def test_sigma_sign_marking_forms_closed_loop():
     # marked nodes hug the circle within one cell size
     assert np.all(np.abs(dist - 0.3) < 0.125 * np.sqrt(2.0))
     # each marked node's adjacent elements straddle the interface
-    adjacency = mesh.node_elements()
     from tmopfit.fitting import attributes_from_sign
 
     attrs = attributes_from_sign(mesh, sigma)
     for node in marked.indices:
-        touching = {attrs[e] for e, _ in adjacency[node]}
+        touching = set(attrs[np.nonzero(mesh.connectivity == node)[0]])
         assert len(touching) == 2
 
 
@@ -97,15 +96,12 @@ def test_restrict_single_node_is_scaled_basis_function():
     sigma = ScalarField(mesh, np.ones(mesh.num_nodes))
     j = 7
     sbar = restrict(sigma, MarkedSet(np.array([j])))
-    from tmopfit.fields import eval_field
-
     rng = np.random.default_rng(1)
-    adjacency = mesh.node_elements()
-    for e, loc in adjacency[j]:
+    for e, loc in zip(*np.nonzero(mesh.connectivity == j)):
         for _ in range(5):
             ref = rng.random(2)
             vals = mesh.basis.eval(ref[None, :])[0]
-            got = eval_field(sbar, nodes, e, ref)
+            got = vals @ sbar.coefficients[mesh.connectivity[e]]
             assert abs(got - vals[loc]) < 1e-13
 
 
@@ -346,17 +342,16 @@ def test_penalty_config_validation():
 
 def test_attributes_from_sign_match_per_element_loop():
     from tmopfit.cases import CASE_DEFAULTS
-    from tmopfit.fields import eval_field
 
     for case in CASE_DEFAULTS.values():
         mesh, nodes = make_cartesian(
             case.dim, case.resolution, case.order, case.geometry
         )
         sigma = project(builtin_levelset(case.levelset), mesh, nodes)
-        center = mesh.basis.center
+        center_vals = mesh.basis.eval(mesh.basis.center[None, :])[0]
         loop = [
-            1 if eval_field(sigma, None, e, center) < 0.0 else 2
-            for e in range(mesh.num_elements)
+            1 if center_vals @ sigma.coefficients[conn] < 0.0 else 2
+            for conn in mesh.connectivity
         ]
         attrs = attributes_from_sign(mesh, sigma)
         assert attrs.tolist() == loop

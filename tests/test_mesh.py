@@ -12,16 +12,14 @@ from tmopfit.mesh import (
     Mesh,
     NodeField,
     det_inv,
-    domain_volume,
-    element_jacobian,
-    element_jacobians,
-    element_position,
+    element_volumes,
     is_valid,
     make_cartesian,
+    quadrature_jacobians,
     read_mesh,
     write_mesh,
 )
-from tmopfit.reference import GEOMETRY_DIM, quadrature_for
+from tmopfit.reference import GEOMETRY_DIM
 
 
 @pytest.mark.parametrize("row", [[0, 1, 2, -1], [0, 1, 2, 4]])
@@ -32,42 +30,39 @@ def test_mesh_rejects_node_ids_out_of_range(row):
 
 def test_identity_map_position():
     mesh, nodes = make_cartesian(2, 1, 1, "quad")
-    assert np.allclose(element_position(mesh, nodes, 0, (0.3, 0.7)), (0.3, 0.7))
+    vals = mesh.basis.eval([[0.3, 0.7]])
+    assert np.allclose(vals @ nodes.as_matrix()[mesh.connectivity[0]], [[0.3, 0.7]])
 
 
 def test_position_at_reference_nodes_returns_stored_coordinates():
     mesh, nodes = make_cartesian(2, 2, 3, "quad")
     pts = nodes.as_matrix()
+    vals = mesh.basis.eval(mesh.basis.nodes)
     for e in (0, 3):
-        for loc, ref in enumerate(mesh.basis.nodes):
-            got = element_position(mesh, nodes, e, ref)
-            assert np.allclose(got, pts[mesh.connectivity[e][loc]], atol=1e-13)
+        got = vals @ pts[mesh.connectivity[e]]
+        assert np.allclose(got, pts[mesh.connectivity[e]], atol=1e-13)
 
 
 def test_bilinear_stretched_quad_midpoint():
     mesh, nodes = make_cartesian(2, 1, 1, "quad")
     # Lexicographic corners: (0,0), (1,0), (0,1), (1,1) -> stretch x by 2.
-    stretched = NodeField.from_matrix(
-        np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
-    )
-    assert np.allclose(
-        element_position(mesh, stretched, 0, (0.5, 0.5)), (1.0, 0.5)
-    )
+    stretched = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0], [2.0, 1.0]])
+    assert np.allclose(mesh.basis.eval([[0.5, 0.5]]) @ stretched, [[1.0, 0.5]])
 
 
 def test_identity_jacobian():
     mesh, nodes = make_cartesian(2, 1, 1, "quad")
-    jac = element_jacobian(mesh, nodes, 0, (0.4, 0.6))
-    assert np.allclose(jac.matrix, np.eye(2), atol=1e-14)
-    assert abs(jac.det - 1.0) < 1e-14
+    jac = quadrature_jacobians(mesh, nodes, [0])[:, 0]
+    assert np.allclose(jac, np.eye(2), atol=1e-14)
+    assert np.abs(np.linalg.det(jac) - 1.0).max() < 1e-14
 
 
 def test_scaled_jacobian():
     mesh, nodes = make_cartesian(2, 1, 1, "quad")
     scaled = NodeField.from_matrix(2.0 * nodes.as_matrix())
-    jac = element_jacobian(mesh, scaled, 0, (0.5, 0.5))
-    assert np.allclose(jac.matrix, 2.0 * np.eye(2), atol=1e-14)
-    assert abs(jac.det - 4.0) < 1e-13
+    jac = quadrature_jacobians(mesh, scaled, [0])[:, 0]
+    assert np.allclose(jac, 2.0 * np.eye(2), atol=1e-14)
+    assert np.abs(np.linalg.det(jac) - 4.0).max() < 1e-13
 
 
 def test_inverted_element_detected():
@@ -75,9 +70,7 @@ def test_inverted_element_detected():
     mat = nodes.as_matrix().copy()
     mat[[0, 1]] = mat[[1, 0]]  # swap two adjacent corners
     bad = NodeField.from_matrix(mat)
-    rule = quadrature_for("quad", 1)
-    _, grads = mesh.basis.eval_with_grad(rule.points)
-    _, dets = element_jacobians(mesh, bad, 0, grads)
+    dets = np.linalg.det(quadrature_jacobians(mesh, bad, [0]))
     assert dets.min() < 0.0
     ok, min_det = is_valid(mesh, bad)
     assert not ok and min_det < 0.0
@@ -145,7 +138,7 @@ def test_make_cartesian_8x8_order3():
 def test_make_cartesian_hex_volume():
     mesh, nodes = make_cartesian(3, 4, 2, "hex")
     assert mesh.num_elements == 64
-    assert abs(domain_volume(mesh, nodes) - 1.0) < 1e-12
+    assert abs(element_volumes(mesh, nodes).sum() - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("geometry,dim", [("triangle", 2), ("tet", 3)])
@@ -154,16 +147,13 @@ def test_simplex_split_counts_and_volume(geometry, dim):
     per_cell = 2 if geometry == "triangle" else 6
     assert mesh.num_elements == per_cell * 2**dim
     assert is_valid(mesh, nodes)[0]
-    assert abs(domain_volume(mesh, nodes) - 1.0) < 1e-12
+    assert abs(element_volumes(mesh, nodes).sum() - 1.0) < 1e-12
 
 
 def test_affine_jacobian_constant_across_quadrature():
     mesh, nodes = make_cartesian(2, 2, 3, "triangle")
-    rule = quadrature_for("triangle", 3)
-    _, grads = mesh.basis.eval_with_grad(rule.points)
-    for e in range(mesh.num_elements):
-        mats, _ = element_jacobians(mesh, nodes, e, grads)
-        assert np.abs(mats - mats[0]).max() < 1e-13
+    mats = quadrature_jacobians(mesh, nodes, slice(None))  # (Q, E, 2, 2)
+    assert np.abs(mats - mats[0]).max() < 1e-13
 
 
 def test_jacobian_linear_in_nodes():
@@ -171,18 +161,8 @@ def test_jacobian_linear_in_nodes():
     rng = np.random.default_rng(11)
     other = NodeField.from_matrix(rng.standard_normal(nodes.as_matrix().shape))
     both = NodeField.from_matrix(nodes.as_matrix() + other.as_matrix())
-    ref = mesh.basis.nodes[4][None, :]
-    _, grads = mesh.basis.eval_with_grad(ref)
-    j1, _ = element_jacobians(mesh, nodes, 1, grads)
-    j2, _ = element_jacobians(mesh, other, 1, grads)
-    j12, _ = element_jacobians(mesh, both, 1, grads)
+    j1, j2, j12 = (quadrature_jacobians(mesh, x, [1]) for x in (nodes, other, both))
     assert np.abs(j12 - (j1 + j2)).max() < 1e-13
-
-
-def test_invalid_element_id():
-    mesh, nodes = make_cartesian(2, 1, 1, "quad")
-    with pytest.raises(ValueError):
-        element_position(mesh, nodes, 5, (0.5, 0.5))
 
 
 def test_roundtrip(tmp_path):

@@ -215,13 +215,9 @@ def test_cartesian_quad_mesh_is_ideal_for_initial_size_targets():
     # so even the shape+size metric vanishes.
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
     tg = make_targets(mesh, nodes, "initial-size")
-    from tmopfit.mesh import element_jacobians
-    from tmopfit.reference import quadrature_for
+    from tmopfit.mesh import quadrature_jacobians
 
-    rule = quadrature_for("quad", 1)
-    _, grads = mesh.basis.eval_with_grad(rule.points)
-    mats, _ = element_jacobians(mesh, nodes, 0, grads)
-    t = mats @ tg.winv[0]
+    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ tg.winv[0]
     assert np.abs(metric_values("mu80", t)).max() < 1e-12
 
 
@@ -230,13 +226,9 @@ def test_cartesian_triangle_mesh_not_ideal_for_equilateral_targets():
     # deviation regardless of the size scaling.
     mesh, nodes = make_cartesian(2, 2, 1, "triangle")
     tg = make_targets(mesh, nodes, "initial-size")
-    from tmopfit.mesh import element_jacobians
-    from tmopfit.reference import quadrature_for
+    from tmopfit.mesh import quadrature_jacobians
 
-    rule = quadrature_for("triangle", 1)
-    _, grads = mesh.basis.eval_with_grad(rule.points)
-    mats, _ = element_jacobians(mesh, nodes, 0, grads)
-    t = mats @ tg.winv[0]
+    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ tg.winv[0]
     assert metric_values("mu58", t).min() > 0.1
 
 

