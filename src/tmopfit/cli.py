@@ -24,6 +24,11 @@ def _at_least(minimum, kind):
     return parse
 
 
+# Exit code of `tmopfit run` when the solve stops other than converged;
+# argparse exits 2 on a usage error.
+EXIT_NOT_CONVERGED = 3
+
+
 def _cmd_run(args):
     overrides = dict(
         resolution=args.res,
@@ -50,7 +55,7 @@ def _cmd_run(args):
     print(f"wall time     {r.wall_time_s:.1f} s")
     if args.out:
         print(f"outputs in    {args.out}")
-    return 0 if run.solve_report.reason == "converged" else 2
+    return 0 if run.solve_report.reason == "converged" else EXIT_NOT_CONVERGED
 
 
 def _cmd_check_gradients(args):
@@ -87,7 +92,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a named test case")
+    p_run = sub.add_parser(
+        "run", help="run a named test case",
+        description="Run a named test case.  Exits 0 when the solve converges, "
+        f"{EXIT_NOT_CONVERGED} when it stops otherwise (max-iter or "
+        "line-search-failure) and 2 on a usage error.",
+    )
     p_run.add_argument("case", choices=sorted(CASE_DEFAULTS))
     p_run.add_argument("--res", type=_at_least(1, int), help="cells per axis")
     p_run.add_argument("--order", type=_at_least(1, int), help="mesh order")

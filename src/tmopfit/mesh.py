@@ -22,7 +22,9 @@ from .reference import (
     reference_element,
 )
 
-_CHUNK_POINTS = 256  # quadrature points per element chunk of batched kernels
+# Values per element chunk of the batched kernels: d^2 per quadrature point
+# for T and dmu, d^4 for d2mu (256 points of a 3D Hessian).
+_CHUNK_VALUES = 256 * 81
 
 
 @dataclass
@@ -124,11 +126,12 @@ class NodeField:
         return NodeField(self.dim, self.num_nodes, self.coords.copy())
 
 
-def element_chunks(mesh):
-    """Slices of consecutive elements holding about _CHUNK_POINTS
-    quadrature points each (at least one element)."""
+def element_chunks(mesh, order):
+    """Slices of consecutive elements whose quadrature points carry about
+    _CHUNK_VALUES values each (at least one element) for derivatives of
+    the given order: d^2 per point up to order 1, d^4 at order 2."""
     num_points = quadrature_for(mesh.geometry, mesh.order).num_points
-    size = max(1, _CHUNK_POINTS // num_points)
+    size = max(1, _CHUNK_VALUES // (num_points * mesh.dim ** (2 * max(order, 1))))
     return [slice(s, s + size) for s in range(0, mesh.num_elements, size)]
 
 
@@ -184,7 +187,7 @@ def is_valid(mesh, node_field):
     """
     min_det = min(
         det_inv(quadrature_jacobians(mesh, node_field, chunk))[0].min()
-        for chunk in element_chunks(mesh)
+        for chunk in element_chunks(mesh, 0)
     )
     return bool(min_det > 0.0), float(min_det)
 
@@ -195,7 +198,7 @@ def element_volumes(mesh, node_field):
     return np.concatenate(
         [
             weights @ np.linalg.det(quadrature_jacobians(mesh, node_field, chunk))
-            for chunk in element_chunks(mesh)
+            for chunk in element_chunks(mesh, 0)
         ]
     )
 

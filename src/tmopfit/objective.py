@@ -2,17 +2,20 @@
 
 F_mu integrates the quality metric in target coordinates: the reference
 quadrature weights are multiplied by det W.  One kernel serves F, its
-gradient and its Hessian: elements are taken in chunks of about
-mesh._CHUNK_POINTS quadrature points, T = A W^{-1} is formed for the
-whole chunk with shape (Q, E_c, d, d), det T is checked with the
-closed-form mesh.det_inv, and the metric is evaluated once per chunk.
-dmu and d2mu arrive as points-first views of the points-last arrays of
-quality's jets; the first product with each reads through the view and
-writes the layout the next step needs.  W^{-1} and the weights w det W
-are folded into the metric derivatives (for the Hessian, one GEMM per
-element over the two contracted indices of T), so the reference-gradient
-table B (Q d x N, the same for every element) turns them into element
-gradients and element Hessians B^T D_e B with one GEMM per chunk.
+gradient and its Hessian: elements are taken in chunks sized by the
+derivative order (mesh.element_chunks: about mesh._CHUNK_VALUES values,
+d^2 per quadrature point for F and its gradient, d^4 for the Hessian),
+T = A W^{-1} is formed for the whole chunk with shape (Q, E_c, d, d), and
+the metric is evaluated once per chunk.  The metric's own det T check
+raises NonpositiveDeterminantError; only then is det T computed again,
+to name the first inverted element.  dmu and d2mu arrive as
+points-first views of quality's points-last arrays; the first product
+with each reads through the view and writes the layout the next step
+needs.  W^{-1} and the weights w det W are folded into the metric
+derivatives (for the Hessian, one GEMM per element over the two
+contracted indices of T), so the reference-gradient table B (Q d x N,
+the same for every element) turns them into element gradients and
+element Hessians B^T D_e B with one GEMM per chunk.
 Degrees of freedom flagged in the fixed-node mask are removed from the
 gradient and replaced by identity rows/columns in the Hessian.
 
@@ -56,19 +59,26 @@ class ObjectiveConfig:
         return self.penalty is not None and self.marked is not None
 
 
-def _chunks(config, mesh, node_field):
-    """Yield (elements, T) per element chunk, T = A W^{-1} of shape
-    (Q, E_c, d, d); raises NonpositiveDeterminantError naming the first
-    element with det T <= 0."""
+def _chunks(config, mesh, node_field, order):
+    """Yield (elements, metric) per element chunk: the metric's values at
+    order 0, else metric_batch's (values, dmu, d2mu) up to the order, at
+    T = A W^{-1} of shape (Q, E_c, d, d).  Raises
+    NonpositiveDeterminantError naming the first element with det T <= 0."""
     winv = config.targets.winv
-    for chunk in element_chunks(mesh):
+    for chunk in element_chunks(mesh, order):
         t = quadrature_jacobians(mesh, node_field, chunk) @ winv[chunk]
-        tau, _ = det_inv(t)
-        bad = np.flatnonzero((tau <= 0.0).any(axis=0))
-        if len(bad):
-            e = int(bad[0])
-            raise NonpositiveDeterminantError(chunk.start + e, float(tau[:, e].min()))
-        yield chunk, t
+        try:
+            if order == 0:
+                result = metric_values(config.metric_id, t, config.gamma)
+            else:
+                result = metric_batch(config.metric_id, t, config.gamma, order)
+        except NonpositiveDeterminantError:
+            tau, _ = det_inv(t)
+            e = int(np.flatnonzero((tau <= 0.0).any(axis=0))[0])
+            raise NonpositiveDeterminantError(
+                chunk.start + e, float(tau[:, e].min())
+            ) from None
+        yield chunk, result
 
 
 def _weights(config, mesh):
@@ -87,8 +97,7 @@ def value(config, mesh, node_field):
     """(F, F_mu, F_sigma)."""
     wdet = _weights(config, mesh)
     f_mu = 0.0
-    for chunk, t in _chunks(config, mesh, node_field):
-        vals = metric_values(config.metric_id, t, config.gamma)  # (Q, E_c)
+    for chunk, vals in _chunks(config, mesh, node_field, 0):  # vals (Q, E_c)
         f_mu += np.vdot(wdet[:, chunk], vals)
     f_sigma = 0.0
     if config.has_penalty:
@@ -106,8 +115,7 @@ def gradient(config, mesh, node_field):
     bt = _gemm_table(mesh)
     # local[i, e, a] = sum_q sum_b' B[(q, b'), i] P[q, b', e, a]
     local = np.empty((mesh.basis.num_nodes, mesh.num_elements, dim))
-    for chunk, t in _chunks(config, mesh, node_field):
-        _, dmu, _ = metric_batch(config.metric_id, t, config.gamma, order=1)
+    for chunk, (_, dmu, _) in _chunks(config, mesh, node_field, 1):
         # P[q, b', e, a] = w_q det W_e sum_c W^{-1}[e, b', c] dmu[q, e, a, c]
         p = np.einsum("qeac,ebc->qbea", dmu * wdet[:, chunk, None, None], winv[chunk])
         local[:, chunk] = (bt @ p.reshape(bt.shape[1], -1)).reshape(len(bt), -1, dim)
@@ -138,8 +146,7 @@ def hessian(config, mesh, node_field):
     winv2 = np.einsum("ebc,egf->ecfbg", winv, winv).reshape(-1, dim**2, dim**2)
     # blocks[e, (a, i), (b, j)]: row dof (a, i), column dof (b, j) of element e.
     blocks = np.empty((mesh.num_elements, dim * nw, dim * nw))
-    for chunk, t in _chunks(config, mesh, node_field):
-        _, _, d2mu = metric_batch(config.metric_id, t, config.gamma)
+    for chunk, (_, _, d2mu) in _chunks(config, mesh, node_field, 2):
         ne = len(d2mu[0])
         # D[q, b', e, a, b, c'] = w_q det W_e
         #   sum_{c, f} W^{-1}[e, b', c] d2mu[q, e, a, c, b, f] W^{-1}[e, c', f],

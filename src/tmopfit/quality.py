@@ -1,19 +1,20 @@
 """Target Jacobians and TMOP quality metrics with derivatives.
 
-Metrics are scalar functions of the weighted Jacobian T = A W^{-1}.
-Values, first derivatives dmu/dT and second derivatives d2mu/dT2 are
-computed analytically by composing a few matrix invariants (|T|^2, det T,
-|T^{-1}|^2, |T^t T|^2), each carried as a jet of order 0, 1 or 2.  Jets
-carry the points last: value (P,), d1 (d, d, P) and d2 (d, d, d, d, P),
-so every jet operation runs over rows of length P and outer products are
-plain broadcasts.  det T and T^{-1} come from the closed-form
-mesh.det_inv.  The invariants a metric needs are seeded once per batch,
-also for the blended metrics mu80 and mu333; metric_values is the
-order-0 jet.  metric_batch hands the derivatives back points first, as
-views of the points-last arrays.
+Metrics are scalar functions of invariants I_k of the weighted Jacobian
+T = A W^{-1}: |T|^2, det T, |T^{-1}|^2, |T^t T|^2 and, in 2D, the
+cancellation-free s = |T|^2 - 2 det T = (t00 - t11)^2 + (t01 + t10)^2.
+A metric gives its value and scalar partials f_k, f_kl (mu80 and mu333
+blend those of their parts), and the chain rule gives dmu = sum f_k dI_k
+and d2mu = sum f_kl dI_k (x) dI_l + sum f_k d2I_k.  All runs points last,
+T as (d, d, P).  Each invariant is seeded once per batch with value (P,),
+d1 (d, d, P) and d2 as factor pairs X (x) Y in the index patterns
+X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b] plus a constant part,
+never as a dense array; see _second_derivative.  metric_values is the
+order-0 path, with the same arithmetic as the values of metric_batch.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,75 +46,26 @@ IDEAL_TARGETS = {
 
 
 # ---------------------------------------------------------------------------
-# Jets of scalar functions of T, points last
+# Invariants and the chain rule, points last
 
 
-class _Jet:
-    """Scalar function of T with its derivatives up to the jet's order.
+class _Invariant(NamedTuple):
+    """Value (P,), d1 (d, d, P) and d2 of an invariant: factor pairs
+    (pattern, c, X, Y), each c X (x) Y, plus a constant (d, d, d, d) part."""
 
-    parts = (value, d1, d2)[: order + 1], points last.  A part may have
-    length 1 in P (a constant second derivative).
-    """
-
-    __slots__ = ("parts",)
-
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def __add__(self, other):
-        if np.isscalar(other):
-            return _Jet(self.parts[0] + other, *self.parts[1:])
-        return _Jet(*(u + v for u, v in zip(self.parts, other.parts)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if np.isscalar(other):
-            return _Jet(self.parts[0] - other, *self.parts[1:])
-        return _Jet(*(u - v for u, v in zip(self.parts, other.parts)))
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return _Jet(*(u * other for u in self.parts))
-        (u0, *u), (v0, *v) = self.parts, other.parts
-        parts = [u0 * v0]
-        if u:
-            parts.append(u0 * v[0] + v0 * u[0])
-        if len(u) > 1:
-            d2 = _outer(u[0], v[0])
-            d2 = d2 + d2.transpose(2, 3, 0, 1, 4)
-            d2 += u0 * v[1]
-            d2 += v0 * u[1]
-            parts.append(d2)
-        return _Jet(*parts)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self):
-        (u0, *u) = self.parts
-        inv = 1.0 / u0
-        parts = [inv]
-        if u:
-            parts.append(-inv**2 * u[0])
-        if len(u) > 1:
-            d2 = _outer(u[0], u[0])
-            d2 *= 2.0 * inv**3
-            d2 -= inv**2 * u[1]
-            parts.append(d2)
-        return _Jet(*parts)
-
-    def __truediv__(self, other):
-        if np.isscalar(other):
-            return self * (1.0 / other)
-        return self * other.reciprocal()
-
-    def squared(self):
-        return self * self
+    value: np.ndarray
+    d1: np.ndarray = None
+    pairs: tuple = ()
+    const: np.ndarray = None
 
 
-def _outer(x, y):
-    """(a, b, P) x (c, d, P) -> (a, b, c, d, P)."""
-    return x[:, :, None, None] * y[None, None]
+# Views of d2mu[a, b, c, f, p] in which a pattern is an outer product X Y.
+_PATTERNS = {"ab,cf": (0, 1, 2, 3, 4), "ac,bf": (0, 2, 1, 3, 4), "af,cb": (0, 3, 2, 1, 4)}
+
+
+def _sq(x):
+    """|X|^2 per point of a (d, d, P) array."""
+    return np.einsum("abp,abp->p", x, x)
 
 
 def _matmul(x, y):
@@ -122,92 +74,132 @@ def _matmul(x, y):
 
 
 def _seed_invariants(t, tau, k, names, order):
-    """Jets of |T|^2, det T, |T^{-1}|^2, |T^t T|^2 at points-last T
-    (d, d, P) with determinants tau (P,) and inverses k (d, d, P).
-
-    Returns {name: jet} for the requested names among "frob2", "det",
-    "invfrob2" and "ttfrob2", up to the given order (0, 1 or 2).  Second
-    derivatives are summed in place, so that few (d, d, d, d, P) arrays
-    are alive at once.
-    """
-    eye = np.eye(len(t))
-    kt, tt = k.transpose(1, 0, 2), t.transpose(1, 0, 2)
-    second = order >= 2
-    parts = {}
+    """{name: _Invariant} at T (d, d, P) with det tau (P,) and inverse k
+    (d, d, P): "det" and the names among "frob2" (|T|^2), "invfrob2"
+    (|T^{-1}|^2), "ttfrob2" (|T^t T|^2) and "s"; d2 pairs at order 2."""
+    d, second = len(t), order >= 2
+    kt = k.transpose(1, 0, 2)
+    d2frob2 = 2.0 * np.eye(d * d).reshape((d,) * 4)  # 2 delta_ac delta_bf
+    # d2 det = tau (K^t[a,b] K^t[c,f] - K^t[a,f] K^t[c,b])
+    dtau = tau * kt if order else None
+    det_pairs = (("ab,cf", 1.0, dtau, kt), ("af,cb", -tau, kt, kt)) if second else ()
+    inv = {"det": _Invariant(tau, dtau, det_pairs)}
     if "frob2" in names:
-        parts["frob2"] = [np.einsum("abp,abp->p", t, t), 2.0 * t]
-        if second:
-            parts["frob2"].append(2.0 * np.einsum("ac,bd->abcd", eye, eye)[..., None])
-    if "det" in names:
-        parts["det"] = [tau, tau * kt]
-        if second:
-            d2 = _outer(kt, kt)
-            d2 -= kt[:, None, None, :] * k[None, :, :, None]
-            d2 *= tau
-            parts["det"].append(d2)
+        inv["frob2"] = _Invariant(_sq(t), 2.0 * t if order else None, const=d2frob2)
+    if "s" in names:  # s = |T|^2 - 2 det T: d2s = d2|T|^2 - 2 d2 det
+        u, v = t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]
+        d1 = 2.0 * np.array([[u, v], [v, -u]]) if order else None
+        pairs = tuple((p, -2.0 * c, x, y) for p, c, x, y in det_pairs)
+        inv["s"] = _Invariant(u * u + v * v, d1, pairs, d2frob2)
     if "invfrob2" in names:
-        parts["invfrob2"] = [np.einsum("abp,abp->p", k, k)]
-        if order:
-            b = _matmul(kt, k)
-            m = _matmul(b, kt)
-            parts["invfrob2"].append(-2.0 * m)
-        if second:
-            d2 = kt[:, None, None, :] * m.transpose(1, 0, 2)[None, :, :, None]
-            d2 += b[:, None, :, None] * _matmul(k, kt)[None, :, None, :]
-            d2 += m[:, None, None, :] * k[None, :, :, None]
-            d2 *= 2.0
-            parts["invfrob2"].append(d2)
+        b = _matmul(kt, k) if order else None
+        m = _matmul(b, kt) if order else None  # K^t K K^t
+        pairs = (("af,cb", 2.0, kt, m), ("ac,bf", 2.0, b, _matmul(k, kt)),
+                 ("af,cb", 2.0, m, kt)) if second else ()
+        inv["invfrob2"] = _Invariant(_sq(k), -2.0 * m if order else None, pairs)
     if "ttfrob2" in names:
+        tt = t.transpose(1, 0, 2)
         gram = _matmul(tt, t)
-        parts["ttfrob2"] = [np.einsum("abp,abp->p", gram, gram), 4.0 * _matmul(t, gram)]
-        if second:
-            d2 = eye[:, None, :, None, None] * gram[None, :, None, :]
-            d2 += t[:, None, None, :] * tt[None, :, :, None]
-            d2 += eye[None, :, None, :, None] * _matmul(t, tt)[:, None, :, None]
-            d2 *= 4.0
-            parts["ttfrob2"].append(d2)
-    return {name: _Jet(*jet[: order + 1]) for name, jet in parts.items()}
+        eye = np.eye(d)[:, :, None]
+        pairs = (("ac,bf", 4.0, eye, gram), ("af,cb", 4.0, t, t),
+                 ("ac,bf", 4.0, _matmul(t, tt), eye)) if second else ()
+        inv["ttfrob2"] = _Invariant(_sq(gram), 4.0 * _matmul(t, gram) if order else None, pairs)
+    return inv
 
 
-# Invariants each unblended metric is composed of.
-_INVARIANTS = {
-    "mu2": ("frob2", "det"),
-    "mu58": ("frob2", "det", "ttfrob2"),
-    "mu77": ("det",),
-    "mu302": ("frob2", "invfrob2"),
-    "mu316": ("det",),
-}
+def _ratio(mu, x, r, tau, phi1, phi2):
+    """mu = phi(r), r = x / tau, with partials from phi'(r) and phi''(r)."""
+    inv2 = 1.0 / (tau * tau)
+    f = {x: phi1 / tau, "det": -phi1 * r / tau}
+    f2 = {(x, x): phi2 * inv2, (x, "det"): -(phi2 * r + phi1) * inv2,
+          ("det", "det"): (phi2 * r + 2.0 * phi1) * r * inv2}
+    return mu, f, f2
+
+
+def _mu2(v):
+    """|T|^2 / (2 tau) - 1; in 2D s / (2 tau), free of cancellation."""
+    x = "s" if "s" in v else "frob2"
+    r = v[x] / v["det"]
+    return _ratio(0.5 * r if x == "s" else 0.5 * r - 1.0, x, r, v["det"], 0.5, 0.0)
+
+
+def _mu58(v):
+    """|T^t T|^2 / tau^2 - 2 |T|^2 / tau + 2; in 2D (s / tau)^2 + 2 s / tau."""
+    tau = v["det"]
+    if "s" in v:
+        r = v["s"] / tau
+        return _ratio(r * (r + 2.0), "s", r, tau, 2.0 * r + 2.0, 2.0)
+    i4, i1, inv = v["ttfrob2"], v["frob2"], 1.0 / tau
+    inv2 = inv * inv
+    f = {"ttfrob2": inv2, "frob2": -2.0 * inv, "det": (2.0 * i1 - 2.0 * i4 * inv) * inv2}
+    f2 = {("ttfrob2", "det"): -2.0 * inv2 * inv, ("frob2", "det"): 2.0 * inv2,
+          ("det", "det"): (6.0 * i4 * inv - 4.0 * i1) * inv2 * inv}
+    return i4 * inv * inv - 2.0 * (i1 * inv) + 2.0, f, f2
+
+
+def _mu77(v):
+    """(tau - 1/tau)^2 / 2."""
+    inv = 1.0 / v["det"]
+    u, du = v["det"] - inv, 1.0 + inv * inv
+    return 0.5 * (u * u), {"det": u * du}, {("det", "det"): du * du - 2.0 * u * inv**3}
+
+
+def _mu302(v):
+    """|T|^2 |T^{-1}|^2 / 9 - 1."""
+    i1, i3 = v["frob2"], v["invfrob2"]
+    f = {"frob2": i3 / 9.0, "invfrob2": i1 / 9.0}
+    return i1 * i3 / 9.0 - 1.0, f, {("frob2", "invfrob2"): 1.0 / 9.0}
+
+
+def _mu316(v):
+    """(tau + 1/tau) / 2 - 1."""
+    inv = 1.0 / v["det"]
+    return 0.5 * (v["det"] + inv) - 1.0, {"det": 0.5 - 0.5 * inv * inv}, {("det", "det"): inv**3}
+
+
+# Each metric maps the invariant values {name: (P,)} to its value and its
+# partials: (mu, {k: f_k}, {(k, l): f_kl}), each unordered pair k, l once.
+_METRICS = {"mu2": _mu2, "mu58": _mu58, "mu77": _mu77, "mu302": _mu302, "mu316": _mu316}
+
+# Invariants of each unblended metric; in 2D s replaces |T|^2 and |T^t T|^2.
+_INVARIANTS = {"mu2": ("frob2", "det"), "mu58": ("frob2", "det", "ttfrob2"),
+               "mu77": ("det",), "mu302": ("frob2", "invfrob2"), "mu316": ("det",)}
+_INVARIANTS_2D = {**_INVARIANTS, "mu2": ("s", "det"), "mu58": ("s", "det")}
 
 # Blended metrics: (1 - gamma) * first + gamma * second.
 _BLENDS = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
 
 
-def _compose(metric_id, inv):
-    """Jet of an unblended metric from its seeded invariant jets."""
-    if metric_id == "mu2":
-        return 0.5 * (inv["frob2"] / inv["det"]) - 1.0
-    if metric_id == "mu58":
-        inv_det = inv["det"].reciprocal()
-        frob2, ttfrob2 = inv["frob2"], inv["ttfrob2"]
-        return ttfrob2 * inv_det.squared() - 2.0 * (frob2 * inv_det) + 2.0
-    if metric_id == "mu77":
-        det = inv["det"]
-        return 0.5 * (det - det.reciprocal()).squared()
-    if metric_id == "mu302":
-        return (inv["frob2"] * inv["invfrob2"]) / 9.0 - 1.0
-    det = inv["det"]  # mu316
-    return 0.5 * (det + det.reciprocal()) - 1.0
+def _second_derivative(inv, f, f2, shape):
+    """d2mu (d, d, d, d, P) at T of shape (d, d, P): the outer products as
+    dI_k (x) h_k, h_k = sum_l f_kl dI_l, and the pairs, with the terms of a
+    pattern that share X merged into X (x) sum c Y, one broadcast product
+    each into the pattern's view; constant parts on their nonzeros only."""
+    pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
+             for i, j in dict.fromkeys([(k, l), (l, k)])]
+    pairs += [(pattern, c * f[k], x, y) for k in f for pattern, c, x, y in inv[k].pairs]
+    terms = {}  # (pattern, id(X)) -> [pattern, X, sum of c Y]
+    for pattern, c, x, y in pairs:
+        term = terms.setdefault((pattern, id(x)), [pattern, x, 0.0])
+        term[2] = term[2] + c * y
+    d2, scratch = np.zeros(shape[:2] + shape), np.empty(shape[:2] + shape)
+    for pattern, x, y in terms.values():
+        view = d2.transpose(_PATTERNS[pattern])
+        view += np.multiply(x[:, :, None, None], y[None, None], out=scratch)
+    flat = d2.reshape(-1, shape[-1])
+    for k, fk in f.items():
+        if inv[k].const is not None:
+            rows = np.flatnonzero(inv[k].const)
+            flat[rows] += inv[k].const.ravel()[rows, None] * fk
+    return d2
 
 
-def _metric_jet(metric_id, t, gamma, order):
-    """Parts of the metric's jet at T of shape (..., d, d), points first:
-    (...,), (..., d, d) and (..., d, d, d, d), up to the given order.
-
-    The jet itself is computed points last; d1 and d2 come back as
-    views.  Raises NonpositiveDeterminantError if any det T <= 0.
-    """
+def _metric_derivatives(metric_id, t, gamma, order):
+    """Value, dmu and d2mu at T (..., d, d) up to the given order, as
+    points-first views (...,), (..., d, d), (..., d, d, d, d) of the
+    points-last arrays.  Raises NonpositiveDeterminantError if det T <= 0."""
     parts = _BLENDS.get(metric_id, (metric_id,))
-    if not all(part in _INVARIANTS for part in parts):
+    if not all(part in _METRICS for part in parts):
         raise ValueError(f"unknown metric id {metric_id!r}")
     t = np.asarray(t, dtype=float)
     batch, d = t.shape[:-2], t.shape[-1]
@@ -215,14 +207,21 @@ def _metric_jet(metric_id, t, gamma, order):
     tau, k = det_inv(np.moveaxis(t, (0, 1), (-2, -1)))
     if np.any(tau <= 0.0):
         raise NonpositiveDeterminantError(None, float(tau.min()))
-    names = {name for part in parts for name in _INVARIANTS[part]}
+    names = {n for p in parts for n in (_INVARIANTS_2D if d == 2 else _INVARIANTS)[p]}
     inv = _seed_invariants(t, tau, np.moveaxis(k, (-2, -1), (0, 1)), names, order)
-    if len(parts) == 1:
-        jet = _compose(metric_id, inv)
-    else:
-        first, second = (_compose(part, inv) for part in parts)
-        jet = (1.0 - gamma) * first + gamma * second
-    return [np.moveaxis(u, -1, 0).reshape(batch + u.shape[:-1]) for u in jet.parts]
+    values = {name: i.value for name, i in inv.items()}
+    mu, f, f2 = 0.0, {}, {}
+    for part, weight in zip(parts, (1.0 - gamma, gamma) if len(parts) > 1 else (1.0,)):
+        part_mu, *partials = _METRICS[part](values)
+        mu = mu + weight * part_mu
+        for total, part_f in zip((f, f2), partials):
+            total.update({k: total.get(k, 0.0) + weight * v for k, v in part_f.items()})
+    out = [mu]
+    if order:
+        out.append(sum(fk * inv[k].d1 for k, fk in f.items()))
+    if order > 1:
+        out.append(_second_derivative(inv, f, f2, t.shape))
+    return [np.moveaxis(u, -1, 0).reshape(batch + u.shape[:-1]) for u in out]
 
 
 @dataclass
@@ -241,7 +240,7 @@ def metric_batch(metric_id, t, gamma=0.5, order=2):
     (..., d, d, d, d); d2mu is None when order=1.  Raises
     NonpositiveDeterminantError if any det T <= 0.
     """
-    values, dmu, *d2mu = _metric_jet(metric_id, t, gamma, order)
+    values, dmu, *d2mu = _metric_derivatives(metric_id, t, gamma, order)
     return values, dmu, d2mu[0] if d2mu else None
 
 
@@ -254,9 +253,9 @@ def metric(metric_id, t, gamma=0.5):
 
 
 def metric_values(metric_id, t, gamma=0.5):
-    """Metric values only (the order-0 jet) on batched T; the line
+    """Metric values only (the order-0 path) on batched T; the line
     search's objective evaluations take this path."""
-    return _metric_jet(metric_id, t, gamma, 0)[0]
+    return _metric_derivatives(metric_id, t, gamma, 0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,19 @@ def test_cli_run_rejects_bad_arguments(flag, capsys):
     assert flag[0] in capsys.readouterr().err
 
 
+def test_cli_run_exit_codes_tell_non_convergence_from_usage_errors(capsys):
+    # A run cut at one Newton step stops at max-iter and exits with its own
+    # code, not argparse's usage code 2.
+    assert main(["run", "fit2d-quad", "--max-iter", "1"]) == 3
+    assert "max-iter" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "fit2d-quad", "--res", "0"])
+    assert exit_info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert "3 when it stops otherwise" in " ".join(capsys.readouterr().out.split())
+
+
 def test_sphere_levelset_values():
     ls = builtin_levelset("sphere2d")
     assert abs(ls.values(np.array([[0.5, 0.9]]))[0] - 0.1) < 1e-14

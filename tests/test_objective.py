@@ -9,9 +9,10 @@ import scipy.sparse as sp
 
 import tmopfit.mesh
 from tmopfit import quality
+from tmopfit.cases import builtin_levelset, named_case
 from tmopfit.errors import NonpositiveDeterminantError
-from tmopfit.fields import AnalyticLevelSet
-from tmopfit.fitting import MarkedSet, make_penalty, penalty_hessian
+from tmopfit.fields import AnalyticLevelSet, project
+from tmopfit.fitting import MarkedSet, make_penalty, mark_interface_nodes, penalty_hessian
 from tmopfit.mesh import (
     Mesh,
     NodeField,
@@ -266,7 +267,7 @@ def test_kernel_matches_per_element_loop(metric_id, geometry):
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])
 def test_one_element_chunks_match_default(monkeypatch, geometry):
     cfg, mesh, current = kernel_config("mu80", geometry)
-    assert len(element_chunks(mesh)) < mesh.num_elements
+    assert all(len(element_chunks(mesh, order)) < mesh.num_elements for order in (0, 1, 2))
     default = (
         value(cfg, mesh, current),
         gradient(cfg, mesh, current),
@@ -274,8 +275,8 @@ def test_one_element_chunks_match_default(monkeypatch, geometry):
         is_valid(mesh, current),
         element_volumes(mesh, current),
     )
-    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
-    assert len(element_chunks(mesh)) == mesh.num_elements
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_VALUES", 1)
+    assert all(len(element_chunks(mesh, order)) == mesh.num_elements for order in (0, 1, 2))
     single = (
         value(cfg, mesh, current),
         gradient(cfg, mesh, current),
@@ -307,7 +308,48 @@ def test_blended_metrics_seed_invariants_once(monkeypatch, metric_id):
     cfg, mesh, current = kernel_config(metric_id, geometry)
     calls.clear()
     hessian(cfg, mesh, current)
-    assert len(calls) == len(element_chunks(mesh))
+    assert len(calls) == len(element_chunks(mesh, 2))
+
+
+# tracemalloc peak of one gradient and one Hessian on the fit3d-hex mesh at
+# resolution 4: 10% over the 7,177,281 bytes the same calls take with
+# 256-point chunks for every derivative order.  Doubling the chunk budget
+# gives 10.7 MB.
+PEAK_FIT3D_HEX_R4 = int(1.1 * 7_177_281)
+
+
+def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
+    case = named_case("fit3d-hex", resolution=4)
+    level_set = builtin_levelset(case.levelset)
+    mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
+    marked = mark_interface_nodes(mesh, "sigma-sign", project(level_set, mesh, nodes))
+    targets = make_targets(mesh, nodes, case.target_kind)
+    penalty = make_penalty(case.w_sigma, level_set, mesh, nodes, targets)
+    cfg = ObjectiveConfig(
+        case.metric_id, targets, gamma=case.gamma, penalty=penalty, marked=marked,
+        fixed_mask=boundary_fixed_mask(mesh),
+    )
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gradient(cfg, mesh, nodes)
+        hessian(cfg, mesh, nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_FIT3D_HEX_R4
+
+
+def test_fit2d_quad_start_mesh_f_mu_has_no_cancellation():
+    # The start mesh is ideal for mu58, and T = A W^-1 carries only the
+    # round-off of the node GEMM (about 2e-15).  mu58 through s enters it
+    # squared and never below 0, where |T^t T|^2 / tau^2 - 2 |T|^2 / tau + 2
+    # leaves round-off of either sign (about 1e-14 here).
+    case = named_case("fit2d-quad")
+    mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
+    cfg = ObjectiveConfig(case.metric_id, make_targets(mesh, nodes, case.target_kind))
+    f_mu = value(cfg, mesh, nodes)[1]
+    assert 0.0 <= f_mu < 1e-24
 
 
 def test_repeated_hessians_keep_memory_flat():
@@ -397,7 +439,7 @@ def test_plan_hessian_matches_coo_assembly(geometry):
 def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geometry):
     cfg, mesh, current = plan_config(geometry)
     default = hessian(cfg, mesh, current)
-    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_POINTS", 1)
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_VALUES", 1)
     single = hessian(cfg, mesh, current)
     assert np.array_equal(single.toarray(), single.toarray().T)
     assert np.array_equal(single.dofs, default.dofs)

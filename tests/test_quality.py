@@ -138,6 +138,18 @@ def test_nonpositive_determinant_rejected():
         metric_values("mu77", np.zeros((1, 2, 2)) )
 
 
+def test_2d_shape_metrics_nonnegative():
+    # In 2D, mu2 = s / (2 tau) and mu58 = (s / tau)^2 + 2 s / tau with
+    # s = (t00 - t11)^2 + (t01 + t10)^2, so neither rounds below 0, also at
+    # near-conformal T, where |T|^2 and 2 tau cancel.
+    rng = np.random.default_rng(50)
+    conformal = np.stack([rng.uniform(0.1, 10.0) * rotation(rng, 2) for _ in range(200)])
+    conformal += 1e-12 * rng.standard_normal(conformal.shape)
+    t = np.concatenate([conformal, random_batch(rng, 2, (200,))])
+    for mid in ("mu2", "mu58"):
+        assert metric_values(mid, t).min() >= 0.0
+
+
 def test_mu80_hessian_matches_fd_of_gradient():
     # Central differences of the analytic dmu, symmetrized in the pairing
     # of the two T entries.
