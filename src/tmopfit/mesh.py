@@ -22,9 +22,13 @@ from .reference import (
     reference_element,
 )
 
-# Values per element chunk of the batched kernels: d^2 per quadrature point
-# for T and dmu, d^4 for d2mu (256 points of a 3D Hessian).
-_CHUNK_VALUES = 256 * 81
+# d x d matrices per element chunk of the batched kernels: one per quadrature
+# point for T and dmu, d^2 for d2mu, so a 3D Hessian chunk has 256 points and
+# a 2D one 576.  A budget of d^4 values per Hessian point would give 2D
+# chunks of 1296 points, where the Hessian kernel's intermediates (d^3 N
+# values per point, N nodes per element) raise the peak memory of the
+# fit2d-tri run by 1.4 MiB.
+_CHUNK_MATRICES = 256 * 9
 
 
 @dataclass
@@ -128,10 +132,12 @@ class NodeField:
 
 def element_chunks(mesh, order):
     """Slices of consecutive elements whose quadrature points carry about
-    _CHUNK_VALUES values each (at least one element) for derivatives of
-    the given order: d^2 per point up to order 1, d^4 at order 2."""
+    _CHUNK_MATRICES d x d matrices each (at least one element) for
+    derivatives of the given order: one per point up to order 1, d^2 at
+    order 2."""
     num_points = quadrature_for(mesh.geometry, mesh.order).num_points
-    size = max(1, _CHUNK_VALUES // (num_points * mesh.dim ** (2 * max(order, 1))))
+    per_point = mesh.dim**2 if order >= 2 else 1
+    size = max(1, _CHUNK_MATRICES // (num_points * per_point))
     return [slice(s, s + size) for s in range(0, mesh.num_elements, size)]
 
 

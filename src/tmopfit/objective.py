@@ -3,16 +3,16 @@
 F_mu integrates the quality metric in target coordinates: the reference
 quadrature weights are multiplied by det W.  One kernel serves F, its
 gradient and its Hessian: elements are taken in chunks sized by the
-derivative order (mesh.element_chunks: about mesh._CHUNK_VALUES values,
-d^2 per quadrature point for F and its gradient, d^4 for the Hessian),
-T = A W^{-1} is formed for the whole chunk with shape (Q, E_c, d, d), and
-the metric is evaluated once per chunk.  The metric's own det T check
-raises NonpositiveDeterminantError; only then is det T computed again,
-to name the first inverted element.  dmu and d2mu arrive as
-points-first views of quality's points-last arrays; the first product
-with each reads through the view and writes the layout the next step
-needs.  W^{-1} and the weights w det W are folded into the metric
-derivatives (for the Hessian, one GEMM per element over the two
+derivative order (mesh.element_chunks: about mesh._CHUNK_MATRICES d x d
+matrices, one per quadrature point for F and its gradient, d^2 for the
+Hessian), T = A W^{-1} is formed for the whole chunk with shape
+(Q, E_c, d, d), and the metric is evaluated once per chunk.  The
+metric's own det T check raises NonpositiveDeterminantError; only then
+is det T computed again, to name the first inverted element.  dmu and
+d2mu arrive as points-first views of quality's points-last arrays; the
+first product with each reads through the view and writes the layout
+the next step needs.  W^{-1} and the weights w det W are folded into the
+metric derivatives (for the Hessian, one GEMM per element over the two
 contracted indices of T), so the reference-gradient table B (Q d x N,
 the same for every element) turns them into element gradients and
 element Hessians B^T D_e B with one GEMM per chunk.

@@ -275,7 +275,7 @@ def test_one_element_chunks_match_default(monkeypatch, geometry):
         is_valid(mesh, current),
         element_volumes(mesh, current),
     )
-    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_VALUES", 1)
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_MATRICES", 1)
     assert all(len(element_chunks(mesh, order)) == mesh.num_elements for order in (0, 1, 2))
     single = (
         value(cfg, mesh, current),
@@ -439,7 +439,7 @@ def test_plan_hessian_matches_coo_assembly(geometry):
 def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geometry):
     cfg, mesh, current = plan_config(geometry)
     default = hessian(cfg, mesh, current)
-    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_VALUES", 1)
+    monkeypatch.setattr(tmopfit.mesh, "_CHUNK_MATRICES", 1)
     single = hessian(cfg, mesh, current)
     assert np.array_equal(single.toarray(), single.toarray().T)
     assert np.array_equal(single.dofs, default.dofs)
