@@ -33,6 +33,14 @@ from .reference import face_node_indices, quadrature_for, quadrature_tables
 from .transfer import build_index, locate_many
 
 
+def _sorted_unique(x):
+    """np.unique(x) by one sort; a plain np.unique imports numpy.ma."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(len(x), bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
+
+
 @dataclass
 class MarkedSet:
     """Sorted unique node ids weakly constrained to the zero level set."""
@@ -40,7 +48,7 @@ class MarkedSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        self.indices = np.unique(np.asarray(self.indices, dtype=int))
+        self.indices = _sorted_unique(np.asarray(self.indices, dtype=int))
         if len(self.indices) == 0:
             raise EmptyMarkedSetError("marked set is empty")
 
@@ -63,7 +71,7 @@ def mark_interface_nodes(mesh, mode, sigma=None):
         attrs = attributes_from_sign(mesh, sigma)
     elif mode == "element-attribute":
         attrs = mesh.attributes
-        if len(np.unique(attrs)) < 2:
+        if len(_sorted_unique(attrs)) < 2:
             raise EmptyMarkedSetError(
                 "attribute marking needs at least two element attributes"
             )

@@ -22,13 +22,14 @@ from .reference import (
     reference_element,
 )
 
-# d x d matrices per element chunk of the batched kernels: one per quadrature
-# point for T and dmu, d^2 for d2mu, so a 3D Hessian chunk has 256 points and
-# a 2D one 576.  A budget of d^4 values per Hessian point would give 2D
-# chunks of 1296 points, where the Hessian kernel's intermediates (d^3 N
-# values per point, N nodes per element) raise the peak memory of the
-# fit2d-tri run by 1.4 MiB.
-_CHUNK_MATRICES = 256 * 9
+# d x d matrices per element chunk of the batched kernels.  Up to order 1 a
+# point holds a few (T, T^{-1}, dmu, their points-last copies), counted as 4.
+# The Hessian holds per point the d (d + 1) / 2 component pairs of d2mu and
+# one pair's x (d N values, N nodes per element): 15 matrices for an order-2
+# hex, 8 for an order-3 triangle.  So value and gradient chunks have 2304
+# points, a Hessian chunk of order-2 hexes 4 elements (500 points) and one of
+# order-3 triangles 46 (1150 points).
+_CHUNK_MATRICES = 256 * 36
 
 
 @dataclass
@@ -131,13 +132,14 @@ class NodeField:
 
 
 def element_chunks(mesh, order):
-    """Slices of consecutive elements whose quadrature points carry about
+    """Slices of consecutive elements whose quadrature points hold about
     _CHUNK_MATRICES d x d matrices each (at least one element) for
-    derivatives of the given order: one per point up to order 1, d^2 at
-    order 2."""
+    derivatives of the given order: 4 per point up to order 1, and at
+    order 2 the d (d + 1) / 2 pairs of d2mu plus d N values of x."""
     num_points = quadrature_for(mesh.geometry, mesh.order).num_points
-    per_point = mesh.dim**2 if order >= 2 else 1
-    size = max(1, _CHUNK_MATRICES // (num_points * per_point))
+    d = mesh.dim
+    per_point = d * (d + 1) / 2 + mesh.basis.num_nodes / d if order >= 2 else 4
+    size = max(1, int(_CHUNK_MATRICES // (num_points * per_point)))
     return [slice(s, s + size) for s in range(0, mesh.num_elements, size)]
 
 

@@ -2,33 +2,39 @@
 
 F_mu integrates the quality metric in target coordinates: the reference
 quadrature weights are multiplied by det W.  One kernel serves F, its
-gradient and its Hessian: elements are taken in chunks sized by the
-derivative order (mesh.element_chunks: about mesh._CHUNK_MATRICES d x d
-matrices, one per quadrature point for F and its gradient, d^2 for the
-Hessian), T = A W^{-1} is formed for the whole chunk with shape
-(Q, E_c, d, d), and the metric is evaluated once per chunk.  The
-metric's own det T check raises NonpositiveDeterminantError; only then
-is det T computed again, to name the first inverted element.  dmu and
-d2mu arrive as points-first views of quality's points-last arrays; the
-first product with each reads through the view and writes the layout
-the next step needs.  W^{-1} and the weights w det W are folded into the
-metric derivatives (for the Hessian, one GEMM per element over the two
+gradient and its Hessian: elements are taken in chunks sized by what the
+kernel holds per quadrature point (mesh.element_chunks), T = A W^{-1} is
+formed for the whole chunk with shape (Q, E_c, d, d), and the metric is
+evaluated once per chunk.  The metric's own det T check raises
+NonpositiveDeterminantError; only then is det T computed again, to name
+the first inverted element.  dmu and the pairs of d2mu arrive as
+points-first views of quality's points-last arrays; the first product
+with each reads through the view and writes the layout the next step
+needs.  W^{-1} and the weights w det W are folded into the metric
+derivatives (for the Hessian, one GEMM per element over the two
 contracted indices of T), so the reference-gradient table B (Q d x N,
 the same for every element) turns them into element gradients and
 element Hessians B^T D_e B with one GEMM per chunk.
 Degrees of freedom flagged in the fixed-node mask are removed from the
 gradient and replaced by identity rows/columns in the Hessian.
 
+d2mu comes as its symmetric component pairs (a, c), a <= c: 6 of the 9
+in 3D, 3 of 4 in 2D (quality.metric_batch).  The Hessian folds and
+contracts them pair by pair, so the per-point products hold d N values
+of one pair at a time, and writes the element block of pair (a, c) at
+rows a, columns c and its exact transpose at rows c, columns a; only the
+d diagonal pair blocks are made symmetric as 0.5 (B + B^T).  So every
+element block is exactly symmetric.
+
 The Hessian is never assembled into a global matrix (as in the partial
 assembly of Camier et al., "Accelerating high-order mesh optimization
 using finite element partial assembly on GPUs").  hessian returns an
-ElementHessian holding the element blocks B^T D_e B, each made exactly
-symmetric as its chunk is written, the element dofs, the penalty's COO
-entries and the fixed-dof mask.  H x zeroes x on the fixed dofs, gathers
-it at the element dofs, applies all blocks with one batched matmul and
-sums them back with one bincount, adds one bincount for the penalty
-entries and copies x into the fixed rows.  That, and the exact diagonal
-for the Jacobi preconditioner, is all MINRES needs.
+ElementHessian holding the element blocks B^T D_e B, the element dofs,
+the penalty's COO entries and the fixed-dof mask.  H x zeroes x on the
+fixed dofs, gathers it at the element dofs, applies all blocks with one
+batched matmul and sums them back with one bincount, adds one bincount
+for the penalty entries and copies x into the fixed rows.  That, and the
+exact diagonal for the Jacobi preconditioner, is all MINRES needs.
 """
 
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ import numpy as np
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
 from .mesh import det_inv, element_chunks, quadrature_jacobians
-from .quality import metric_batch, metric_values
+from .quality import PAIRS, metric_batch, metric_values
 from .reference import quadrature_for, quadrature_tables
 
 
@@ -139,28 +145,36 @@ def hessian(config, mesh, node_field):
     wdet = _weights(config, mesh)
     winv = config.targets.winv
     _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
-    grads_t = ref_grads.transpose(0, 2, 1)  # (Q, d, N)
+    grads_t = np.ascontiguousarray(ref_grads.transpose(0, 2, 1))  # (Q, d, N)
     bt = _gemm_table(mesh)
     nq = len(grads_t)
     # winv2[e, (c, f), (b', c')] = W^{-1}[e, b', c] W^{-1}[e, c', f]
     winv2 = np.einsum("ebc,egf->ecfbg", winv, winv).reshape(-1, dim**2, dim**2)
-    # blocks[e, (a, i), (b, j)]: row dof (a, i), column dof (b, j) of element e.
-    blocks = np.empty((mesh.num_elements, dim * nw, dim * nw))
-    for chunk, (_, _, d2mu) in _chunks(config, mesh, node_field, 2):
-        ne = len(d2mu[0])
-        # D[q, b', e, a, b, c'] = w_q det W_e
-        #   sum_{c, f} W^{-1}[e, b', c] d2mu[q, e, a, c, b, f] W^{-1}[e, c', f],
-        # one GEMM per element over (c, f) with d2mu as (e, q, a, b, c, f).
-        wd = d2mu.transpose(1, 0, 2, 4, 3, 5) * wdet[:, chunk].T[:, :, None, None, None, None]
+    # blocks[e, a, i, b, j]: row dof (a, i), column dof (b, j) of element e.
+    blocks = np.empty((mesh.num_elements, dim, nw, dim, nw))
+    for chunk, (_, _, d2) in _chunks(config, mesh, node_field, 2):
+        ne = d2.shape[1]
+        # D[e, q, p, b', c'] = w_q det W_e
+        #   sum_{c, f} W^{-1}[e, b', c] d2[q, e, p, c, f] W^{-1}[e, c', f]
+        # for each component pair p = (a, b), a <= b: one GEMM per element
+        # over (c, f) with d2 as (e, q, p, c, f).
+        wd = d2.transpose(1, 0, 2, 3, 4) * wdet[:, chunk].T[:, :, None, None, None]
         wd = wd.reshape(ne, -1, dim**2) @ winv2[chunk]
-        dd = wd.reshape(ne, nq, dim, dim, dim, dim).transpose(1, 4, 0, 2, 3, 5)
-        # One small matmul per point, then one GEMM over (q, b').
-        x = dd.reshape(nq, -1, dim) @ grads_t  # (Q, b' e a b, N)
-        block = (bt @ x.reshape(bt.shape[1], -1)).reshape(nw, ne, dim, dim, nw)
+        dd = wd.reshape(ne, nq, -1, dim, dim).transpose(2, 1, 3, 0, 4)  # (p, Q, b', e, c')
+        x = np.empty((nq, dim, ne, nw))  # x[q, b', e, j] of one pair
         local = blocks[chunk]
-        local.reshape(ne, dim, nw, dim, nw)[...] = block.transpose(1, 2, 0, 3, 4)
-        local += local.transpose(0, 2, 1)
-        local *= 0.5
+        for p, (a, b) in enumerate(zip(*PAIRS[dim])):
+            # One small matmul per point, then one GEMM over (q, b') gives
+            # block[e, i, j] of pair p; its transpose is pair (b, a).
+            np.matmul(dd[p], grads_t[:, None], out=x)
+            block = (bt @ x.reshape(bt.shape[1], -1)).reshape(nw, ne, nw).transpose(1, 0, 2)
+            if a == b:
+                np.add(block, block.transpose(0, 2, 1), out=local[:, a, :, a])
+                local[:, a, :, a] *= 0.5
+            else:
+                local[:, a, :, b] = block
+                local[:, b, :, a] = block.transpose(0, 2, 1)
+    blocks = blocks.reshape(mesh.num_elements, dim * nw, dim * nw)
     dofs = (np.arange(dim)[:, None] * nnod + mesh.connectivity[:, None, :]).reshape(
         mesh.num_elements, -1
     )

@@ -9,8 +9,13 @@ and d2mu = sum f_kl dI_k (x) dI_l + sum f_k d2I_k.  All runs points last,
 T as (d, d, P).  Each invariant is seeded once per batch with value (P,),
 d1 (d, d, P) and d2 as factor pairs X (x) Y in the index patterns
 X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b] plus a constant part,
-never as a dense array; see _second_derivative.  metric_values is the
-order-0 path, with the same arithmetic as the values of metric_batch.
+never as a dense array.  As d2mu[a, b, c, f] = d2mu[c, f, a, b], only
+the component pairs (a, c), a <= c, of PAIRS[d] are computed, into one
+contiguous (pair, b, f, P) array: each factor-pair term is one broadcast
+product on the pair rows a and c (see _second_derivative).  Where the
+full (d, d, d, d) d2mu is needed, mirror_pairs copies pair (a, c) to
+rows c, a transposed.  metric_values is the order-0 path, with the same
+arithmetic as the values of metric_batch.
 """
 
 from dataclasses import dataclass
@@ -57,10 +62,6 @@ class _Invariant(NamedTuple):
     d1: np.ndarray = None
     pairs: tuple = ()
     const: np.ndarray = None
-
-
-# Views of d2mu[a, b, c, f, p] in which a pattern is an outer product X Y.
-_PATTERNS = {"ab,cf": (0, 1, 2, 3, 4), "ac,bf": (0, 2, 1, 3, 4), "af,cb": (0, 3, 2, 1, 4)}
 
 
 def _sq(x):
@@ -169,35 +170,65 @@ _INVARIANTS_2D = {**_INVARIANTS, "mu2": ("s", "det"), "mu58": ("s", "det")}
 # Blended metrics: (1 - gamma) * first + gamma * second.
 _BLENDS = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
 
+# The component pairs (a, c), a <= c, in which d2mu is stored, per d.
+PAIRS = {d: np.triu_indices(d) for d in (1, 2, 3)}
+
 
 def _second_derivative(inv, f, f2, shape):
-    """d2mu (d, d, d, d, P) at T of shape (d, d, P): the outer products as
-    dI_k (x) h_k, h_k = sum_l f_kl dI_l, and the pairs, with the terms of a
-    pattern that share X merged into X (x) sum c Y, one broadcast product
-    each into the pattern's view; constant parts on their nonzeros only."""
+    """d2mu at T of shape (d, d, P) as its symmetric component pairs
+    (pair, b, f, P): entry [p, b, f] is d2mu[a, b, c, f] for the p-th pair
+    (a, c) of PAIRS[d].  The outer products enter as dI_k (x) h_k,
+    h_k = sum_l f_kl dI_l, and the terms of a pattern that share X are
+    merged into X (x) sum c Y; each term is one broadcast product on the
+    pair rows a and c, the first written into d2 and the others added,
+    and constant parts are added on their nonzeros only."""
+    d, n = shape[0], shape[-1]
+    ia, ic = PAIRS[d]
     pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
              for i, j in dict.fromkeys([(k, l), (l, k)])]
     pairs += [(pattern, c * f[k], x, y) for k in f for pattern, c, x, y in inv[k].pairs]
-    terms = {}  # (pattern, id(X)) -> [pattern, X, sum of c Y]
+    terms = {}  # (pattern, id(X)) -> (pattern, X, sum of c Y)
     for pattern, c, x, y in pairs:
-        term = terms.setdefault((pattern, id(x)), [pattern, x, 0.0])
-        term[2] = term[2] + c * y
-    d2, scratch = np.zeros(shape[:2] + shape), np.empty(shape[:2] + shape)
-    for pattern, x, y in terms.values():
-        view = d2.transpose(_PATTERNS[pattern])
-        view += np.multiply(x[:, :, None, None], y[None, None], out=scratch)
-    flat = d2.reshape(-1, shape[-1])
+        key = (pattern, id(x))
+        terms[key] = (pattern, x, c * y + terms[key][2] if key in terms else c * y)
+    d2, scratch = np.empty((len(ia), d, d, n)), np.empty((len(ia), d, d, n))
+    for i, (pattern, x, y) in enumerate(terms.values()):
+        out = scratch if i else d2
+        if pattern == "ab,cf":  # X[a, b] Y[c, f]
+            np.multiply(x.take(ia, 0)[:, :, None], y.take(ic, 0)[:, None], out=out)
+        elif pattern == "ac,bf":  # X[a, c] Y[b, f]
+            np.multiply(x[ia, ic][:, None, None], y, out=out)
+        else:  # "af,cb": X[a, f] Y[c, b]
+            np.multiply(y.take(ic, 0)[:, :, None], x.take(ia, 0)[:, None], out=out)
+        if i:
+            d2 += scratch
+    flat = d2.reshape(-1, n)
     for k, fk in f.items():
         if inv[k].const is not None:
-            rows = np.flatnonzero(inv[k].const)
-            flat[rows] += inv[k].const.ravel()[rows, None] * fk
+            const = inv[k].const[ia, :, ic].ravel()
+            rows = np.flatnonzero(const)
+            flat[rows] += const[rows, None] * fk
     return d2
 
 
+def mirror_pairs(pairs):
+    """The full d2mu (..., d, d, d, d) of its pairs (..., pair, d, d) as
+    metric_batch returns them: d2mu[a, b, c, f] is pair (a, c) at [b, f]
+    for a <= c and, by the symmetry of d2mu, pair (c, a) at [f, b] for
+    a > c."""
+    d = pairs.shape[-1]
+    ia, ic = PAIRS[d]
+    full = np.empty(pairs.shape[:-3] + (d,) * 4)
+    p = np.moveaxis(pairs, -3, 0)
+    full[..., ic, :, ia, :] = np.swapaxes(p, -1, -2)
+    full[..., ia, :, ic, :] = p
+    return full
+
+
 def _metric_derivatives(metric_id, t, gamma, order):
-    """Value, dmu and d2mu at T (..., d, d) up to the given order, as
-    points-first views (...,), (..., d, d), (..., d, d, d, d) of the
-    points-last arrays.  Raises NonpositiveDeterminantError if det T <= 0."""
+    """Value, dmu and the pairs of d2mu at T (..., d, d) up to the given
+    order, as points-first views (...,), (..., d, d), (..., pair, d, d) of
+    the points-last arrays.  Raises NonpositiveDeterminantError if det T <= 0."""
     parts = _BLENDS.get(metric_id, (metric_id,))
     if not all(part in _METRICS for part in parts):
         raise ValueError(f"unknown metric id {metric_id!r}")
@@ -236,8 +267,10 @@ class MetricEval:
 def metric_batch(metric_id, t, gamma=0.5, order=2):
     """Evaluate a metric on batched T of shape (..., d, d).
 
-    Returns (values, dmu, d2mu) with shapes (...,), (..., d, d) and
-    (..., d, d, d, d); d2mu is None when order=1.  Raises
+    Returns (values, dmu, d2) with shapes (...,), (..., d, d) and
+    (..., d (d + 1) / 2, d, d): d2 holds d2mu by its symmetric component
+    pairs (see _second_derivative; mirror_pairs gives the full
+    (..., d, d, d, d) array), and is None when order=1.  Raises
     NonpositiveDeterminantError if any det T <= 0.
     """
     values, dmu, *d2mu = _metric_derivatives(metric_id, t, gamma, order)
@@ -246,10 +279,8 @@ def metric_batch(metric_id, t, gamma=0.5, order=2):
 
 def metric(metric_id, t, gamma=0.5):
     """Evaluate a single d x d weighted Jacobian; see metric_batch."""
-    value, dmu, d2mu = metric_batch(
-        metric_id, np.asarray(t, dtype=float)[None, ...], gamma
-    )
-    return MetricEval(float(value[0]), dmu[0], d2mu[0])
+    value, dmu, d2 = metric_batch(metric_id, np.asarray(t, dtype=float)[None, ...], gamma)
+    return MetricEval(float(value[0]), dmu[0], mirror_pairs(d2[0]))
 
 
 def metric_values(metric_id, t, gamma=0.5):

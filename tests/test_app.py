@@ -45,6 +45,22 @@ def test_package_imports_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_fit_run_does_not_import_numpy_ma(tmp_path):
+    # A plain np.unique imports numpy.ma on its first call (numpy 2.4),
+    # about 15 ms of every run.
+    code = (
+        "import sys, tmopfit.cases as c; "
+        f"c.run_case(c.named_case('fit2d-tri'), out_dir={str(tmp_path)!r}); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    src = str(Path(tmopfit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def unused_imports(tree):
     """Names a module imports at top level and never reads.  A read inside
     a function whose parameter has the same name does not count."""

@@ -91,6 +91,12 @@ def test_restrict_all_and_none():
         MarkedSet(np.array([], dtype=int))
 
 
+def test_marked_set_is_sorted_unique():
+    ids = np.random.default_rng(1).integers(0, 50, 80)
+    assert np.array_equal(MarkedSet(ids).indices, np.unique(ids))
+    assert MarkedSet([[7, 3], [7, 0]]).indices.tolist() == [0, 3, 7]
+
+
 def test_restrict_single_node_is_scaled_basis_function():
     mesh, nodes = make_cartesian(2, 2, 2, "quad")
     sigma = ScalarField(mesh, np.ones(mesh.num_nodes))

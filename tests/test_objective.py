@@ -29,7 +29,7 @@ from tmopfit.objective import (
     hessian,
     value,
 )
-from tmopfit.quality import METRIC_IDS, make_targets, metric_batch
+from tmopfit.quality import METRIC_IDS, make_targets, metric_batch, mirror_pairs
 from tmopfit.reference import quadrature_for
 from tmopfit.solver import newton_step
 
@@ -227,7 +227,8 @@ def reference_assembly(cfg, mesh, nodes):
         coords = nodes.as_matrix()[mesh.connectivity[e]]
         a = np.einsum("id,qib->qdb", coords, ref_grads)
         t = a @ cfg.targets.winv[e]
-        vals, dmu, d2mu = metric_batch(cfg.metric_id, t, cfg.gamma)
+        vals, dmu, d2 = metric_batch(cfg.metric_id, t, cfg.gamma)
+        d2mu = mirror_pairs(d2)
         wdet = quad.weights * cfg.targets.detw[e]
         dhat = np.einsum("qib,be->qie", ref_grads, cfg.targets.winv[e])
         f += wdet @ vals
@@ -261,7 +262,9 @@ def test_kernel_matches_per_element_loop(metric_id, geometry):
     f_ref, g_ref, h_ref = reference_assembly(cfg, mesh, current)
     assert rel_err(value(cfg, mesh, current)[1], f_ref) < 1e-12
     assert rel_err(gradient(cfg, mesh, current), g_ref) < 1e-12
-    assert rel_err(hessian(cfg, mesh, current).toarray(), h_ref) < 1e-12
+    h = hessian(cfg, mesh, current)
+    assert rel_err(h.toarray(), h_ref) < 1e-12
+    assert np.array_equal(h.blocks, h.blocks.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])
@@ -286,6 +289,23 @@ def test_one_element_chunks_match_default(monkeypatch, geometry):
     )
     for got, want in zip(single, default):
         assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_hessian_chunk_sizes_of_the_benchmark_cases():
+    # Order-2 hexes of fit3d-hex-r4: at least 4 elements (500 points) per
+    # Hessian chunk, where 2 left the metric bound by numpy call overhead.
+    # Order-3 triangles of fit2d-tri: at most about 1,200 points, so that
+    # the run keeps its peak memory (2,100 points add 0.1 MiB, 4,200 points
+    # 1.0 MiB).
+    case = named_case("fit3d-hex", resolution=4)
+    mesh, _ = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
+    chunks = element_chunks(mesh, 2)
+    assert len(chunks) > 1 and chunks[0].stop - chunks[0].start >= 4
+    case = named_case("fit2d-tri")
+    mesh, _ = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
+    chunks = element_chunks(mesh, 2)
+    num_points = quadrature_for(mesh.geometry, mesh.order).num_points
+    assert len(chunks) > 1 and (chunks[0].stop - chunks[0].start) * num_points <= 1200
 
 
 @pytest.mark.parametrize("metric_id", ["mu80", "mu333"])
@@ -313,8 +333,9 @@ def test_blended_metrics_seed_invariants_once(monkeypatch, metric_id):
 
 # tracemalloc peak of one gradient and one Hessian on the fit3d-hex mesh at
 # resolution 4: 10% over the 7,177,281 bytes the same calls take with
-# 256-point chunks for every derivative order.  Doubling the chunk budget
-# gives 10.7 MB.
+# 256-point chunks for every derivative order.  The Hessian by component
+# pairs of d2mu, 4 elements a chunk, takes 6.2 MB; twice that chunk budget
+# gives 8.3 MB.
 PEAK_FIT3D_HEX_R4 = int(1.1 * 7_177_281)
 
 

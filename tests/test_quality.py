@@ -13,6 +13,7 @@ from tmopfit.quality import (
     metric,
     metric_batch,
     metric_values,
+    mirror_pairs,
 )
 
 METRIC_DIM = {
@@ -109,6 +110,10 @@ def test_second_derivative_matches_finite_differences(mid):
                 ) / (2 * step)
         scale = max(np.abs(fd).max(), 1e-12)
         assert np.abs(ev.d2mu - fd).max() / scale < 1e-5
+        # Each packed pair (a, c), a <= c, is d2mu[a, :, c, :].
+        pairs = metric_batch(mid, t[None])[2][0]
+        for p, (a, c) in enumerate(zip(*np.triu_indices(d))):
+            assert np.abs(pairs[p] - fd[a, :, c, :]).max() / scale < 1e-5
 
 
 @pytest.mark.parametrize("mid", SHAPE_METRICS)
@@ -379,7 +384,27 @@ def test_metric_batch_matches_points_first_jets(mid, dim):
             assert got[2] is None
             got, want = got[:2], want[:2]
         else:
-            assert got[2].shape == (7, 5) + (dim,) * 4
+            assert got[2].shape == (7, 5, dim * (dim + 1) // 2, dim, dim)
+            got = got[:2] + (mirror_pairs(got[2]),)
         for g, w in zip(got, want):
             assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_mirrored_pairs_equal_full_second_derivative(mid, dim):
+    # metric_batch computes d2mu[a, :, c, :] for the pairs a <= c only;
+    # mirror_pairs fills in a > c from d2mu[a, b, c, f] = d2mu[c, f, a, b].
+    rng = np.random.default_rng(60 + dim)
+    t = random_batch(rng, dim, (4, 3))
+    pairs = metric_batch(mid, t, 0.3)[2]
+    full = mirror_pairs(pairs)
+    want = points_first_metric_batch(mid, t, 0.3, 2)[2]
+    assert full.shape == want.shape == (4, 3) + (dim,) * 4
+    assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
+    for p, (a, c) in enumerate(zip(*np.triu_indices(dim))):
+        assert np.array_equal(full[..., a, :, c, :], pairs[..., p, :, :])
+        if a != c:
+            mirrored = np.swapaxes(pairs[..., p, :, :], -1, -2)
+            assert np.array_equal(full[..., c, :, a, :], mirrored)
 
