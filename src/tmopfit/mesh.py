@@ -255,58 +255,40 @@ def make_cartesian(dim, n_cells, order, geometry):
         raise ValueError("n_cells and order must be >= 1")
     if GEOMETRY_DIM[geometry] != dim:
         raise ValueError(f"geometry {geometry!r} is not {dim}-dimensional")
-    ref = reference_element(geometry, order)
+    nodes = reference_element(geometry, order).basis.nodes
     h = 1.0 / n_cells
     cells = np.stack(
         np.meshgrid(*([np.arange(n_cells)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
-
-    node_ids = {}
-    coords = []
-    connectivity = []
-
-    def global_id(point):
-        key = tuple(np.round(point, 10))
-        nid = node_ids.get(key)
-        if nid is None:
-            nid = len(coords)
-            node_ids[key] = nid
-            coords.append(point)
-        return nid
-
+    origin = cells[:, None, :] * h  # (cells, 1, dim)
     if geometry in ("segment", "quad", "hex"):
-        for cell in cells:
-            origin = cell * h
-            elem_nodes = origin[None, :] + h * ref.basis.nodes
-            connectivity.append([global_id(p) for p in elem_nodes])
-    elif geometry == "triangle":
-        for cell in cells:
-            o = cell * h
-            v = [o, o + (h, 0.0), o + (h, h), o + (0.0, h)]
-            for tri in ((v[0], v[1], v[2]), (v[0], v[2], v[3])):
-                v0 = np.asarray(tri[0])
-                edges = np.stack([tri[1] - v0, tri[2] - v0])
-                elem_nodes = v0[None, :] + ref.basis.nodes @ edges
-                connectivity.append([global_id(p) for p in elem_nodes])
-    elif geometry == "tet":
-        kuhn = _kuhn_tets()
-        for cell in cells:
-            o = cell * h
-            for tet in kuhn:
-                verts = o[None, :] + h * tet
-                v0 = verts[0]
-                edges = verts[1:] - v0
-                elem_nodes = v0[None, :] + ref.basis.nodes @ edges
-                connectivity.append([global_id(p) for p in elem_nodes])
+        points = origin + h * nodes
     else:
-        raise ValueError(f"unsupported geometry {geometry!r}")
+        if geometry == "triangle":
+            square = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
+            verts = origin[:, None] + square[[[0, 1, 2], [0, 2, 3]]]
+        else:
+            verts = origin[:, None] + h * np.array(_kuhn_tets())
+        verts = verts.reshape(-1, dim + 1, dim)  # (elements, vertices, dim)
+        v0 = verts[:, :1]
+        points = v0 + nodes @ (verts[:, 1:] - v0)
+    points = points.reshape(-1, dim)
+    # Nodes at equal rounded coordinates are shared, numbered by first
+    # appearance; each keeps the coordinates first seen.  Adding 0.0 maps a
+    # -0.0 key to 0.0, so the numbering holds even where rows compare bytewise.
+    _, first, inverse = np.unique(
+        np.round(points, 10) + 0.0, axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    coords = points[np.sort(first)]
+    connectivity = rank[inverse].reshape(-1, len(nodes))
 
-    coords = np.asarray(coords)
     mesh = Mesh(
         dim=dim,
         order=order,
         geometry=geometry,
-        connectivity=np.asarray(connectivity, dtype=int),
+        connectivity=connectivity,
         attributes=np.ones(len(connectivity), dtype=int),
         num_nodes=len(coords),
     )
@@ -348,14 +330,14 @@ def write_mesh(path, mesh, node_field):
     lines.append(f"order {mesh.order}")
     lines.append(f"geom {mesh.geometry}")
     lines.append(f"elements {mesh.num_elements}")
-    for attr, conn in zip(mesh.attributes, mesh.connectivity):
-        lines.append(" ".join([str(int(attr))] + [str(int(c)) for c in conn]))
+    rows = np.column_stack([mesh.attributes, mesh.connectivity])
+    lines.extend(map(" ".join(["{}"] * rows.shape[1]).format, *rows.T.tolist()))
     lines.append(f"boundary {len(mesh.boundary)}")
     for attr, nodes in mesh.boundary:
-        lines.append(" ".join([str(int(attr))] + [str(int(c)) for c in nodes]))
+        lines.append(" ".join(map(str, [int(attr)] + np.asarray(nodes).tolist())))
     lines.append(f"nodes {mesh.num_nodes}")
-    for row in node_field.as_matrix():
-        lines.append(" ".join(f"{x:.17g}" for x in row))
+    row_format = " ".join(["{:.17g}"] * mesh.dim)
+    lines.extend(map(row_format.format, *node_field.as_matrix().T.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -150,8 +150,8 @@ def _jacobi_rule_01(n_points, alpha):
     return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * squares)
 
 
-def _lagrange_table(nodes, t):
-    """Values and derivatives of 1D Lagrange cardinal polynomials.
+def _lagrange_table(nodes, t, grad=True):
+    """Values and derivatives (if grad) of 1D Lagrange cardinal polynomials.
 
     Uses the expanded product form for the derivative, which is stable
     at and between the interpolation nodes.
@@ -166,6 +166,8 @@ def _lagrange_table(nodes, t):
     idx = np.arange(n)
     ratio[:, idx, idx] = 1.0
     vals = ratio.prod(axis=2)
+    if not grad:
+        return vals, None
     inv = 1.0 / denom
     np.fill_diagonal(inv, 0.0)
     ders = np.zeros((len(t), n))
@@ -241,26 +243,41 @@ def _monomial_exponents(order, dim):
     return [np.array(idx) for idx in _simplex_multi_indices(order, dim)]
 
 
-def _eval_monomials(exponents, points):
-    n, dim = points.shape
+def _tensor_axes(k, dim):
+    """Index along each axis, shape (k**dim, dim), of the points of a
+    k**dim tensor grid in lexicographic order (first axis fastest)."""
+    return np.arange(k**dim)[:, None] // k ** np.arange(dim) % k
+
+
+def _axis_products(values, derivs=None):
+    """Products of per-axis factor tables, each (n, m): the values
+    prod_a values[a] and, given derivs, gradients whose component a has
+    derivs[a] in place of values[a].  Factors multiply in axis order,
+    into C-ordered arrays (the tables may be column-major gathers)."""
+    vals = np.ones(values[0].shape)
+    for v in values:
+        vals *= v
+    if derivs is None:
+        return vals, None
+    grads = np.empty(vals.shape + (len(values),))
+    for a, g in enumerate(derivs):
+        for b, v in enumerate(values):
+            if b != a:
+                g = g * v
+        grads[:, :, a] = g
+    return vals, grads
+
+
+def _eval_monomials(exponents, points, grad=True):
+    """Monomial values (n, m) and, if grad, gradients (n, m, dim)."""
     exps = np.asarray(exponents)  # (n_mono, dim)
     max_e = int(exps.max())
     # Power tables per axis: pw[a][:, e] = points[:, a] ** e.
-    pw = [
-        np.vander(points[:, a], max_e + 1, increasing=True) for a in range(dim)
-    ]
-    vals = np.ones((n, len(exps)))
-    for a in range(dim):
-        vals *= pw[a][:, exps[:, a]]
-    grads = np.empty((n, len(exps), dim))
-    for a in range(dim):
-        e = exps[:, a]
-        g = e[None, :] * pw[a][:, np.maximum(e - 1, 0)]
-        for b in range(dim):
-            if b != a:
-                g = g * pw[b][:, exps[:, b]]
-        grads[:, :, a] = g
-    return vals, grads
+    pw = [np.vander(x, max_e + 1, increasing=True) for x in points.T]
+    values = [p[:, e] for p, e in zip(pw, exps.T)]
+    if grad:
+        derivs = [e * p[:, np.maximum(e - 1, 0)] for p, e in zip(pw, exps.T)]
+    return _axis_products(values, derivs if grad else None)
 
 
 class NodalBasis:
@@ -285,23 +302,19 @@ class NodalBasis:
         self.dim = GEOMETRY_DIM[geometry]
         if geometry in _TENSOR:
             self._nodes_1d = gauss_lobatto_nodes(order + 1)
-            grids = np.meshgrid(*([self._nodes_1d] * self.dim), indexing="ij")
-            # Lexicographic: first coordinate varies fastest.
-            self.nodes = np.stack(
-                [g.transpose(*range(self.dim - 1, -1, -1)).ravel() for g in grids],
-                axis=1,
-            )
+            self._node_axes = _tensor_axes(order + 1, self.dim)
+            self.nodes = self._nodes_1d[self._node_axes]
             self._vinv = None
         else:
             self.nodes = _blended_simplex_nodes(order, self.dim)
             self._exponents = _monomial_exponents(order, self.dim)
-            vand, _ = _eval_monomials(self._exponents, self.nodes)
+            vand, _ = _eval_monomials(self._exponents, self.nodes, grad=False)
             self._vinv = np.linalg.inv(vand)
         self.num_nodes = len(self.nodes)
 
     def eval(self, points):
         """Basis values at reference points; shape (n_points, num_nodes)."""
-        return self.eval_with_grad(points)[0]
+        return self._evaluate(points, grad=False)[0]
 
     def eval_with_grad(self, points):
         """Basis values and reference gradients at reference points.
@@ -311,36 +324,32 @@ class NodalBasis:
         values : ndarray, shape (n_points, num_nodes)
         grads : ndarray, shape (n_points, num_nodes, dim)
         """
+        return self._evaluate(points, grad=True)
+
+    def _evaluate(self, points, grad):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if self.geometry in _TENSOR:
             tabs = [
-                _lagrange_table(self._nodes_1d, points[:, a]) for a in range(self.dim)
+                _lagrange_table(self._nodes_1d, points[:, a], grad)
+                for a in range(self.dim)
             ]
-            k1 = self.order + 1
-            npts = len(points)
-            vals = np.ones((npts, self.num_nodes))
-            grads = np.zeros((npts, self.num_nodes, self.dim))
-            for local in range(self.num_nodes):
-                ijk = [(local // k1**a) % k1 for a in range(self.dim)]
-                v = np.ones(npts)
-                for a in range(self.dim):
-                    v = v * tabs[a][0][:, ijk[a]]
-                vals[:, local] = v
-                for a in range(self.dim):
-                    g = tabs[a][1][:, ijk[a]].copy()
-                    for b in range(self.dim):
-                        if b != a:
-                            g *= tabs[b][0][:, ijk[b]]
-                    grads[:, local, a] = g
-            return vals, grads
-        mono_vals, mono_grads = _eval_monomials(self._exponents, points)
-        vals = mono_vals @ self._vinv
-        grads = np.einsum("nmd,mj->njd", mono_grads, self._vinv)
-        return vals, grads
+            columns = self._node_axes.T
+            values = [v[:, i] for (v, _), i in zip(tabs, columns)]
+            derivs = [g[:, i] for (_, g), i in zip(tabs, columns)] if grad else None
+            return _axis_products(values, derivs)
+        vals, grads = _eval_monomials(self._exponents, points, grad)
+        if grad:
+            grads = np.einsum("nmd,mj->njd", grads, self._vinv)
+        if len(vals) == 1:
+            # One row would take numpy's matrix-vector product, which rounds
+            # differently; as two rows, a point's values do not depend on
+            # the points evaluated with it.
+            return (np.repeat(vals, 2, axis=0) @ self._vinv)[:1], grads
+        return vals @ self._vinv, grads
 
     def clamp(self, points):
-        """Project reference points, shape (dim,) or (n, dim), onto the
-        reference element."""
+        """Project reference points, shape (..., dim), onto the reference
+        element."""
         p = np.clip(np.asarray(points, dtype=float), 0.0, 1.0)
         if self.geometry not in _TENSOR:
             rows = p.reshape(-1, self.dim)  # a view: edits land in p
@@ -408,43 +417,24 @@ def quadrature_for(geometry, order):
     if geometry in _TENSOR:
         n = order + 3  # Gauss-Lobatto exactness 2n - 3 >= 2k + 2
         pts1, wts1 = gauss_lobatto_rule(n)
-        grids = np.meshgrid(*([pts1] * dim), indexing="ij")
-        pts = np.stack(
-            [g.transpose(*range(dim - 1, -1, -1)).ravel() for g in grids], axis=1
-        )
-        wts = np.ones(n**dim)
-        k1 = n
-        for idx in range(n**dim):
-            for a in range(dim):
-                wts[idx] *= wts1[(idx // k1**a) % k1]
-        return QuadratureRule(geometry, pts, wts, 2 * n - 3)
+        axes = _tensor_axes(n, dim)
+        wts = np.ones(len(axes))
+        for i in axes.T:
+            wts *= wts1[i]
+        return QuadratureRule(geometry, pts1[axes], wts, 2 * n - 3)
     n = order + 2  # Gauss exactness 2n - 1 >= 2k + 2
     u, wu = gauss_legendre_rule(n)
     v, wv = _jacobi_rule_01(n, 1.0)
+    # Point a + n b (+ n^2 c) collapses (u_a, v_b, w_c) onto the simplex.
+    a, b, *c = _tensor_axes(n, dim).T
     if geometry == "triangle":
-        pts = np.zeros((n * n, 2))
-        wts = np.zeros(n * n)
-        row = 0
-        for b in range(n):
-            for a in range(n):
-                pts[row] = (u[a] * (1.0 - v[b]), v[b])
-                wts[row] = wu[a] * wv[b]
-                row += 1
-        return QuadratureRule(geometry, pts, wts, 2 * n - 1)
+        pts = np.stack([u[a] * (1.0 - v[b]), v[b]], axis=1)
+        return QuadratureRule(geometry, pts, wu[a] * wv[b], 2 * n - 1)
     w, ww = _jacobi_rule_01(n, 2.0)
-    pts = np.zeros((n**3, 3))
-    wts = np.zeros(n**3)
-    row = 0
-    for c in range(n):
-        for b in range(n):
-            for a in range(n):
-                pts[row] = (
-                    u[a] * (1.0 - v[b]) * (1.0 - w[c]),
-                    v[b] * (1.0 - w[c]),
-                    w[c],
-                )
-                wts[row] = wu[a] * wv[b] * ww[c]
-                row += 1
+    c = c[0]
+    shrink = 1.0 - w[c]
+    pts = np.stack([u[a] * (1.0 - v[b]) * shrink, v[b] * shrink, w[c]], axis=1)
+    wts = wu[a] * wv[b] * ww[c]
     return QuadratureRule(geometry, pts, wts, 2 * n - 1)
 
 

@@ -7,7 +7,9 @@ available while the mesh evolves.  As in GSLIB findpts, all queries are
 located together: a background grid (CSR arrays) gives each point its
 candidate elements, one damped Newton iteration inverts the element map
 on every (point, candidate) pair at once, and points no candidate
-accepts go through a chunked sweep over all elements.  Each point gets
+accepts go through a chunked sweep over all elements.  Each Newton
+iteration evaluates basis gradients once; its trial points need values
+only, with all step halvings of a row in one batch.  Each point gets
 the first accepted candidate in cell order, else the smallest residual.
 """
 
@@ -130,12 +132,24 @@ def candidate_elements(index, point):
     return _candidate_pairs(index, np.atleast_2d(point))[1].tolist()
 
 
+def _residual(basis, trial, coords, points):
+    """Residuals x(trial) - points, shape (R, S, dim), of the element maps
+    at the S points trial[r] of each row r, and their norms (R, S)."""
+    vals = basis.eval(trial.reshape(-1, basis.dim)).reshape(trial.shape[:2] + (-1,))
+    res = np.einsum("rsk,rkd->rsd", vals, coords) - points[:, None]
+    return res, np.linalg.norm(res, axis=2)
+
+
 def _newton(basis, coords, points, owner=None, accept=0.0):
     """Damped Newton for the reference coordinates of each points[i] in
     the element with node coordinates coords[i], all rows at once.
 
     Returns (ref, residual_norm).  Iterates are clamped to the reference
-    element; a step is halved while the residual fails to decrease.
+    element.  An iteration evaluates basis gradients once, at the active
+    rows' iterates, and trial points by values only: the full step, then,
+    for rows it does not improve, all _MAX_HALVINGS - 1 halved steps in
+    batches of at most _CHUNK points; each row takes the first that
+    reduces its residual, as halving one step at a time would.
     owner, if given, names the point of each row, with the rows of a
     point consecutive and in priority order: a row then stops once an
     earlier row of its point has a residual <= accept, because residuals
@@ -143,14 +157,27 @@ def _newton(basis, coords, points, owner=None, accept=0.0):
     """
     n = len(points)
     ref = np.tile(basis.center, (n, 1))
-    vals, grads = basis.eval_with_grad(ref)
-    res = np.einsum("pk,pkd->pd", vals, coords) - points
-    res_norm = np.linalg.norm(res, axis=1)
+    res, res_norm = (r[:, 0] for r in _residual(basis, ref[:, None], coords, points))
     stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
     active = np.ones(n, dtype=bool)
     if owner is not None:
         owner = np.unique(owner, return_inverse=True)[1]  # 0, 1, ... per point
         rows, last_row = np.arange(n), np.full(owner[-1] + 1, n)
+    halvings = 0.5 ** np.arange(1, _MAX_HALVINGS)  # exact: repeated halving
+    per_batch = max(1, _CHUNK // len(halvings))
+
+    def first_decrease(idx, step, scales):
+        # Move each row to its first ref + scale * step that reduces the
+        # residual; return the mask of rows that found none.
+        trial = basis.clamp(ref[idx, None] + step[:, None] * scales[:, None])
+        tres, tnorm = _residual(basis, trial, coords[idx], points[idx])
+        better = tnorm < res_norm[idx, None]
+        found = better.any(axis=1)
+        pick = np.flatnonzero(found), better.argmax(axis=1)[found]
+        done = idx[found]
+        ref[done], res[done], res_norm[done] = trial[pick], tres[pick], tnorm[pick]
+        return ~found
+
     for _ in range(_MAX_ITER):
         active &= res_norm != 0.0
         if owner is not None:
@@ -158,26 +185,22 @@ def _newton(basis, coords, points, owner=None, accept=0.0):
             hit_owner, first = np.unique(owner[hit], return_index=True)
             last_row[hit_owner] = hit[first]
             active &= rows <= last_row[owner]
-        jac = np.einsum("pkd,pkb->pdb", coords[active], grads[active])
-        solvable = np.abs(np.linalg.det(jac)) > 0.0
-        active[np.flatnonzero(active)[~solvable]] = False
         idx = np.flatnonzero(active)
         if not len(idx):
             break
+        grads = basis.eval_with_grad(ref[idx])[1]
+        jac = np.einsum("pkd,pkb->pdb", coords[idx], grads)
+        solvable = np.abs(np.linalg.det(jac)) > 0.0
+        active[idx[~solvable]] = False
+        idx = idx[solvable]
+        if not len(idx):
+            break
         step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
-        for _ in range(_MAX_HALVINGS):
-            trial = basis.clamp(ref[idx] + step)
-            tvals, tgrads = basis.eval_with_grad(trial)
-            tres = np.einsum("pk,pkd->pd", tvals, coords[idx]) - points[idx]
-            tnorm = np.linalg.norm(tres, axis=1)
-            better = tnorm < res_norm[idx]
-            done = idx[better]
-            ref[done], res[done] = trial[better], tres[better]
-            res_norm[done], grads[done] = tnorm[better], tgrads[better]
-            idx, step = idx[~better], 0.5 * step[~better]
-            if not len(idx):
-                break
-        active[idx] = False
+        missed = first_decrease(idx, step, np.ones(1))
+        idx, step = idx[missed], step[missed]
+        for s in range(0, len(idx), per_batch):
+            part = slice(s, s + per_batch)
+            active[idx[part][first_decrease(idx[part], step[part], halvings)]] = False
         active &= res_norm > stop
     return ref, res_norm
 

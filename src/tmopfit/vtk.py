@@ -153,19 +153,13 @@ def write_vtk(path, mesh, node_field, sigma=None):
     """Write a .vtu file with one Lagrange cell per mesh element."""
     lattice = vtk_lattice(mesh.geometry, mesh.order)
     basis_vals = mesh.basis.eval(lattice)
-    pts = node_field.as_matrix()
-    n_lat = len(lattice)
-    n_cells = mesh.num_elements
+    conn = mesh.connectivity
+    n_cells, n_lat = conn.shape[0], len(lattice)
     n_points = n_lat * n_cells
 
     coords = np.zeros((n_points, 3))
-    sigma_vals = np.zeros(n_points) if sigma is not None else None
-    for e in range(n_cells):
-        conn = mesh.connectivity[e]
-        block = slice(e * n_lat, (e + 1) * n_lat)
-        coords[block, : mesh.dim] = basis_vals @ pts[conn]
-        if sigma is not None:
-            sigma_vals[block] = basis_vals @ sigma.coefficients[conn]
+    images = basis_vals @ node_field.as_matrix()[conn]  # (cells, lattice, dim)
+    coords[:, : mesh.dim] = images.reshape(n_points, mesh.dim)
 
     cell_type = VTK_LAGRANGE_CELL[mesh.geometry]
     lines = []
@@ -182,14 +176,13 @@ def write_vtk(path, mesh, node_field, sigma=None):
     lines.append(
         '<DataArray type="Float64" NumberOfComponents="3" format="ascii">'
     )
-    for row in coords:
-        lines.append(f"{row[0]:.16g} {row[1]:.16g} {row[2]:.16g}")
+    lines.extend(map("{:.16g} {:.16g} {:.16g}".format, *coords.T.tolist()))
     lines.append("</DataArray>")
     lines.append("</Points>")
     lines.append("<Cells>")
     lines.append('<DataArray type="Int64" Name="connectivity" format="ascii">')
-    for e in range(n_cells):
-        lines.append(" ".join(str(e * n_lat + i) for i in range(n_lat)))
+    cell_points = np.arange(n_points).reshape(n_cells, n_lat)
+    lines.extend(map(" ".join(["{}"] * n_lat).format, *cell_points.T.tolist()))
     lines.append("</DataArray>")
     lines.append('<DataArray type="Int64" Name="offsets" format="ascii">')
     lines.append(" ".join(str((e + 1) * n_lat) for e in range(n_cells)))
@@ -198,11 +191,14 @@ def write_vtk(path, mesh, node_field, sigma=None):
     lines.append(" ".join(str(cell_type) for _ in range(n_cells)))
     lines.append("</DataArray>")
     lines.append("</Cells>")
-    if sigma_vals is not None:
+    if sigma is not None:
+        # Per cell (lattice x nodes) @ (nodes x 1): this rounds as one
+        # cell's matrix-vector product does; coeff[conn] @ basis_vals.T
+        # can differ in the last digit.
+        values = basis_vals @ sigma.coefficients[conn][:, :, None]
         lines.append('<PointData Scalars="sigma">')
         lines.append('<DataArray type="Float64" Name="sigma" format="ascii">')
-        for v in sigma_vals:
-            lines.append(f"{v:.16g}")
+        lines.extend(map("{:.16g}".format, values.ravel().tolist()))
         lines.append("</DataArray>")
         lines.append("</PointData>")
     lines.append('<CellData Scalars="attribute">')

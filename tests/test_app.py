@@ -27,7 +27,7 @@ from tmopfit.fields import ScalarField
 from tmopfit.fitting import MarkedSet
 from tmopfit.levelsets import builtin_levelset
 from tmopfit.mesh import NodeField, make_cartesian, write_mesh
-from tmopfit.vtk import write_vtk
+from tmopfit.vtk import VTK_LAGRANGE_CELL, vtk_lattice, write_vtk
 
 
 def test_package_imports_no_scipy():
@@ -305,6 +305,82 @@ def test_vtk_cell_types_and_counts(tmp_path, geometry, dim, cell_type, n_lattice
     n_points, n_cells, types, _, _ = _read_vtu(path)
     assert set(types) == {cell_type}
     assert n_points == n_lattice * n_cells
+
+
+def mesh_text_per_row(mesh, node_field):
+    """write_mesh's text, one row at a time (reference loop)."""
+    lines = ["tmopfit-mesh v1", f"dim {mesh.dim}", f"order {mesh.order}",
+             f"geom {mesh.geometry}", f"elements {mesh.num_elements}"]
+    for attr, conn in zip(mesh.attributes, mesh.connectivity):
+        lines.append(" ".join([str(int(attr))] + [str(int(c)) for c in conn]))
+    lines.append(f"boundary {len(mesh.boundary)}")
+    for attr, nodes in mesh.boundary:
+        lines.append(" ".join([str(int(attr))] + [str(int(c)) for c in nodes]))
+    lines.append(f"nodes {mesh.num_nodes}")
+    for row in node_field.as_matrix():
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def vtk_text_per_element(mesh, node_field, sigma):
+    """write_vtk's text with sigma, element by element and row by row
+    (reference loop)."""
+    lattice = vtk_lattice(mesh.geometry, mesh.order)
+    basis_vals = mesh.basis.eval(lattice)
+    pts = node_field.as_matrix()
+    n_lat, n_cells = len(lattice), mesh.num_elements
+    coords = np.zeros((n_lat * n_cells, 3))
+    sigma_vals = np.zeros(n_lat * n_cells)
+    for e, conn in enumerate(mesh.connectivity):
+        block = slice(e * n_lat, (e + 1) * n_lat)
+        coords[block, : mesh.dim] = basis_vals @ pts[conn]
+        sigma_vals[block] = basis_vals @ sigma.coefficients[conn]
+    lines = [
+        '<?xml version="1.0"?>',
+        '<VTKFile type="UnstructuredGrid" version="2.2" byte_order="LittleEndian">',
+        "<UnstructuredGrid>",
+        f'<Piece NumberOfPoints="{len(coords)}" NumberOfCells="{n_cells}">',
+        "<Points>",
+        '<DataArray type="Float64" NumberOfComponents="3" format="ascii">',
+    ]
+    lines += [f"{row[0]:.16g} {row[1]:.16g} {row[2]:.16g}" for row in coords]
+    lines += ["</DataArray>", "</Points>", "<Cells>",
+              '<DataArray type="Int64" Name="connectivity" format="ascii">']
+    lines += [" ".join(str(e * n_lat + i) for i in range(n_lat)) for e in range(n_cells)]
+    lines += [
+        "</DataArray>",
+        '<DataArray type="Int64" Name="offsets" format="ascii">',
+        " ".join(str((e + 1) * n_lat) for e in range(n_cells)),
+        "</DataArray>",
+        '<DataArray type="UInt8" Name="types" format="ascii">',
+        " ".join(str(VTK_LAGRANGE_CELL[mesh.geometry]) for _ in range(n_cells)),
+        "</DataArray>", "</Cells>",
+        '<PointData Scalars="sigma">',
+        '<DataArray type="Float64" Name="sigma" format="ascii">',
+    ]
+    lines += [f"{v:.16g}" for v in sigma_vals]
+    lines += [
+        "</DataArray>", "</PointData>",
+        '<CellData Scalars="attribute">',
+        '<DataArray type="Int32" Name="attribute" format="ascii">',
+        " ".join(str(int(a)) for a in mesh.attributes),
+        "</DataArray>", "</CellData>", "</Piece>", "</UnstructuredGrid>", "</VTKFile>",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("geometry,dim,order", [("triangle", 2, 3), ("hex", 3, 2)])
+def test_writers_match_per_element_writers_byte_for_byte(tmp_path, geometry, dim, order):
+    mesh, nodes = make_cartesian(dim, 3, order, geometry)
+    x = nodes.as_matrix()
+    moved = NodeField.from_matrix(x + 0.02 * np.sin(2.0 * np.pi * x[:, ::-1]))
+    mesh.attributes[::2] = 2
+    sigma = ScalarField(mesh, np.linalg.norm(x - 0.5, axis=1) - 0.3)
+    write_mesh(tmp_path / "m.mesh", mesh, moved)
+    write_vtk(tmp_path / "m.vtu", mesh, moved, sigma)
+    assert (tmp_path / "m.mesh").read_bytes() == mesh_text_per_row(mesh, moved).encode()
+    expected = vtk_text_per_element(mesh, moved, sigma).encode()
+    assert (tmp_path / "m.vtu").read_bytes() == expected
 
 
 def test_fit_report_json_roundtrip():

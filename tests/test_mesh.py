@@ -11,6 +11,8 @@ from tmopfit.errors import InvalidMeshError, MeshParseError
 from tmopfit.mesh import (
     Mesh,
     NodeField,
+    _domain_boundary_faces,
+    _kuhn_tets,
     det_inv,
     element_volumes,
     is_valid,
@@ -19,7 +21,7 @@ from tmopfit.mesh import (
     read_mesh,
     write_mesh,
 )
-from tmopfit.reference import GEOMETRY_DIM
+from tmopfit.reference import GEOMETRY_DIM, reference_element
 
 
 @pytest.mark.parametrize("row", [[0, 1, 2, -1], [0, 1, 2, 4]])
@@ -139,6 +141,64 @@ def test_make_cartesian_hex_volume():
     mesh, nodes = make_cartesian(3, 4, 2, "hex")
     assert mesh.num_elements == 64
     assert abs(element_volumes(mesh, nodes).sum() - 1.0) < 1e-12
+
+
+def cartesian_by_dict(dim, n_cells, order, geometry):
+    """make_cartesian element by element, numbering each node at its first
+    appearance through a dict keyed by rounded coordinates (reference loop)."""
+    nodes = reference_element(geometry, order).basis.nodes
+    h = 1.0 / n_cells
+    cells = np.stack(
+        np.meshgrid(*([np.arange(n_cells)] * dim), indexing="ij"), axis=-1
+    ).reshape(-1, dim)
+    node_ids, coords, connectivity = {}, [], []
+
+    def global_id(point):
+        key = tuple(np.round(point, 10))
+        if key not in node_ids:
+            node_ids[key] = len(coords)
+            coords.append(point)
+        return node_ids[key]
+
+    for cell in cells:
+        o = cell * h
+        if geometry in ("segment", "quad", "hex"):
+            elements = [o[None, :] + h * nodes]
+        else:
+            if geometry == "triangle":
+                v = [o, o + (h, 0.0), o + (h, h), o + (0.0, h)]
+                simplices = [(v[0], v[1], v[2]), (v[0], v[2], v[3])]
+            else:
+                simplices = [o[None, :] + h * tet for tet in _kuhn_tets()]
+            elements = []
+            for verts in simplices:
+                v0 = np.asarray(verts[0])
+                edges = np.stack([v - v0 for v in verts[1:]])
+                elements.append(v0[None, :] + nodes @ edges)
+        for element in elements:
+            connectivity.append([global_id(p) for p in element])
+    mesh = Mesh(
+        dim, order, geometry, np.asarray(connectivity),
+        np.ones(len(connectivity), dtype=int), num_nodes=len(coords),
+    )
+    node_field = NodeField.from_matrix(np.asarray(coords))
+    mesh.boundary = _domain_boundary_faces(mesh, node_field)
+    return mesh, node_field
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRY_DIM))
+@pytest.mark.parametrize("n_cells", [2, 3])
+@pytest.mark.parametrize("order", [1, 3])
+def test_make_cartesian_matches_per_element_numbering_exactly(geometry, n_cells, order):
+    dim = GEOMETRY_DIM[geometry]
+    mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
+    expected, expected_nodes = cartesian_by_dict(dim, n_cells, order, geometry)
+    assert mesh.num_nodes == expected.num_nodes
+    assert np.array_equal(mesh.connectivity, expected.connectivity)
+    assert np.array_equal(nodes.coords, expected_nodes.coords)
+    assert len(mesh.boundary) == len(expected.boundary)
+    for (attr, ids), (expected_attr, expected_ids) in zip(mesh.boundary, expected.boundary):
+        assert attr == expected_attr and np.array_equal(ids, expected_ids)
 
 
 @pytest.mark.parametrize("geometry,dim", [("triangle", 2), ("tet", 3)])

@@ -15,6 +15,7 @@ from tmopfit.reference import (
     quadrature_for,
     reference_element,
     _jacobi_rule_01,
+    _lagrange_table,
 )
 
 ORDERS = (1, 2, 3)
@@ -225,3 +226,60 @@ def test_clamp_batch_matches_one_point_clamp(geometry):
     expected = np.array([clamp_one_point(basis, p) for p in points])
     assert np.array_equal(basis.clamp(points), expected)
     assert np.array_equal(basis.clamp(points[7]), expected[7])
+
+
+def tensor_basis_per_node(basis, points):
+    """Values and gradients of a tensor-product basis, node by node, each
+    factor multiplied in axis order (reference loop)."""
+    tabs = [_lagrange_table(basis._nodes_1d, points[:, a]) for a in range(basis.dim)]
+    k1, npts = basis.order + 1, len(points)
+    vals = np.ones((npts, basis.num_nodes))
+    grads = np.zeros((npts, basis.num_nodes, basis.dim))
+    for local in range(basis.num_nodes):
+        ijk = [(local // k1**a) % k1 for a in range(basis.dim)]
+        v = np.ones(npts)
+        for a in range(basis.dim):
+            v = v * tabs[a][0][:, ijk[a]]
+        vals[:, local] = v
+        for a in range(basis.dim):
+            g = tabs[a][1][:, ijk[a]].copy()
+            for b in range(basis.dim):
+                if b != a:
+                    g *= tabs[b][0][:, ijk[b]]
+            grads[:, local, a] = g
+    return vals, grads
+
+
+@pytest.mark.parametrize("geometry", ["segment", "quad", "hex"])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_tensor_basis_matches_per_node_products_exactly(geometry, order):
+    basis = NodalBasis(geometry, order)
+    rng = np.random.default_rng(order)
+    for points in (rng.random((300, basis.dim)), basis.nodes):
+        vals, grads = basis.eval_with_grad(points)
+        expected_vals, expected_grads = tensor_basis_per_node(basis, points)
+        assert np.array_equal(vals, expected_vals)
+        assert np.array_equal(grads, expected_grads)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_values_only_eval_matches_eval_with_grad_exactly(geometry, order):
+    basis = NodalBasis(geometry, order)
+    rng = np.random.default_rng(order + 10)
+    for points in (rng.random((300, basis.dim)), basis.nodes, basis.nodes[:1]):
+        values = basis.eval(points)
+        assert values.flags.c_contiguous
+        assert np.array_equal(values, basis.eval_with_grad(points)[0])
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_values_of_a_point_do_not_depend_on_its_batch(geometry):
+    basis = NodalBasis(geometry, 3)
+    points = np.random.default_rng(5).random((50, basis.dim))
+    vals, grads = basis.eval_with_grad(points)
+    for i in (0, 17):
+        one = points[i : i + 1]
+        assert np.array_equal(basis.eval(one), vals[i : i + 1])
+        assert np.array_equal(basis.eval_with_grad(one)[0], vals[i : i + 1])
+        assert np.array_equal(basis.eval_with_grad(one)[1], grads[i : i + 1])

@@ -1,6 +1,7 @@
 """Point location and field transfer between meshes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -245,19 +246,99 @@ def test_fallback_sweep_matches_grid_pass(geometry):
     assert np.all(sweep.status == "interior")
 
 
+def count_basis_calls(monkeypatch, calls):
+    """Append (method, number of points) to calls for every basis evaluation."""
+    for name in ("eval", "eval_with_grad"):
+        original = getattr(NodalBasis, name)
+
+        def counting(self, points, name=name, original=original):
+            calls.append((name, len(points)))
+            return original(self, points)
+
+        monkeypatch.setattr(NodalBasis, name, counting)
+
+
+def newton_by_halving(basis, coords, points, owner=None, accept=0.0):
+    """transfer._newton with gradients carried from each accepted trial
+    point and one basis evaluation per step halving (reference loop)."""
+    n = len(points)
+    ref = np.tile(basis.center, (n, 1))
+    vals, grads = basis.eval_with_grad(ref)
+    res = np.einsum("pk,pkd->pd", vals, coords) - points
+    res_norm = np.linalg.norm(res, axis=1)
+    stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
+    active = np.ones(n, dtype=bool)
+    if owner is not None:
+        owner = np.unique(owner, return_inverse=True)[1]
+        rows, last_row = np.arange(n), np.full(owner[-1] + 1, n)
+    for _ in range(transfer._MAX_ITER):
+        active &= res_norm != 0.0
+        if owner is not None:
+            hit = np.flatnonzero(res_norm <= accept)
+            hit_owner, first = np.unique(owner[hit], return_index=True)
+            last_row[hit_owner] = hit[first]
+            active &= rows <= last_row[owner]
+        jac = np.einsum("pkd,pkb->pdb", coords[active], grads[active])
+        solvable = np.abs(np.linalg.det(jac)) > 0.0
+        active[np.flatnonzero(active)[~solvable]] = False
+        idx = np.flatnonzero(active)
+        if not len(idx):
+            break
+        step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
+        for _ in range(transfer._MAX_HALVINGS):
+            trial = basis.clamp(ref[idx] + step)
+            tvals, tgrads = basis.eval_with_grad(trial)
+            tres = np.einsum("pk,pkd->pd", tvals, coords[idx]) - points[idx]
+            tnorm = np.linalg.norm(tres, axis=1)
+            better = tnorm < res_norm[idx]
+            done = idx[better]
+            ref[done], res[done] = trial[better], tres[better]
+            res_norm[done], grads[done] = tnorm[better], tgrads[better]
+            idx, step = idx[~better], 0.5 * step[~better]
+            if not len(idx):
+                break
+        active[idx] = False
+        active &= res_norm > stop
+    return ref, res_norm
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
+def test_batched_halvings_match_halving_one_step_at_a_time(geometry):
+    # Every point against every element: most pairs lie outside their
+    # element, so many steps are clamped and halved.
+    n_cells, order = GEOMETRY_MESHES[geometry]
+    mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
+    moved = smooth_motion(mesh, nodes)
+    points = moved.as_matrix()[::7]
+    owner = np.repeat(np.arange(len(points)), mesh.num_elements)
+    elements = np.tile(np.arange(mesh.num_elements), len(points))
+    coords = moved.as_matrix()[mesh.connectivity[elements]]
+    for args in ((), (owner, 1e-10)):
+        expected = newton_by_halving(mesh.basis, coords, points[owner], *args)
+        got = transfer._newton(mesh.basis, coords, points[owner], *args)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+
 def test_small_newton_chunks_give_the_same_locations(monkeypatch):
     mesh, nodes = make_cartesian(2, 4, 2, "triangle")
     moved = smooth_motion(mesh, nodes)
     index = build_index(mesh, moved)
     points = np.vstack([moved.as_matrix()[::3], [[1.0 + 5e-9, 0.5], [3.0, 3.0]]])
-    whole = locate_points(index, mesh, moved, points)
-    # Chunks that split the candidates, and the sweep, of single points.
-    monkeypatch.setattr(transfer, "_CHUNK", 13)
+    calls, default_chunk = [], transfer._CHUNK
+    count_basis_calls(monkeypatch, calls)
+    # Chunks that split the candidates, the sweep of single points and every
+    # batch of halved steps: 13 // (_MAX_HALVINGS - 1) = 1 row per batch.
     for idx in (index, emptied_grid(index)):
+        monkeypatch.setattr(transfer, "_CHUNK", default_chunk)
+        whole = locate_points(idx, mesh, moved, points)
+        monkeypatch.setattr(transfer, "_CHUNK", 13)
+        calls.clear()
         chunked = locate_points(idx, mesh, moved, points)
-        assert np.array_equal(chunked.element, whole.element)
-        assert np.array_equal(chunked.status, whole.status)
-        assert np.allclose(chunked.ref, whole.ref, atol=1e-12)
+        assert max(n for _, n in calls) <= 13
+        for key in ("element", "status", "distance"):
+            assert np.array_equal(getattr(chunked, key), getattr(whole, key))
+        assert np.array_equal(chunked.ref, whole.ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("geometry", ["quad", "triangle"])
@@ -289,13 +370,7 @@ def test_transfer_eval_calls_do_not_grow_with_points(monkeypatch):
     sigma = project(ls, mesh, nodes)
     moved_nodes = smooth_motion(mesh, nodes)
     calls = []
-    original = NodalBasis.eval_with_grad
-
-    def counting(self, points):
-        calls.append(len(points))
-        return original(self, points)
-
-    monkeypatch.setattr(NodalBasis, "eval_with_grad", counting)
+    count_basis_calls(monkeypatch, calls)
     counts = []
     for copies in (1, 4):
         tiled, tiled_nodes = tiled_mesh(mesh, moved_nodes, copies)
@@ -308,25 +383,41 @@ def test_transfer_eval_calls_do_not_grow_with_points(monkeypatch):
     assert counts[0] == counts[1] < mesh.num_nodes
 
 
+def check_newton_calls(calls):
+    """Each _newton call evaluates values once.  Each of its iterations
+    evaluates gradients once and values once for the full step, then the
+    halved steps in batches of whole rows, every batch but the last full:
+    three calls when the rows to halve fit in one batch of _CHUNK points."""
+    scales = transfer._MAX_HALVINGS - 1
+    full = transfer._CHUNK // scales * scales
+    names = {"newton": "N", "eval": "v", "eval_with_grad": "G"}
+    sequence = "".join(names[name] for name, _ in calls)
+    assert re.fullmatch(r"(Nv(Gv*)*)+", sequence)
+    for iteration in re.finditer(r"Gv(v*)", sequence):
+        halved = [n for _, n in calls[iteration.start(1) : iteration.end(1)]]
+        assert all(n == full for n in halved[:-1])
+        assert all(0 < n <= full and n % scales == 0 for n in halved[-1:])
+
+
 def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
     # The same locations as running every pair to its own stop, for fewer
-    # basis evaluations.
+    # evaluated basis points.
     full_newton = transfer._newton
     calls = []
-    original = NodalBasis.eval_with_grad
-
-    def counting(self, points):
-        calls.append(len(points))
-        return original(self, points)
 
     def located(idx, mesh, moved, points, newton):
-        monkeypatch.setattr(transfer, "_newton", newton)
+        def marked(*args):
+            calls.append(("newton", 0))
+            return newton(*args)
+
+        monkeypatch.setattr(transfer, "_newton", marked)
         calls.clear()
         loc = locate_points(idx, mesh, moved, points)
-        return loc, len(calls), sum(calls)
+        check_newton_calls(calls)
+        basis_calls = [n for name, n in calls if name != "newton"]
+        return loc, len(basis_calls), sum(basis_calls)
 
-    monkeypatch.setattr(NodalBasis, "eval_with_grad", counting)
-    totals = np.zeros((2, 2), dtype=int)
+    count_basis_calls(monkeypatch, calls)
     for geometry, sweep in (("quad", True), ("triangle", False), ("hex", False)):
         n_cells, order = GEOMETRY_MESHES[geometry]
         mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
@@ -347,5 +438,3 @@ def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
         for key in ("element", "ref", "status", "distance"):
             assert np.array_equal(getattr(pruned[0], key), getattr(every_pair[0], key))
         assert pruned[1] <= every_pair[1] and pruned[2] < every_pair[2]
-        totals += [every_pair[1:], pruned[1:]]
-    assert np.all(totals[1] < totals[0])
