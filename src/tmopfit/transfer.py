@@ -10,7 +10,8 @@ on every (point, candidate) pair at once, and points no candidate
 accepts go through a chunked sweep over all elements.  Each Newton
 iteration evaluates basis gradients once; its trial points need values
 only, with all step halvings of a row in one batch.  Each point gets
-the first accepted candidate in cell order, else the smallest residual.
+the first of its candidates to be accepted, ties broken in cell order,
+else the smallest residual.
 """
 
 from dataclasses import dataclass
@@ -44,7 +45,8 @@ class PointLocations:
     """Result of locating a batch of points; row i describes point i.
 
     counts: "points", first-pass (point, candidate) "pairs", points sent
-    to the "fallback" sweep over all elements, and "projected" points.
+    to the "fallback" sweep over all elements, "projected" points, and
+    Newton "iterations" summed over the Newton batches.
     """
 
     element: np.ndarray  # (n,) int; -1 when no element was tried
@@ -140,29 +142,29 @@ def _residual(basis, trial, coords, points):
     return res, np.linalg.norm(res, axis=2)
 
 
-def _newton(basis, coords, points, owner=None, accept=0.0):
+def _newton(basis, coords, points, owner, accept):
     """Damped Newton for the reference coordinates of each points[i] in
     the element with node coordinates coords[i], all rows at once.
 
-    Returns (ref, residual_norm).  Iterates are clamped to the reference
-    element.  An iteration evaluates basis gradients once, at the active
-    rows' iterates, and trial points by values only: the full step, then,
-    for rows it does not improve, all _MAX_HALVINGS - 1 halved steps in
-    batches of at most _CHUNK points; each row takes the first that
-    reduces its residual, as halving one step at a time would.
-    owner, if given, names the point of each row, with the rows of a
-    point consecutive and in priority order: a row then stops once an
-    earlier row of its point has a residual <= accept, because residuals
-    only decrease and the earlier row will be chosen.
+    Returns (ref, residual_norm, iterations).  Iterates are clamped to
+    the reference element.  An iteration evaluates basis gradients once,
+    at the active rows' iterates, and trial points by values only: the
+    full step, then, for rows it does not improve, all _MAX_HALVINGS - 1
+    halved steps in batches of at most _CHUNK points; each row takes the
+    first that reduces its residual, as halving one step at a time would.
+    owner names the point of each row, with the rows of a point
+    consecutive and in priority order.  Once a row has a residual
+    <= accept, every other row of its point stops (residuals only
+    decrease, so that row will be chosen) and it iterates on to its own
+    stop; of rows accepted in the same iteration, the first is kept.
     """
     n = len(points)
     ref = np.tile(basis.center, (n, 1))
     res, res_norm = (r[:, 0] for r in _residual(basis, ref[:, None], coords, points))
     stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
     active = np.ones(n, dtype=bool)
-    if owner is not None:
-        owner = np.unique(owner, return_inverse=True)[1]  # 0, 1, ... per point
-        rows, last_row = np.arange(n), np.full(owner[-1] + 1, n)
+    owner = np.unique(owner, return_inverse=True)[1]  # 0, 1, ... per point
+    rows, chosen = np.arange(n), np.full(n, -1)  # chosen row per point
     halvings = 0.5 ** np.arange(1, _MAX_HALVINGS)  # exact: repeated halving
     per_batch = max(1, _CHUNK // len(halvings))
 
@@ -178,13 +180,15 @@ def _newton(basis, coords, points, owner=None, accept=0.0):
         ref[done], res[done], res_norm[done] = trial[pick], tres[pick], tnorm[pick]
         return ~found
 
+    iterations = 0
     for _ in range(_MAX_ITER):
         active &= res_norm != 0.0
-        if owner is not None:
-            hit = np.flatnonzero(res_norm <= accept)
-            hit_owner, first = np.unique(owner[hit], return_index=True)
-            last_row[hit_owner] = hit[first]
-            active &= rows <= last_row[owner]
+        # The other rows of a point are stopped, so its first accepted
+        # row stays the first in row order: assigning again keeps it.
+        hit = np.flatnonzero(res_norm <= accept)
+        hit_owner, first = np.unique(owner[hit], return_index=True)
+        chosen[hit_owner] = hit[first]
+        active &= (chosen[owner] < 0) | (chosen[owner] == rows)
         idx = np.flatnonzero(active)
         if not len(idx):
             break
@@ -195,6 +199,7 @@ def _newton(basis, coords, points, owner=None, accept=0.0):
         idx = idx[solvable]
         if not len(idx):
             break
+        iterations += 1
         step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
         missed = first_decrease(idx, step, np.ones(1))
         idx, step = idx[missed], step[missed]
@@ -202,7 +207,19 @@ def _newton(basis, coords, points, owner=None, accept=0.0):
             part = slice(s, s + per_batch)
             active[idx[part][first_decrease(idx[part], step[part], halvings)]] = False
         active &= res_norm > stop
-    return ref, res_norm
+    return ref, res_norm, iterations
+
+
+def _point_chunks(pt):
+    """Slices of the point-sorted rows pt into runs of whole points of at
+    most _CHUNK rows; a point with more rows forms its own run."""
+    bounds = np.append(np.flatnonzero(np.diff(pt, prepend=-1)), len(pt))
+    s = 0
+    while s < len(pt):
+        e = bounds[np.searchsorted(bounds, s + _CHUNK, side="right") - 1]
+        e = e if e > s else bounds[np.searchsorted(bounds, s, side="right")]
+        yield slice(s, e)
+        s = e
 
 
 def locate_points(index, mesh, node_field, points):
@@ -218,14 +235,20 @@ def locate_points(index, mesh, node_field, points):
     accept = ACCEPT_TOL * index.scale
     element, ref = np.full(n, -1), np.full((n, mesh.dim), np.nan)
     dist = np.full(n, np.inf)
+    iterations = 0
 
     def search(pt, elem):
-        # Per point, in pair order: the first accepted pair, else the
-        # smallest residual (first on ties) if it beats the current one.
-        for s in range(0, len(pt), _CHUNK):
-            p, e = pt[s : s + _CHUNK], elem[s : s + _CHUNK]
+        # Per point, the first of its pairs to be accepted (first in pair
+        # order on ties), else the smallest residual (first on ties) if it
+        # beats the current one.  A Newton batch holds every pair of its
+        # points, so _newton sees the point's whole candidate list and the
+        # result does not depend on _CHUNK.
+        nonlocal iterations
+        for chunk in _point_chunks(pt):
+            p, e = pt[chunk], elem[chunk]
             coords = node_field.as_matrix()[mesh.connectivity[e]]
-            pair_ref, res = _newton(mesh.basis, coords, points[p], p, accept)
+            pair_ref, res, its = _newton(mesh.basis, coords, points[p], p, accept)
+            iterations += its
             key = np.where(res <= accept, 0.0, res)
             order = np.lexsort((np.arange(len(p)), key, p))
             best = order[np.unique(p[order], return_index=True)[1]]
@@ -247,7 +270,7 @@ def locate_points(index, mesh, node_field, points):
         [interior, projected], ["interior", "boundary-projected"], "not-found"
     )
     counts = {"points": n, "pairs": len(pt), "fallback": len(fallback),
-              "projected": int(projected.sum())}
+              "projected": int(projected.sum()), "iterations": iterations}
     return PointLocations(element, ref, status, np.where(interior, 0.0, dist), counts)
 
 

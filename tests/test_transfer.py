@@ -211,7 +211,12 @@ def test_locate_points_counts():
     loc = locate_points(index, mesh, nodes, points)
     # Candidates per point: 1, 4 (shared vertex), 2, 0 (outside every box).
     # The projected and the outside point both miss the grid candidates.
-    assert loc.counts == {"points": 4, "pairs": 7, "fallback": 2, "projected": 1}
+    # Each of the two passes takes two Newton iterations: the elements are
+    # affine, so one step lands on every point an element holds, and the
+    # rows clamped at the boundary find no decrease in the second.
+    assert loc.counts == {
+        "points": 4, "pairs": 7, "fallback": 2, "projected": 1, "iterations": 4
+    }
     assert list(loc.status) == [
         "interior", "interior", "boundary-projected", "not-found"
     ]
@@ -258,7 +263,7 @@ def count_basis_calls(monkeypatch, calls):
         monkeypatch.setattr(NodalBasis, name, counting)
 
 
-def newton_by_halving(basis, coords, points, owner=None, accept=0.0):
+def newton_by_halving(basis, coords, points, owner, accept):
     """transfer._newton with gradients carried from each accepted trial
     point and one basis evaluation per step halving (reference loop)."""
     n = len(points)
@@ -268,22 +273,23 @@ def newton_by_halving(basis, coords, points, owner=None, accept=0.0):
     res_norm = np.linalg.norm(res, axis=1)
     stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
     active = np.ones(n, dtype=bool)
-    if owner is not None:
-        owner = np.unique(owner, return_inverse=True)[1]
-        rows, last_row = np.arange(n), np.full(owner[-1] + 1, n)
+    chosen, iterations = {}, 0
     for _ in range(transfer._MAX_ITER):
         active &= res_norm != 0.0
-        if owner is not None:
-            hit = np.flatnonzero(res_norm <= accept)
-            hit_owner, first = np.unique(owner[hit], return_index=True)
-            last_row[hit_owner] = hit[first]
-            active &= rows <= last_row[owner]
+        # A point's first row to reach accept (first in row order on
+        # ties) is chosen, and every other row of the point stops.
+        for row in np.flatnonzero(res_norm <= accept):
+            chosen.setdefault(owner[row], row)
+        for row in range(n):
+            if chosen.get(owner[row], row) != row:
+                active[row] = False
         jac = np.einsum("pkd,pkb->pdb", coords[active], grads[active])
         solvable = np.abs(np.linalg.det(jac)) > 0.0
         active[np.flatnonzero(active)[~solvable]] = False
         idx = np.flatnonzero(active)
         if not len(idx):
             break
+        iterations += 1
         step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
         for _ in range(transfer._MAX_HALVINGS):
             trial = basis.clamp(ref[idx] + step)
@@ -299,7 +305,7 @@ def newton_by_halving(basis, coords, points, owner=None, accept=0.0):
                 break
         active[idx] = False
         active &= res_norm > stop
-    return ref, res_norm
+    return ref, res_norm, iterations
 
 
 @pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
@@ -313,45 +319,95 @@ def test_batched_halvings_match_halving_one_step_at_a_time(geometry):
     owner = np.repeat(np.arange(len(points)), mesh.num_elements)
     elements = np.tile(np.arange(mesh.num_elements), len(points))
     coords = moved.as_matrix()[mesh.connectivity[elements]]
-    for args in ((), (owner, 1e-10)):
+    # One owner per row runs every row to its own stop.
+    for args in ((np.arange(len(owner)), 1e-10), (owner, 1e-10)):
         expected = newton_by_halving(mesh.basis, coords, points[owner], *args)
         got = transfer._newton(mesh.basis, coords, points[owner], *args)
         assert np.array_equal(got[0], expected[0])
         assert np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
+
+
+def rows_per_point(owners):
+    """Sorted (point, rows) of every _newton call, from each call's owner."""
+    return sorted(
+        (int(o), int(c)) for own in owners for o, c in zip(*np.unique(own, return_counts=True))
+    )
 
 
 def test_small_newton_chunks_give_the_same_locations(monkeypatch):
-    mesh, nodes = make_cartesian(2, 4, 2, "triangle")
-    moved = smooth_motion(mesh, nodes)
-    index = build_index(mesh, moved)
-    points = np.vstack([moved.as_matrix()[::3], [[1.0 + 5e-9, 0.5], [3.0, 3.0]]])
+    # _CHUNK = 13 is below the candidate count of many tet points and the
+    # 32 or 48 elements of the sweep, and gives 13 // (_MAX_HALVINGS - 1)
+    # = 1 row per batch of halved steps.
+    full_newton, owners = transfer._newton, []
+
+    def recording(basis, coords, points, owner, accept):
+        owners.append(owner)
+        return full_newton(basis, coords, points, owner, accept)
+
+    monkeypatch.setattr(transfer, "_newton", recording)
     calls, default_chunk = [], transfer._CHUNK
     count_basis_calls(monkeypatch, calls)
-    # Chunks that split the candidates, the sweep of single points and every
-    # batch of halved steps: 13 // (_MAX_HALVINGS - 1) = 1 row per batch.
-    for idx in (index, emptied_grid(index)):
-        monkeypatch.setattr(transfer, "_CHUNK", default_chunk)
-        whole = locate_points(idx, mesh, moved, points)
-        monkeypatch.setattr(transfer, "_CHUNK", 13)
-        calls.clear()
-        chunked = locate_points(idx, mesh, moved, points)
-        assert max(n for _, n in calls) <= 13
-        for key in ("element", "status", "distance"):
-            assert np.array_equal(getattr(chunked, key), getattr(whole, key))
-        assert np.array_equal(chunked.ref, whole.ref, equal_nan=True)
+    for geometry, n_cells in (("triangle", 4), ("tet", 2)):
+        mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, 2, geometry)
+        moved = smooth_motion(mesh, nodes)
+        index = build_index(mesh, moved)
+        outside = np.array([[1.0 + 5e-9] + [0.5] * (mesh.dim - 1), [3.0] * mesh.dim])
+        points = np.vstack([moved.as_matrix()[::3], outside])
+        candidates = np.bincount(transfer._candidate_pairs(index, points)[0])
+        assert geometry == "triangle" or candidates.max() > 13
+        for idx in (index, emptied_grid(index)):
+            monkeypatch.setattr(transfer, "_CHUNK", default_chunk)
+            owners.clear()
+            whole = locate_points(idx, mesh, moved, points)
+            whole_rows = rows_per_point(owners)
+            assert len(owners) <= 2  # one Newton batch per pass
+            monkeypatch.setattr(transfer, "_CHUNK", 13)
+            owners.clear()
+            calls.clear()
+            chunked = locate_points(idx, mesh, moved, points)
+            # Each point's rows of a pass stay in one Newton batch, which
+            # holds more than _CHUNK rows only for a point with that many.
+            assert rows_per_point(owners) == whole_rows
+            widest = max(13, max(rows for _, rows in whole_rows))
+            assert max(n for _, n in calls) <= widest
+            for key in ("element", "status", "distance"):
+                assert np.array_equal(getattr(chunked, key), getattr(whole, key))
+            assert np.array_equal(chunked.ref, whole.ref, equal_nan=True)
+            # "iterations" sums over the Newton batches, so it alone grows.
+            del chunked.counts["iterations"], whole.counts["iterations"]
+            assert chunked.counts == whole.counts
 
 
 @pytest.mark.parametrize("geometry", ["quad", "triangle"])
-def test_shared_vertex_resolves_to_first_accepted_candidate(geometry):
+def test_shared_vertex_tie_goes_to_first_candidate_in_cell_order(geometry):
     mesh, nodes = make_cartesian(2, 2, 1, geometry)
     index = build_index(mesh, nodes)
     vertex = np.array([0.5, 0.5])
     cands = candidate_elements(index, vertex)
     assert len(cands) > 1 and cands == sorted(cands)
-    # Element 0 has the vertex as a corner, so it is the first candidate
-    # in cell order that accepts the point.
+    # The elements are affine, so every element with the vertex as a
+    # corner accepts it after the same first Newton step; of these,
+    # element 0 is the first candidate in cell order.
     loc = locate(index, mesh, nodes, vertex)
     assert loc.status == "interior" and loc.element == cands[0] == 0
+
+
+@pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
+def test_affine_source_mesh_locates_in_few_newton_iterations(geometry):
+    # Every fit case starts from an affine mesh.  Its smoothly moved nodes
+    # are each accepted by their element after the first Newton step,
+    # which stops every other candidate of the point, including those
+    # clamped on the reference boundary.  Stopping only the candidates
+    # after the accepted one leaves those creeping on for 3 (hex) to all
+    # 50 (tet) iterations on these meshes.
+    n_cells, order = GEOMETRY_MESHES[geometry]
+    mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
+    index = build_index(mesh, nodes)
+    loc = locate_points(index, mesh, nodes, smooth_motion(mesh, nodes).as_matrix())
+    assert np.all(loc.status == "interior") and loc.counts["fallback"] == 0
+    assert loc.counts["pairs"] > loc.counts["points"]
+    assert loc.counts["iterations"] <= 2 < transfer._MAX_ITER
 
 
 def tiled_mesh(mesh, nodes, copies):
@@ -400,10 +456,21 @@ def check_newton_calls(calls):
 
 
 def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
-    # The same locations as running every pair to its own stop, for fewer
-    # evaluated basis points.
+    # Against running every pair to its own stop: the same location where
+    # one candidate accepts the point; where several do (shared faces),
+    # an interior location in one of them and the same field value; and
+    # fewer evaluated basis points.
+    from tmopfit.levelsets import sphere
+
     full_newton = transfer._newton
-    calls = []
+    calls, accepted_rows = [], []
+
+    def every_pair(basis, coords, points, owner, accept):
+        ref, res, iterations = full_newton(
+            basis, coords, points, np.arange(len(points)), accept
+        )
+        accepted_rows.append(owner[res <= accept])
+        return ref, res, iterations
 
     def located(idx, mesh, moved, points, newton):
         def marked(*args):
@@ -431,10 +498,28 @@ def test_newton_stops_pairs_that_cannot_be_chosen(monkeypatch):
         elements, refs = map(np.array, zip(*pairs))
         coords = moved.as_matrix()[mesh.connectivity[elements]]
         points = np.einsum("pk,pkd->pd", mesh.basis.eval(refs), coords)
-        every_pair = located(
-            index, mesh, moved, points, lambda b, c, p, *_: full_newton(b, c, p)
-        )
+        accepted_rows.clear()
+        every = located(index, mesh, moved, points, every_pair)
+        accepted = np.bincount(np.concatenate(accepted_rows), minlength=len(points))
         pruned = located(index, mesh, moved, points, full_newton)
+        assert np.all(accepted >= 1)
+        one = accepted == 1
         for key in ("element", "ref", "status", "distance"):
-            assert np.array_equal(getattr(pruned[0], key), getattr(every_pair[0], key))
-        assert pruned[1] <= every_pair[1] and pruned[2] < every_pair[2]
+            assert np.array_equal(getattr(pruned[0], key)[one], getattr(every[0], key)[one])
+        several = ~one
+        assert np.all(pruned[0].status[several] == "interior")
+        assert np.all(every[0].status[several] == "interior")
+        element, ref = pruned[0].element[several], pruned[0].ref[several]
+        image = np.einsum(
+            "pk,pkd->pd", mesh.basis.eval(ref), moved.as_matrix()[mesh.connectivity[element]]
+        )
+        miss = np.linalg.norm(image - points[several], axis=1)
+        assert np.all(miss <= transfer.ACCEPT_TOL * index.scale)
+        field = project(sphere((0.4,) * mesh.dim), mesh, moved)
+
+        def value(loc):
+            coeff = field.coefficients[mesh.connectivity[loc.element[several]]]
+            return np.einsum("pk,pk->p", mesh.basis.eval(loc.ref[several]), coeff)
+
+        assert np.abs(value(pruned[0]) - value(every[0])).max(initial=0.0) <= 1e-13
+        assert pruned[1] <= every[1] and pruned[2] < every[2]
