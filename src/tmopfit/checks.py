@@ -87,9 +87,9 @@ def _config(mesh, initial_nodes, nodes, rng, source_kind):
     n_marked = max(1, len(interior) // 3)
     marked = MarkedSet(rng.choice(interior, size=n_marked, replace=False))
     penalty = make_penalty(
-        rng.uniform(0.5, 5.0), source, mesh, nodes, targets
+        rng.uniform(0.5, 5.0), source, mesh, nodes, targets, marked
     )
-    return ObjectiveConfig(str(metric), targets, penalty=penalty, marked=marked)
+    return ObjectiveConfig(str(metric), targets, penalty=penalty)
 
 
 def fd_gradient(config, mesh, nodes, step=1e-6):

@@ -16,12 +16,13 @@ Hessian of sigma sampled at node i:
     dF_sigma / dx_(a,i) = 2 c (M s)_i g_ia,
     d2F_sigma / dx_(a,i) dx_(b,j) = 2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
 
-M depends only on the connectivity, the marked set and det W; it is
-built once and kept on the PenaltyConfig.
+M depends only on the connectivity, the marked set and det W, so
+make_penalty builds M once and keeps it on the PenaltyConfig, next to
+the marked set.
 """
 
-import operator
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -96,13 +97,6 @@ def attributes_from_sign(mesh, sigma):
     center_vals = mesh.basis.eval(mesh.basis.center[None, :])[0]
     values = np.einsum("en,n->e", sigma.coefficients[mesh.connectivity], center_vals)
     return np.where(values < 0.0, 1, 2)
-
-
-def restrict(sigma, marked):
-    """Restricted field: coefficients zeroed outside the marked set."""
-    coeff = np.zeros_like(sigma.coefficients)
-    coeff[marked.indices] = sigma.coefficients[marked.indices]
-    return ScalarField(sigma.mesh, coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -183,27 +177,32 @@ def as_level_set_source(source, node_field=None):
 
 @dataclass
 class PenaltyConfig:
-    """Weight, normalization, and level-set source of the fitting term.
+    """The fitting term: weight, level-set source, normalization, the
+    marked nodes it samples and their Gram form M.
 
     normalization is N_E for shape-only targets and the domain volume
     for volumetric targets, which keeps the penalty invariant under mesh
-    refinement and domain scaling.
+    refinement and domain scaling.  gram depends only on the mesh, the
+    marked set and the targets, so dataclasses.replace with a new weight
+    shares it.
     """
 
     weight: float
     source: object
     normalization: float
-    _gram: tuple = field(default=None, init=False, repr=False, compare=False)
+    marked: MarkedSet
+    gram: object  # _GramForm
 
     def __post_init__(self):
-        if self.weight < 0.0:
-            raise ValueError("penalty weight must be nonnegative")
-        if self.normalization <= 0.0:
-            raise ValueError("normalization must be positive")
+        if not 0.0 <= self.weight < math.inf:
+            raise ValueError("penalty weight must be finite and nonnegative")
+        if not 0.0 < self.normalization < math.inf:
+            raise ValueError("normalization must be finite and positive")
 
 
-def make_penalty(weight, source, mesh, node_field, targets):
-    """PenaltyConfig with the normalization implied by the target kind."""
+def make_penalty(weight, source, mesh, node_field, targets, marked):
+    """PenaltyConfig on the marked nodes, with the normalization implied
+    by the target kind and the Gram form of (mesh, marked, targets)."""
     if targets.volumetric:
         normalization = float(element_volumes(mesh, node_field).sum())
     else:
@@ -212,16 +211,9 @@ def make_penalty(weight, source, mesh, node_field, targets):
         weight=weight,
         source=as_level_set_source(source, node_field),
         normalization=normalization,
+        marked=marked,
+        gram=_build_gram(mesh, marked, targets),
     )
-
-
-def _gram(penalty, marked, mesh, targets):
-    """_build_gram, kept on the penalty until mesh, marked or targets is
-    another object (none of them is modified in place)."""
-    key = (mesh, marked, targets)
-    if penalty._gram is None or any(map(operator.is_not, penalty._gram[0], key)):
-        penalty._gram = (key, _build_gram(mesh, marked, targets))
-    return penalty._gram[1]
 
 
 class _GramForm(NamedTuple):
@@ -264,7 +256,7 @@ def _build_gram(mesh, marked, targets):
     return _GramForm(row, col, data, np.flatnonzero(row == col), dofs)
 
 
-def penalty_value(penalty, marked, mesh, node_field, targets):
+def penalty_value(penalty, node_field):
     """F_sigma = c s^T M s at the current node positions.
 
     Marked coefficients are sampled from the level-set source at the
@@ -273,39 +265,38 @@ def penalty_value(penalty, marked, mesh, node_field, targets):
     """
     if penalty.weight == 0.0:
         return 0.0
-    gram = _gram(penalty, marked, mesh, targets)
-    s = penalty.source.values(node_field.as_matrix()[marked.indices])
-    return penalty.weight / penalty.normalization * float(s @ (gram @ s))
+    s = penalty.source.values(node_field.as_matrix()[penalty.marked.indices])
+    return penalty.weight / penalty.normalization * float(s @ (penalty.gram @ s))
 
 
-def penalty_gradient(penalty, marked, mesh, node_field, targets):
+def penalty_gradient(penalty, node_field):
     """Derivative of F_sigma with respect to all node coordinates.
 
     Entry (a, i) is nonzero only for marked nodes i: 2 c (M s)_i g_ia.
     """
-    grad = np.zeros(mesh.dim * mesh.num_nodes)
+    grad = np.zeros(node_field.dim * node_field.num_nodes)
     if penalty.weight == 0.0:
         return grad
-    gram = _gram(penalty, marked, mesh, targets)
-    pts = node_field.as_matrix()[marked.indices]
+    ids = penalty.marked.indices
+    pts = node_field.as_matrix()[ids]
     svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
     coeff = 2.0 * penalty.weight / penalty.normalization
-    moments = gram @ svals
-    grad.reshape(mesh.dim, -1)[:, marked.indices] = (coeff * moments[:, None] * sgrads).T
+    moments = penalty.gram @ svals
+    grad.reshape(node_field.dim, -1)[:, ids] = (coeff * moments[:, None] * sgrads).T
     return grad
 
 
-def penalty_hessian(penalty, marked, mesh, node_field, targets):
+def penalty_hessian(penalty, node_field):
     """Second derivative of F_sigma as a PenaltyHessian (unsummed COO).
 
-    Its entries come in a fixed order for given (mesh, marked, targets):
-    (k, a, b) for each stored entry k = (i, j) of M, with value
+    Its entries come in a fixed order for a given penalty: (k, a, b) for
+    each stored entry k = (i, j) of M, with value
     2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
     """
-    gram = _gram(penalty, marked, mesh, targets)
+    gram = penalty.gram
     if penalty.weight == 0.0:
         return PenaltyHessian(*gram.dofs, np.zeros(len(gram.dofs[0])))
-    pts = node_field.as_matrix()[marked.indices]
+    pts = node_field.as_matrix()[penalty.marked.indices]
     svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
     shess = penalty.source.hessians(pts)
     mass = gram.data[:, None, None]

@@ -125,9 +125,7 @@ def layer_wave_2d(base=0.5, amp1=0.1, amp2=0.02, k1=2.0, k2=10.0):
         g[:, 1] = 1.0
         return g
 
-    ls = AnalyticLevelSet("sinusoid-interface", 2, fn, grad)
-    ls.height = height
-    return ls
+    return AnalyticLevelSet("sinusoid-interface", 2, fn, grad)
 
 
 def layer_wave_3d(base=0.5, amp1=0.1, amp2=0.02, k1=2.0, k2=10.0):
@@ -155,9 +153,7 @@ def layer_wave_3d(base=0.5, amp1=0.1, amp2=0.02, k1=2.0, k2=10.0):
         g[:, 2] = 1.0
         return g
 
-    ls = AnalyticLevelSet("sinusoid-interface", 3, fn, grad)
-    ls.height = height
-    return ls
+    return AnalyticLevelSet("sinusoid-interface", 3, fn, grad)
 
 
 _BUILTINS = {

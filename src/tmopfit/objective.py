@@ -57,12 +57,7 @@ class ObjectiveConfig:
     targets: object
     gamma: float = 0.5
     penalty: object = None  # PenaltyConfig or None
-    marked: object = None  # MarkedSet or None
     fixed_mask: np.ndarray = None  # bool, length dim * num_nodes; True = fixed
-
-    @property
-    def has_penalty(self):
-        return self.penalty is not None and self.marked is not None
 
 
 def _chunks(config, mesh, node_field, order):
@@ -106,10 +101,8 @@ def value(config, mesh, node_field):
     for chunk, vals in _chunks(config, mesh, node_field, 0):  # vals (Q, E_c)
         f_mu += np.vdot(wdet[:, chunk], vals)
     f_sigma = 0.0
-    if config.has_penalty:
-        f_sigma = penalty_value(
-            config.penalty, config.marked, mesh, node_field, config.targets
-        )
+    if config.penalty is not None:
+        f_sigma = penalty_value(config.penalty, node_field)
     return float(f_mu) + float(f_sigma), float(f_mu), float(f_sigma)
 
 
@@ -129,10 +122,8 @@ def gradient(config, mesh, node_field):
     grad = np.concatenate(
         [np.bincount(conn.ravel(), local[..., a].ravel(), nnod) for a in range(dim)]
     )
-    if config.has_penalty:
-        grad += penalty_gradient(
-            config.penalty, config.marked, mesh, node_field, config.targets
-        )
+    if config.penalty is not None:
+        grad += penalty_gradient(config.penalty, node_field)
     if config.fixed_mask is not None:
         grad[config.fixed_mask] = 0.0
     return grad
@@ -179,10 +170,8 @@ def hessian(config, mesh, node_field):
         mesh.num_elements, -1
     )
     h_sigma = None
-    if config.has_penalty:
-        h_sigma = penalty_hessian(
-            config.penalty, config.marked, mesh, node_field, config.targets
-        )
+    if config.penalty is not None:
+        h_sigma = penalty_hessian(config.penalty, node_field)
     fixed = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
     return ElementHessian(blocks, dofs, h_sigma, fixed)
 

@@ -49,8 +49,8 @@ class SolverConfig:
     max_halvings: ClassVar[int] = 20
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and positive")
 
 
 @dataclass
@@ -326,8 +326,6 @@ def solve(config, objective_config, mesh, node_field):
     else:
         report.reason = "max-iter"
 
-    if not report.reason:
-        report.reason = "max-iter"
     report.wall_time = time.perf_counter() - t_start
     return x, report
 

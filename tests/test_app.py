@@ -416,6 +416,29 @@ def test_run_case_writes_outputs(tmp_path):
     assert report.f_decrease_pct > 0.0
 
 
+@pytest.mark.parametrize("name, aligns, solves", [("tg2d", 1, 2), ("fit2d-quad", 0, 1)])
+def test_run_case_solves_through_module_globals(monkeypatch, name, aligns, solves):
+    # The benchmark times every solve by replacing cases.solve, and traces
+    # the alignment as cases._align_mesh_to_levelset; run_case must reach
+    # both through the module's globals.
+    import tmopfit.cases as cases
+
+    counts = {"align": 0, "solve": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    align = counting("align", cases._align_mesh_to_levelset)
+    monkeypatch.setattr(cases, "_align_mesh_to_levelset", align)
+    monkeypatch.setattr(cases, "solve", counting("solve", cases.solve))
+    run_case(name)
+    assert counts == {"align": aligns, "solve": solves}
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         named_case("fit9d-dodeca")

@@ -1,10 +1,10 @@
-"""Marking, restricted fields, and the fitting penalty."""
+"""Marking and the fitting penalty."""
 
 import numpy as np
 import pytest
 
 from tmopfit.errors import EmptyMarkedSetError
-from tmopfit.fields import AnalyticLevelSet, ScalarField, project
+from tmopfit.fields import AnalyticLevelSet, project
 from tmopfit.fitting import (
     DiscreteLevelSet,
     MarkedSet,
@@ -14,7 +14,6 @@ from tmopfit.fitting import (
     penalty_gradient,
     penalty_hessian,
     penalty_value,
-    restrict,
 )
 from tmopfit.levelsets import builtin_levelset, sphere
 from tmopfit.mesh import NodeField, make_cartesian
@@ -79,36 +78,12 @@ def test_sigma_sign_marking_forms_closed_loop():
         assert len(touching) == 2
 
 
-def test_restrict_all_and_none():
-    mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    rng = np.random.default_rng(0)
-    sigma = ScalarField(mesh, rng.standard_normal(mesh.num_nodes))
-    everything = MarkedSet(np.arange(mesh.num_nodes))
-    assert np.array_equal(
-        restrict(sigma, everything).coefficients, sigma.coefficients
-    )
-    with pytest.raises(EmptyMarkedSetError):
-        MarkedSet(np.array([], dtype=int))
-
-
 def test_marked_set_is_sorted_unique():
     ids = np.random.default_rng(1).integers(0, 50, 80)
     assert np.array_equal(MarkedSet(ids).indices, np.unique(ids))
     assert MarkedSet([[7, 3], [7, 0]]).indices.tolist() == [0, 3, 7]
-
-
-def test_restrict_single_node_is_scaled_basis_function():
-    mesh, nodes = make_cartesian(2, 2, 2, "quad")
-    sigma = ScalarField(mesh, np.ones(mesh.num_nodes))
-    j = 7
-    sbar = restrict(sigma, MarkedSet(np.array([j])))
-    rng = np.random.default_rng(1)
-    for e, loc in zip(*np.nonzero(mesh.connectivity == j)):
-        for _ in range(5):
-            ref = rng.random(2)
-            vals = mesh.basis.eval(ref[None, :])[0]
-            got = vals @ sbar.coefficients[mesh.connectivity[e]]
-            assert abs(got - vals[loc]) < 1e-13
+    with pytest.raises(EmptyMarkedSetError):
+        MarkedSet(np.array([], dtype=int))
 
 
 def unit_square_setup(weight=2.5, c=0.7):
@@ -116,7 +91,7 @@ def unit_square_setup(weight=2.5, c=0.7):
     targets = make_targets(mesh, nodes, "unit")
     ls = linear_ls([-c, -c], c)  # value c at the origin corner
     marked = MarkedSet(np.array([0]))
-    penalty = make_penalty(weight, ls, mesh, nodes, targets)
+    penalty = make_penalty(weight, ls, mesh, nodes, targets, marked)
     return mesh, nodes, targets, marked, penalty
 
 
@@ -124,28 +99,28 @@ def test_penalty_value_hand_integral():
     # sbar = c (1-x)(1-y) on the unit square: integral of sbar^2 is c^2/9.
     weight, c = 2.5, 0.7
     mesh, nodes, targets, marked, penalty = unit_square_setup(weight, c)
-    got = penalty_value(penalty, marked, mesh, nodes, targets)
+    got = penalty_value(penalty, nodes)
     assert abs(got - weight * c**2 / 9.0) < 1e-13
 
 
 def test_penalty_zero_cases():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     zero_ls = linear_ls([0.0, 0.0], 0.0)
-    penalty0 = make_penalty(3.0, zero_ls, mesh, nodes, targets)
-    assert penalty_value(penalty0, marked, mesh, nodes, targets) == 0.0
-    assert not penalty_gradient(penalty0, marked, mesh, nodes, targets).any()
-    off = make_penalty(0.0, zero_ls, mesh, nodes, targets)
-    assert penalty_value(off, marked, mesh, nodes, targets) == 0.0
+    penalty0 = make_penalty(3.0, zero_ls, mesh, nodes, targets, marked)
+    assert penalty_value(penalty0, nodes) == 0.0
+    assert not penalty_gradient(penalty0, nodes).any()
+    off = make_penalty(0.0, zero_ls, mesh, nodes, targets, marked)
+    assert penalty_value(off, nodes) == 0.0
 
 
-def fd_penalty_gradient(penalty, marked, mesh, nodes, targets, step=1e-7):
-    out = np.zeros(mesh.dim * mesh.num_nodes)
+def fd_penalty_gradient(penalty, nodes, step=1e-7):
+    out = np.zeros(len(nodes.coords))
     work = nodes.copy()
     for dof in range(len(out)):
         work.coords[dof] += step
-        fp = penalty_value(penalty, marked, mesh, work, targets)
+        fp = penalty_value(penalty, work)
         work.coords[dof] -= 2 * step
-        fm = penalty_value(penalty, marked, mesh, work, targets)
+        fm = penalty_value(penalty, work)
         work.coords[dof] += step
         out[dof] = (fp - fm) / (2 * step)
     return out
@@ -159,16 +134,16 @@ def summed(h, mesh):
     return out
 
 
-def fd_penalty_hessian(penalty, marked, mesh, nodes, targets, step=1e-6):
+def fd_penalty_hessian(penalty, nodes, step=1e-6):
     """Symmetrized columnwise central differences of penalty_gradient."""
-    ndof = mesh.dim * mesh.num_nodes
+    ndof = len(nodes.coords)
     out = np.zeros((ndof, ndof))
     work = nodes.copy()
     for dof in range(ndof):
         work.coords[dof] += step
-        gp = penalty_gradient(penalty, marked, mesh, work, targets)
+        gp = penalty_gradient(penalty, work)
         work.coords[dof] -= 2 * step
-        gm = penalty_gradient(penalty, marked, mesh, work, targets)
+        gm = penalty_gradient(penalty, work)
         work.coords[dof] += step
         out[:, dof] = (gp - gm) / (2 * step)
     return 0.5 * (out + out.T)
@@ -199,13 +174,14 @@ def test_penalty_gradient_matches_fd_random_configs(source_kind):
             source = DiscreteLevelSet(project(analytic, mesh, nodes), nodes)
         else:
             source = analytic
-        penalty = make_penalty(rng.uniform(0.5, 3.0), source, mesh, nodes, targets)
+        weight = rng.uniform(0.5, 3.0)
+        penalty = make_penalty(weight, source, mesh, nodes, targets, marked)
         # perturb the interior a little, keeping the mesh valid
         mat = nodes.as_matrix().copy()
         mat[interior] += 0.02 * rng.uniform(-1, 1, (len(interior), 2))
         current = NodeField.from_matrix(mat)
-        g = penalty_gradient(penalty, marked, mesh, current, targets)
-        fd = fd_penalty_gradient(penalty, marked, mesh, current, targets)
+        g = penalty_gradient(penalty, current)
+        fd = fd_penalty_gradient(penalty, current)
         scale = max(np.abs(fd).max(), 1e-12)
         assert np.abs(g - fd).max() / scale < 1e-5
 
@@ -216,9 +192,9 @@ def test_gradient_zero_when_marked_nodes_on_level_set():
     targets = make_targets(mesh, nodes, "unit")
     on_line = np.flatnonzero(np.abs(nodes.as_matrix()[:, 1] - 0.5) < 1e-12)
     marked = MarkedSet(on_line)
-    penalty = make_penalty(100.0, ls, mesh, nodes, targets)
-    assert penalty_value(penalty, marked, mesh, nodes, targets) < 1e-28
-    g = penalty_gradient(penalty, marked, mesh, nodes, targets)
+    penalty = make_penalty(100.0, ls, mesh, nodes, targets, marked)
+    assert penalty_value(penalty, nodes) < 1e-28
+    g = penalty_gradient(penalty, nodes)
     assert np.abs(g).max() < 1e-13
 
 
@@ -231,12 +207,12 @@ def test_radial_gradient_sign_outside_sphere():
     pts = nodes.as_matrix()
     node = int(np.argmin(np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.4)))
     marked = MarkedSet(np.array([node]))
-    penalty = make_penalty(10.0, ls, mesh, nodes, targets)
-    g = penalty_gradient(penalty, marked, mesh, nodes, targets)
+    penalty = make_penalty(10.0, ls, mesh, nodes, targets, marked)
+    g = penalty_gradient(penalty, nodes)
     radial = (pts[node] - 0.5) / np.linalg.norm(pts[node] - 0.5)
     g_node = np.array([g[node], g[mesh.num_nodes + node]])
     assert g_node @ radial > 0.0
-    fd = fd_penalty_gradient(penalty, marked, mesh, nodes, targets)
+    fd = fd_penalty_gradient(penalty, nodes)
     fd_node = np.array([fd[node], fd[mesh.num_nodes + node]])
     assert fd_node @ radial > 0.0
 
@@ -248,11 +224,11 @@ def test_penalty_monotone_as_node_descends_gradient():
     pts = nodes.as_matrix()
     node = int(np.argmin(np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.4)))
     marked = MarkedSet(np.array([node]))
-    penalty = make_penalty(10.0, ls, mesh, nodes, targets)
+    penalty = make_penalty(10.0, ls, mesh, nodes, targets, marked)
     values = []
     work = nodes.copy()
     for step in range(6):
-        values.append(penalty_value(penalty, marked, mesh, work, targets))
+        values.append(penalty_value(penalty, work))
         grad_dir = ls.gradients(work.as_matrix()[node][None, :])[0]
         mat = work.as_matrix().copy()
         mat[node] -= 0.015 * grad_dir
@@ -274,10 +250,10 @@ def test_penalty_hessian_symmetric_and_matches_fd():
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     marked = MarkedSet(interior[:5])
     targets = make_targets(mesh, nodes, "unit")
-    penalty = make_penalty(2.0, ls, mesh, nodes, targets)
-    h = summed(penalty_hessian(penalty, marked, mesh, nodes, targets), mesh)
+    penalty = make_penalty(2.0, ls, mesh, nodes, targets, marked)
+    h = summed(penalty_hessian(penalty, nodes), mesh)
     assert np.abs(h - h.T).max() < 1e-10
-    h_fd = fd_penalty_hessian(penalty, marked, mesh, nodes, targets)
+    h_fd = fd_penalty_hessian(penalty, nodes)
     denom = max(np.linalg.norm(h_fd), 1e-12)
     assert np.linalg.norm(h - h_fd) / denom < 1e-4
 
@@ -285,8 +261,8 @@ def test_penalty_hessian_symmetric_and_matches_fd():
 def test_zero_sigma_gives_zero_hessian():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     zero_ls = linear_ls([0.0, 0.0], 0.0)
-    penalty = make_penalty(3.0, zero_ls, mesh, nodes, targets)
-    h = summed(penalty_hessian(penalty, marked, mesh, nodes, targets), mesh)
+    penalty = make_penalty(3.0, zero_ls, mesh, nodes, targets, marked)
+    h = summed(penalty_hessian(penalty, nodes), mesh)
     # first-derivative products vanish with the gradient, sbar term with sigma
     assert abs(h).max() < 1e-14
 
@@ -304,8 +280,8 @@ def test_normalization_refinement_invariance():
         mesh, nodes = make_cartesian(2, n, 2, "quad")
         targets = make_targets(mesh, nodes, "unit")
         marked = MarkedSet(np.arange(mesh.num_nodes))
-        penalty = make_penalty(7.0, const, mesh, nodes, targets)
-        values.append(penalty_value(penalty, marked, mesh, nodes, targets))
+        penalty = make_penalty(7.0, const, mesh, nodes, targets, marked)
+        values.append(penalty_value(penalty, nodes))
     assert abs(values[0] - values[1]) < 1e-10
 
 
@@ -320,8 +296,8 @@ def test_normalization_refinement_invariance_volumetric():
         mesh, nodes = make_cartesian(2, n, 2, "quad")
         targets = make_targets(mesh, nodes, "initial-size")
         marked = MarkedSet(np.arange(mesh.num_nodes))
-        penalty = make_penalty(7.0, const, mesh, nodes, targets)
-        values.append(penalty_value(penalty, marked, mesh, nodes, targets))
+        penalty = make_penalty(7.0, const, mesh, nodes, targets, marked)
+        values.append(penalty_value(penalty, nodes))
     assert abs(values[0] - values[1]) < 1e-10
 
 
@@ -335,15 +311,16 @@ def test_penalty_value_nonnegative():
         marked = MarkedSet(
             rng.choice(mesh.num_nodes, size=6, replace=False)
         )
-        penalty = make_penalty(1.0, ls, mesh, nodes, targets)
-        assert penalty_value(penalty, marked, mesh, nodes, targets) >= 0.0
+        penalty = make_penalty(1.0, ls, mesh, nodes, targets, marked)
+        assert penalty_value(penalty, nodes) >= 0.0
 
 
 def test_penalty_config_validation():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     ls = linear_ls([1.0, 0.0], 0.0)
-    with pytest.raises(ValueError):
-        make_penalty(-1.0, ls, mesh, nodes, targets)
+    for weight in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            make_penalty(weight, ls, mesh, nodes, targets, marked)
 
 
 def test_attributes_from_sign_match_per_element_loop():
@@ -368,9 +345,10 @@ def test_attributes_from_sign_match_per_element_loop():
 # The Gram-matrix penalty against a per-element reference loop
 
 
-def reference_penalty(penalty, marked, mesh, nodes, targets):
+def reference_penalty(penalty, mesh, nodes, targets):
     """F_sigma, its gradient and its dense Hessian one element at a time:
     the element integrals of sbar^2, their node moments and mass blocks."""
+    marked = penalty.marked
     nnod, dim = mesh.num_nodes, mesh.dim
     basis_vals, _ = quadrature_tables(mesh.geometry, mesh.order)
     wdet = quadrature_for(mesh.geometry, mesh.order).weights * targets.detw[:, None]
@@ -423,12 +401,13 @@ def penalty_setup(geometry, source_kind, seed=0):
     if source_kind == "discrete":
         source = DiscreteLevelSet(project(analytic, mesh, nodes), nodes)
     targets = make_targets(mesh, nodes, "initial-size")
-    penalty = make_penalty(rng.uniform(0.5, 3.0), source, mesh, nodes, targets)
+    weight = rng.uniform(0.5, 3.0)
     marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
+    penalty = make_penalty(weight, source, mesh, nodes, targets, marked)
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     mat = nodes.as_matrix().copy()
     mat[interior] += 0.03 / order * rng.uniform(-1, 1, (len(interior), dim))
-    return penalty, marked, mesh, NodeField.from_matrix(mat), targets
+    return penalty, mesh, NodeField.from_matrix(mat), targets
 
 
 def rel_err(got, want):
@@ -438,22 +417,22 @@ def rel_err(got, want):
 @pytest.mark.parametrize("source_kind", ["analytic", "discrete"])
 @pytest.mark.parametrize("geometry", list(PENALTY_MESHES))
 def test_penalty_matches_per_element_loop(geometry, source_kind):
-    args = penalty_setup(geometry, source_kind)
-    f_ref, g_ref, h_ref = reference_penalty(*args)
-    assert rel_err(penalty_value(*args), f_ref) < 1e-12
-    assert rel_err(penalty_gradient(*args), g_ref) < 1e-12
-    h = penalty_hessian(*args)
+    penalty, mesh, nodes, targets = penalty_setup(geometry, source_kind)
+    f_ref, g_ref, h_ref = reference_penalty(penalty, mesh, nodes, targets)
+    assert rel_err(penalty_value(penalty, nodes), f_ref) < 1e-12
+    assert rel_err(penalty_gradient(penalty, nodes), g_ref) < 1e-12
+    h = penalty_hessian(penalty, nodes)
     assert h._fields == ("row", "col", "data")
     assert len(h.row) == len(h.col) == len(h.data)
-    assert rel_err(summed(h, args[2]), h_ref) < 1e-12
+    assert rel_err(summed(h, mesh), h_ref) < 1e-12
 
 
 def test_penalty_hessian_entries_keep_their_order():
-    penalty, marked, mesh, nodes, targets = penalty_setup("quad", "analytic")
-    first = penalty_hessian(penalty, marked, mesh, nodes, targets)
+    penalty, _, nodes, _ = penalty_setup("quad", "analytic")
+    first = penalty_hessian(penalty, nodes)
     moved = nodes.copy()
     moved.coords = nodes.coords * 0.99 + 0.005
-    second = penalty_hessian(penalty, marked, mesh, moved, targets)
+    second = penalty_hessian(penalty, moved)
     assert np.array_equal(first.row, second.row)
     assert np.array_equal(first.col, second.col)
     assert not np.array_equal(first.data, second.data)

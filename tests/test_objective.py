@@ -66,8 +66,8 @@ def test_report_additivity_and_fields():
         lambda p: np.zeros((len(p), 2, 2)),
     )
     marked = MarkedSet(np.array([5, 6, 7]))
-    penalty = make_penalty(3.0, ls, mesh, nodes, targets)
-    cfg = ObjectiveConfig("mu80", targets, penalty=penalty, marked=marked)
+    penalty = make_penalty(3.0, ls, mesh, nodes, targets, marked)
+    cfg = ObjectiveConfig("mu80", targets, penalty=penalty)
     current = perturbed(mesh, nodes, seed=2)
     f, f_mu, f_sigma = value(cfg, mesh, current)
     assert f_sigma > 0.0 and f_mu > 0.0
@@ -140,10 +140,9 @@ def test_hessian_without_penalty_equals_pure_tmop():
         lambda p: np.tile([1.0, 0.0], (len(p), 1)),
         lambda p: np.zeros((len(p), 2, 2)),
     )
-    off = make_penalty(0.0, ls, mesh, nodes, targets)
-    marked = MarkedSet(np.array([4]))
+    off = make_penalty(0.0, ls, mesh, nodes, targets, MarkedSet(np.array([4])))
     cfg_plain = ObjectiveConfig("mu2", targets)
-    cfg_off = ObjectiveConfig("mu2", targets, penalty=off, marked=marked)
+    cfg_off = ObjectiveConfig("mu2", targets, penalty=off)
     current = perturbed(mesh, nodes, seed=6)
     h1 = hessian(cfg_plain, mesh, current).toarray()
     h2 = hessian(cfg_off, mesh, current).toarray()
@@ -345,9 +344,9 @@ def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
     marked = mark_interface_nodes(mesh, "sigma-sign", project(level_set, mesh, nodes))
     targets = make_targets(mesh, nodes, case.target_kind)
-    penalty = make_penalty(case.w_sigma, level_set, mesh, nodes, targets)
+    penalty = make_penalty(case.w_sigma, level_set, mesh, nodes, targets, marked)
     cfg = ObjectiveConfig(
-        case.metric_id, targets, gamma=case.gamma, penalty=penalty, marked=marked,
+        case.metric_id, targets, gamma=case.gamma, penalty=penalty,
         fixed_mask=boundary_fixed_mask(mesh),
     )
     gc.collect()
@@ -401,7 +400,7 @@ def coo_reference_hessian(cfg, mesh, nodes):
     """F_mu from the per-element loop plus the penalty COO, summed by
     scipy, symmetrized, then masked rows/columns replaced by identity."""
     _, _, h_mu = reference_assembly(cfg, mesh, nodes)
-    h_sigma = penalty_hessian(cfg.penalty, cfg.marked, mesh, nodes, cfg.targets)
+    h_sigma = penalty_hessian(cfg.penalty, nodes)
     h = sp.coo_matrix(h_mu) + sp.csr_matrix(
         (h_sigma.data, (h_sigma.row, h_sigma.col)), shape=h_mu.shape
     )
@@ -429,8 +428,7 @@ def plan_config(geometry):
         lambda p: np.tile(2 * np.eye(dim), (len(p), 1, 1)),
     )
     marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
-    cfg.penalty = make_penalty(5.0, ls, mesh, current, cfg.targets)
-    cfg.marked = marked
+    cfg.penalty = make_penalty(5.0, ls, mesh, current, cfg.targets, marked)
     # Fix the boundary and a few marked nodes, so that the mask cuts
     # through both the element blocks and the penalty entries.
     cfg.fixed_mask = fix_nodes(boundary_fixed_mask(mesh), mesh, marked.indices[::3])

@@ -1,5 +1,7 @@
 """Newton/MINRES, line search, and the nonlinear solve loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -268,8 +270,9 @@ def test_history_csv_schema():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(eps=0.0)
+    for eps in (0.0, -1e-6, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            SolverConfig(eps=eps)
 
 
 def test_programming_error_in_value_propagates(monkeypatch):
@@ -316,11 +319,16 @@ def test_gram_matrix_built_once_per_solve(monkeypatch):
     )
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     band = interior[np.abs(ls.values(nodes.as_matrix()[interior])) < 0.1]
+    penalty = make_penalty(50.0, ls, mesh, nodes, targets, MarkedSet(band))
+    assert counts["gram"] == 1
     cfg = ObjectiveConfig(
-        "mu80", targets, penalty=make_penalty(50.0, ls, mesh, nodes, targets),
-        marked=MarkedSet(band), fixed_mask=boundary_fixed_mask(mesh),
+        "mu80", targets, penalty=penalty, fixed_mask=boundary_fixed_mask(mesh)
     )
     _, report = solve(SolverConfig(), cfg, mesh, nodes)
     assert report.reason == "converged"
     assert counts["hessian"] == report.iterations > 1
+    assert counts["gram"] == 1  # none inside solve
+    # A new weight, as a stage of an adaptive w_sigma takes, keeps the form.
+    stronger = dataclasses.replace(penalty, weight=10 * penalty.weight)
+    assert stronger.gram is penalty.gram
     assert counts["gram"] == 1
