@@ -163,6 +163,7 @@ class CaseRun:
     sigma_final: object
     marked: object
     solve_report: object
+    align_report: object  # SolveReport of the alignment; None for fit cases
     fit_report: FitReport
 
 
@@ -191,14 +192,12 @@ def _solve_case(case, mesh, nodes, level_set, marked, w_sigma, scfg):
 
 def _align_mesh_to_levelset(case, mesh, nodes, level_set):
     """Preliminary strong fitting run used to manufacture an initially
-    aligned configuration for the relaxation cases."""
+    aligned configuration for the relaxation cases.  Returns the aligned
+    nodes and the SolveReport."""
     sigma = project(level_set, mesh, nodes)
     marked = mark_interface_nodes(mesh, "sigma-sign", sigma)
     scfg = SolverConfig(eps=1e-4, max_iterations=case.align_max_iterations)
-    aligned, _ = _solve_case(
-        case, mesh, nodes, level_set, marked, case.align_w_sigma, scfg
-    )
-    return aligned
+    return _solve_case(case, mesh, nodes, level_set, marked, case.align_w_sigma, scfg)
 
 
 def run_case(case, out_dir=None):
@@ -212,8 +211,9 @@ def run_case(case, out_dir=None):
     level_set = builtin_levelset(case.levelset)
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
 
+    align_report = None
     if case.mode in ("relax", "fixed"):
-        nodes = _align_mesh_to_levelset(case, mesh, nodes, level_set)
+        nodes, align_report = _align_mesh_to_levelset(case, mesh, nodes, level_set)
         sigma0 = project(level_set, mesh, nodes)
         mesh.attributes = attributes_from_sign(mesh, sigma0)
         marked = mark_interface_nodes(mesh, "element-attribute")
@@ -255,7 +255,7 @@ def run_case(case, out_dir=None):
 
     run = CaseRun(
         case, mesh, initial_nodes, final_nodes, sigma0, sigma_final, marked,
-        report, fit_report,
+        report, align_report, fit_report,
     )
     if out_dir is not None:
         _write_outputs(run, Path(out_dir))

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import EmptyMarkedSetError
 from .fields import AnalyticLevelSet, ScalarField, discrete_gradient
-from .mesh import element_volumes
-from .reference import face_node_indices, quadrature_for, quadrature_tables
+from .reference import REFERENCE_MEASURE, face_node_indices, quadrature_for, quadrature_tables
 from .transfer import build_index, locate_many
 
 
@@ -203,8 +202,8 @@ class PenaltyConfig:
 def make_penalty(weight, source, mesh, node_field, targets, marked):
     """PenaltyConfig on the marked nodes, with the normalization implied
     by the target kind and the Gram form of (mesh, marked, targets)."""
-    if targets.volumetric:
-        normalization = float(element_volumes(mesh, node_field).sum())
+    if targets.volumetric:  # the total target volume
+        normalization = float(targets.size.sum()) * REFERENCE_MEASURE[mesh.geometry]
     else:
         normalization = float(mesh.num_elements)
     return PenaltyConfig(
@@ -237,7 +236,7 @@ class PenaltyHessian(NamedTuple):
 
 def _build_gram(mesh, marked, targets):
     m, nnod = len(marked), mesh.num_nodes
-    vals, _ = quadrature_tables(mesh.geometry, mesh.order)
+    vals = quadrature_tables(mesh.geometry, mesh.order)[0]
     weights = quadrature_for(mesh.geometry, mesh.order).weights
     ref = np.einsum("q,qi,qj->ij", weights, vals, vals)
     ref = 0.5 * (ref + ref.T)  # exactly symmetric, and so is M
@@ -247,7 +246,7 @@ def _build_gram(mesh, marked, targets):
     e, i, j = np.nonzero((lm[:, :, None] >= 0) & (lm[:, None, :] >= 0))
     keys, slot = np.unique(lm[e, i] * m + lm[e, j], return_inverse=True)
     row, col = np.divmod(keys, m)
-    data = np.bincount(slot, targets.detw[e] * ref[i, j])
+    data = np.bincount(slot, targets.det(mesh.geometry)[e] * ref[i, j])
     offsets = np.arange(mesh.dim) * nnod
     shape = (len(keys), mesh.dim, mesh.dim)
     rows = np.broadcast_to(marked.indices[row, None, None] + offsets[:, None], shape)

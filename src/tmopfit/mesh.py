@@ -143,16 +143,18 @@ def element_chunks(mesh, order):
     return [slice(s, s + size) for s in range(0, mesh.num_elements, size)]
 
 
-def quadrature_jacobians(mesh, node_field, elements):
+def quadrature_jacobians(mesh, node_field, elements, grads=None):
     """Jacobians A of the element maps at the quadrature points.
 
     Returns shape (Q, E_c, dim, dim) for the elements selected by
-    `elements` (a slice or index array), points first.
+    `elements` (a slice or index array), points first.  grads (Q, N, dim)
+    replaces the reference gradients; the target-frame table gives A W_ideal^{-1}.
     """
-    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
+    if grads is None:
+        grads = quadrature_tables(mesh.geometry, mesh.order)[1]
     coords = node_field.as_matrix()[mesh.connectivity[elements]]  # (E_c, N, dim)
     # (Q, N, b) x (E_c, N, a) -> (Q, b, E_c, a): one GEMM over the nodes.
-    return np.tensordot(ref_grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
+    return np.tensordot(grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
 
 
 def det_inv(t):

@@ -7,14 +7,14 @@ kernel holds per quadrature point (mesh.element_chunks), T = A W^{-1} is
 formed for the whole chunk with shape (Q, E_c, d, d), and the metric is
 evaluated once per chunk.  The metric's own det T check raises
 NonpositiveDeterminantError; only then is det T computed again, to name
-the first inverted element.  dmu and the pairs of d2mu arrive as
-points-first views of quality's points-last arrays; the first product
-with each reads through the view and writes the layout the next step
-needs.  W^{-1} and the weights w det W are folded into the metric
-derivatives (for the Hessian, one GEMM per element over the two
-contracted indices of T), so the reference-gradient table B (Q d x N,
-the same for every element) turns them into element gradients and
-element Hessians B^T D_e B with one GEMM per chunk.
+the first inverted element.  The kernel works in the ideal-target
+frame: with W_e = s_e^(1/d) W_ideal and the shared table G = grad phi
+W_ideal^{-1} (reference.quadrature_tables), T = s_e^(-1/d) sum_i x_i (x)
+G_i, so each derivative of T adds only the scalar s_e^(-1/d).  The
+gradient folds w_q det W_e s_e^(-1/d) into dmu and the Hessian w_q det
+W_e s_e^(-2/d) into d2mu, each read through quality's points-first view
+and written in the layout the GEMM needs; G as B (Q d x N) turns them
+into element gradients and element Hessians B^T D_e B, one GEMM a chunk.
 Degrees of freedom flagged in the fixed-node mask are removed from the
 gradient and replaced by identity rows/columns in the Hessian.
 
@@ -65,9 +65,10 @@ def _chunks(config, mesh, node_field, order):
     order 0, else metric_batch's (values, dmu, d2mu) up to the order, at
     T = A W^{-1} of shape (Q, E_c, d, d).  Raises
     NonpositiveDeterminantError naming the first element with det T <= 0."""
-    winv = config.targets.winv
+    grads = quadrature_tables(mesh.geometry, mesh.order)[2]
+    scale = config.targets.size ** (-1.0 / mesh.dim)
     for chunk in element_chunks(mesh, order):
-        t = quadrature_jacobians(mesh, node_field, chunk) @ winv[chunk]
+        t = quadrature_jacobians(mesh, node_field, chunk, grads) * scale[chunk, None, None]
         try:
             if order == 0:
                 result = metric_values(config.metric_id, t, config.gamma)
@@ -82,16 +83,17 @@ def _chunks(config, mesh, node_field, order):
         yield chunk, result
 
 
-def _weights(config, mesh):
-    """w_q det W_e, shape (Q, E)."""
-    weights = quadrature_for(mesh.geometry, mesh.order).weights
-    return np.outer(weights, config.targets.detw)
+def _weights(config, mesh, order=0):
+    """w_q det W_e times s_e^(-1/d) per derivative of T, shape (Q, E)."""
+    targets = config.targets
+    fold = targets.det(mesh.geometry) * targets.size ** (-order / mesh.dim)
+    return np.outer(quadrature_for(mesh.geometry, mesh.order).weights, fold)
 
 
 def _gemm_table(mesh):
-    """Reference gradients as B^T, shape (N, Q d); column (q, b)."""
-    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
-    return ref_grads.transpose(1, 0, 2).reshape(mesh.basis.num_nodes, -1)
+    """Target-frame gradients G as B^T, shape (N, Q d); column (q, b)."""
+    grads = quadrature_tables(mesh.geometry, mesh.order)[2]
+    return grads.transpose(1, 0, 2).reshape(mesh.basis.num_nodes, -1)
 
 
 def value(config, mesh, node_field):
@@ -109,14 +111,14 @@ def value(config, mesh, node_field):
 def gradient(config, mesh, node_field):
     """Masked derivative of F with respect to all node coordinates."""
     dim, nnod = mesh.dim, mesh.num_nodes
-    wdet = _weights(config, mesh)
-    winv = config.targets.winv
+    fold = _weights(config, mesh, 1)
     bt = _gemm_table(mesh)
-    # local[i, e, a] = sum_q sum_b' B[(q, b'), i] P[q, b', e, a]
+    # local[i, e, a] = sum_q sum_b B[(q, b), i] P[q, b, e, a]
     local = np.empty((mesh.basis.num_nodes, mesh.num_elements, dim))
     for chunk, (_, dmu, _) in _chunks(config, mesh, node_field, 1):
-        # P[q, b', e, a] = w_q det W_e sum_c W^{-1}[e, b', c] dmu[q, e, a, c]
-        p = np.einsum("qeac,ebc->qbea", dmu * wdet[:, chunk, None, None], winv[chunk])
+        # P[q, b, e, a] = w_q det W_e s_e^(-1/d) dmu[q, e, a, b]
+        p = np.empty((len(fold), dim, dmu.shape[1], dim))
+        np.multiply(dmu.transpose(0, 3, 1, 2), fold[:, None, chunk, None], out=p)
         local[:, chunk] = (bt @ p.reshape(bt.shape[1], -1)).reshape(len(bt), -1, dim)
     conn = mesh.connectivity.T  # (N, E), matching local
     grad = np.concatenate(
@@ -133,25 +135,18 @@ def hessian(config, mesh, node_field):
     """Masked symmetric Hessian of F as an ElementHessian."""
     dim, nnod, nw = mesh.dim, mesh.num_nodes, mesh.basis.num_nodes
     ndof = dim * nnod
-    wdet = _weights(config, mesh)
-    winv = config.targets.winv
-    _, ref_grads = quadrature_tables(mesh.geometry, mesh.order)
-    grads_t = np.ascontiguousarray(ref_grads.transpose(0, 2, 1))  # (Q, d, N)
+    fold = _weights(config, mesh, 2)
+    grads = quadrature_tables(mesh.geometry, mesh.order)[2]
+    grads_t = np.ascontiguousarray(grads.transpose(0, 2, 1))  # (Q, d, N)
     bt = _gemm_table(mesh)
     nq = len(grads_t)
-    # winv2[e, (c, f), (b', c')] = W^{-1}[e, b', c] W^{-1}[e, c', f]
-    winv2 = np.einsum("ebc,egf->ecfbg", winv, winv).reshape(-1, dim**2, dim**2)
     # blocks[e, a, i, b, j]: row dof (a, i), column dof (b, j) of element e.
     blocks = np.empty((mesh.num_elements, dim, nw, dim, nw))
     for chunk, (_, _, d2) in _chunks(config, mesh, node_field, 2):
         ne = d2.shape[1]
-        # D[e, q, p, b', c'] = w_q det W_e
-        #   sum_{c, f} W^{-1}[e, b', c] d2[q, e, p, c, f] W^{-1}[e, c', f]
-        # for each component pair p = (a, b), a <= b: one GEMM per element
-        # over (c, f) with d2 as (e, q, p, c, f).
-        wd = d2.transpose(1, 0, 2, 3, 4) * wdet[:, chunk].T[:, :, None, None, None]
-        wd = wd.reshape(ne, -1, dim**2) @ winv2[chunk]
-        dd = wd.reshape(ne, nq, -1, dim, dim).transpose(2, 1, 3, 0, 4)  # (p, Q, b', e, c')
+        # D[p, q, b', e, c'] = w_q det W_e s_e^(-2/d) d2[q, e, p, b', c']
+        # for each component pair p = (a, b), a <= b.
+        dd = d2.transpose(2, 0, 3, 1, 4) * fold[:, None, chunk, None]
         x = np.empty((nq, dim, ne, nw))  # x[q, b', e, j] of one pair
         local = blocks[chunk]
         for p, (a, b) in enumerate(zip(*PAIRS[dim])):

@@ -15,7 +15,8 @@ contiguous (pair, b, f, P) array: each factor-pair term is one broadcast
 product on the pair rows a and c (see _second_derivative).  Where the
 full (d, d, d, d) d2mu is needed, mirror_pairs copies pair (a, c) to
 rows c, a transposed.  metric_values is the order-0 path, with the same
-arithmetic as the values of metric_batch.
+arithmetic as the values of metric_batch.  A target W_e = s_e^(1/d)
+W_ideal is one size s_e per element.
 """
 
 from dataclasses import dataclass
@@ -25,30 +26,11 @@ import numpy as np
 
 from .errors import InvalidMeshError, NonpositiveDeterminantError
 from .mesh import det_inv, element_volumes, is_valid
-from .reference import REFERENCE_MEASURE
+from .reference import IDEAL_TARGETS, REFERENCE_MEASURE
 
 METRIC_IDS = ("mu2", "mu58", "mu77", "mu80", "mu302", "mu316", "mu333")
 
 TARGET_KINDS = ("ideal-shape-unit-size", "ideal-shape-initial-size")
-
-_SQRT3 = np.sqrt(3.0)
-_SQRT6 = np.sqrt(6.0)
-
-# Maps from the reference element to the ideally shaped element.
-IDEAL_TARGETS = {
-    "segment": np.array([[1.0]]),
-    "quad": np.eye(2),
-    "hex": np.eye(3),
-    "triangle": np.array([[1.0, 0.5], [0.0, _SQRT3 / 2.0]]),
-    "tet": np.array(
-        [
-            [1.0, 0.5, 0.5],
-            [0.0, _SQRT3 / 2.0, _SQRT3 / 6.0],
-            [0.0, 0.0, _SQRT6 / 3.0],
-        ]
-    ),
-}
-
 
 # ---------------------------------------------------------------------------
 # Invariants and the chain rule, points last
@@ -295,21 +277,25 @@ def metric_values(metric_id, t, gamma=0.5):
 
 @dataclass
 class TargetJacobians:
-    """Per-element target matrices W (constant within an element)."""
+    """Per-element targets W_e = size_e^(1/d) W_ideal, constant within an
+    element: size_e = det W_e / det W_ideal is 1 for unit-size targets and
+    the initial volume over the reference measure for initial-size ones."""
 
     kind: str
-    w: np.ndarray  # (num_elements, d, d)
+    size: np.ndarray  # (num_elements,)
 
     def __post_init__(self):
-        self.winv = np.linalg.inv(self.w)
-        self.detw = np.linalg.det(self.w)
-        if np.any(self.detw <= 0.0):
-            raise InvalidMeshError("target Jacobian with nonpositive determinant")
+        if not np.all((self.size > 0.0) & (self.size < np.inf)):
+            raise InvalidMeshError("target size must be finite and positive")
 
     @property
     def volumetric(self):
         """True when W carries size information (det has volume units)."""
         return self.kind == "ideal-shape-initial-size"
+
+    def det(self, geometry):
+        """det W_e = size_e det W_ideal, shape (num_elements,)."""
+        return self.size * np.linalg.det(IDEAL_TARGETS[geometry])
 
 
 def _canonical_kind(kind):
@@ -338,11 +324,7 @@ def make_targets(mesh, node_field, kind="ideal-shape-unit-size"):
         raise InvalidMeshError(
             f"initial mesh is invalid (min det A = {min_det:.3e})"
         )
-    w_ideal = IDEAL_TARGETS[mesh.geometry]
     if kind == "ideal-shape-unit-size":
-        scales = np.ones(mesh.num_elements)
-    else:
-        vols = element_volumes(mesh, node_field)
-        scales = vols / REFERENCE_MEASURE[mesh.geometry]
-    w = scales[:, None, None] ** (1.0 / mesh.dim) * w_ideal[None, :, :]
-    return TargetJacobians(kind, w)
+        return TargetJacobians(kind, np.ones(mesh.num_elements))
+    size = element_volumes(mesh, node_field) / REFERENCE_MEASURE[mesh.geometry]
+    return TargetJacobians(kind, size)

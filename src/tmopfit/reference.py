@@ -25,6 +25,24 @@ REFERENCE_MEASURE = {
 
 _TENSOR = {"segment", "quad", "hex"}
 
+_SQRT3 = np.sqrt(3.0)
+_SQRT6 = np.sqrt(6.0)
+
+# Maps from the reference element to the ideally shaped element.
+IDEAL_TARGETS = {
+    "segment": np.array([[1.0]]),
+    "quad": np.eye(2),
+    "hex": np.eye(3),
+    "triangle": np.array([[1.0, 0.5], [0.0, _SQRT3 / 2.0]]),
+    "tet": np.array(
+        [
+            [1.0, 0.5, 0.5],
+            [0.0, _SQRT3 / 2.0, _SQRT3 / 6.0],
+            [0.0, 0.0, _SQRT6 / 3.0],
+        ]
+    ),
+}
+
 # Reference vertices, counterclockwise / right-handed.
 REFERENCE_VERTICES = {
     "segment": np.array([[0.0], [1.0]]),
@@ -440,10 +458,13 @@ def quadrature_for(geometry, order):
 
 @lru_cache(maxsize=None)
 def quadrature_tables(geometry, order):
-    """Basis values (Q, N) and reference gradients (Q, N, dim) at the
-    points of quadrature_for(geometry, order); shared and read-only."""
+    """Basis values (Q, N), reference gradients (Q, N, dim) and the same
+    gradients in the ideal-target frame, grad phi W_ideal^{-1} (equal to
+    the reference ones where W_ideal = I), at the points of
+    quadrature_for(geometry, order); shared and read-only."""
     rule = quadrature_for(geometry, order)
-    tables = reference_element(geometry, order).basis.eval_with_grad(rule.points)
+    vals, grads = reference_element(geometry, order).basis.eval_with_grad(rule.points)
+    tables = (vals, grads, np.dot(grads, np.linalg.inv(IDEAL_TARGETS[geometry])))
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -439,6 +439,13 @@ def test_run_case_solves_through_module_globals(monkeypatch, name, aligns, solve
     assert counts == {"align": aligns, "solve": solves}
 
 
+def test_run_case_keeps_the_alignment_report():
+    run = run_case("tg2d")
+    assert run.align_report is not None and run.align_report is not run.solve_report
+    assert run.align_report.reason == "converged" and run.align_report.history
+    assert run_case("fit2d-quad").align_report is None
+
+
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         named_case("fit9d-dodeca")

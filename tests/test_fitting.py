@@ -301,6 +301,16 @@ def test_normalization_refinement_invariance_volumetric():
     assert abs(values[0] - values[1]) < 1e-10
 
 
+@pytest.mark.parametrize("dim, geometry", [(2, "triangle"), (2, "quad"), (3, "tet")])
+def test_volumetric_normalization_is_the_domain_volume(dim, geometry):
+    mesh, nodes = make_cartesian(dim, 2, 2, geometry)
+    nodes = NodeField.from_matrix(1.5 * nodes.as_matrix())
+    targets = make_targets(mesh, nodes, "initial-size")
+    ls = linear_ls(np.ones(dim), -0.5)
+    penalty = make_penalty(1.0, ls, mesh, nodes, targets, MarkedSet(np.array([0])))
+    assert abs(penalty.normalization - 1.5**dim) < 1e-12
+
+
 def test_penalty_value_nonnegative():
     rng = np.random.default_rng(8)
     mesh, nodes = make_cartesian(2, 3, 1, "quad")
@@ -350,8 +360,9 @@ def reference_penalty(penalty, mesh, nodes, targets):
     the element integrals of sbar^2, their node moments and mass blocks."""
     marked = penalty.marked
     nnod, dim = mesh.num_nodes, mesh.dim
-    basis_vals, _ = quadrature_tables(mesh.geometry, mesh.order)
-    wdet = quadrature_for(mesh.geometry, mesh.order).weights * targets.detw[:, None]
+    basis_vals = quadrature_tables(mesh.geometry, mesh.order)[0]
+    detw = targets.det(mesh.geometry)
+    wdet = quadrature_for(mesh.geometry, mesh.order).weights * detw[:, None]
     pts = nodes.as_matrix()[marked.indices]
     sbar, g, h = np.zeros(nnod), np.zeros((nnod, dim)), np.zeros((nnod, dim, dim))
     sbar[marked.indices] = penalty.source.values(pts)

@@ -29,7 +29,14 @@ from tmopfit.objective import (
     hessian,
     value,
 )
-from tmopfit.quality import METRIC_IDS, make_targets, metric_batch, mirror_pairs
+from tmopfit.quality import (
+    IDEAL_TARGETS,
+    METRIC_IDS,
+    TARGET_KINDS,
+    make_targets,
+    metric_batch,
+    mirror_pairs,
+)
 from tmopfit.reference import quadrature_for
 from tmopfit.solver import newton_step
 
@@ -215,7 +222,8 @@ KERNEL_MESHES = {
 
 
 def reference_assembly(cfg, mesh, nodes):
-    """F_mu, its gradient and its Hessian one element at a time."""
+    """F_mu, its gradient and its Hessian one element at a time, with each
+    target W_e = size_e^(1/d) W_ideal built and inverted per element."""
     quad = quadrature_for(mesh.geometry, mesh.order)
     _, ref_grads = mesh.basis.eval_with_grad(quad.points)
     nnod, dim = mesh.num_nodes, mesh.dim
@@ -223,13 +231,15 @@ def reference_assembly(cfg, mesh, nodes):
     grad = np.zeros(dim * nnod)
     hess = np.zeros((dim * nnod, dim * nnod))
     for e in range(mesh.num_elements):
+        w = cfg.targets.size[e] ** (1.0 / dim) * IDEAL_TARGETS[mesh.geometry]
+        winv = np.linalg.inv(w)
         coords = nodes.as_matrix()[mesh.connectivity[e]]
         a = np.einsum("id,qib->qdb", coords, ref_grads)
-        t = a @ cfg.targets.winv[e]
+        t = a @ winv
         vals, dmu, d2 = metric_batch(cfg.metric_id, t, cfg.gamma)
         d2mu = mirror_pairs(d2)
-        wdet = quad.weights * cfg.targets.detw[e]
-        dhat = np.einsum("qib,be->qie", ref_grads, cfg.targets.winv[e])
+        wdet = quad.weights * np.linalg.det(w)
+        dhat = np.einsum("qib,be->qie", ref_grads, winv)
         f += wdet @ vals
         local_g = np.einsum("q,qie,qae->ia", wdet, dhat, dmu)
         local_h = np.einsum(
@@ -242,10 +252,10 @@ def reference_assembly(cfg, mesh, nodes):
     return f, grad, 0.5 * (hess + hess.T)
 
 
-def kernel_config(metric_id, geometry):
+def kernel_config(metric_id, geometry, kind="initial-size"):
     dim, n_cells, order = KERNEL_MESHES[geometry]
     mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, kind)
     current = perturbed(mesh, nodes, seed=9, amplitude=0.05 / order)
     return ObjectiveConfig(metric_id, targets), mesh, current
 
@@ -257,13 +267,14 @@ def rel_err(got, want):
 @pytest.mark.parametrize("geometry", list(KERNEL_MESHES))
 @pytest.mark.parametrize("metric_id", METRIC_IDS)
 def test_kernel_matches_per_element_loop(metric_id, geometry):
-    cfg, mesh, current = kernel_config(metric_id, geometry)
-    f_ref, g_ref, h_ref = reference_assembly(cfg, mesh, current)
-    assert rel_err(value(cfg, mesh, current)[1], f_ref) < 1e-12
-    assert rel_err(gradient(cfg, mesh, current), g_ref) < 1e-12
-    h = hessian(cfg, mesh, current)
-    assert rel_err(h.toarray(), h_ref) < 1e-12
-    assert np.array_equal(h.blocks, h.blocks.transpose(0, 2, 1))
+    for kind in TARGET_KINDS:
+        cfg, mesh, current = kernel_config(metric_id, geometry, kind)
+        f_ref, g_ref, h_ref = reference_assembly(cfg, mesh, current)
+        assert rel_err(value(cfg, mesh, current)[1], f_ref) < 1e-12
+        assert rel_err(gradient(cfg, mesh, current), g_ref) < 1e-12
+        h = hessian(cfg, mesh, current)
+        assert rel_err(h.toarray(), h_ref) < 1e-12
+        assert np.array_equal(h.blocks, h.blocks.transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])

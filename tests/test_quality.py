@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tmopfit.errors import InvalidMeshError, NonpositiveDeterminantError
-from tmopfit.mesh import NodeField, make_cartesian
+from tmopfit.mesh import NodeField, make_cartesian, quadrature_jacobians
 from tmopfit.quality import (
     IDEAL_TARGETS,
     METRIC_IDS,
@@ -190,14 +190,15 @@ def test_metric_values_matches_jet_values():
 def test_unit_size_targets_are_ideal_maps():
     mesh, nodes = make_cartesian(2, 4, 1, "quad")
     tg = make_targets(mesh, nodes, "ideal-shape-unit-size")
-    assert np.allclose(tg.w, np.eye(2)[None], atol=1e-14)
+    assert np.array_equal(tg.size, np.ones(mesh.num_elements))
+    assert np.array_equal(tg.det("quad"), np.ones(mesh.num_elements))
     assert not tg.volumetric
 
 
 def test_initial_size_targets_carry_cell_volume():
     mesh, nodes = make_cartesian(2, 8, 1, "quad")
     tg = make_targets(mesh, nodes, "initial-size")
-    assert np.abs(tg.detw - 1.0 / 64.0).max() < 1e-13
+    assert np.abs(tg.det("quad") - 1.0 / 64.0).max() < 1e-13
     assert tg.volumetric
 
 
@@ -223,8 +224,11 @@ def test_targets_reject_invalid_mesh():
 
 
 def test_targets_reject_nonpositive_w():
-    with pytest.raises(InvalidMeshError):
-        TargetJacobians("ideal-shape-unit-size", np.diag([1.0, -1.0])[None])
+    # det W_e = size_e det W_ideal, so det W > 0 holds when the size is
+    # finite and positive.
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(InvalidMeshError):
+            TargetJacobians("ideal-shape-unit-size", np.array([1.0, bad]))
 
 
 def test_cartesian_quad_mesh_is_ideal_for_initial_size_targets():
@@ -232,9 +236,8 @@ def test_cartesian_quad_mesh_is_ideal_for_initial_size_targets():
     # so even the shape+size metric vanishes.
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
     tg = make_targets(mesh, nodes, "initial-size")
-    from tmopfit.mesh import quadrature_jacobians
-
-    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ tg.winv[0]
+    w = np.sqrt(tg.size[0]) * IDEAL_TARGETS["quad"]
+    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ np.linalg.inv(w)
     assert np.abs(metric_values("mu80", t)).max() < 1e-12
 
 
@@ -243,9 +246,8 @@ def test_cartesian_triangle_mesh_not_ideal_for_equilateral_targets():
     # deviation regardless of the size scaling.
     mesh, nodes = make_cartesian(2, 2, 1, "triangle")
     tg = make_targets(mesh, nodes, "initial-size")
-    from tmopfit.mesh import quadrature_jacobians
-
-    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ tg.winv[0]
+    w = np.sqrt(tg.size[0]) * IDEAL_TARGETS["triangle"]
+    t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ np.linalg.inv(w)
     assert metric_values("mu58", t).min() > 0.1
 
 

@@ -8,11 +8,13 @@ from scipy.special import roots_jacobi
 from tmopfit.reference import (
     GEOMETRIES,
     GEOMETRY_DIM,
+    IDEAL_TARGETS,
     REFERENCE_MEASURE,
     NodalBasis,
     gauss_lobatto_nodes,
     gauss_lobatto_rule,
     quadrature_for,
+    quadrature_tables,
     reference_element,
     _jacobi_rule_01,
     _lagrange_table,
@@ -283,3 +285,17 @@ def test_values_of_a_point_do_not_depend_on_its_batch(geometry):
         assert np.array_equal(basis.eval(one), vals[i : i + 1])
         assert np.array_equal(basis.eval_with_grad(one)[0], vals[i : i + 1])
         assert np.array_equal(basis.eval_with_grad(one)[1], grads[i : i + 1])
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_target_frame_table_folds_in_the_ideal_map(geometry):
+    vals, grads, target = quadrature_tables(geometry, 2)
+    points = quadrature_for(geometry, 2).points
+    want_vals, want_grads = reference_element(geometry, 2).basis.eval_with_grad(points)
+    assert np.array_equal(vals, want_vals) and np.array_equal(grads, want_grads)
+    # G W_ideal = grad phi; where W_ideal = I, G is grad phi to the bit.
+    w_ideal = IDEAL_TARGETS[geometry]
+    assert np.abs(target @ w_ideal - grads).max() < 1e-13
+    if np.array_equal(w_ideal, np.eye(len(w_ideal))):
+        assert np.array_equal(target, grads)
+    assert not any(table.flags.writeable for table in (vals, grads, target))
