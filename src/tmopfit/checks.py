@@ -65,7 +65,7 @@ def _poly_level_set(dim, order, rng):
     def hess(p):
         return np.tile(np.diag(2.0 * quad), (len(p), 1, 1))
 
-    return AnalyticLevelSet("composite", dim, fn, grad, hess)
+    return AnalyticLevelSet(dim, fn, grad, hess)
 
 
 def _config(mesh, initial_nodes, nodes, rng, source_kind):

@@ -11,8 +11,6 @@ import numpy as np
 
 from .errors import SingularJacobianError
 
-_HESSIAN_STEP = 1e-6  # central-difference step of AnalyticLevelSet.hessians
-
 
 @dataclass
 class ScalarField:
@@ -35,17 +33,17 @@ class ScalarField:
 
 @dataclass
 class AnalyticLevelSet:
-    """Closed-form level set: evaluator, gradient, optional Hessian.
+    """Closed-form level set: evaluator, gradient and Hessian.
 
     The zero isocontour defines the surface of interest.  All callables
-    take an (n, dim) array of physical points.
+    take an (n, dim) array of physical points and return (n,), (n, dim)
+    and (n, dim, dim) arrays.
     """
 
-    kind: str
     dim: int
     fn: callable
     grad_fn: callable
-    hess_fn: callable = None
+    hess_fn: callable
 
     def values(self, points):
         return np.asarray(self.fn(np.atleast_2d(points)), dtype=float)
@@ -54,20 +52,7 @@ class AnalyticLevelSet:
         return np.asarray(self.grad_fn(np.atleast_2d(points)), dtype=float)
 
     def hessians(self, points):
-        """Second derivatives; central differences of the gradient if no
-        closed form was supplied."""
-        points = np.atleast_2d(points)
-        if self.hess_fn is not None:
-            return np.asarray(self.hess_fn(points), dtype=float)
-        n, d = points.shape
-        hess = np.zeros((n, d, d))
-        for a in range(d):
-            shift = np.zeros(d)
-            shift[a] = _HESSIAN_STEP
-            gp = self.gradients(points + shift)
-            gm = self.gradients(points - shift)
-            hess[:, :, a] = (gp - gm) / (2.0 * _HESSIAN_STEP)
-        return 0.5 * (hess + hess.transpose(0, 2, 1))
+        return np.asarray(self.hess_fn(np.atleast_2d(points)), dtype=float)
 
 
 def project(analytic, mesh, node_field):

@@ -1,14 +1,19 @@
 """Built-in analytic level sets for the bundled test cases.
 
-All functions are negative inside the enclosed region and zero on the
-surface of interest.  Gradients are closed-form; the sphere also
-carries a closed-form Hessian, the others use the finite-difference
-fallback of AnalyticLevelSet.
+All functions are negative inside the enclosed region (below the layer)
+and zero on the surface of interest.  Values, gradients and Hessians
+are closed-form; each Hessian is exactly symmetric.
 """
 
 import numpy as np
 
 from .fields import AnalyticLevelSet
+
+_WAVE_RADIUS, _WAVE_AMPLITUDE = 0.3, 0.08
+_LAYER_BASE = 0.5
+# (amplitude, wavenumber / pi) of each layer mode; the second is a
+# fine-scale feature on top of the smooth first one.
+_LAYER_MODES = ((0.1, 2.0), (0.02, 10.0))
 
 
 def sphere(center, radius=0.3):
@@ -33,136 +38,111 @@ def sphere(center, radius=0.3):
             :, None, None
         ]
 
-    return AnalyticLevelSet("sphere", dim, fn, grad, hess)
+    return AnalyticLevelSet(dim, fn, grad, hess)
 
 
-def radial_wave_2d(center=(0.5, 0.5), r0=0.3, amp=0.08, modes=4):
-    """Smooth closed curve |x - c| - (r0 + amp cos(modes * theta))."""
-    c = np.asarray(center, dtype=float)
+def radial_wave(center):
+    """Closed curve or surface |u| - (r0 + amp cos(4 theta) sin(phi)^4),
+    u = x - c, with sin(phi) = 1 in 2D.
 
-    def fn(p):
-        u = p - c
-        theta = np.arctan2(u[:, 1], u[:, 0])
-        return np.linalg.norm(u, axis=1) - (r0 + amp * np.cos(modes * theta))
-
-    def grad(p):
-        u = p - c
-        rho2 = np.einsum("na,na->n", u, u)
-        rho = np.sqrt(rho2)
-        theta = np.arctan2(u[:, 1], u[:, 0])
-        dtheta = np.zeros_like(u)
-        np.divide(-u[:, 1], rho2, out=dtheta[:, 0], where=rho2 > 0)
-        np.divide(u[:, 0], rho2, out=dtheta[:, 1], where=rho2 > 0)
-        rprime = -amp * modes * np.sin(modes * theta)
-        return u / rho[:, None] - rprime[:, None] * dtheta
-
-    return AnalyticLevelSet("sinusoid-interface", 2, fn, grad)
-
-
-def radial_wave_3d(center=(0.5, 0.5, 0.5), r0=0.3, amp=0.08, modes=4):
-    """Closed 3D surface |x - c| - (r0 + amp cos(modes*theta) sin(phi)^4).
-
-    The sin(phi)^4 factor keeps the radius function smooth at the poles.
+    In both dimensions amp cos(4 theta) sin(phi)^4 = amp P(u) / |u|^4
+    with the harmonic quartic P(u) = Re((u0 + i u1)^4), so no angle is
+    formed and the surface is smooth at the poles.  The wave has no
+    limit at the center, which is a mesh node; the value there is -r0
+    and the derivatives are 0.
     """
     c = np.asarray(center, dtype=float)
+    dim = len(c)
+    eye = np.eye(dim)
 
     def _parts(p):
         u = p - c
         rho = np.linalg.norm(u, axis=1)
-        rho2d = np.linalg.norm(u[:, :2], axis=1)
-        theta = np.arctan2(u[:, 1], u[:, 0])
-        # sin of the polar angle; 0 at the (never marked) center point
-        s = np.divide(rho2d, rho, out=np.zeros_like(rho), where=rho > 0)
-        return u, rho, rho2d, theta, s
+        inv = np.divide(1.0, rho, out=np.zeros_like(rho), where=rho > 0)
+        return u, rho, inv, u[:, 0] + 1j * u[:, 1]
+
+    def _quartic_gradient(z):
+        dp = np.zeros((len(z), dim))  # (4 Re z^3, -4 Im z^3, 0)
+        dp[:, 0], dp[:, 1] = 4.0 * (z**3).real, -4.0 * (z**3).imag
+        return dp
 
     def fn(p):
-        _, rho, _, theta, s = _parts(p)
-        return rho - (r0 + amp * np.cos(modes * theta) * s**4)
+        _, rho, inv, z = _parts(p)
+        return rho - _WAVE_RADIUS - _WAVE_AMPLITUDE * (z**4).real * inv**4
 
     def grad(p):
-        u, rho, rho2d, theta, s = _parts(p)
-        g = u / rho[:, None]
-        # Angular terms vanish like s^2 at the poles; guard the 0/0 there.
-        offaxis = rho2d > 0
-        dtheta = np.zeros_like(u)
-        np.divide(-u[:, 1], rho2d**2, out=dtheta[:, 0], where=offaxis)
-        np.divide(u[:, 0], rho2d**2, out=dtheta[:, 1], where=offaxis)
-        ds = np.zeros_like(u)
-        np.divide(u[:, 0], rho2d * rho, out=ds[:, 0], where=offaxis)
-        np.divide(u[:, 1], rho2d * rho, out=ds[:, 1], where=offaxis)
-        ds[:, 0] -= rho2d * u[:, 0] / rho**3
-        ds[:, 1] -= rho2d * u[:, 1] / rho**3
-        ds[:, 2] = -rho2d * u[:, 2] / rho**3
-        dr = amp * (
-            -modes * np.sin(modes * theta)[:, None] * dtheta * (s**4)[:, None]
-            + np.cos(modes * theta)[:, None] * 4.0 * (s**3)[:, None] * ds
+        u, _, inv, z = _parts(p)
+        dq = -4.0 * (inv**6)[:, None] * u  # gradient of |u|^-4
+        wave = _quartic_gradient(z) * (inv**4)[:, None] + (z**4).real[:, None] * dq
+        return u * inv[:, None] - _WAVE_AMPLITUDE * wave
+
+    def hess(p):
+        u, _, inv, z = _parts(p)
+        inv2, inv4 = (inv**2)[:, None, None], (inv**4)[:, None, None]
+        uu = u[:, :, None] * u[:, None, :]
+        hp = np.zeros((len(u), dim, dim))  # 12 [[Re, -Im], [-Im, -Re]] of z^2
+        hp[:, 0, 0], hp[:, 1, 1] = 12.0 * (z**2).real, -12.0 * (z**2).real
+        hp[:, 0, 1] = hp[:, 1, 0] = -12.0 * (z**2).imag
+        dp, dq = _quartic_gradient(z), -4.0 * (inv**6)[:, None] * u
+        hq = (24.0 * uu * inv2 - 4.0 * eye) * inv4 * inv2  # Hessian of |u|^-4
+        wave = (
+            hp * inv4
+            + (dp[:, :, None] * dq[:, None, :] + dq[:, :, None] * dp[:, None, :])
+            + (z**4).real[:, None, None] * hq
         )
-        return g - dr
+        return (eye - uu * inv2) * inv[:, None, None] - _WAVE_AMPLITUDE * wave
 
-    return AnalyticLevelSet("sinusoid-interface", 3, fn, grad)
+    return AnalyticLevelSet(dim, fn, grad, hess)
 
 
-def layer_wave_2d(base=0.5, amp1=0.1, amp2=0.02, k1=2.0, k2=10.0):
-    """Horizontal layer x2 = base + amp1 cos(pi k1 x1) + amp2 cos(pi k2 x1).
+def _layer_factors(p, k, cols=()):
+    """Product over i < d of sin(pi k x_i) for i in cols and of
+    cos(pi k x_i) for the other i."""
+    arg = np.pi * k * p[:, :-1]
+    f = np.cos(arg)
+    f[:, list(cols)] = np.sin(arg[:, list(cols)])
+    return np.prod(f, axis=1)
 
-    The k2 term is a fine-scale feature on top of the smooth k1 mode.
-    """
 
-    def height(x):
-        return base + amp1 * np.cos(np.pi * k1 * x) + amp2 * np.cos(np.pi * k2 * x)
-
-    def dheight(x):
-        return -amp1 * np.pi * k1 * np.sin(np.pi * k1 * x) - amp2 * np.pi * k2 * np.sin(
-            np.pi * k2 * x
-        )
+def layer_wave(dim):
+    """Layer x_d = base + sum_j a_j prod_(i<d) cos(pi k_j x_i)."""
 
     def fn(p):
-        return p[:, 1] - height(p[:, 0])
+        height = _LAYER_BASE
+        for a, k in _LAYER_MODES:
+            height = height + a * _layer_factors(p, k)
+        return p[:, -1] - height
 
     def grad(p):
         g = np.zeros_like(p)
-        g[:, 0] = -dheight(p[:, 0])
-        g[:, 1] = 1.0
+        g[:, -1] = 1.0
+        for a, k in _LAYER_MODES:
+            for m in range(dim - 1):
+                g[:, m] += a * np.pi * k * _layer_factors(p, k, [m])
         return g
 
-    return AnalyticLevelSet("sinusoid-interface", 2, fn, grad)
+    def hess(p):
+        h = np.zeros((len(p), dim, dim))
+        for a, k in _LAYER_MODES:
+            scale = a * (np.pi * k) ** 2
+            diagonal = scale * _layer_factors(p, k)
+            for m in range(dim - 1):
+                h[:, m, m] += diagonal
+                for n in range(m + 1, dim - 1):
+                    h[:, m, n] -= scale * _layer_factors(p, k, [m, n])
+                    h[:, n, m] = h[:, m, n]
+        return h
 
-
-def layer_wave_3d(base=0.5, amp1=0.1, amp2=0.02, k1=2.0, k2=10.0):
-    """3D layer x3 = base + amp1 cos(pi k1 x1) cos(pi k1 x2) + fine mode."""
-
-    def height(x, y):
-        return (
-            base
-            + amp1 * np.cos(np.pi * k1 * x) * np.cos(np.pi * k1 * y)
-            + amp2 * np.cos(np.pi * k2 * x) * np.cos(np.pi * k2 * y)
-        )
-
-    def fn(p):
-        return p[:, 2] - height(p[:, 0], p[:, 1])
-
-    def grad(p):
-        x, y = p[:, 0], p[:, 1]
-        g = np.zeros_like(p)
-        g[:, 0] = amp1 * np.pi * k1 * np.sin(np.pi * k1 * x) * np.cos(
-            np.pi * k1 * y
-        ) + amp2 * np.pi * k2 * np.sin(np.pi * k2 * x) * np.cos(np.pi * k2 * y)
-        g[:, 1] = amp1 * np.pi * k1 * np.cos(np.pi * k1 * x) * np.sin(
-            np.pi * k1 * y
-        ) + amp2 * np.pi * k2 * np.cos(np.pi * k2 * x) * np.sin(np.pi * k2 * y)
-        g[:, 2] = 1.0
-        return g
-
-    return AnalyticLevelSet("sinusoid-interface", 3, fn, grad)
+    return AnalyticLevelSet(dim, fn, grad, hess)
 
 
 _BUILTINS = {
     "sphere2d": lambda: sphere((0.5, 0.5)),
     "sphere3d": lambda: sphere((0.5, 0.5, 0.5)),
-    "tg2d": radial_wave_2d,
-    "tg3d": radial_wave_3d,
-    "rt2d": layer_wave_2d,
-    "rt3d": layer_wave_3d,
+    "tg2d": lambda: radial_wave((0.5, 0.5)),
+    "tg3d": lambda: radial_wave((0.5, 0.5, 0.5)),
+    "rt2d": lambda: layer_wave(2),
+    "rt3d": lambda: layer_wave(3),
 }
 
 

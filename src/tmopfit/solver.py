@@ -2,10 +2,13 @@
 
 Newton directions solve H p = -grad with MINRES (Paige and Saunders,
 "Solution of sparse indefinite systems of linear equations", SIAM J.
-Numer. Anal. 12, 1975) and a Jacobi preconditioner on |diag H|.  Every
-step passes through a backtracking line search that accepts the largest
-step in {1, 1/2, 1/4, ...} keeping det A positive at all quadrature
-points and strictly decreasing F.  Convergence is declared on
+Numer. Anal. 12, 1975) and a Jacobi preconditioner on |diag H|.  MINRES
+stops where it detects nonpositive curvature and returns its previous
+iterate, which descends (Liu and Roosta, "MINRES: from negative
+curvature detection to monotonicity properties", SIAM J. Optim. 32,
+2022).  Every step passes through a backtracking line search that
+accepts the largest step in {1, 1/2, 1/4, ...} keeping det A positive at
+all quadrature points and strictly decreasing F.  Convergence is declared on
 |grad F(x)| / |grad F(x0)| <= eps.
 """
 
@@ -23,6 +26,8 @@ from .errors import (
 )
 from .mesh import is_valid
 from .objective import gradient, hessian, value
+
+NEGATIVE_CURVATURE = -1  # minres info: stopped at nonpositive curvature
 
 
 @dataclass
@@ -60,9 +65,11 @@ class SolveReport:
     history rows: (iter, F, F_mu, F_sigma, grad_norm, step, min_det,
     direction, minres_iterations, minres_info, halvings,
     minres_residual).  direction is the kind of the accepted step
-    ("newton" or "steepest"; "none" in row 0); the MINRES
-    columns describe that iteration's Newton solve (0 when none ran;
-    minres_residual is |r| / |b| in the M^-1 norm, see SolverConfig);
+    ("newton", "newton-npc" or "steepest", see NewtonStep; "none" in
+    row 0); the MINRES columns describe that iteration's Newton solve
+    (0 when none ran; minres_info is 0, the iteration cap or
+    NEGATIVE_CURVATURE; minres_residual is |r| / |b| in the M^-1 norm,
+    see SolverConfig);
     halvings counts the step halvings of all its line searches, so a
     steepest-descent retry after the first direction exhausted its budget
     shows more than max_halvings.
@@ -89,11 +96,13 @@ class SolveReport:
 class NewtonStep(NamedTuple):
     """A search direction and how it was found.
 
-    kind is "newton" for the MINRES solution and "steepest" for -grad;
-    minres_residual is MINRES's final estimate of its relative residual in
-    the norm of the Jacobi preconditioner on |diag H|.  np.asarray(step)
-    is the direction, so code comparing the result of newton_step with
-    -grad (perfbench/tracing.py) sees the fallback.
+    kind is "newton" for the MINRES solution, "newton-npc" for the
+    iterate before MINRES met nonpositive curvature (minres_info
+    NEGATIVE_CURVATURE) and "steepest" for -grad; minres_residual is
+    MINRES's final estimate of its relative residual in the norm of the
+    Jacobi preconditioner on |diag H|.  np.asarray(step) is the
+    direction, so code comparing the result of newton_step with -grad
+    (perfbench/tracing.py) sees the fallback.
     """
 
     direction: np.ndarray
@@ -112,22 +121,24 @@ def newton_step(hess, grad, config=SolverConfig()):
     hess needs only hess @ v and hess.diagonal(): an
     objective.ElementHessian or a dense array.  MINRES with a Jacobi
     preconditioner on |diag H| (1 where the diagonal is 0).  Falls back to
-    steepest descent when MINRES stalls or returns a non-descent
-    direction.  Returns a NewtonStep.
+    steepest descent when MINRES hits its iteration cap or returns a
+    non-descent direction.  Returns a NewtonStep.
     """
     diag = np.abs(hess.diagonal())
     diag = np.where(diag > 0.0, diag, 1.0)
     p, info, iterations, residual = minres(
         hess, -grad, diag, config.minres_tol, config.minres_max_iterations
     )
-    if info != 0 or not np.all(np.isfinite(p)) or p @ grad >= 0.0:
+    descent = info in (0, NEGATIVE_CURVATURE) and np.all(np.isfinite(p))
+    if not (descent and p @ grad < 0.0):
         return NewtonStep(-grad, "steepest", iterations, info, residual)
-    return NewtonStep(p, "newton", iterations, info, residual)
+    kind = "newton-npc" if info == NEGATIVE_CURVATURE else "newton"
+    return NewtonStep(p, kind, iterations, info, residual)
 
 
 class MinresResult(NamedTuple):
     x: np.ndarray
-    info: int  # 0, or maxiter when the iteration cap stopped the solve
+    info: int  # 0, maxiter when the iteration cap stopped, or NEGATIVE_CURVATURE
     iterations: int
     residual: float  # estimate of |b - A x| / |b|, both in the M^-1 norm
 
@@ -141,6 +152,12 @@ def minres(a, b, diag, rtol, maxiter):
     |r| / (|A| |x|), |A r| / (|A| |r|), cond(A), |A| |x| eps and the
     iteration cap, with the norms estimated from the recurrences.  a
     needs only a @ v.
+
+    One test is added: iteration k stops with info NEGATIVE_CURVATURE
+    when c_(k-1) gamma_k^(1) = cs * gbar >= 0, the nonpositive-curvature
+    test of Liu and Roosta (2022), and returns x_(k-1), or M^-1 b at
+    k = 1, where x_0 = 0.  The residual then is that of x_(k-1) (1 at
+    k = 1).
     """
     eps = np.finfo(float).eps
     x = np.zeros(len(b))
@@ -179,6 +196,9 @@ def minres(a, b, diag, rtol, maxiter):
         oldeps = epsln
         delta = cs * dbar + sn * alfa
         gbar = sn * dbar - cs * alfa
+        if cs * gbar >= 0.0:
+            x = x if itn > 1 else b / diag
+            return MinresResult(x, NEGATIVE_CURVATURE, itn, phibar / beta1)
         epsln = sn * beta
         dbar = -cs * beta
         root = math.hypot(gbar, dbar)

@@ -170,7 +170,7 @@ def test_criterion_6_weight_monotonicity(name):
 
 def test_criterion_7_normalization_invariance():
     const = AnalyticLevelSet(
-        "composite", 2, lambda p: np.full(len(p), 0.4),
+        2, lambda p: np.full(len(p), 0.4),
         lambda p: np.zeros_like(p), lambda p: np.zeros((len(p), 2, 2)),
     )
     ok = True
@@ -197,7 +197,7 @@ def test_criterion_8_transfer_exactness():
         def fn(p):
             return 0.1 + p @ lin + (p**2) @ quad_c
 
-        ls = AnalyticLevelSet("composite", 2, fn, lambda p: None)
+        ls = AnalyticLevelSet(2, fn, lambda p: None, lambda p: None)
         sigma = project(ls, mesh, nodes)
         identity = transfer_field(sigma, nodes, mesh, nodes)
         ok &= np.abs(identity.coefficients - sigma.coefficients).max() <= 1e-12

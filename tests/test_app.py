@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -208,6 +209,17 @@ def test_tg_levelset_radius():
     ls = builtin_levelset("tg2d")
     # along theta = 0 the radius is 0.3 + 0.08
     assert abs(ls.values(np.array([[0.88, 0.5]]))[0]) < 1e-14
+
+
+@pytest.mark.parametrize("name", ["tg2d", "tg3d"])
+def test_tg_levelset_center_is_finite(name):
+    # The center is a mesh node, where the wave has no limit.
+    ls = builtin_levelset(name)
+    center = np.full((1, ls.dim), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ls.values(center)[0] == -0.3
+        assert not np.any(ls.gradients(center)) and not np.any(ls.hessians(center))
 
 
 def test_unknown_levelset_rejected():
@@ -444,6 +456,13 @@ def test_run_case_keeps_the_alignment_report():
     assert run.align_report is not None and run.align_report is not run.solve_report
     assert run.align_report.reason == "converged" and run.align_report.history
     assert run_case("fit2d-quad").align_report is None
+
+
+def test_rt2d_solves_converge_without_steepest_descent():
+    run = run_case("rt2d")
+    for report in (run.align_report, run.solve_report):
+        assert report.reason == "converged"
+        assert "steepest" not in [row[7] for row in report.history]
 
 
 def test_unknown_case_rejected():

@@ -26,7 +26,7 @@ def linear_level_set(coeffs, offset):
     def grad(p):
         return np.tile(coeffs, (len(p), 1))
 
-    return AnalyticLevelSet("composite", len(coeffs), fn, grad)
+    return AnalyticLevelSet(len(coeffs), fn, grad, lambda p: None)
 
 
 def test_projection_is_nodal_interpolation():
@@ -41,8 +41,8 @@ def test_projection_is_nodal_interpolation():
 def test_projection_of_constant():
     mesh, nodes = make_cartesian(2, 3, 1, "quad")
     const = AnalyticLevelSet(
-        "composite", 2, lambda p: np.full(len(p), 2.5),
-        lambda p: np.zeros_like(p),
+        2, lambda p: np.full(len(p), 2.5),
+        lambda p: np.zeros_like(p), lambda p: None,
     )
     sigma = project(const, mesh, nodes)
     assert np.all(sigma.coefficients == 2.5)
@@ -74,7 +74,7 @@ def test_polynomial_reproduction(geometry, order):
     def fn(p):
         return 0.3 + p @ lin + (p**2) @ quad_c
 
-    ls = AnalyticLevelSet("composite", dim, fn, lambda p: None)
+    ls = AnalyticLevelSet(dim, fn, lambda p: None, lambda p: None)
     sigma = project(ls, mesh, nodes)
     elements, refs = [], []
     for _ in range(100):
@@ -110,7 +110,7 @@ def test_gradient_of_linear_field():
 
 def test_quadratic_field_value_at_midpoint():
     mesh, nodes = make_cartesian(2, 1, 2, "quad")
-    ls = AnalyticLevelSet("composite", 2, lambda p: p[:, 0] ** 2, lambda p: None)
+    ls = AnalyticLevelSet(2, lambda p: p[:, 0] ** 2, lambda p: None, lambda p: None)
     sigma = project(ls, mesh, nodes)
     got = mesh.basis.eval([[0.5, 0.5]])[0] @ sigma.coefficients[mesh.connectivity[0]]
     assert abs(got - 0.25) < 1e-13
@@ -136,7 +136,7 @@ def test_discrete_gradient_twice_on_linear_is_zero():
 def test_repeated_discrete_gradient_converges_to_hessian():
     # sigma = x^2 on order-1 meshes: second application approximates the
     # constant Hessian entry 2 within O(h).
-    ls = AnalyticLevelSet("composite", 2, lambda p: p[:, 0] ** 2, lambda p: None)
+    ls = AnalyticLevelSet(2, lambda p: p[:, 0] ** 2, lambda p: None, lambda p: None)
     errors = []
     for n in (4, 8, 16):
         mesh, nodes = make_cartesian(2, n, 1, "quad")
@@ -166,6 +166,18 @@ def test_analytic_gradients_match_finite_differences(name):
         fd = (ls.values(pts + shift) - ls.values(pts - shift)) / (2 * step)
         denom = np.maximum(np.abs(fd), 1.0)
         assert (np.abs(grads[:, a] - fd) / denom).max() < 1e-6
+    # Hessians: central differences of the analytic gradient, and exact
+    # symmetry.
+    hess = ls.hessians(pts)
+    assert hess.shape == (len(pts), ls.dim, ls.dim)
+    assert np.array_equal(hess, hess.transpose(0, 2, 1))
+    step = 1e-6
+    for a in range(ls.dim):
+        shift = np.zeros(ls.dim)
+        shift[a] = step
+        fd = (ls.gradients(pts + shift) - ls.gradients(pts - shift)) / (2 * step)
+        denom = np.maximum(np.abs(fd), 1.0)
+        assert (np.abs(hess[:, :, a] - fd) / denom).max() < 1e-6
 
 
 def test_singular_jacobian_raises():

@@ -33,7 +33,7 @@ def linear_ls(coeffs, offset):
     def hess(p):
         return np.zeros((len(p), len(coeffs), len(coeffs)))
 
-    return AnalyticLevelSet("composite", len(coeffs), fn, grad, hess)
+    return AnalyticLevelSet(len(coeffs), fn, grad, hess)
 
 
 def test_attribute_marking_two_element_mesh():
@@ -164,7 +164,7 @@ def test_penalty_gradient_matches_fd_random_configs(source_kind):
         def grad(p):
             return lin[None, :] + 2 * p * quad_c[None, :]
 
-        analytic = AnalyticLevelSet("composite", 2, fn, grad)
+        analytic = AnalyticLevelSet(2, fn, grad, lambda p: None)
         interior = np.setdiff1d(
             np.arange(mesh.num_nodes), mesh.boundary_node_ids()
         )
@@ -242,7 +242,7 @@ def test_penalty_hessian_symmetric_and_matches_fd():
     lin = rng.uniform(-1, 1, 2)
     quad_c = rng.uniform(-0.5, 0.5, 2)
     ls = AnalyticLevelSet(
-        "composite", 2,
+        2,
         lambda p: 0.1 + p @ lin + (p**2) @ quad_c,
         lambda p: lin[None, :] + 2 * p * quad_c[None, :],
         lambda p: np.tile(np.diag(2 * quad_c), (len(p), 1, 1)),
@@ -271,7 +271,7 @@ def test_normalization_refinement_invariance():
     # Constant sigma with every node marked: F_sigma is identical on the
     # n x n and 2n x 2n meshes.
     const = AnalyticLevelSet(
-        "composite", 2, lambda p: np.full(len(p), 0.3),
+        2, lambda p: np.full(len(p), 0.3),
         lambda p: np.zeros_like(p),
         lambda p: np.zeros((len(p), 2, 2)),
     )
@@ -287,7 +287,7 @@ def test_normalization_refinement_invariance():
 
 def test_normalization_refinement_invariance_volumetric():
     const = AnalyticLevelSet(
-        "composite", 2, lambda p: np.full(len(p), 0.3),
+        2, lambda p: np.full(len(p), 0.3),
         lambda p: np.zeros_like(p),
         lambda p: np.zeros((len(p), 2, 2)),
     )
@@ -403,7 +403,7 @@ def penalty_setup(geometry, source_kind, seed=0):
     mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
     lin, quad_c = rng.uniform(-1, 1, dim), rng.uniform(-0.5, 0.5, dim)
     analytic = AnalyticLevelSet(
-        "composite", dim,
+        dim,
         lambda p: 0.1 + p @ lin + (p**2) @ quad_c,
         lambda p: lin + 2 * p * quad_c,
         lambda p: np.tile(np.diag(2 * quad_c), (len(p), 1, 1)),

@@ -12,7 +12,14 @@ from tmopfit.fitting import MarkedSet, make_penalty
 from tmopfit.mesh import NodeField, make_cartesian
 from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, value
 from tmopfit.quality import make_targets
-from tmopfit.solver import SolverConfig, line_search, minres, newton_step, solve
+from tmopfit.solver import (
+    NEGATIVE_CURVATURE,
+    SolverConfig,
+    line_search,
+    minres,
+    newton_step,
+    solve,
+)
 
 
 def test_newton_step_identity():
@@ -31,13 +38,27 @@ def test_newton_step_diagonal_system():
     assert np.allclose(p, -g / d, atol=1e-8)
 
 
-def test_newton_step_indefinite_falls_back_to_descent():
-    h = np.diag([-1.0, -2.0])  # ascent direction from the solve
+def test_newton_step_indefinite_stops_at_negative_curvature():
+    h = np.diag([-1.0, -2.0])  # the solution -H^-1 g would ascend
     g = np.array([1.0, 1.0])
     step = newton_step(h, g)
-    assert np.allclose(step.direction, -g)
+    # The first Lanczos vector has negative curvature: the step is the
+    # preconditioned gradient -M^-1 g, M = |diag H|.
+    assert np.array_equal(step.direction, [-1.0, -0.5])
     assert step.direction @ g < 0.0
+    assert step.kind == "newton-npc"
+    assert (step.minres_info, step.minres_iterations) == (NEGATIVE_CURVATURE, 1)
+    assert not np.array_equal(step, -g)  # no fallback for perfbench/tracing.py
+
+
+def test_newton_step_falls_back_to_steepest_descent_at_the_cap():
+    class OneMinresIteration(SolverConfig):
+        minres_max_iterations = 1
+
+    g = np.array([1.0, 2.0, 3.0])
+    step = newton_step(symmetric_system()[:3, :3], g, OneMinresIteration())
     assert step.kind == "steepest"
+    assert (step.minres_info, step.minres_iterations) == (1, 1)
     # The step converts to its direction, so comparing it with -grad
     # (as perfbench/tracing.py does) detects the fallback.
     assert np.array_equal(step, -g)
@@ -96,17 +117,29 @@ def spectrum_system(n, seed, indefinite):
     return 0.5 * (dense + dense.T)
 
 
+def positive_curvature_rhs(dense, diag, coefficients):
+    """b whose preconditioned Krylov space spans len(coefficients)
+    eigenvectors of positive curvature, so MINRES meets no other."""
+    scale = 1.0 / np.sqrt(diag)
+    eig, vec = np.linalg.eigh(scale[:, None] * dense * scale[None, :])
+    positive = np.flatnonzero(eig > 0.0)[: len(coefficients)]
+    return vec[:, positive] @ coefficients / scale
+
+
+# Inputs on which minres meets no negative curvature: scipy has no such stop.
 @pytest.mark.parametrize(
     "name, dense, rtol, maxiter",
     [
         ("spd", spectrum_system(40, 2, indefinite=False), 1e-10, 500),
         ("indefinite", spectrum_system(40, 3, indefinite=True), 1e-8, 500),
-        ("capped", spectrum_system(60, 4, indefinite=True), 1e-12, 7),
+        ("capped", spectrum_system(60, 4, indefinite=False), 1e-12, 7),
     ],
 )
 def test_minres_matches_scipy(name, dense, rtol, maxiter):
     b = np.random.default_rng(5).standard_normal(len(dense))
     diag = np.abs(dense).sum(axis=1)
+    if name == "indefinite":
+        b = positive_curvature_rhs(dense, diag, b[:6])
     x_want, info_want, its_want = scipy_minres(dense, b, diag, rtol, maxiter)
     got = minres(dense, b, diag, rtol, maxiter)
     assert (got.iterations, got.info) == (its_want, info_want)
@@ -120,6 +153,36 @@ def test_minres_matches_scipy(name, dense, rtol, maxiter):
         r = b - dense @ got.x
         true = np.sqrt(r @ (r / diag) / (b @ (b / diag)))
         assert got.residual == pytest.approx(true, rel=1e-3, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "dense, b, diag, x_want, iterations",
+    [
+        # (M^-1 b)^T A M^-1 b = 1 - 4/3 < 0 at k = 1: M^-1 b is returned.
+        (np.diag([1.0, -3.0]), np.array([1.0, 2.0]), np.array([1.0, 3.0]),
+         [1.0, 2.0 / 3.0], 1),
+        # b^T A b > 0, but T_2 has eigenvalues 2 and -1: the stop at k = 2
+        # returns x_1 = (b^T A b / |A b|^2) b.
+        (np.diag([2.0, -1.0]), np.array([1.0, 1.0]), np.ones(2), [0.2, 0.2], 2),
+    ],
+)
+def test_minres_stops_at_negative_curvature(dense, b, diag, x_want, iterations):
+    got = minres(dense, b, diag, 1e-12, 50)
+    assert (got.info, got.iterations) == (NEGATIVE_CURVATURE, iterations)
+    assert np.allclose(got.x, x_want, rtol=1e-15, atol=0.0)
+    assert got.x @ b > 0.0  # a descent direction for grad = -b
+
+
+def test_minres_negative_curvature_returns_the_previous_iterate():
+    dense = spectrum_system(40, 3, indefinite=True)
+    b = np.random.default_rng(5).standard_normal(len(dense))
+    diag = np.abs(dense).sum(axis=1)
+    got = minres(dense, b, diag, 1e-8, 500)
+    assert got.info == NEGATIVE_CURVATURE and got.iterations >= 2
+    x_want, info_want, its_want = scipy_minres(dense, b, diag, 1e-8, got.iterations - 1)
+    assert its_want == info_want == got.iterations - 1
+    assert np.abs(got.x - x_want).max() <= 1e-12 * np.abs(x_want).max()
+    assert got.x @ b > 0.0
 
 
 def test_minres_zero_rhs_matches_scipy():
@@ -312,7 +375,7 @@ def test_gram_matrix_built_once_per_solve(monkeypatch):
     mesh, nodes = make_cartesian(2, 4, 2, "quad")
     targets = make_targets(mesh, nodes, "initial-size")
     ls = AnalyticLevelSet(
-        "composite", 2,
+        2,
         lambda p: p[:, 1] - 0.55 + 0.1 * p[:, 0],
         lambda p: np.tile([0.1, 1.0], (len(p), 1)),
         lambda p: np.zeros((len(p), 2, 2)),

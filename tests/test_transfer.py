@@ -33,7 +33,7 @@ def poly_ls(dim, order, seed=0):
     def fn(p):
         return 0.2 + p @ lin + (p**2) @ quad_c
 
-    return AnalyticLevelSet("composite", dim, fn, lambda p: None), fn
+    return AnalyticLevelSet(dim, fn, lambda p: None, lambda p: None), fn
 
 
 def smooth_motion(mesh, nodes, amplitude=0.02):
