@@ -5,6 +5,7 @@ import math
 import sys
 
 from .cases import CASE_DEFAULTS, named_case, run_case
+from .errors import MeshParseError
 from .mesh import is_valid, read_mesh
 from .quality import METRIC_IDS
 
@@ -24,9 +25,11 @@ def _at_least(minimum, kind):
     return parse
 
 
-# Exit code of `tmopfit run` when the solve stops other than converged;
-# argparse exits 2 on a usage error.
+# Exit code of `tmopfit run` when the solve stops other than converged.
 EXIT_NOT_CONVERGED = 3
+# argparse's exit code on a usage error, also that of a mesh file that
+# cannot be read.
+EXIT_USAGE = 2
 
 
 def _cmd_run(args):
@@ -68,7 +71,11 @@ def _cmd_check_gradients(args):
 
 
 def _cmd_info(args):
-    mesh, nodes = read_mesh(args.mesh)
+    try:
+        mesh, nodes = read_mesh(args.mesh)
+    except (OSError, MeshParseError) as exc:
+        print(f"tmopfit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     valid, min_det = is_valid(mesh, nodes)
     pts = nodes.as_matrix()
     print(f"file          {args.mesh}")

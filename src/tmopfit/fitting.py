@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import EmptyMarkedSetError
 from .fields import AnalyticLevelSet, ScalarField, discrete_gradient
-from .reference import REFERENCE_MEASURE, face_node_indices, quadrature_for, quadrature_tables
+from .reference import REFERENCE_FACES, REFERENCE_MEASURE, quadrature_for, quadrature_tables
 from .transfer import build_index, locate_many
 
 
@@ -78,17 +78,12 @@ def mark_interface_nodes(mesh, mode, sigma=None):
     else:
         raise ValueError(f"unknown marking mode {mode!r}")
 
-    fni = face_node_indices(mesh.geometry, mesh.order)
-    marked = set()
-    for key, incident in mesh.face_map().items():
-        if len(incident) != 2:
-            continue
-        (e1, f1), (e2, f2) = incident
-        if attrs[e1] != attrs[e2]:
-            marked.update(mesh.connectivity[e1][fni[f1]])
-    if not marked:
+    shared = mesh.face_incidence()[1]
+    elements = shared // len(REFERENCE_FACES[mesh.geometry])
+    interface = shared[attrs[elements[:, 0]] != attrs[elements[:, 1]], 0]
+    if len(interface) == 0:
         raise EmptyMarkedSetError("no interface faces between differing attributes")
-    return MarkedSet(np.array(sorted(marked)))
+    return MarkedSet(mesh.face_nodes()[interface])
 
 
 def attributes_from_sign(mesh, sigma):

@@ -85,28 +85,38 @@ class Mesh:
     def basis(self):
         return self.reference.basis
 
-    def face_map(self):
-        """Map from face key (sorted corner node ids) to incident elements.
+    def face_nodes(self):
+        """Node ids of every element face, shape (E F, n): row e F + f holds
+        local face f of element e, F faces per element."""
+        fni = np.array(face_node_indices(self.geometry, self.order))
+        return self.connectivity[:, fni].reshape(-1, fni.shape[1])
 
-        Returns dict: key -> list of (element id, local face id).
+    def face_incidence(self):
+        """Element faces matched by their sorted corner node ids, in one sort.
+
+        Returns (single, shared), rows of face_nodes(): single (n,) the
+        faces of exactly one element, ascending in their sorted corner ids;
+        shared (m, 2) the two incidences of each face of exactly two
+        elements, the lower element first.  Faces of three or more elements
+        are in neither.
         """
-        corners = corner_local_indices(self.geometry, self.order)
-        faces = {}
-        for e, conn in enumerate(self.connectivity):
-            for f, fverts in enumerate(REFERENCE_FACES[self.geometry]):
-                key = tuple(sorted(conn[corners[v]] for v in fverts))
-                faces.setdefault(key, []).append((e, f))
-        return faces
+        corners = np.array(corner_local_indices(self.geometry, self.order))
+        local = corners[np.array(REFERENCE_FACES[self.geometry])]  # (F, corners)
+        keys = np.sort(self.connectivity[:, local], axis=2).reshape(-1, local.shape[1])
+        # A stable sort with the first corner id as the primary key keeps the
+        # incidences of one face in element order.
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        starts = np.flatnonzero(np.r_[True, np.any(keys[1:] != keys[:-1], axis=1)])
+        sizes = np.diff(np.r_[starts, len(keys)])
+        pairs = starts[sizes == 2]
+        return order[starts[sizes == 1]], np.stack([order[pairs], order[pairs + 1]], axis=1)
 
     def boundary_node_ids(self):
-        """Ids of all nodes lying on faces shared by a single element."""
-        fni = face_node_indices(self.geometry, self.order)
-        ids = set()
-        for key, incident in self.face_map().items():
-            if len(incident) == 1:
-                e, f = incident[0]
-                ids.update(self.connectivity[e][fni[f]])
-        return np.array(sorted(ids), dtype=int)
+        """Sorted ids of all nodes lying on faces of a single element."""
+        on = np.zeros(self.num_nodes, bool)
+        on[self.face_nodes()[self.face_incidence()[0]]] = True
+        return np.flatnonzero(on)
 
 
 @dataclass
@@ -300,23 +310,16 @@ def make_cartesian(dim, n_cells, order, geometry):
 
 
 def _domain_boundary_faces(mesh, node_field, tol=1e-12):
-    """Boundary faces with attributes 1..2*dim by unit-domain side."""
-    fni = face_node_indices(mesh.geometry, mesh.order)
-    pts = node_field.as_matrix()
-    out = []
-    for key, incident in sorted(mesh.face_map().items()):
-        if len(incident) != 1:
-            continue
-        e, f = incident[0]
-        nodes = mesh.connectivity[e][fni[f]]
-        attr = 0
-        for a in range(mesh.dim):
-            if np.all(np.abs(pts[nodes, a]) <= tol):
-                attr = 2 * a + 1
-            elif np.all(np.abs(pts[nodes, a] - 1.0) <= tol):
-                attr = 2 * a + 2
-        out.append((attr, np.asarray(nodes, dtype=int)))
-    return out
+    """Boundary faces with attributes 1..2*dim by unit-domain side, in
+    ascending order of their sorted corner ids; 0 where a face lies on no
+    side, the last axis winning where it lies on several."""
+    nodes = mesh.face_nodes()[mesh.face_incidence()[0]]
+    pts = node_field.as_matrix()[nodes]  # (faces, face nodes, dim)
+    attrs = np.zeros(len(nodes), dtype=int)
+    for a in range(mesh.dim):
+        attrs[np.all(np.abs(pts[..., a]) <= tol, axis=1)] = 2 * a + 1
+        attrs[np.all(np.abs(pts[..., a] - 1.0) <= tol, axis=1)] = 2 * a + 2
+    return list(zip(attrs.tolist(), nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +363,14 @@ def read_mesh(path):
     Raises
     ------
     MeshParseError
-        On malformed or truncated input, with the offending line number.
+        On malformed or truncated input, or on content after the last node
+        line other than blank lines, with the offending line number.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise MeshParseError(f"not a text file: {exc}") from exc
 
     pos = 0
 
@@ -447,6 +454,11 @@ def read_mesh(path):
             raise MeshParseError(f"bad coordinate: {exc}", pos) from exc
         if not np.all(np.isfinite(coords[-1])):
             raise MeshParseError("non-finite node coordinate", pos)
+    for extra, line in enumerate(lines[pos:], pos + 1):
+        if line.strip():
+            raise MeshParseError(
+                f"unexpected content after the last node line: {line!r}", extra
+            )
     check_node_ids(elements, element_line, "element", num_nodes)
     check_node_ids(boundary, boundary_line, "boundary", num_nodes)
 

@@ -173,7 +173,11 @@ def hessian(config, mesh, node_field):
 
 class ElementHessian(NamedTuple):
     """H = sum_e B_e^T D_e B_e + H_sigma, never assembled, with the fixed
-    dofs' rows and columns replaced by identity ones."""
+    dofs' rows and columns replaced by identity ones.
+
+    blocks is the largest array of a solve, E (d N)^2 doubles.  solver.solve
+    keeps one ElementHessian at a time, freed when its Newton step returns.
+    """
 
     blocks: np.ndarray  # (E, K, K), K = d N, exactly symmetric
     dofs: np.ndarray  # (E, K): global dof a * num_nodes + node of each row

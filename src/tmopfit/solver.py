@@ -267,6 +267,10 @@ def solve(config, objective_config, mesh, node_field):
 
     The initial mesh must be valid.  On line-search failure the best
     accepted iterate is returned with the corresponding reason.
+
+    One Hessian is alive at a time: each iteration's Hessian lives only
+    for its newton_step call and is freed when the step returns, so the
+    solve's peak memory holds one set of element blocks, not two.
     """
     t_start = time.perf_counter()
     x = node_field.copy()
@@ -313,9 +317,10 @@ def solve(config, objective_config, mesh, node_field):
             report.reason = "converged"
             break
 
-        h = hessian(objective_config, mesh, x)
+        # No name holds the Hessian: its blocks are freed when newton_step
+        # returns, before the next iterate's hessian allocates its own.
         p, kind, minres_iterations, minres_info, minres_residual = newton_step(
-            h, grad, config
+            hessian(objective_config, mesh, x), grad, config
         )
 
         f_current = f

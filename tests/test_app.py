@@ -480,6 +480,23 @@ def test_cli_info(tmp_path, capsys):
     assert "valid         True" in out
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [("tmopfit-mesh v1\ndim 2\norder x\n", "line 3: 'order' needs"),
+     (None, "No such file or directory")],
+    ids=["malformed", "missing"],
+)
+def test_cli_info_reports_unreadable_file_in_one_line(tmp_path, capsys, content, message):
+    path = tmp_path / "m.mesh"
+    if content is not None:
+        path.write_text(content)
+    assert main(["info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("tmopfit: error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_run_tiny_case(tmp_path, capsys):
     code = main([
         "run", "fit2d-quad", "--res", "4", "--order", "2",

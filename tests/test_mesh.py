@@ -270,6 +270,28 @@ def test_bad_header_rejected(tmp_path):
         read_mesh(path)
 
 
+def test_content_after_the_last_node_is_rejected(tmp_path):
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    path = tmp_path / "mesh.mesh"
+    write_mesh(path, mesh, nodes)
+    text = path.read_text()
+    num_lines = len(text.splitlines())
+    path.write_text(text + "\n  \n")  # trailing blank lines are fine
+    _, read_nodes = read_mesh(path)
+    assert np.array_equal(read_nodes.coords, nodes.coords)
+    path.write_text(text + "\nnodes 3\n0 0\n")
+    with pytest.raises(MeshParseError, match="after the last node") as err:
+        read_mesh(path)
+    assert err.value.line == num_lines + 2
+
+
+def test_binary_file_raises_parse_error(tmp_path):
+    path = tmp_path / "mesh.mesh"
+    path.write_bytes(b"\xff\xfe\x00binary")
+    with pytest.raises(MeshParseError, match="not a text file"):
+        read_mesh(path)
+
+
 def test_boundary_node_ids_on_unit_square():
     mesh, nodes = make_cartesian(2, 4, 2, "quad")
     ids = mesh.boundary_node_ids()

@@ -38,7 +38,7 @@ from tmopfit.quality import (
     mirror_pairs,
 )
 from tmopfit.reference import quadrature_for
-from tmopfit.solver import newton_step
+from tmopfit.solver import SolverConfig, newton_step, solve
 
 
 def perturbed(mesh, nodes, seed=0, amplitude=0.02):
@@ -349,7 +349,9 @@ def test_blended_metrics_seed_invariants_once(monkeypatch, metric_id):
 PEAK_FIT3D_HEX_R4 = int(1.1 * 7_177_281)
 
 
-def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
+def fit3d_hex_r4_problem():
+    """The objective, mesh and start nodes of the fit3d-hex case at
+    resolution 4, with its solver settings."""
     case = named_case("fit3d-hex", resolution=4)
     level_set = builtin_levelset(case.levelset)
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
@@ -360,14 +362,38 @@ def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
         case.metric_id, targets, gamma=case.gamma, penalty=penalty,
         fixed_mask=boundary_fixed_mask(mesh),
     )
+    scfg = SolverConfig(eps=case.eps, max_iterations=case.max_iterations)
+    return cfg, mesh, nodes, scfg
+
+
+def traced_peak(fn):
+    """fn() and the tracemalloc peak, in bytes, of the call."""
     gc.collect()
     tracemalloc.start()
     try:
-        gradient(cfg, mesh, nodes)
-        hessian(cfg, mesh, nodes)
+        result = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
+    cfg, mesh, nodes, _ = fit3d_hex_r4_problem()
+
+    def gradient_and_hessian():
+        gradient(cfg, mesh, nodes)
+        hessian(cfg, mesh, nodes)
+
+    assert traced_peak(gradient_and_hessian)[1] <= PEAK_FIT3D_HEX_R4
+
+
+def test_solve_peak_memory_fit3d_hex_r4_holds_one_hessian():
+    # A whole solve stays within the bound of one gradient and one Hessian:
+    # the Hessian of an iterate is freed before the next one is built.
+    cfg, mesh, nodes, scfg = fit3d_hex_r4_problem()
+    (_, report), peak = traced_peak(lambda: solve(scfg, cfg, mesh, nodes))
+    assert report.iterations > 1
     assert peak <= PEAK_FIT3D_HEX_R4
 
 

@@ -1,6 +1,7 @@
 """Newton/MINRES, line search, and the nonlinear solve loop."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -395,3 +396,25 @@ def test_gram_matrix_built_once_per_solve(monkeypatch):
     stronger = dataclasses.replace(penalty, weight=10 * penalty.weight)
     assert stronger.gram is penalty.gram
     assert counts["gram"] == 1
+
+
+def test_each_hessian_is_freed_before_the_next_is_built(monkeypatch):
+    # The blocks of iterate k must be gone when iterate k + 1's are
+    # allocated, so a solve's peak memory holds one Hessian, not two.
+    import tmopfit.solver as solver
+    from tmopfit.cases import named_case, run_case
+
+    build = solver.hessian
+    blocks = []
+    alive_at_call = []
+
+    def tracking(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in blocks))
+        h = build(*args, **kwargs)
+        blocks.append(weakref.ref(h.blocks))
+        return h
+
+    monkeypatch.setattr(solver, "hessian", tracking)
+    run = run_case(named_case("fit2d-quad", resolution=3))
+    assert len(alive_at_call) == run.solve_report.iterations > 1
+    assert alive_at_call == [0] * len(alive_at_call)
