@@ -138,11 +138,12 @@ class FitReport:
         )
 
 
-def compute_e_S(node_field, marked, center, radius=0.3):
-    """Mean squared distance of marked nodes from an analytic sphere."""
+def compute_e_S(node_field, marked, level_set):
+    """Mean squared level-set value at the marked nodes: their mean
+    squared distance from the surface when level_set is a signed
+    distance, as levelsets.sphere is."""
     pts = node_field.as_matrix()[marked.indices]
-    dist = np.linalg.norm(pts - np.asarray(center)[None, :], axis=1) - radius
-    return float(np.mean(dist**2))
+    return float(np.mean(level_set.values(pts) ** 2))
 
 
 def compute_E(sigma, marked):
@@ -183,7 +184,7 @@ def _solve_case(case, mesh, nodes, level_set, marked, w_sigma, scfg):
     if w_sigma is None:
         mask = fix_nodes(mask, mesh, marked.indices)
     else:
-        penalty = make_penalty(w_sigma, level_set, mesh, nodes, targets, marked)
+        penalty = make_penalty(w_sigma, level_set, mesh, targets, marked)
     config = ObjectiveConfig(
         case.metric_id, targets, gamma=case.gamma, penalty=penalty, fixed_mask=mask
     )
@@ -233,8 +234,7 @@ def run_case(case, out_dir=None):
     e_avg, e_max = compute_E(sigma_final, marked)
     e_s = None
     if case.levelset.startswith("sphere"):
-        center = (0.5, 0.5) if case.dim == 2 else (0.5, 0.5, 0.5)
-        e_s = compute_e_S(final_nodes, marked, center)
+        e_s = compute_e_S(final_nodes, marked, level_set)
 
     f0 = report.history[0][1]
     f_final = report.history[-1][1]

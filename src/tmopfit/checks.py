@@ -9,10 +9,11 @@ gradients.  Used by the CLI and by the acceptance suite.
 import numpy as np
 
 from .fields import AnalyticLevelSet, project
-from .fitting import DiscreteLevelSet, MarkedSet, make_penalty
+from .fitting import MarkedSet, make_penalty
 from .mesh import NodeField, is_valid, make_cartesian
 from .objective import ObjectiveConfig, gradient, hessian, value
 from .quality import make_targets
+from .transfer import DiscreteLevelSet
 
 CONFIGS = (
     ("quad", 2, 1), ("quad", 2, 2), ("quad", 2, 3),
@@ -86,9 +87,7 @@ def _config(mesh, initial_nodes, nodes, rng, source_kind):
         raise ValueError("check configuration has no interior nodes")
     n_marked = max(1, len(interior) // 3)
     marked = MarkedSet(rng.choice(interior, size=n_marked, replace=False))
-    penalty = make_penalty(
-        rng.uniform(0.5, 5.0), source, mesh, nodes, targets, marked
-    )
+    penalty = make_penalty(rng.uniform(0.5, 5.0), source, mesh, targets, marked)
     return ObjectiveConfig(str(metric), targets, penalty=penalty)
 
 

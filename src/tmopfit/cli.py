@@ -5,7 +5,7 @@ import math
 import sys
 
 from .cases import CASE_DEFAULTS, named_case, run_case
-from .errors import MeshParseError
+from .errors import MeshParseError, TmopFitError
 from .mesh import is_valid, read_mesh
 from .quality import METRIC_IDS
 
@@ -28,7 +28,7 @@ def _at_least(minimum, kind):
 # Exit code of `tmopfit run` when the solve stops other than converged.
 EXIT_NOT_CONVERGED = 3
 # argparse's exit code on a usage error, also that of a mesh file that
-# cannot be read.
+# cannot be read and of a run that stops on a package error.
 EXIT_USAGE = 2
 
 
@@ -43,7 +43,11 @@ def _cmd_run(args):
     case = named_case(args.case, **overrides)
     if args.mode is not None:
         case = case.copy_with(mode=args.mode)
-    run = run_case(case, out_dir=args.out)
+    try:
+        run = run_case(case, out_dir=args.out)
+    except TmopFitError as exc:
+        print(f"tmopfit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     r = run.fit_report
     print(f"case          {r.case}")
     print(f"termination   {r.reason}")
@@ -103,7 +107,8 @@ def build_parser():
         "run", help="run a named test case",
         description="Run a named test case.  Exits 0 when the solve converges, "
         f"{EXIT_NOT_CONVERGED} when it stops otherwise (max-iter or "
-        "line-search-failure) and 2 on a usage error.",
+        "line-search-failure) and 2 on a usage error or when the case cannot "
+        "run (for example, no interface nodes at --res 1).",
     )
     p_run.add_argument("case", choices=sorted(CASE_DEFAULTS))
     p_run.add_argument("--res", type=_at_least(1, int), help="cells per axis")

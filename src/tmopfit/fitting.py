@@ -18,7 +18,9 @@ Hessian of sigma sampled at node i:
 
 M depends only on the connectivity, the marked set and det W, so
 make_penalty builds M once and keeps it on the PenaltyConfig, next to
-the marked set.
+the marked set.  The sampled sigma is the penalty's source: an analytic
+level set, or an FE field on the initial mesh read by point location
+(transfer.DiscreteLevelSet, the paper's discrete sigma).
 """
 
 import math
@@ -28,9 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyMarkedSetError
-from .fields import AnalyticLevelSet, ScalarField, discrete_gradient
 from .reference import REFERENCE_FACES, REFERENCE_MEASURE, quadrature_for, quadrature_tables
-from .transfer import build_index, locate_many
 
 
 def _sorted_unique(x):
@@ -94,78 +94,6 @@ def attributes_from_sign(mesh, sigma):
 
 
 # ---------------------------------------------------------------------------
-# Level-set sources
-
-
-class DiscreteLevelSet:
-    """Level set given as an FE field on a (frozen) source mesh.
-
-    All queries are located in the source mesh in one batched pass; the
-    value and the gradient both come from the containing element's
-    polynomial, so the gradient is the exact derivative of the
-    interpolated value away from element faces (required for consistent
-    line searches).  Second derivatives come from one application of the
-    FE discrete gradient operator to sigma, differentiated element-wise.
-    """
-
-    def __init__(self, field, node_field):
-        self.field = field
-        self.node_field = node_field
-        self.mesh = field.mesh
-        self.dim = field.mesh.dim
-        self.index = build_index(field.mesh, node_field)
-        self._grad_fields = None
-        self._loc_cache = (None, None)
-
-    def _located(self, points):
-        # Connectivity, basis values and gradients, and transposed element
-        # Jacobians at the located points.  One-slot memo: value/gradient/
-        # Hessian queries within a solver iterate repeat the same points.
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        key = points.tobytes()
-        if self._loc_cache[0] != key:
-            loc = locate_many(self.index, self.mesh, self.node_field, points)
-            conn = self.mesh.connectivity[loc.element]
-            vals, grads = self.mesh.basis.eval_with_grad(loc.ref)
-            coords = self.node_field.as_matrix()[conn]
-            jac_t = np.einsum("pkb,pkd->pbd", grads, coords)
-            self._loc_cache = (key, (conn, vals, grads, jac_t))
-        return self._loc_cache[1]
-
-    def values(self, points):
-        conn, vals, _, _ = self._located(points)
-        return np.einsum("pk,pk->p", vals, self.field.coefficients[conn])
-
-    def gradients(self, points):
-        return self._element_gradients(points, [self.field.coefficients])[:, 0]
-
-    def hessians(self, points):
-        if self._grad_fields is None:
-            self._grad_fields = discrete_gradient(self.field, self.node_field)
-        coeffs = [g.coefficients for g in self._grad_fields]
-        rows = self._element_gradients(points, coeffs)  # (n, dim, dim)
-        return 0.5 * (rows + rows.transpose(0, 2, 1))
-
-    def _element_gradients(self, points, coeffs):
-        """Physical gradients (n, len(coeffs), dim) of FE coefficient
-        vectors on the located elements, by one batched solve."""
-        conn, _, grads, jac_t = self._located(points)
-        rhs = np.einsum("pkb,jpk->pbj", grads, np.array(coeffs)[:, conn])
-        return np.linalg.solve(jac_t, rhs).transpose(0, 2, 1)
-
-
-def as_level_set_source(source, node_field=None):
-    """Normalize a penalty source: analytic level set or discrete field."""
-    if isinstance(source, (AnalyticLevelSet, DiscreteLevelSet)):
-        return source
-    if isinstance(source, ScalarField):
-        if node_field is None:
-            raise ValueError("discrete sigma source needs its node field")
-        return DiscreteLevelSet(source, node_field)
-    raise TypeError(f"unsupported level-set source {type(source).__name__}")
-
-
-# ---------------------------------------------------------------------------
 # Penalty configuration and evaluation
 
 
@@ -194,16 +122,22 @@ class PenaltyConfig:
             raise ValueError("normalization must be finite and positive")
 
 
-def make_penalty(weight, source, mesh, node_field, targets, marked):
+def make_penalty(weight, source, mesh, targets, marked):
     """PenaltyConfig on the marked nodes, with the normalization implied
-    by the target kind and the Gram form of (mesh, marked, targets)."""
+    by the target kind and the Gram form of (mesh, marked, targets).
+
+    source is the level set sampled at the marked nodes: an
+    AnalyticLevelSet, or the paper's discrete sigma as a
+    transfer.DiscreteLevelSet on the initial mesh.  Either gives values,
+    gradients and Hessians at physical points.
+    """
     if targets.volumetric:  # the total target volume
         normalization = float(targets.size.sum()) * REFERENCE_MEASURE[mesh.geometry]
     else:
         normalization = float(mesh.num_elements)
     return PenaltyConfig(
         weight=weight,
-        source=as_level_set_source(source, node_field),
+        source=source,
         normalization=normalization,
         marked=marked,
         gram=_build_gram(mesh, marked, targets),

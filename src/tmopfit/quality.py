@@ -298,19 +298,6 @@ class TargetJacobians:
         return self.size * np.linalg.det(IDEAL_TARGETS[geometry])
 
 
-def _canonical_kind(kind):
-    aliases = {
-        "unit": "ideal-shape-unit-size",
-        "unit-size": "ideal-shape-unit-size",
-        "initial-size": "ideal-shape-initial-size",
-        "size": "ideal-shape-initial-size",
-    }
-    kind = aliases.get(kind, kind)
-    if kind not in TARGET_KINDS:
-        raise ValueError(f"unknown target kind {kind!r}")
-    return kind
-
-
 def make_targets(mesh, node_field, kind="ideal-shape-unit-size"):
     """Build per-element targets W = s^(1/d) W_ideal.
 
@@ -318,7 +305,8 @@ def make_targets(mesh, node_field, kind="ideal-shape-unit-size"):
     for initial-size targets, so det W carries each element's initial
     volume fraction.
     """
-    kind = _canonical_kind(kind)
+    if kind not in TARGET_KINDS:
+        raise ValueError(f"unknown target kind {kind!r}")
     valid, min_det = is_valid(mesh, node_field)
     if not valid:
         raise InvalidMeshError(

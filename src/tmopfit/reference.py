@@ -470,42 +470,21 @@ def quadrature_tables(geometry, order):
     return tables
 
 
-# Supporting hyperplane (normal, offset) of each reference face, in
-# REFERENCE_FACES order: points p on the face satisfy normal . p == offset.
-_FACE_PLANES = {
-    "segment": (((1.0,), 0.0), ((1.0,), 1.0)),
-    "quad": (
-        ((0.0, 1.0), 0.0),
-        ((1.0, 0.0), 1.0),
-        ((0.0, 1.0), 1.0),
-        ((1.0, 0.0), 0.0),
-    ),
-    "triangle": (((0.0, 1.0), 0.0), ((1.0, 1.0), 1.0), ((1.0, 0.0), 0.0)),
-    "hex": (
-        ((0.0, 0.0, 1.0), 0.0),
-        ((0.0, 0.0, 1.0), 1.0),
-        ((0.0, 1.0, 0.0), 0.0),
-        ((1.0, 0.0, 0.0), 1.0),
-        ((0.0, 1.0, 0.0), 1.0),
-        ((1.0, 0.0, 0.0), 0.0),
-    ),
-    "tet": (
-        ((0.0, 0.0, 1.0), 0.0),
-        ((0.0, 1.0, 0.0), 0.0),
-        ((1.0, 1.0, 1.0), 1.0),
-        ((1.0, 0.0, 0.0), 0.0),
-    ),
-}
-
-
 @lru_cache(maxsize=None)
 def face_node_indices(geometry, order):
     """Local node ids lying on each reference face, per REFERENCE_FACES."""
-    basis = reference_element(geometry, order).basis
+    nodes = reference_element(geometry, order).basis.nodes
+    dim = nodes.shape[1]
     out = []
-    for normal, offset in _FACE_PLANES[geometry]:
-        dist = basis.nodes @ np.asarray(normal) - offset
-        out.append(np.flatnonzero(np.abs(dist) <= 1e-12))
+    for face in REFERENCE_FACES[geometry]:
+        v = REFERENCE_VERTICES[geometry][list(face)]
+        # Cofactor normal: normal_a = det[e_1; ...; e_(d-1); unit_a] over
+        # the face's first d - 1 edges, which are independent on every
+        # reference face.  (An SVD null vector would do as well, but the
+        # first SVD call adds about 1 MiB to a run's peak RSS.)
+        edges = v[1:dim] - v[0]
+        normal = np.linalg.det([np.vstack([edges, unit]) for unit in np.eye(dim)])
+        out.append(np.flatnonzero(np.abs((nodes - v[0]) @ normal) <= 1e-12))
     return tuple(out)
 
 

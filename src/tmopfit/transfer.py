@@ -1,9 +1,11 @@
-"""Point location and high-order interpolation from a source mesh.
+"""Point location, and FE fields on a frozen source mesh evaluated at
+physical points.
 
 Queries in physical space are mapped back to (element, reference
-coordinate) pairs on the source mesh, after which any FE function on
-that mesh can be interpolated; this keeps the level-set function
-available while the mesh evolves.  As in GSLIB findpts, all queries are
+coordinate) pairs on the source mesh.  DiscreteLevelSet is the one
+evaluator of a located field: the fitting penalty reads the discrete
+level set through it while the mesh evolves, and transfer_field reads
+it at the final nodes.  As in GSLIB findpts, all queries are
 located together: a background grid (CSR arrays) gives each point its
 candidate elements, one damped Newton iteration inverts the element map
 on every (point, candidate) pair at once, and points no candidate
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransferFailureError
-from .fields import ScalarField
+from .fields import ScalarField, discrete_gradient
 from .reference import quadrature_for
 
 ACCEPT_TOL = 1e-10  # residual / domain size for an interior point
@@ -279,20 +281,72 @@ def locate(index, mesh, node_field, point):
     return locate_points(index, mesh, node_field, point)[0]
 
 
-def locate_many(index, mesh, node_field, points):
-    """Locate a batch of points as a PointLocations; raises
-    TransferFailureError on any not-found."""
-    loc = locate_points(index, mesh, node_field, points)
-    if np.any(loc.status == "not-found"):
-        raise TransferFailureError(np.atleast_2d(points)[loc.status == "not-found"])
-    return loc
+class DiscreteLevelSet:
+    """An FE field on a frozen source mesh, evaluated at physical points.
 
+    This is the paper's discrete sigma: the fitting penalty reads it at
+    the moved marked nodes, and transfer_field at every moved node.  All
+    queries are located in the source mesh in one batched pass; a point
+    no element holds raises TransferFailureError.  The value and the
+    gradient both come from the containing element's polynomial, so the
+    gradient is the exact derivative of the value away from element faces
+    (required for consistent line searches).  Second derivatives come
+    from one application of the FE discrete gradient operator to the
+    field, differentiated element-wise.
+    """
 
-def interpolate(field, node_field, index, points):
-    """Evaluate an FE function at physical points via point location."""
-    loc = locate_many(index, field.mesh, node_field, points)
-    coeff = field.coefficients[field.mesh.connectivity[loc.element]]
-    return np.einsum("pk,pk->p", field.mesh.basis.eval(loc.ref), coeff)
+    def __init__(self, field, node_field):
+        self.field = field
+        self.node_field = node_field
+        self.mesh = field.mesh
+        self.dim = field.mesh.dim
+        self.index = build_index(field.mesh, node_field)
+        self._grad_fields = None
+        self._at = {}
+
+    def _located(self, points):
+        # Per point set: the element node ids "conn" and reference points
+        # "ref", then the basis values "vals", gradients "grads" and
+        # transposed element Jacobians "jac_t" as queries first need them.
+        # One-slot memo: value/gradient/Hessian queries within a solver
+        # iterate repeat the same points.
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        key = points.tobytes()
+        if self._at.get("key") != key:
+            loc = locate_points(self.index, self.mesh, self.node_field, points)
+            missing = loc.status == "not-found"
+            if missing.any():
+                raise TransferFailureError(points[missing])
+            conn = self.mesh.connectivity[loc.element]
+            self._at = {"key": key, "conn": conn, "ref": loc.ref}
+        return self._at
+
+    def values(self, points):
+        at = self._located(points)
+        if "vals" not in at:
+            at["vals"] = self.mesh.basis.eval(at["ref"])
+        return np.einsum("pk,pk->p", at["vals"], self.field.coefficients[at["conn"]])
+
+    def gradients(self, points):
+        return self._element_gradients(points, [self.field.coefficients])[:, 0]
+
+    def hessians(self, points):
+        if self._grad_fields is None:
+            self._grad_fields = discrete_gradient(self.field, self.node_field)
+        coeffs = [g.coefficients for g in self._grad_fields]
+        rows = self._element_gradients(points, coeffs)  # (n, dim, dim)
+        return 0.5 * (rows + rows.transpose(0, 2, 1))
+
+    def _element_gradients(self, points, coeffs):
+        """Physical gradients (n, len(coeffs), dim) of FE coefficient
+        vectors on the located elements, by one batched solve."""
+        at = self._located(points)
+        if "jac_t" not in at:
+            at["grads"] = self.mesh.basis.eval_with_grad(at["ref"])[1]
+            coords = self.node_field.as_matrix()[at["conn"]]
+            at["jac_t"] = np.einsum("pkb,pkd->pbd", at["grads"], coords)
+        rhs = np.einsum("pkb,jpk->pbj", at["grads"], np.array(coeffs)[:, at["conn"]])
+        return np.linalg.solve(at["jac_t"], rhs).transpose(0, 2, 1)
 
 
 def transfer_field(sigma0, nodes0, current_mesh, current_nodes):
@@ -301,6 +355,5 @@ def transfer_field(sigma0, nodes0, current_mesh, current_nodes):
     Coefficient i of the result is sigma0 evaluated at the position of
     current node i (nodal interpolation; the bases are interpolatory).
     """
-    index = build_index(sigma0.mesh, nodes0)
-    values = interpolate(sigma0, nodes0, index, current_nodes.as_matrix())
+    values = DiscreteLevelSet(sigma0, nodes0).values(current_nodes.as_matrix())
     return ScalarField(current_mesh, values)

@@ -180,7 +180,7 @@ def test_criterion_7_normalization_invariance():
             mesh, nodes = make_cartesian(2, n, 2, "quad")
             targets = make_targets(mesh, nodes, kind)
             marked = MarkedSet(np.arange(mesh.num_nodes))
-            penalty = make_penalty(13.0, const, mesh, nodes, targets, marked)
+            penalty = make_penalty(13.0, const, mesh, targets, marked)
             values.append(penalty_value(penalty, nodes))
         ok &= abs(values[0] - values[1]) <= 1e-10
     report(7, "F_sigma invariant under mesh refinement for constant sigma", ok)

@@ -26,7 +26,7 @@ from tmopfit.cli import main
 from tmopfit.errors import EmptyMarkedSetError
 from tmopfit.fields import ScalarField
 from tmopfit.fitting import MarkedSet
-from tmopfit.levelsets import builtin_levelset
+from tmopfit.levelsets import builtin_levelset, sphere
 from tmopfit.mesh import NodeField, make_cartesian, write_mesh
 from tmopfit.vtk import VTK_LAGRANGE_CELL, vtk_lattice, write_vtk
 
@@ -137,7 +137,9 @@ def test_traced_results_expose_what_the_hooks_read(monkeypatch):
 
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     cfg = ObjectiveConfig(
-        "mu2", make_targets(mesh, nodes, "unit"), fixed_mask=boundary_fixed_mask(mesh)
+        "mu2",
+        make_targets(mesh, nodes, "ideal-shape-unit-size"),
+        fixed_mask=boundary_fixed_mask(mesh),
     )
     moved = nodes.copy()
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
@@ -192,6 +194,15 @@ def test_cli_run_exit_codes_tell_non_convergence_from_usage_errors(capsys):
     assert "3 when it stops otherwise" in " ".join(capsys.readouterr().out.split())
 
 
+def test_cli_run_reports_a_package_error_in_one_line(capsys):
+    # One cell per axis leaves no interface between differing attributes,
+    # so marking raises EmptyMarkedSetError; the run reports it as a usage
+    # error instead of a traceback.
+    assert main(["run", "fit2d-tri", "--res", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "tmopfit: error: no interface faces between differing attributes\n"
+
+
 def test_sphere_levelset_values():
     ls = builtin_levelset("sphere2d")
     assert abs(ls.values(np.array([[0.5, 0.9]]))[0] - 0.1) < 1e-14
@@ -232,7 +243,7 @@ def test_e_s_zero_on_circle():
     pts = nodes.as_matrix().copy()
     pts[:3] = [[0.8, 0.5], [0.5, 0.8], [0.2, 0.5]]
     marked = MarkedSet(np.array([0, 1, 2]))
-    assert compute_e_S(NodeField.from_matrix(pts), marked, (0.5, 0.5)) < 1e-28
+    assert compute_e_S(NodeField.from_matrix(pts), marked, sphere((0.5, 0.5))) < 1e-28
 
 
 def test_e_s_single_node():
@@ -240,7 +251,7 @@ def test_e_s_single_node():
     pts = nodes.as_matrix().copy()
     pts[0] = [0.81, 0.5]  # distance 0.31
     marked = MarkedSet(np.array([0]))
-    got = compute_e_S(NodeField.from_matrix(pts), marked, (0.5, 0.5))
+    got = compute_e_S(NodeField.from_matrix(pts), marked, sphere((0.5, 0.5)))
     assert abs(got - 1e-4) < 1e-12
 
 
@@ -250,7 +261,7 @@ def test_e_s_two_nodes_average():
     pts[0] = [0.81, 0.5]
     pts[1] = [0.5, 0.79]
     marked = MarkedSet(np.array([0, 1]))
-    got = compute_e_S(NodeField.from_matrix(pts), marked, (0.5, 0.5))
+    got = compute_e_S(NodeField.from_matrix(pts), marked, sphere((0.5, 0.5)))
     assert abs(got - 1e-4) < 1e-12
 
 

@@ -11,10 +11,10 @@ from tmopfit.fields import (
     nodal_physical_gradients,
     project,
 )
-from tmopfit.fitting import DiscreteLevelSet
 from tmopfit.levelsets import builtin_levelset
 from tmopfit.mesh import NodeField, make_cartesian
 from tmopfit.reference import GEOMETRY_DIM
+from tmopfit.transfer import DiscreteLevelSet
 
 
 def linear_level_set(coeffs, offset):

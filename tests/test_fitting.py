@@ -6,7 +6,6 @@ import pytest
 from tmopfit.errors import EmptyMarkedSetError
 from tmopfit.fields import AnalyticLevelSet, project
 from tmopfit.fitting import (
-    DiscreteLevelSet,
     MarkedSet,
     attributes_from_sign,
     make_penalty,
@@ -19,6 +18,7 @@ from tmopfit.levelsets import builtin_levelset, sphere
 from tmopfit.mesh import NodeField, make_cartesian
 from tmopfit.quality import make_targets
 from tmopfit.reference import quadrature_for, quadrature_tables
+from tmopfit.transfer import DiscreteLevelSet
 
 
 def linear_ls(coeffs, offset):
@@ -88,10 +88,10 @@ def test_marked_set_is_sorted_unique():
 
 def unit_square_setup(weight=2.5, c=0.7):
     mesh, nodes = make_cartesian(2, 1, 1, "quad")
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     ls = linear_ls([-c, -c], c)  # value c at the origin corner
     marked = MarkedSet(np.array([0]))
-    penalty = make_penalty(weight, ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(weight, ls, mesh, targets, marked)
     return mesh, nodes, targets, marked, penalty
 
 
@@ -106,10 +106,10 @@ def test_penalty_value_hand_integral():
 def test_penalty_zero_cases():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     zero_ls = linear_ls([0.0, 0.0], 0.0)
-    penalty0 = make_penalty(3.0, zero_ls, mesh, nodes, targets, marked)
+    penalty0 = make_penalty(3.0, zero_ls, mesh, targets, marked)
     assert penalty_value(penalty0, nodes) == 0.0
     assert not penalty_gradient(penalty0, nodes).any()
-    off = make_penalty(0.0, zero_ls, mesh, nodes, targets, marked)
+    off = make_penalty(0.0, zero_ls, mesh, targets, marked)
     assert penalty_value(off, nodes) == 0.0
 
 
@@ -169,13 +169,13 @@ def test_penalty_gradient_matches_fd_random_configs(source_kind):
             np.arange(mesh.num_nodes), mesh.boundary_node_ids()
         )
         marked = MarkedSet(rng.choice(interior, size=4, replace=False))
-        targets = make_targets(mesh, nodes, "initial-size")
+        targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
         if source_kind == "discrete":
             source = DiscreteLevelSet(project(analytic, mesh, nodes), nodes)
         else:
             source = analytic
         weight = rng.uniform(0.5, 3.0)
-        penalty = make_penalty(weight, source, mesh, nodes, targets, marked)
+        penalty = make_penalty(weight, source, mesh, targets, marked)
         # perturb the interior a little, keeping the mesh valid
         mat = nodes.as_matrix().copy()
         mat[interior] += 0.02 * rng.uniform(-1, 1, (len(interior), 2))
@@ -189,10 +189,10 @@ def test_penalty_gradient_matches_fd_random_configs(source_kind):
 def test_gradient_zero_when_marked_nodes_on_level_set():
     mesh, nodes = make_cartesian(2, 4, 1, "quad")
     ls = linear_ls([0.0, 1.0], -0.5)  # zero level set: y = 0.5
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     on_line = np.flatnonzero(np.abs(nodes.as_matrix()[:, 1] - 0.5) < 1e-12)
     marked = MarkedSet(on_line)
-    penalty = make_penalty(100.0, ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(100.0, ls, mesh, targets, marked)
     assert penalty_value(penalty, nodes) < 1e-28
     g = penalty_gradient(penalty, nodes)
     assert np.abs(g).max() < 1e-13
@@ -203,11 +203,11 @@ def test_radial_gradient_sign_outside_sphere():
     # gradient component).
     mesh, nodes = make_cartesian(2, 8, 1, "quad")
     ls = sphere((0.5, 0.5))
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     pts = nodes.as_matrix()
     node = int(np.argmin(np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.4)))
     marked = MarkedSet(np.array([node]))
-    penalty = make_penalty(10.0, ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(10.0, ls, mesh, targets, marked)
     g = penalty_gradient(penalty, nodes)
     radial = (pts[node] - 0.5) / np.linalg.norm(pts[node] - 0.5)
     g_node = np.array([g[node], g[mesh.num_nodes + node]])
@@ -220,11 +220,11 @@ def test_radial_gradient_sign_outside_sphere():
 def test_penalty_monotone_as_node_descends_gradient():
     mesh, nodes = make_cartesian(2, 8, 1, "quad")
     ls = sphere((0.5, 0.5))
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     pts = nodes.as_matrix()
     node = int(np.argmin(np.abs(np.linalg.norm(pts - 0.5, axis=1) - 0.4)))
     marked = MarkedSet(np.array([node]))
-    penalty = make_penalty(10.0, ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(10.0, ls, mesh, targets, marked)
     values = []
     work = nodes.copy()
     for step in range(6):
@@ -249,8 +249,8 @@ def test_penalty_hessian_symmetric_and_matches_fd():
     )
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     marked = MarkedSet(interior[:5])
-    targets = make_targets(mesh, nodes, "unit")
-    penalty = make_penalty(2.0, ls, mesh, nodes, targets, marked)
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
+    penalty = make_penalty(2.0, ls, mesh, targets, marked)
     h = summed(penalty_hessian(penalty, nodes), mesh)
     assert np.abs(h - h.T).max() < 1e-10
     h_fd = fd_penalty_hessian(penalty, nodes)
@@ -261,7 +261,7 @@ def test_penalty_hessian_symmetric_and_matches_fd():
 def test_zero_sigma_gives_zero_hessian():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     zero_ls = linear_ls([0.0, 0.0], 0.0)
-    penalty = make_penalty(3.0, zero_ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(3.0, zero_ls, mesh, targets, marked)
     h = summed(penalty_hessian(penalty, nodes), mesh)
     # first-derivative products vanish with the gradient, sbar term with sigma
     assert abs(h).max() < 1e-14
@@ -278,9 +278,9 @@ def test_normalization_refinement_invariance():
     values = []
     for n in (4, 8):
         mesh, nodes = make_cartesian(2, n, 2, "quad")
-        targets = make_targets(mesh, nodes, "unit")
+        targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
         marked = MarkedSet(np.arange(mesh.num_nodes))
-        penalty = make_penalty(7.0, const, mesh, nodes, targets, marked)
+        penalty = make_penalty(7.0, const, mesh, targets, marked)
         values.append(penalty_value(penalty, nodes))
     assert abs(values[0] - values[1]) < 1e-10
 
@@ -294,9 +294,9 @@ def test_normalization_refinement_invariance_volumetric():
     values = []
     for n in (4, 8):
         mesh, nodes = make_cartesian(2, n, 2, "quad")
-        targets = make_targets(mesh, nodes, "initial-size")
+        targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
         marked = MarkedSet(np.arange(mesh.num_nodes))
-        penalty = make_penalty(7.0, const, mesh, nodes, targets, marked)
+        penalty = make_penalty(7.0, const, mesh, targets, marked)
         values.append(penalty_value(penalty, nodes))
     assert abs(values[0] - values[1]) < 1e-10
 
@@ -305,23 +305,23 @@ def test_normalization_refinement_invariance_volumetric():
 def test_volumetric_normalization_is_the_domain_volume(dim, geometry):
     mesh, nodes = make_cartesian(dim, 2, 2, geometry)
     nodes = NodeField.from_matrix(1.5 * nodes.as_matrix())
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     ls = linear_ls(np.ones(dim), -0.5)
-    penalty = make_penalty(1.0, ls, mesh, nodes, targets, MarkedSet(np.array([0])))
+    penalty = make_penalty(1.0, ls, mesh, targets, MarkedSet(np.array([0])))
     assert abs(penalty.normalization - 1.5**dim) < 1e-12
 
 
 def test_penalty_value_nonnegative():
     rng = np.random.default_rng(8)
     mesh, nodes = make_cartesian(2, 3, 1, "quad")
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     for _ in range(5):
         lin = rng.uniform(-1, 1, 2)
         ls = linear_ls(lin, rng.uniform(-0.5, 0.5))
         marked = MarkedSet(
             rng.choice(mesh.num_nodes, size=6, replace=False)
         )
-        penalty = make_penalty(1.0, ls, mesh, nodes, targets, marked)
+        penalty = make_penalty(1.0, ls, mesh, targets, marked)
         assert penalty_value(penalty, nodes) >= 0.0
 
 
@@ -330,7 +330,7 @@ def test_penalty_config_validation():
     ls = linear_ls([1.0, 0.0], 0.0)
     for weight in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError):
-            make_penalty(weight, ls, mesh, nodes, targets, marked)
+            make_penalty(weight, ls, mesh, targets, marked)
 
 
 def test_attributes_from_sign_match_per_element_loop():
@@ -411,10 +411,10 @@ def penalty_setup(geometry, source_kind, seed=0):
     source = analytic
     if source_kind == "discrete":
         source = DiscreteLevelSet(project(analytic, mesh, nodes), nodes)
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     weight = rng.uniform(0.5, 3.0)
     marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
-    penalty = make_penalty(weight, source, mesh, nodes, targets, marked)
+    penalty = make_penalty(weight, source, mesh, targets, marked)
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     mat = nodes.as_matrix().copy()
     mat[interior] += 0.03 / order * rng.uniform(-1, 1, (len(interior), dim))

@@ -51,21 +51,21 @@ def perturbed(mesh, nodes, seed=0, amplitude=0.02):
 
 def test_uniform_mesh_zero_objective():
     mesh, nodes = make_cartesian(2, 4, 2, "quad")
-    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "ideal-shape-unit-size"))
     f, f_mu, f_sigma = value(cfg, mesh, nodes)
     assert abs(f) < 1e-13 and f_sigma == 0.0
 
 
 def test_displaced_mesh_positive_objective():
     mesh, nodes = make_cartesian(2, 4, 2, "quad")
-    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "ideal-shape-unit-size"))
     f, _, _ = value(cfg, mesh, perturbed(mesh, nodes, seed=1))
     assert f > 0.0
 
 
 def test_report_additivity_and_fields():
     mesh, nodes = make_cartesian(2, 3, 1, "quad")
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     ls = AnalyticLevelSet(
         2,
         lambda p: p[:, 1] - 0.47,
@@ -73,7 +73,7 @@ def test_report_additivity_and_fields():
         lambda p: np.zeros((len(p), 2, 2)),
     )
     marked = MarkedSet(np.array([5, 6, 7]))
-    penalty = make_penalty(3.0, ls, mesh, nodes, targets, marked)
+    penalty = make_penalty(3.0, ls, mesh, targets, marked)
     cfg = ObjectiveConfig("mu80", targets, penalty=penalty)
     current = perturbed(mesh, nodes, seed=2)
     f, f_mu, f_sigma = value(cfg, mesh, current)
@@ -84,14 +84,14 @@ def test_report_additivity_and_fields():
 
 def test_gradient_zero_at_uniform_mesh():
     mesh, nodes = make_cartesian(2, 4, 1, "quad")
-    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "ideal-shape-unit-size"))
     assert np.abs(gradient(cfg, mesh, nodes)).max() < 1e-12
 
 
 def test_gradient_matches_fd_at_random_meshes():
     rng = np.random.default_rng(3)
     mesh, nodes = make_cartesian(2, 2, 2, "quad")
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     cfg = ObjectiveConfig("mu80", targets)
     for seed in range(3):
         current = perturbed(mesh, nodes, seed=seed)
@@ -113,7 +113,7 @@ def test_masked_entries_zero():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     mask = boundary_fixed_mask(mesh)
     cfg = ObjectiveConfig(
-        "mu80", make_targets(mesh, nodes, "initial-size"), fixed_mask=mask
+        "mu80", make_targets(mesh, nodes, "ideal-shape-initial-size"), fixed_mask=mask
     )
     g = gradient(cfg, mesh, perturbed(mesh, nodes, seed=4))
     assert np.abs(g[mask]).max() == 0.0
@@ -121,7 +121,7 @@ def test_masked_entries_zero():
 
 def test_hessian_symmetric_and_matches_fd():
     mesh, nodes = make_cartesian(2, 2, 2, "quad")
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     cfg = ObjectiveConfig("mu80", targets)
     current = perturbed(mesh, nodes, seed=5)
     h = hessian(cfg, mesh, current).toarray()
@@ -141,13 +141,13 @@ def test_hessian_symmetric_and_matches_fd():
 
 def test_hessian_without_penalty_equals_pure_tmop():
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     ls = AnalyticLevelSet(
         2, lambda p: p[:, 0] - 0.4,
         lambda p: np.tile([1.0, 0.0], (len(p), 1)),
         lambda p: np.zeros((len(p), 2, 2)),
     )
-    off = make_penalty(0.0, ls, mesh, nodes, targets, MarkedSet(np.array([4])))
+    off = make_penalty(0.0, ls, mesh, targets, MarkedSet(np.array([4])))
     cfg_plain = ObjectiveConfig("mu2", targets)
     cfg_off = ObjectiveConfig("mu2", targets, penalty=off)
     current = perturbed(mesh, nodes, seed=6)
@@ -160,7 +160,7 @@ def test_masked_hessian_rows_are_identity():
     mesh, nodes = make_cartesian(2, 2, 2, "quad")
     mask = boundary_fixed_mask(mesh)
     cfg = ObjectiveConfig(
-        "mu80", make_targets(mesh, nodes, "initial-size"), fixed_mask=mask
+        "mu80", make_targets(mesh, nodes, "ideal-shape-initial-size"), fixed_mask=mask
     )
     h = hessian(cfg, mesh, perturbed(mesh, nodes, seed=7)).toarray()
     fixed = np.flatnonzero(mask)
@@ -171,7 +171,7 @@ def test_masked_hessian_rows_are_identity():
 
 def test_translation_invariance_and_gradient_sum():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     cfg = ObjectiveConfig("mu80", targets)
     current = perturbed(mesh, nodes, seed=8)
     shifted = current.copy()
@@ -187,7 +187,7 @@ def test_translation_invariance_and_gradient_sum():
 
 def test_inverted_mesh_reports_element():
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "ideal-shape-unit-size"))
     conn = mesh.connectivity[3]
     # Swapping the top (domain-boundary) edge of element 3 inverts only
     # element 3; swapping its bottom edge, shared with element 2, inverts
@@ -252,7 +252,7 @@ def reference_assembly(cfg, mesh, nodes):
     return f, grad, 0.5 * (hess + hess.T)
 
 
-def kernel_config(metric_id, geometry, kind="initial-size"):
+def kernel_config(metric_id, geometry, kind="ideal-shape-initial-size"):
     dim, n_cells, order = KERNEL_MESHES[geometry]
     mesh, nodes = make_cartesian(dim, n_cells, order, geometry)
     targets = make_targets(mesh, nodes, kind)
@@ -357,7 +357,7 @@ def fit3d_hex_r4_problem():
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
     marked = mark_interface_nodes(mesh, "sigma-sign", project(level_set, mesh, nodes))
     targets = make_targets(mesh, nodes, case.target_kind)
-    penalty = make_penalty(case.w_sigma, level_set, mesh, nodes, targets, marked)
+    penalty = make_penalty(case.w_sigma, level_set, mesh, targets, marked)
     cfg = ObjectiveConfig(
         case.metric_id, targets, gamma=case.gamma, penalty=penalty,
         fixed_mask=boundary_fixed_mask(mesh),
@@ -465,7 +465,7 @@ def plan_config(geometry):
         lambda p: np.tile(2 * np.eye(dim), (len(p), 1, 1)),
     )
     marked = MarkedSet(rng.choice(mesh.num_nodes, mesh.num_nodes // 3, replace=False))
-    cfg.penalty = make_penalty(5.0, ls, mesh, current, cfg.targets, marked)
+    cfg.penalty = make_penalty(5.0, ls, mesh, cfg.targets, marked)
     # Fix the boundary and a few marked nodes, so that the mask cuts
     # through both the element blocks and the penalty entries.
     cfg.fixed_mask = fix_nodes(boundary_fixed_mask(mesh), mesh, marked.indices[::3])
@@ -549,7 +549,7 @@ def test_hessian_stores_the_diagonal_of_a_node_in_no_element():
         mesh.boundary, num_nodes=mesh.num_nodes + 1,
     )
     nodes = NodeField.from_matrix(np.vstack([nodes.as_matrix(), [[0.5, 0.5]]]))
-    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "unit"))
+    cfg = ObjectiveConfig("mu2", make_targets(mesh, nodes, "ideal-shape-unit-size"))
     current = perturbed(mesh, nodes, seed=3)
     h = hessian(cfg, mesh, current)
     unused = [mesh.num_nodes - 1, 2 * mesh.num_nodes - 1]

@@ -197,7 +197,7 @@ def test_unit_size_targets_are_ideal_maps():
 
 def test_initial_size_targets_carry_cell_volume():
     mesh, nodes = make_cartesian(2, 8, 1, "quad")
-    tg = make_targets(mesh, nodes, "initial-size")
+    tg = make_targets(mesh, nodes, "ideal-shape-initial-size")
     assert np.abs(tg.det("quad") - 1.0 / 64.0).max() < 1e-13
     assert tg.volumetric
 
@@ -220,7 +220,7 @@ def test_targets_reject_invalid_mesh():
     mat = nodes.as_matrix().copy()
     mat[[0, 1]] = mat[[1, 0]]
     with pytest.raises(InvalidMeshError):
-        make_targets(mesh, NodeField.from_matrix(mat), "unit")
+        make_targets(mesh, NodeField.from_matrix(mat), "ideal-shape-unit-size")
 
 
 def test_targets_reject_nonpositive_w():
@@ -235,7 +235,7 @@ def test_cartesian_quad_mesh_is_ideal_for_initial_size_targets():
     # T = A W^-1 is the identity when W carries the initial cell size,
     # so even the shape+size metric vanishes.
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    tg = make_targets(mesh, nodes, "initial-size")
+    tg = make_targets(mesh, nodes, "ideal-shape-initial-size")
     w = np.sqrt(tg.size[0]) * IDEAL_TARGETS["quad"]
     t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ np.linalg.inv(w)
     assert np.abs(metric_values("mu80", t)).max() < 1e-12
@@ -245,7 +245,7 @@ def test_cartesian_triangle_mesh_not_ideal_for_equilateral_targets():
     # Right triangles against equilateral targets carry positive shape
     # deviation regardless of the size scaling.
     mesh, nodes = make_cartesian(2, 2, 1, "triangle")
-    tg = make_targets(mesh, nodes, "initial-size")
+    tg = make_targets(mesh, nodes, "ideal-shape-initial-size")
     w = np.sqrt(tg.size[0]) * IDEAL_TARGETS["triangle"]
     t = quadrature_jacobians(mesh, nodes, [0])[:, 0] @ np.linalg.inv(w)
     assert metric_values("mu58", t).min() > 0.1

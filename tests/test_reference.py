@@ -16,6 +16,7 @@ from tmopfit.reference import (
     quadrature_for,
     quadrature_tables,
     reference_element,
+    face_node_indices,
     _jacobi_rule_01,
     _lagrange_table,
 )
@@ -299,3 +300,41 @@ def test_target_frame_table_folds_in_the_ideal_map(geometry):
     if np.array_equal(w_ideal, np.eye(len(w_ideal))):
         assert np.array_equal(target, grads)
     assert not any(table.flags.writeable for table in (vals, grads, target))
+
+
+# Supporting hyperplane (normal, offset) of each reference face, in
+# REFERENCE_FACES order, written out: points p on the face satisfy
+# normal . p == offset.
+FACE_PLANES = {
+    "segment": (((1.0,), 0.0), ((1.0,), 1.0)),
+    "quad": (((0.0, 1.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((1.0, 0.0), 0.0)),
+    "triangle": (((0.0, 1.0), 0.0), ((1.0, 1.0), 1.0), ((1.0, 0.0), 0.0)),
+    "hex": (
+        ((0.0, 0.0, 1.0), 0.0),
+        ((0.0, 0.0, 1.0), 1.0),
+        ((0.0, 1.0, 0.0), 0.0),
+        ((1.0, 0.0, 0.0), 1.0),
+        ((0.0, 1.0, 0.0), 1.0),
+        ((1.0, 0.0, 0.0), 0.0),
+    ),
+    "tet": (
+        ((0.0, 0.0, 1.0), 0.0),
+        ((0.0, 1.0, 0.0), 0.0),
+        ((1.0, 1.0, 1.0), 1.0),
+        ((1.0, 0.0, 0.0), 0.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+def test_face_nodes_from_face_vertices_match_the_face_planes(geometry, order):
+    nodes = reference_element(geometry, order).basis.nodes
+    want = [
+        np.flatnonzero(np.abs(nodes @ np.asarray(normal) - offset) <= 1e-12)
+        for normal, offset in FACE_PLANES[geometry]
+    ]
+    got = face_node_indices(geometry, order)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

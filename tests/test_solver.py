@@ -197,7 +197,7 @@ def test_minres_zero_rhs_matches_scipy():
 
 def quad_problem():
     mesh, nodes = make_cartesian(2, 4, 1, "quad")
-    targets = make_targets(mesh, nodes, "unit")
+    targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     cfg = ObjectiveConfig("mu2", targets, fixed_mask=boundary_fixed_mask(mesh))
     return mesh, nodes, cfg
 
@@ -374,7 +374,7 @@ def test_gram_matrix_built_once_per_solve(monkeypatch):
     monkeypatch.setattr(fitting, "_build_gram", counting("gram", fitting._build_gram))
     monkeypatch.setattr(solver, "hessian", counting("hessian", solver.hessian))
     mesh, nodes = make_cartesian(2, 4, 2, "quad")
-    targets = make_targets(mesh, nodes, "initial-size")
+    targets = make_targets(mesh, nodes, "ideal-shape-initial-size")
     ls = AnalyticLevelSet(
         2,
         lambda p: p[:, 1] - 0.55 + 0.1 * p[:, 0],
@@ -383,7 +383,7 @@ def test_gram_matrix_built_once_per_solve(monkeypatch):
     )
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     band = interior[np.abs(ls.values(nodes.as_matrix()[interior])) < 0.1]
-    penalty = make_penalty(50.0, ls, mesh, nodes, targets, MarkedSet(band))
+    penalty = make_penalty(50.0, ls, mesh, targets, MarkedSet(band))
     assert counts["gram"] == 1
     cfg = ObjectiveConfig(
         "mu80", targets, penalty=penalty, fixed_mask=boundary_fixed_mask(mesh)

@@ -8,15 +8,14 @@ import pytest
 
 from tmopfit import transfer
 from tmopfit.errors import TransferFailureError
-from tmopfit.fields import AnalyticLevelSet, project
+from tmopfit.fields import AnalyticLevelSet, ScalarField, project
 from tmopfit.mesh import Mesh, NodeField, make_cartesian
 from tmopfit.reference import GEOMETRY_DIM, NodalBasis
 from tmopfit.transfer import (
+    DiscreteLevelSet,
     build_index,
     candidate_elements,
-    interpolate,
     locate,
-    locate_many,
     locate_points,
     transfer_field,
 )
@@ -133,21 +132,17 @@ def test_interpolation_reproduces_polynomials(order, geometry):
     mesh, nodes = make_cartesian(dim, 3 if dim == 2 else 2, order, geometry)
     ls, fn = poly_ls(dim, order, seed=order)
     sigma = project(ls, mesh, nodes)
-    index = build_index(mesh, nodes)
     rng = np.random.default_rng(23)
     queries = rng.random((60, dim))
-    got = interpolate(sigma, nodes, index, queries)
+    got = DiscreteLevelSet(sigma, nodes).values(queries)
     assert np.abs(got - fn(queries)).max() < 1e-10
 
 
 def test_interpolation_at_nodes_returns_coefficients():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     rng = np.random.default_rng(29)
-    from tmopfit.fields import ScalarField
-
     sigma = ScalarField(mesh, rng.standard_normal(mesh.num_nodes))
-    index = build_index(mesh, nodes)
-    got = interpolate(sigma, nodes, index, nodes.as_matrix())
+    got = DiscreteLevelSet(sigma, nodes).values(nodes.as_matrix())
     assert np.abs(got - sigma.coefficients).max() < 1e-12
 
 
@@ -187,12 +182,64 @@ def test_transfer_error_decreases_under_refinement():
     assert errors[2] < errors[1]
 
 
-def test_locate_many_raises_on_missing_points():
+def test_discrete_level_set_raises_on_missing_points():
     mesh, nodes = make_cartesian(2, 2, 1, "quad")
-    index = build_index(mesh, nodes)
+    sigma = ScalarField(mesh, np.zeros(mesh.num_nodes))
     with pytest.raises(TransferFailureError) as err:
-        locate_many(index, mesh, nodes, np.array([[0.5, 0.5], [3.0, 3.0]]))
+        DiscreteLevelSet(sigma, nodes).values(np.array([[0.5, 0.5], [3.0, 3.0]]))
     assert len(err.value.points) == 1
+    assert np.array_equal(err.value.points[0], [3.0, 3.0])
+
+
+def test_one_location_per_point_set(monkeypatch):
+    # Value, gradient and Hessian queries at one point set share one
+    # location; new points are located again.
+    mesh, nodes = make_cartesian(2, 3, 2, "quad")
+    ls, _ = poly_ls(2, 2, seed=5)
+    source = DiscreteLevelSet(project(ls, mesh, nodes), nodes)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return locate_points(*args)
+
+    monkeypatch.setattr(transfer, "locate_points", counted)
+    points = np.random.default_rng(37).random((20, 2))
+    source.values(points)
+    source.gradients(points)
+    source.hessians(points)
+    source.values(points.copy())
+    assert len(calls) == 1
+    source.gradients(points[:10])
+    assert len(calls) == 2
+
+
+def test_transfer_evaluates_basis_gradients_only_in_newton(monkeypatch):
+    # The transfer reads values only: every basis-gradient evaluation
+    # during transfer_field comes from point location's Newton iteration.
+    mesh, nodes = make_cartesian(2, 4, 3, "triangle")
+    ls, fn = poly_ls(2, 3, seed=6)
+    sigma = project(ls, mesh, nodes)
+    moved_nodes = smooth_motion(mesh, nodes)
+    depth, outside, inside = [0], [], []
+
+    def in_newton(*args):
+        depth[0] += 1
+        try:
+            return newton(*args)
+        finally:
+            depth[0] -= 1
+
+    def eval_with_grad(self, ref):
+        (inside if depth[0] else outside).append(len(ref))
+        return basis_eval_with_grad(self, ref)
+
+    newton, basis_eval_with_grad = transfer._newton, NodalBasis.eval_with_grad
+    monkeypatch.setattr(transfer, "_newton", in_newton)
+    monkeypatch.setattr(NodalBasis, "eval_with_grad", eval_with_grad)
+    moved = transfer_field(sigma, nodes, mesh, moved_nodes)
+    assert inside and not outside
+    assert np.abs(moved.coefficients - fn(moved_nodes.as_matrix())).max() < 1e-10
 
 
 def test_marginally_outside_point_is_projected():
