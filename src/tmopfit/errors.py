@@ -38,6 +38,10 @@ class MeshParseError(TmopFitError):
         super().__init__(message)
 
 
+class NonfiniteObjectiveError(TmopFitError):
+    """F or its gradient is not finite where a solve starts."""
+
+
 class TransferFailureError(TmopFitError):
     """Field transfer failed to locate one or more query points."""
 

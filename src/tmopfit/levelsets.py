@@ -17,26 +17,29 @@ _LAYER_MODES = ((0.1, 2.0), (0.02, 10.0))
 
 
 def sphere(center, radius=0.3):
-    """Distance to a sphere/circle: |x - c| - r."""
+    """Distance to a sphere/circle: |x - c| - r.
+
+    The distance has no derivative at the center, which can be a mesh
+    node; the derivatives there are 0, as for radial_wave.
+    """
     c = np.asarray(center, dtype=float)
     dim = len(c)
+    eye = np.eye(dim)
+
+    def _over_rho(p, x):
+        # x / |p - c| with the last axes of x broadcast, 0 at the center.
+        rho = np.linalg.norm(p - c, axis=1).reshape((-1,) + (1,) * (x.ndim - 1))
+        return np.divide(x, rho, out=np.zeros_like(x), where=rho > 0)
 
     def fn(p):
         return np.linalg.norm(p - c, axis=1) - radius
 
     def grad(p):
-        u = p - c
-        rho = np.linalg.norm(u, axis=1)
-        return u / rho[:, None]
+        return _over_rho(p, p - c)
 
     def hess(p):
-        u = p - c
-        rho = np.linalg.norm(u, axis=1)
-        uhat = u / rho[:, None]
-        eye = np.eye(dim)
-        return (eye[None, :, :] - uhat[:, :, None] * uhat[:, None, :]) / rho[
-            :, None, None
-        ]
+        uhat = grad(p)
+        return _over_rho(p, eye - uhat[:, :, None] * uhat[:, None, :])
 
     return AnalyticLevelSet(dim, fn, grad, hess)
 

@@ -167,6 +167,30 @@ def quadrature_jacobians(mesh, node_field, elements, grads=None):
     return np.tensordot(grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
 
 
+def _cofactors(t, rows):
+    """t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a], and the given
+    rows (a slice) of x's cofactor matrix, which is the adjugate of t."""
+    t = np.asarray(t, dtype=float)
+    d = t.shape[-1]
+    x = np.ascontiguousarray(t.reshape(-1, d, d).T)
+    if d == 1:
+        return x, np.ones_like(x[rows])
+    if d == 2:
+        return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
+    # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
+    # indices mod 3.
+    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
+    x1, x2 = x[one[rows]], x[two[rows]]
+    return x, x1[:, one] * x2[:, two] - x1[:, two] * x2[:, one]
+
+
+def det(t):
+    """Determinants of the d x d matrices t, shape (..., d, d) with d <= 3:
+    det_inv(t)[0], bit for bit, from the first cofactor row only."""
+    x, cof = _cofactors(t, slice(0, 1))
+    return np.einsum("bp,bp->p", x[0], cof[0]).reshape(np.shape(t)[:-2])
+
+
 def det_inv(t):
     """Determinants and inverses of the d x d matrices t, shape (..., d, d)
     with d <= 3, in closed form: the adjugate over the determinant.
@@ -175,25 +199,12 @@ def det_inv(t):
     inv is a view of an array stored as (d, d, ...), so each inv[..., a, b]
     is contiguous.
     """
-    t = np.asarray(t, dtype=float)
-    batch, d = t.shape[:-2], t.shape[-1]
-    x = np.ascontiguousarray(t.reshape(-1, d, d).T)  # x[a, b, p] = t[p, b, a]
-    # The cofactors of x = t^T are the adjugate of t.
-    if d == 1:
-        cof = np.ones_like(x)
-    elif d == 2:
-        cof = x[::-1, ::-1] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])
-    else:
-        # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
-        # indices mod 3, read from x extended cyclically by two rows and
-        # columns.
-        e = np.concatenate([x, x[:2]])
-        e = np.concatenate([e, e[:, :2]], axis=1)
-        cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
-    det = np.einsum("bp,bp->p", x[0], cof[0])
+    batch, d = np.shape(t)[:-2], np.shape(t)[-1]
+    x, cof = _cofactors(t, slice(None))
+    dets = np.einsum("bp,bp->p", x[0], cof[0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = cof / det
-    return det.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
+        inv = cof / dets
+    return dets.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
 
 
 def is_valid(mesh, node_field):
@@ -206,7 +217,7 @@ def is_valid(mesh, node_field):
         Minimum Jacobian determinant over all sampled points.
     """
     min_det = min(
-        det_inv(quadrature_jacobians(mesh, node_field, chunk))[0].min()
+        det(quadrature_jacobians(mesh, node_field, chunk)).min()
         for chunk in element_chunks(mesh, 0)
     )
     return bool(min_det > 0.0), float(min_det)

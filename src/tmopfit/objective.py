@@ -11,30 +11,32 @@ the first inverted element.  The kernel works in the ideal-target
 frame: with W_e = s_e^(1/d) W_ideal and the shared table G = grad phi
 W_ideal^{-1} (reference.quadrature_tables), T = s_e^(-1/d) sum_i x_i (x)
 G_i, so each derivative of T adds only the scalar s_e^(-1/d).  The
-gradient folds w_q det W_e s_e^(-1/d) into dmu and the Hessian w_q det
-W_e s_e^(-2/d) into d2mu, each read through quality's points-first view
-and written in the layout the GEMM needs; G as B (Q d x N) turns them
-into element gradients and element Hessians B^T D_e B, one GEMM a chunk.
+gradient folds w_q det W_e s_e^(-1/d) into dmu, written in the layout
+the GEMM needs, and the Hessian w_q det W_e s_e^(-2/d) into d2mu, in
+place; G as B (Q d x N) turns them into element gradients and element
+Hessians B^T D_e B, one GEMM per chunk (and pair).
 Degrees of freedom flagged in the fixed-node mask are removed from the
 gradient and replaced by identity rows/columns in the Hessian.
 
 d2mu comes as its symmetric component pairs (a, c), a <= c: 6 of the 9
-in 3D, 3 of 4 in 2D (quality.metric_batch).  The Hessian folds and
-contracts them pair by pair, so the per-point products hold d N values
-of one pair at a time, and writes the element block of pair (a, c) at
-rows a, columns c and its exact transpose at rows c, columns a; only the
-d diagonal pair blocks are made symmetric as 0.5 (B + B^T).  So every
-element block is exactly symmetric.
+in 3D, 3 of 4 in 2D (quality.metric_batch).  The Hessian contracts
+them pair by pair, so the per-point products hold d N values of one pair
+at a time, and keeps each element matrix as the blocks of those pairs
+only, at rows a, columns c: the d diagonal blocks, made exactly
+symmetric as 0.5 (B + B^T), in one array and the others in another.  The
+block at rows c, columns a is the transpose of a stored one and is never
+written, which cuts the storage by a third in 3D and a quarter in 2D.
 
 The Hessian is never assembled into a global matrix (as in the partial
 assembly of Camier et al., "Accelerating high-order mesh optimization
 using finite element partial assembly on GPUs").  hessian returns an
-ElementHessian holding the element blocks B^T D_e B, the element dofs,
-the penalty's COO entries and the fixed-dof mask.  H x zeroes x on the
-fixed dofs, gathers it at the element dofs, applies all blocks with one
-batched matmul and sums them back with one bincount, adds one bincount
-for the penalty entries and copies x into the fixed rows.  That, and the
-exact diagonal for the Jacobi preconditioner, is all MINRES needs.
+ElementHessian holding the pair blocks, the element dofs, the penalty's
+COO entries and the fixed-dof mask.  H x zeroes x on the fixed dofs,
+gathers it at the element dofs, applies the diagonal blocks, the
+off-diagonal ones and their transposes with three batched matmuls, and
+sums them back with one bincount, adds one bincount for the penalty
+entries and copies x into the fixed rows.  That, and the exact diagonal
+for the Jacobi preconditioner, is all MINRES needs.
 """
 
 from dataclasses import dataclass
@@ -44,9 +46,13 @@ import numpy as np
 
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
-from .mesh import det_inv, element_chunks, quadrature_jacobians
+from .mesh import det, element_chunks, quadrature_jacobians
 from .quality import PAIRS, metric_batch, metric_values
 from .reference import quadrature_for, quadrature_tables
+
+# The component pairs (a, c), a < c, of the off-diagonal blocks, in the
+# order of quality.PAIRS.
+_UPPER = {d: np.triu_indices(d, 1) for d in (1, 2, 3)}
 
 
 @dataclass
@@ -75,7 +81,7 @@ def _chunks(config, mesh, node_field, order):
             else:
                 result = metric_batch(config.metric_id, t, config.gamma, order)
         except NonpositiveDeterminantError:
-            tau, _ = det_inv(t)
+            tau = det(t)
             e = int(np.flatnonzero((tau <= 0.0).any(axis=0))[0])
             raise NonpositiveDeterminantError(
                 chunk.start + e, float(tau[:, e].min())
@@ -140,47 +146,52 @@ def hessian(config, mesh, node_field):
     grads_t = np.ascontiguousarray(grads.transpose(0, 2, 1))  # (Q, d, N)
     bt = _gemm_table(mesh)
     nq = len(grads_t)
-    # blocks[e, a, i, b, j]: row dof (a, i), column dof (b, j) of element e.
-    blocks = np.empty((mesh.num_elements, dim, nw, dim, nw))
+    ia, ic = PAIRS[dim]
+    diag = np.empty((dim, mesh.num_elements, nw, nw))
+    off = np.empty((len(ia) - dim, mesh.num_elements, nw, nw))
+    rest = iter(off)  # the pairs a < c come in _UPPER order
+    dest = [diag[a] if a == c else next(rest) for a, c in zip(ia, ic)]
     for chunk, (_, _, d2) in _chunks(config, mesh, node_field, 2):
         ne = d2.shape[1]
-        # D[p, q, b', e, c'] = w_q det W_e s_e^(-2/d) d2[q, e, p, b', c']
-        # for each component pair p = (a, b), a <= b.
-        dd = d2.transpose(2, 0, 3, 1, 4) * fold[:, None, chunk, None]
+        # D[q, e, p, b', c'] = w_q det W_e s_e^(-2/d) d2[q, e, p, b', c'],
+        # folded in place: d2 is this chunk's own array.
+        d2 *= fold[:, chunk, None, None, None]
         x = np.empty((nq, dim, ne, nw))  # x[q, b', e, j] of one pair
-        local = blocks[chunk]
-        for p, (a, b) in enumerate(zip(*PAIRS[dim])):
+        for p, (a, c) in enumerate(zip(ia, ic)):
             # One small matmul per point, then one GEMM over (q, b') gives
-            # block[e, i, j] of pair p; its transpose is pair (b, a).
-            np.matmul(dd[p], grads_t[:, None], out=x)
+            # block[e, i, j] of pair p: rows a, columns c.
+            np.matmul(d2[:, :, p].transpose(0, 2, 1, 3), grads_t[:, None], out=x)
             block = (bt @ x.reshape(bt.shape[1], -1)).reshape(nw, ne, nw).transpose(1, 0, 2)
-            if a == b:
-                np.add(block, block.transpose(0, 2, 1), out=local[:, a, :, a])
-                local[:, a, :, a] *= 0.5
+            local = dest[p][chunk]
+            if a == c:
+                np.add(block, block.transpose(0, 2, 1), out=local)
+                local *= 0.5
             else:
-                local[:, a, :, b] = block
-                local[:, b, :, a] = block.transpose(0, 2, 1)
-    blocks = blocks.reshape(mesh.num_elements, dim * nw, dim * nw)
-    dofs = (np.arange(dim)[:, None] * nnod + mesh.connectivity[:, None, :]).reshape(
-        mesh.num_elements, -1
-    )
+                local[...] = block
+    dofs = np.arange(dim)[:, None, None] * nnod + mesh.connectivity  # (d, E, N)
     h_sigma = None
     if config.penalty is not None:
         h_sigma = penalty_hessian(config.penalty, node_field)
     fixed = np.zeros(ndof, bool) if config.fixed_mask is None else config.fixed_mask
-    return ElementHessian(blocks, dofs, h_sigma, fixed)
+    return ElementHessian(diag, off, dofs, h_sigma, fixed)
 
 
 class ElementHessian(NamedTuple):
     """H = sum_e B_e^T D_e B_e + H_sigma, never assembled, with the fixed
     dofs' rows and columns replaced by identity ones.
 
-    blocks is the largest array of a solve, E (d N)^2 doubles.  solver.solve
-    keeps one ElementHessian at a time, freed when its Newton step returns.
+    Element e's matrix is stored once per symmetric pair of components:
+    diag[a, e] is its block at rows and columns of component a, and
+    off[p, e] its block at rows of component a, columns of component c,
+    for the p-th pair a < c of _UPPER[d].  The block at rows c, columns a
+    is off[p, e]^T and is never stored.  These arrays are the largest of
+    a solve, E d (d + 1) / 2 N^2 doubles.  solver.solve keeps one
+    ElementHessian at a time, freed when its Newton step returns.
     """
 
-    blocks: np.ndarray  # (E, K, K), K = d N, exactly symmetric
-    dofs: np.ndarray  # (E, K): global dof a * num_nodes + node of each row
+    diag: np.ndarray  # (d, E, N, N), each block exactly symmetric
+    off: np.ndarray  # (d (d - 1) / 2, E, N, N)
+    dofs: np.ndarray  # (d, E, N): global dof a * num_nodes + node
     penalty: object  # fitting.PenaltyHessian (unsummed COO) or None
     fixed: np.ndarray  # bool, one per dof
 
@@ -191,13 +202,26 @@ class ElementHessian(NamedTuple):
     @property
     def nnz(self):
         """Stored entries: element blocks plus penalty entries."""
-        return self.blocks.size + (0 if self.penalty is None else len(self.penalty.data))
+        blocks = self.diag.size + self.off.size
+        return blocks + (0 if self.penalty is None else len(self.penalty.data))
 
     def __matmul__(self, x):
         xf = np.where(self.fixed, 0.0, x)
-        y = np.bincount(
-            self.dofs.ravel(), (self.blocks @ xf[self.dofs, None]).ravel(), len(x)
-        )
+        xe = xf[self.dofs]  # (d, E, N)
+        d = len(xe)
+        ia, ic = _UPPER[d]
+        m = len(ia)
+        # Element products: diag x_a to rows a, then off x_c to rows a and
+        # off^T x_a (as x_a^T off) to rows c, folded into their rows
+        # before the one bincount.
+        y = np.empty((d + 2 * m,) + xe.shape[1:])
+        np.matmul(self.diag, xe[..., None], out=y[:d, ..., None])
+        np.matmul(self.off, xe[ic, ..., None], out=y[d : d + m, ..., None])
+        np.matmul(xe[ia, :, None], self.off, out=y[d + m :, :, None])
+        for p, (a, c) in enumerate(zip(ia, ic)):
+            y[a] += y[d + p]
+            y[c] += y[d + m + p]
+        y = np.bincount(self.dofs.ravel(), y[:d].ravel(), len(x))
         if self.penalty is not None:
             p = self.penalty
             y += np.bincount(p.row, p.data * xf[p.col], len(x))
@@ -206,7 +230,7 @@ class ElementHessian(NamedTuple):
 
     def diagonal(self):
         diag = np.bincount(
-            self.dofs.ravel(), np.diagonal(self.blocks, axis1=1, axis2=2).ravel(),
+            self.dofs.ravel(), np.diagonal(self.diag, axis1=2, axis2=3).ravel(),
             len(self.fixed),
         )
         if self.penalty is not None:
@@ -218,7 +242,11 @@ class ElementHessian(NamedTuple):
 
     def toarray(self):
         dense = np.zeros(self.shape)
-        np.add.at(dense, (self.dofs[:, :, None], self.dofs[:, None, :]), self.blocks)
+        dofs = self.dofs[..., None]
+        np.add.at(dense, (dofs, dofs.swapaxes(-1, -2)), self.diag)
+        ia, ic = _UPPER[len(dofs)]
+        np.add.at(dense, (dofs[ia], dofs[ic].swapaxes(-1, -2)), self.off)
+        np.add.at(dense, (dofs[ic], dofs[ia].swapaxes(-1, -2)), self.off.swapaxes(-1, -2))
         if self.penalty is not None:
             np.add.at(dense, (self.penalty.row, self.penalty.col), self.penalty.data)
         dense[self.fixed] = 0.0

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     InvalidMeshError,
+    NonfiniteObjectiveError,
     NonpositiveDeterminantError,
     TransferFailureError,
 )
@@ -301,7 +302,7 @@ def solve(config, objective_config, mesh, node_field):
     f, f_mu, f_sigma = value(objective_config, mesh, x)
     grad = gradient(objective_config, mesh, x)
     if not (np.isfinite(f) and np.all(np.isfinite(grad))):
-        raise ValueError("objective or gradient is not finite at the start")
+        raise NonfiniteObjectiveError("objective or gradient is not finite at the start")
     grad_norm0 = float(np.linalg.norm(grad))
     report.history.append(
         (0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det, "none", 0, 0, 0, 0.0)

@@ -29,7 +29,12 @@ PROJECT_TOL = 1e-8  # residual / domain size for a boundary projection
 _INFLATE = 0.1  # element bounding boxes grow by this fraction of their size
 _MAX_ITER = 50
 _MAX_HALVINGS = 12
-_CHUNK = 8192  # (point, element) pairs per Newton batch; bounds memory
+# (point, element) pairs per Newton batch, and trial points per batch of
+# halved steps.  A batch holds coordinates, basis gradients and trial
+# values for each of its pairs, so this bounds the memory of a location;
+# it is set so that the post-solve transfer of a fitting run stays below
+# the run's Newton Hessian.  Locations do not depend on it.
+_CHUNK = 1024
 
 
 @dataclass

@@ -16,6 +16,7 @@ import pytest
 
 import tmopfit
 from tmopfit.cases import (
+    CASE_DEFAULTS,
     FitReport,
     compute_E,
     compute_e_S,
@@ -203,6 +204,16 @@ def test_cli_run_reports_a_package_error_in_one_line(capsys):
     assert err == "tmopfit: error: no interface faces between differing attributes\n"
 
 
+@pytest.mark.parametrize("name", sorted(CASE_DEFAULTS))
+def test_cli_run_of_every_case_at_resolution_2_ends_with_an_exit_code(name, capsys):
+    # Coarse meshes put a mesh node at a level set's center or leave no
+    # interface to mark; either way the run ends with an exit code and at
+    # most one error line, never a traceback.
+    assert main(["run", name, "--res", "2"]) in (0, 2, 3)
+    err = capsys.readouterr().err
+    assert err == "" or (err.startswith("tmopfit: error: ") and err.count("\n") == 1)
+
+
 def test_sphere_levelset_values():
     ls = builtin_levelset("sphere2d")
     assert abs(ls.values(np.array([[0.5, 0.9]]))[0] - 0.1) < 1e-14
@@ -225,6 +236,18 @@ def test_tg_levelset_radius():
 @pytest.mark.parametrize("name", ["tg2d", "tg3d"])
 def test_tg_levelset_center_is_finite(name):
     # The center is a mesh node, where the wave has no limit.
+    ls = builtin_levelset(name)
+    center = np.full((1, ls.dim), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ls.values(center)[0] == -0.3
+        assert not np.any(ls.gradients(center)) and not np.any(ls.hessians(center))
+
+
+@pytest.mark.parametrize("name", ["sphere2d", "sphere3d"])
+def test_sphere_levelset_center_is_finite(name):
+    # The distance has no derivative at the center, a mesh node of the
+    # fit cases; its derivatives there are 0, as for the wave.
     ls = builtin_levelset(name)
     center = np.full((1, ls.dim), 0.5)
     with warnings.catch_warnings():

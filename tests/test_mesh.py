@@ -13,6 +13,7 @@ from tmopfit.mesh import (
     NodeField,
     _domain_boundary_faces,
     _kuhn_tets,
+    det,
     det_inv,
     element_volumes,
     is_valid,
@@ -99,6 +100,18 @@ def test_det_inv_matches_linalg(dim):
         assert np.all(err <= 1e-14 * np.linalg.cond(t))
     # Each entry of the inverses is contiguous over the batch.
     assert det_inv(random)[1][..., -1, 0].flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_det_is_det_inv_bit_for_bit(dim):
+    # is_valid's min det, and so the history's mindet column, must not move.
+    rng = np.random.default_rng(70 + dim)
+    random = rng.standard_normal((125, 18, dim, dim))
+    strided = np.swapaxes(rng.standard_normal((6, 3, dim, dim)), -1, -2)[::2, :, ::-1]
+    for t in (random, strided, random[0, 0], np.zeros((2, dim, dim))):
+        got = det(t)
+        assert got.shape == t.shape[:-2]
+        assert np.array_equal(got, det_inv(t)[0])
 
 
 def test_det_inv_of_singular_matrices_is_silent():

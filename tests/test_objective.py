@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import tmopfit.mesh
 from tmopfit import quality
-from tmopfit.cases import builtin_levelset, named_case
+from tmopfit.cases import builtin_levelset, named_case, run_case
 from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet, project
 from tmopfit.fitting import MarkedSet, make_penalty, mark_interface_nodes, penalty_hessian
@@ -273,8 +273,10 @@ def test_kernel_matches_per_element_loop(metric_id, geometry):
         assert rel_err(value(cfg, mesh, current)[1], f_ref) < 1e-12
         assert rel_err(gradient(cfg, mesh, current), g_ref) < 1e-12
         h = hessian(cfg, mesh, current)
-        assert rel_err(h.toarray(), h_ref) < 1e-12
-        assert np.array_equal(h.blocks, h.blocks.transpose(0, 2, 1))
+        dense = h.toarray()
+        assert rel_err(dense, h_ref) < 1e-12
+        assert np.array_equal(h.diag, h.diag.swapaxes(-1, -2))
+        assert np.array_equal(dense, dense.T)
 
 
 @pytest.mark.parametrize("geometry", ["triangle", "hex"])
@@ -397,6 +399,27 @@ def test_solve_peak_memory_fit3d_hex_r4_holds_one_hessian():
     assert peak <= PEAK_FIT3D_HEX_R4
 
 
+# tracemalloc peak of a whole fit3d-hex run at resolution 4, outputs
+# included, after a warm-up: 10% over the 5,044,580 bytes it takes with
+# the Hessian stored once per component pair and point location in
+# batches of 1,024 pairs.  Full element blocks and 8,192-pair batches
+# take 6,379,609 bytes.
+PEAK_RUN_FIT3D_HEX_R4 = int(1.1 * 5_044_580)
+
+
+def test_run_peak_memory_fit3d_hex_r4(tmp_path):
+    cfg, mesh, nodes, _ = fit3d_hex_r4_problem()
+    h = hessian(cfg, mesh, nodes)
+    pairs = mesh.dim * (mesh.dim + 1) // 2
+    assert h.diag.size + h.off.size == mesh.num_elements * pairs * mesh.basis.num_nodes**2
+    del h
+    case = named_case("fit3d-hex", resolution=4)
+    run_case(case, out_dir=tmp_path / "warm-up")
+    run, peak = traced_peak(lambda: run_case(case, out_dir=tmp_path / "run"))
+    assert run.solve_report.reason == "converged"
+    assert peak <= PEAK_RUN_FIT3D_HEX_R4
+
+
 def test_fit2d_quad_start_mesh_f_mu_has_no_cancellation():
     # The start mesh is ideal for mu58, and T = A W^-1 carries only the
     # round-off of the node GEMM (about 2e-15).  mu58 through s enters it
@@ -499,16 +522,26 @@ def test_plan_hessian_exactly_symmetric_with_one_element_chunks(monkeypatch, geo
     single = hessian(cfg, mesh, current)
     assert np.array_equal(single.toarray(), single.toarray().T)
     assert np.array_equal(single.dofs, default.dofs)
-    atol = 1e-13 * np.abs(default.blocks).max()
-    assert np.allclose(single.blocks, default.blocks, rtol=1e-13, atol=atol)
+    atol = 1e-13 * max(np.abs(default.diag).max(), np.abs(default.off).max())
+    assert np.allclose(single.diag, default.diag, rtol=1e-13, atol=atol)
+    assert np.allclose(single.off, default.off, rtol=1e-13, atol=atol)
 
 
 def scipy_entries(h, magnitude=False):
     """The operator's stored entries (or their moduli) as an unsummed scipy
     COO matrix with the fixed rows and columns replaced by identity ones."""
-    rows = np.broadcast_to(h.dofs[:, :, None], h.blocks.shape).ravel()
-    cols = np.broadcast_to(h.dofs[:, None, :], h.blocks.shape).ravel()
-    data = [h.blocks.ravel()]
+    # The block at rows c, columns a of each pair a < c is stored once, as
+    # the transpose of the one at rows a, columns c.
+    ia, ic = np.triu_indices(len(h.dofs), 1)
+    blocks = [
+        (h.dofs, h.dofs, h.diag),
+        (h.dofs[ia], h.dofs[ic], h.off),
+        (h.dofs[ic], h.dofs[ia], h.off.swapaxes(-1, -2)),
+    ]
+    rows = [np.broadcast_to(r[..., None], b.shape).ravel() for r, _, b in blocks]
+    cols = [np.broadcast_to(c[..., None, :], b.shape).ravel() for _, c, b in blocks]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    data = [b.ravel() for _, _, b in blocks]
     if h.penalty is not None:
         rows, cols = np.concatenate([rows, h.penalty.row]), np.concatenate([cols, h.penalty.col])
         data.append(h.penalty.data)
@@ -530,7 +563,7 @@ def test_csr_hessian_matches_scipy_conversion(geometry):
     h = hessian(cfg, mesh, current)
     ref = scipy_entries(h).tocsr()
     assert isinstance(h.nnz, int)
-    assert h.nnz == h.blocks.size + len(h.penalty.data)
+    assert h.nnz == h.diag.size + h.off.size + len(h.penalty.data)
     assert h.shape == ref.shape == (mesh.dim * mesh.num_nodes,) * 2
     # Sums in another order: rounding bounded by the sums of |entries|.
     # (scipy's abs() would sum the duplicates first.)

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from tmopfit.errors import NonfiniteObjectiveError, TmopFitError
 from tmopfit.fields import AnalyticLevelSet
 from tmopfit.fitting import MarkedSet, make_penalty
 from tmopfit.mesh import NodeField, make_cartesian
@@ -333,6 +334,22 @@ def test_history_csv_schema():
         assert 0.0 < row[11] <= 1.0 or row[7] == "steepest"
 
 
+def test_solve_reports_a_nonfinite_start_as_a_package_error():
+    # A level set with no gradient at a marked node makes the start
+    # gradient NaN; the CLI reports TmopFitError subclasses in one line.
+    mesh, nodes, cfg = quad_problem()
+    ls = AnalyticLevelSet(
+        2,
+        lambda p: p[:, 0] - 0.5,
+        lambda p: np.full(p.shape, np.nan),
+        lambda p: np.zeros((len(p), 2, 2)),
+    )
+    cfg.penalty = make_penalty(1.0, ls, mesh, cfg.targets, MarkedSet(np.array([12])))
+    with pytest.raises(NonfiniteObjectiveError) as info:
+        solve(SolverConfig(), cfg, mesh, nodes)
+    assert isinstance(info.value, TmopFitError)
+
+
 def test_solver_config_validation():
     for eps in (0.0, -1e-6, np.nan, np.inf):
         with pytest.raises(ValueError):
@@ -411,7 +428,7 @@ def test_each_hessian_is_freed_before_the_next_is_built(monkeypatch):
     def tracking(*args, **kwargs):
         alive_at_call.append(sum(ref() is not None for ref in blocks))
         h = build(*args, **kwargs)
-        blocks.append(weakref.ref(h.blocks))
+        blocks.extend([weakref.ref(h.diag), weakref.ref(h.off)])
         return h
 
     monkeypatch.setattr(solver, "hessian", tracking)

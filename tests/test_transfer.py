@@ -385,7 +385,8 @@ def rows_per_point(owners):
 def test_small_newton_chunks_give_the_same_locations(monkeypatch):
     # _CHUNK = 13 is below the candidate count of many tet points and the
     # 32 or 48 elements of the sweep, and gives 13 // (_MAX_HALVINGS - 1)
-    # = 1 row per batch of halved steps.
+    # = 1 row per batch of halved steps.  The reference run takes each
+    # pass in one Newton batch, whatever the default _CHUNK.
     full_newton, owners = transfer._newton, []
 
     def recording(basis, coords, points, owner, accept):
@@ -393,7 +394,7 @@ def test_small_newton_chunks_give_the_same_locations(monkeypatch):
         return full_newton(basis, coords, points, owner, accept)
 
     monkeypatch.setattr(transfer, "_newton", recording)
-    calls, default_chunk = [], transfer._CHUNK
+    calls, whole_chunk = [], 1 << 20
     count_basis_calls(monkeypatch, calls)
     for geometry, n_cells in (("triangle", 4), ("tet", 2)):
         mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, 2, geometry)
@@ -404,7 +405,7 @@ def test_small_newton_chunks_give_the_same_locations(monkeypatch):
         candidates = np.bincount(transfer._candidate_pairs(index, points)[0])
         assert geometry == "triangle" or candidates.max() > 13
         for idx in (index, emptied_grid(index)):
-            monkeypatch.setattr(transfer, "_CHUNK", default_chunk)
+            monkeypatch.setattr(transfer, "_CHUNK", whole_chunk)
             owners.clear()
             whole = locate_points(idx, mesh, moved, points)
             whole_rows = rows_per_point(owners)
