@@ -21,6 +21,16 @@ make_penalty builds M once and keeps it on the PenaltyConfig, next to
 the marked set.  The sampled sigma is the penalty's source: an analytic
 level set, or an FE field on the initial mesh read by point location
 (transfer.DiscreteLevelSet, the paper's discrete sigma).
+
+The Hessian is never expanded into entries.  With c folded in as
+G_i = sqrt(2c) g_i and K_i = 2c (M s)_i H_i, it is applied in factored
+form,
+
+    (H_sigma x)_i = G_i (M u)_i + K_i x_i,   u_j = G_j . x_j,
+
+one Gram product over the m marked nodes (PenaltyHessian.apply), where
+the d x d blocks of every Gram entry would store and touch d^2 times as
+many values as M.
 """
 
 import math
@@ -149,18 +159,47 @@ class _GramForm(NamedTuple):
     col: np.ndarray  # sorted by row, then col
     data: np.ndarray
     diag: np.ndarray  # the k with row == col
-    dofs: tuple  # (rows, cols) of the penalty_hessian entries (k, a, b)
 
     def __matmul__(self, s):
         return np.bincount(self.row, self.data * s[self.col], len(s))
 
 
 class PenaltyHessian(NamedTuple):
-    """Unsummed sparse COO matrix: entry k adds data[k] at (row[k], col[k])."""
+    """H_sigma = 2c [g_i M_ij g_j^T + delta_ij (M s)_i H_i] in factored
+    form at the m marked nodes i, with c folded into the factors
+    G_i = sqrt(2c) g_i and K_i = 2c (M s)_i H_i:
+    H_sigma = G_i M_ij G_j^T + delta_ij K_i.
 
-    row: np.ndarray
-    col: np.ndarray
-    data: np.ndarray
+    The factors are stacked points last, factors[a, b, i] = K_i,ab for
+    a < d and factors[d, b, i] = G_i,b, so that one broadcast product
+    with x_i gives both K_i x_i and u_i = G_i . x_i."""
+
+    dofs: np.ndarray  # (d, m): global dof a * num_nodes + node of marked node i
+    factors: np.ndarray  # (d + 1, d, m); each K_i symmetric
+    gram: _GramForm
+
+    def apply(self, x):
+        """Product with a vector sliced at the marked dofs, x[dofs] (d, m):
+        K_i x_i + G_i (M u)_i."""
+        z = (self.factors * x).sum(axis=1)
+        y = z[:-1]
+        y += self.factors[-1] * (self.gram @ z[-1])
+        return y
+
+    def diagonal(self):
+        """(d, m) diagonal at the marked dofs: G_ia^2 M_ii + K_i,aa."""
+        g, a = self.factors[-1], np.arange(len(self.dofs))
+        return g * g * self.gram.data[self.gram.diag] + self.factors[a, a]
+
+    def toarray(self, n):
+        """Dense (n, n) H_sigma over all n dofs (ElementHessian.toarray)."""
+        (row, col, data, on), dofs = self.gram, self.dofs.T
+        g, k = self.factors[-1].T, self.factors[:-1].transpose(2, 0, 1)
+        blocks = g[row, :, None] * g[col, None, :] * data[:, None, None]
+        blocks[on] += k
+        dense = np.zeros((n, n))
+        dense[dofs[row, :, None], dofs[col, None, :]] = blocks  # each entry once
+        return dense
 
 
 def _build_gram(mesh, marked, targets):
@@ -176,12 +215,7 @@ def _build_gram(mesh, marked, targets):
     keys, slot = np.unique(lm[e, i] * m + lm[e, j], return_inverse=True)
     row, col = np.divmod(keys, m)
     data = np.bincount(slot, targets.det(mesh.geometry)[e] * ref[i, j])
-    offsets = np.arange(mesh.dim) * nnod
-    shape = (len(keys), mesh.dim, mesh.dim)
-    rows = np.broadcast_to(marked.indices[row, None, None] + offsets[:, None], shape)
-    cols = np.broadcast_to(marked.indices[col, None, None] + offsets, shape)
-    dofs = (rows.ravel(), cols.ravel())
-    return _GramForm(row, col, data, np.flatnonzero(row == col), dofs)
+    return _GramForm(row, col, data, np.flatnonzero(row == col))
 
 
 def penalty_value(penalty, node_field):
@@ -215,20 +249,18 @@ def penalty_gradient(penalty, node_field):
 
 
 def penalty_hessian(penalty, node_field):
-    """Second derivative of F_sigma as a PenaltyHessian (unsummed COO).
-
-    Its entries come in a fixed order for a given penalty: (k, a, b) for
-    each stored entry k = (i, j) of M, with value
-    2 c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab].
-    """
-    gram = penalty.gram
+    """Second derivative of F_sigma as a PenaltyHessian: the factors
+    2c (M s)_i H_i and sqrt(2c) g_i at the marked nodes, and M."""
+    gram, ids = penalty.gram, penalty.marked.indices
+    dim = node_field.dim
+    dofs = np.arange(dim)[:, None] * node_field.num_nodes + ids
+    factors = np.zeros((dim + 1, dim, len(ids)))
     if penalty.weight == 0.0:
-        return PenaltyHessian(*gram.dofs, np.zeros(len(gram.dofs[0])))
-    pts = node_field.as_matrix()[penalty.marked.indices]
+        return PenaltyHessian(dofs, factors, gram)
+    pts = node_field.as_matrix()[ids]
     svals, sgrads = penalty.source.values(pts), penalty.source.gradients(pts)
-    shess = penalty.source.hessians(pts)
-    mass = gram.data[:, None, None]
-    blocks = sgrads[gram.row, :, None] * sgrads[gram.col, None, :] * mass
-    blocks[gram.diag] += (gram @ svals)[:, None, None] * shess
-    data = 2.0 * penalty.weight / penalty.normalization * blocks.ravel()
-    return PenaltyHessian(*gram.dofs, data)
+    coeff = 2.0 * penalty.weight / penalty.normalization
+    hess = (coeff * (gram @ svals))[:, None, None] * penalty.source.hessians(pts)
+    factors[:-1] = hess.transpose(1, 2, 0)
+    factors[-1] = math.sqrt(coeff) * sgrads.T
+    return PenaltyHessian(dofs, factors, gram)

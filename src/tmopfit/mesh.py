@@ -374,8 +374,10 @@ def read_mesh(path):
     Raises
     ------
     MeshParseError
-        On malformed or truncated input, or on content after the last node
-        line other than blank lines, with the offending line number.
+        On malformed or truncated input (an element or boundary line with
+        other than an attribute and the element's or a face's node count),
+        or on content after the last node line other than blank lines, with
+        the offending line number.
     """
     with open(path) as fh:
         try:
@@ -413,15 +415,15 @@ def read_mesh(path):
             )
         return count
 
-    def take_ints(what, length=None):
+    def take_ints(what, length):
+        """An attribute and length - 1 node ids."""
         parts = take(what).split()
         try:
             row = np.array([int(p) for p in parts], dtype=np.int64)
         except (ValueError, OverflowError) as exc:
             raise MeshParseError(f"bad {what}: {exc}", pos) from exc
-        if len(row) < 2 or length not in (None, len(row)):
-            want = "attribute and nodes" if length is None else f"{length} integers"
-            raise MeshParseError(f"{what} needs {want}, got {len(row)}", pos)
+        if len(row) != length:
+            raise MeshParseError(f"{what} needs {length} integers, got {len(row)}", pos)
         return row
 
     def check_node_ids(rows, first_line, what, num_nodes):
@@ -449,7 +451,8 @@ def read_mesh(path):
 
     num_boundary = take_count("boundary")
     boundary_line = pos + 1
-    boundary = [take_ints("boundary line") for _ in range(num_boundary)]
+    per_face = len(face_node_indices(geometry, order)[0]) + 1
+    boundary = [take_ints("boundary line", per_face) for _ in range(num_boundary)]
 
     num_nodes = take_count("nodes")
     coords = []

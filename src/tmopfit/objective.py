@@ -31,12 +31,18 @@ The Hessian is never assembled into a global matrix (as in the partial
 assembly of Camier et al., "Accelerating high-order mesh optimization
 using finite element partial assembly on GPUs").  hessian returns an
 ElementHessian holding the pair blocks, the element dofs, the penalty's
-COO entries and the fixed-dof mask.  H x zeroes x on the fixed dofs,
-gathers it at the element dofs, applies the diagonal blocks, the
-off-diagonal ones and their transposes with three batched matmuls, and
-sums them back with one bincount, adds one bincount for the penalty
-entries and copies x into the fixed rows.  That, and the exact diagonal
-for the Jacobi preconditioner, is all MINRES needs.
+factors at the marked nodes and the fixed-dof mask.  H x zeroes x on
+the fixed dofs, gathers it at the element dofs, applies the diagonal
+blocks, the off-diagonal ones and their transposes with three batched
+matmuls, and sums them back with one bincount.  It then adds the
+penalty's factored product at the marked dofs (one Gram product over the
+marked nodes, fitting.PenaltyHessian) and copies x into the fixed rows.
+That, and the exact diagonal for the Jacobi preconditioner, is all
+MINRES needs.
+
+The Hessian pass keeps one element chunk alive at a time: the metric's
+d2mu pairs and the per-point products of a chunk are released before
+the next chunk's metric call.
 """
 
 from dataclasses import dataclass
@@ -67,10 +73,11 @@ class ObjectiveConfig:
 
 
 def _chunks(config, mesh, node_field, order):
-    """Yield (elements, metric) per element chunk: the metric's values at
-    order 0, else metric_batch's (values, dmu, d2mu) up to the order, at
-    T = A W^{-1} of shape (Q, E_c, d, d).  Raises
-    NonpositiveDeterminantError naming the first element with det T <= 0."""
+    """Yield (elements, metric) per element chunk: the metric's values,
+    dmu or d2mu pairs (metric_batch) at the given order, at T = A W^{-1}
+    of shape (Q, E_c, d, d).  Raises NonpositiveDeterminantError naming
+    the first element with det T <= 0.  Only the yielded array is kept,
+    and it is released before the next chunk is evaluated."""
     grads = quadrature_tables(mesh.geometry, mesh.order)[2]
     scale = config.targets.size ** (-1.0 / mesh.dim)
     for chunk in element_chunks(mesh, order):
@@ -79,14 +86,16 @@ def _chunks(config, mesh, node_field, order):
             if order == 0:
                 result = metric_values(config.metric_id, t, config.gamma)
             else:
-                result = metric_batch(config.metric_id, t, config.gamma, order)
+                result = metric_batch(config.metric_id, t, config.gamma, order)[order]
         except NonpositiveDeterminantError:
             tau = det(t)
             e = int(np.flatnonzero((tau <= 0.0).any(axis=0))[0])
             raise NonpositiveDeterminantError(
                 chunk.start + e, float(tau[:, e].min())
             ) from None
+        del t
         yield chunk, result
+        del result
 
 
 def _weights(config, mesh, order=0):
@@ -121,7 +130,7 @@ def gradient(config, mesh, node_field):
     bt = _gemm_table(mesh)
     # local[i, e, a] = sum_q sum_b B[(q, b), i] P[q, b, e, a]
     local = np.empty((mesh.basis.num_nodes, mesh.num_elements, dim))
-    for chunk, (_, dmu, _) in _chunks(config, mesh, node_field, 1):
+    for chunk, dmu in _chunks(config, mesh, node_field, 1):
         # P[q, b, e, a] = w_q det W_e s_e^(-1/d) dmu[q, e, a, b]
         p = np.empty((len(fold), dim, dmu.shape[1], dim))
         np.multiply(dmu.transpose(0, 3, 1, 2), fold[:, None, chunk, None], out=p)
@@ -151,7 +160,7 @@ def hessian(config, mesh, node_field):
     off = np.empty((len(ia) - dim, mesh.num_elements, nw, nw))
     rest = iter(off)  # the pairs a < c come in _UPPER order
     dest = [diag[a] if a == c else next(rest) for a, c in zip(ia, ic)]
-    for chunk, (_, _, d2) in _chunks(config, mesh, node_field, 2):
+    for chunk, d2 in _chunks(config, mesh, node_field, 2):
         ne = d2.shape[1]
         # D[q, e, p, b', c'] = w_q det W_e s_e^(-2/d) d2[q, e, p, b', c'],
         # folded in place: d2 is this chunk's own array.
@@ -168,6 +177,7 @@ def hessian(config, mesh, node_field):
                 local *= 0.5
             else:
                 local[...] = block
+        del d2, x, block  # before the next chunk's metric call
     dofs = np.arange(dim)[:, None, None] * nnod + mesh.connectivity  # (d, E, N)
     h_sigma = None
     if config.penalty is not None:
@@ -187,12 +197,16 @@ class ElementHessian(NamedTuple):
     is off[p, e]^T and is never stored.  These arrays are the largest of
     a solve, E d (d + 1) / 2 N^2 doubles.  solver.solve keeps one
     ElementHessian at a time, freed when its Newton step returns.
+
+    The fitting term H_sigma is kept in factored form at the marked
+    nodes (fitting.PenaltyHessian) and applied through the marked-node
+    Gram form, never expanded into entries.
     """
 
     diag: np.ndarray  # (d, E, N, N), each block exactly symmetric
     off: np.ndarray  # (d (d - 1) / 2, E, N, N)
     dofs: np.ndarray  # (d, E, N): global dof a * num_nodes + node
-    penalty: object  # fitting.PenaltyHessian (unsummed COO) or None
+    penalty: object  # fitting.PenaltyHessian or None
     fixed: np.ndarray  # bool, one per dof
 
     @property
@@ -201,9 +215,11 @@ class ElementHessian(NamedTuple):
 
     @property
     def nnz(self):
-        """Stored entries: element blocks plus penalty entries."""
+        """Stored values: the element block entries, plus the penalty's
+        Gram entries and its factor entries at the marked nodes."""
         blocks = self.diag.size + self.off.size
-        return blocks + (0 if self.penalty is None else len(self.penalty.data))
+        p = self.penalty
+        return blocks + (0 if p is None else p.gram.data.size + p.factors.size)
 
     def __matmul__(self, x):
         xf = np.where(self.fixed, 0.0, x)
@@ -223,8 +239,8 @@ class ElementHessian(NamedTuple):
             y[c] += y[d + m + p]
         y = np.bincount(self.dofs.ravel(), y[:d].ravel(), len(x))
         if self.penalty is not None:
-            p = self.penalty
-            y += np.bincount(p.row, p.data * xf[p.col], len(x))
+            dofs = self.penalty.dofs
+            y[dofs] += self.penalty.apply(xf[dofs])
         y[self.fixed] = x[self.fixed]
         return y
 
@@ -234,9 +250,7 @@ class ElementHessian(NamedTuple):
             len(self.fixed),
         )
         if self.penalty is not None:
-            p = self.penalty
-            on = p.row == p.col
-            diag += np.bincount(p.row[on], p.data[on], len(diag))
+            diag[self.penalty.dofs] += self.penalty.diagonal()
         diag[self.fixed] = 1.0
         return diag
 
@@ -248,7 +262,7 @@ class ElementHessian(NamedTuple):
         np.add.at(dense, (dofs[ia], dofs[ic].swapaxes(-1, -2)), self.off)
         np.add.at(dense, (dofs[ic], dofs[ia].swapaxes(-1, -2)), self.off.swapaxes(-1, -2))
         if self.penalty is not None:
-            np.add.at(dense, (self.penalty.row, self.penalty.col), self.penalty.data)
+            dense += self.penalty.toarray(len(dense))
         dense[self.fixed] = 0.0
         dense[:, self.fixed] = 0.0
         dense[self.fixed, self.fixed] = 1.0

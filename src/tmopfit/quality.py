@@ -161,20 +161,23 @@ def _second_derivative(inv, f, f2, shape):
     (pair, b, f, P): entry [p, b, f] is d2mu[a, b, c, f] for the p-th pair
     (a, c) of PAIRS[d].  The outer products enter as dI_k (x) h_k,
     h_k = sum_l f_kl dI_l, and the terms of a pattern that share X are
-    merged into X (x) sum c Y; each term is one broadcast product on the
-    pair rows a and c, the first written into d2 and the others added,
-    and constant parts are added on their nonzeros only."""
+    merged into X (x) sum c Y.  Each merged term is built only when it is
+    written, as one broadcast product on the pair rows a and c, the first
+    into d2 and the others added, so that one sum c Y is alive at a time;
+    constant parts are added on their nonzeros only."""
     d, n = shape[0], shape[-1]
     ia, ic = PAIRS[d]
     pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
              for i, j in dict.fromkeys([(k, l), (l, k)])]
     pairs += [(pattern, c * f[k], x, y) for k in f for pattern, c, x, y in inv[k].pairs]
-    terms = {}  # (pattern, id(X)) -> (pattern, X, sum of c Y)
+    terms = {}  # (pattern, id(X)) -> (pattern, X, [(c, Y), ...])
     for pattern, c, x, y in pairs:
-        key = (pattern, id(x))
-        terms[key] = (pattern, x, c * y + terms[key][2] if key in terms else c * y)
+        terms.setdefault((pattern, id(x)), (pattern, x, []))[2].append((c, y))
     d2, scratch = np.empty((len(ia), d, d, n)), np.empty((len(ia), d, d, n))
-    for i, (pattern, x, y) in enumerate(terms.values()):
+    for i, (pattern, x, cys) in enumerate(terms.values()):
+        y = cys[0][0] * cys[0][1]
+        for c, yk in cys[1:]:
+            y = c * yk + y
         out = scratch if i else d2
         if pattern == "ab,cf":  # X[a, b] Y[c, f]
             np.multiply(x.take(ia, 0)[:, :, None], y.take(ic, 0)[:, None], out=out)
@@ -182,6 +185,7 @@ def _second_derivative(inv, f, f2, shape):
             np.multiply(x[ia, ic][:, None, None], y, out=out)
         else:  # "af,cb": X[a, f] Y[c, b]
             np.multiply(y.take(ic, 0)[:, :, None], x.take(ia, 0)[:, None], out=out)
+        del y
         if i:
             d2 += scratch
     flat = d2.reshape(-1, n)

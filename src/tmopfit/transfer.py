@@ -31,9 +31,11 @@ _MAX_ITER = 50
 _MAX_HALVINGS = 12
 # (point, element) pairs per Newton batch, and trial points per batch of
 # halved steps.  A batch holds coordinates, basis gradients and trial
-# values for each of its pairs, so this bounds the memory of a location;
-# it is set so that the post-solve transfer of a fitting run stays below
-# the run's Newton Hessian.  Locations do not depend on it.
+# values for each of its pairs, so this bounds the memory of a location.
+# At 1,024, the post-solve transfer sets the traced high-water mark of a
+# warm fit3d-hex run at resolution 4, 3.91 MB, level with the solve's
+# 3.89 MB; on fit2d-tri the transfer peaks at 1.27 MB and the solve at
+# 1.31 MB.  Locations do not depend on it.
 _CHUNK = 1024
 
 

@@ -126,12 +126,9 @@ def fd_penalty_gradient(penalty, nodes, step=1e-7):
     return out
 
 
-def summed(h, mesh):
-    """Dense matrix of a PenaltyHessian, duplicate entries summed."""
-    ndof = mesh.dim * mesh.num_nodes
-    out = np.zeros((ndof, ndof))
-    np.add.at(out, (h.row, h.col), h.data)
-    return out
+def dense(h, mesh):
+    """Dense matrix of a PenaltyHessian over all dofs."""
+    return h.toarray(mesh.dim * mesh.num_nodes)
 
 
 def fd_penalty_hessian(penalty, nodes, step=1e-6):
@@ -251,7 +248,7 @@ def test_penalty_hessian_symmetric_and_matches_fd():
     marked = MarkedSet(interior[:5])
     targets = make_targets(mesh, nodes, "ideal-shape-unit-size")
     penalty = make_penalty(2.0, ls, mesh, targets, marked)
-    h = summed(penalty_hessian(penalty, nodes), mesh)
+    h = dense(penalty_hessian(penalty, nodes), mesh)
     assert np.abs(h - h.T).max() < 1e-10
     h_fd = fd_penalty_hessian(penalty, nodes)
     denom = max(np.linalg.norm(h_fd), 1e-12)
@@ -262,7 +259,7 @@ def test_zero_sigma_gives_zero_hessian():
     mesh, nodes, targets, marked, _ = unit_square_setup()
     zero_ls = linear_ls([0.0, 0.0], 0.0)
     penalty = make_penalty(3.0, zero_ls, mesh, targets, marked)
-    h = summed(penalty_hessian(penalty, nodes), mesh)
+    h = dense(penalty_hessian(penalty, nodes), mesh)
     # first-derivative products vanish with the gradient, sbar term with sigma
     assert abs(h).max() < 1e-14
 
@@ -433,17 +430,27 @@ def test_penalty_matches_per_element_loop(geometry, source_kind):
     assert rel_err(penalty_value(penalty, nodes), f_ref) < 1e-12
     assert rel_err(penalty_gradient(penalty, nodes), g_ref) < 1e-12
     h = penalty_hessian(penalty, nodes)
-    assert h._fields == ("row", "col", "data")
-    assert len(h.row) == len(h.col) == len(h.data)
-    assert rel_err(summed(h, mesh), h_ref) < 1e-12
+    assert h._fields == ("dofs", "factors", "gram")
+    m, dim = len(penalty.marked), mesh.dim
+    assert h.dofs.shape == (dim, m) and h.factors.shape == (dim + 1, dim, m)
+    assert h.gram is penalty.gram
+    assert rel_err(dense(h, mesh), h_ref) < 1e-12
+    # The factored product and diagonal at the marked dofs, which are the
+    # only nonzero rows and columns.
+    outside = np.setdiff1d(np.arange(len(h_ref)), h.dofs)
+    assert not np.any(h_ref[outside])
+    x = np.random.default_rng(1).standard_normal(len(h_ref))
+    assert rel_err(h.apply(x[h.dofs]), (h_ref @ x)[h.dofs]) < 1e-12
+    assert rel_err(h.diagonal(), h_ref.diagonal()[h.dofs]) < 1e-12
 
 
-def test_penalty_hessian_entries_keep_their_order():
+def test_penalty_hessian_factors_follow_the_nodes_on_a_shared_gram():
     penalty, _, nodes, _ = penalty_setup("quad", "analytic")
     first = penalty_hessian(penalty, nodes)
     moved = nodes.copy()
     moved.coords = nodes.coords * 0.99 + 0.005
     second = penalty_hessian(penalty, moved)
-    assert np.array_equal(first.row, second.row)
-    assert np.array_equal(first.col, second.col)
-    assert not np.array_equal(first.data, second.data)
+    assert np.array_equal(first.dofs, second.dofs)
+    assert first.gram is second.gram is penalty.gram
+    # Both factors move: sqrt(2c) g_i and 2c (M s)_i H_i.
+    assert not np.any(np.all(first.factors == second.factors, axis=(1, 2)))

@@ -421,3 +421,23 @@ def test_single_line_corruption_raises_parse_error(
         read_mesh(path)
     except MeshParseError as err:
         assert err.line is not None and 1 <= err.line <= len(lines) + 1
+
+
+@pytest.mark.parametrize("geometry", ["quad", "triangle", "hex", "tet"])
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_boundary_line_with_the_wrong_node_count_is_rejected(tmp_path, geometry, change):
+    # An order-2 face has 3 (edge), 9 (quad face) or 6 (triangle face)
+    # nodes; a line with one node fewer, such as "3 0 1" for an edge, or
+    # one more is not a face.
+    mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], 1, 2, geometry)
+    path = tmp_path / "mesh.mesh"
+    write_mesh(path, mesh, nodes)
+    lines = path.read_text().splitlines()
+    bad = _line_of(lines, "boundary") + 2  # the second boundary line
+    parts = lines[bad].split()
+    lines[bad] = " ".join(parts[:-1] if change == "drop" else parts + ["0"])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshParseError, match="boundary line needs") as err:
+        read_mesh(path)
+    assert err.value.line == bad + 1
+

@@ -380,6 +380,19 @@ def traced_peak(fn):
     return result, peak
 
 
+# tracemalloc peak of one penalty_hessian on the fit3d-hex start mesh at
+# resolution 4 (98 marked nodes): 10% over the 59,792 bytes of the
+# factors at the marked nodes.  The 23,346 COO entries of the Gram
+# form's d x d blocks take 457,184 bytes.
+PEAK_PENALTY_HESSIAN_FIT3D_HEX_R4 = int(1.1 * 59_792)
+
+
+def test_penalty_hessian_peak_memory_fit3d_hex_r4():
+    cfg, _, nodes, _ = fit3d_hex_r4_problem()
+    peak = traced_peak(lambda: penalty_hessian(cfg.penalty, nodes))[1]
+    assert peak <= PEAK_PENALTY_HESSIAN_FIT3D_HEX_R4
+
+
 def test_gradient_and_hessian_peak_memory_fit3d_hex_r4():
     cfg, mesh, nodes, _ = fit3d_hex_r4_problem()
 
@@ -400,11 +413,13 @@ def test_solve_peak_memory_fit3d_hex_r4_holds_one_hessian():
 
 
 # tracemalloc peak of a whole fit3d-hex run at resolution 4, outputs
-# included, after a warm-up: 10% over the 5,044,580 bytes it takes with
-# the Hessian stored once per component pair and point location in
-# batches of 1,024 pairs.  Full element blocks and 8,192-pair batches
-# take 6,379,609 bytes.
-PEAK_RUN_FIT3D_HEX_R4 = int(1.1 * 5_044_580)
+# included, after a warm-up: 10% over the 3,909,576 bytes it takes with
+# the fitting penalty's Hessian in factored form and one element chunk
+# alive in the Hessian pass; the run's peak is then set by the
+# post-solve transfer.  The penalty's COO entries and chunks that outlive
+# the next metric call take 5,045,549 bytes, and full element blocks
+# with 8,192-pair point-location batches 6,379,609.
+PEAK_RUN_FIT3D_HEX_R4 = int(1.1 * 3_909_576)
 
 
 def test_run_peak_memory_fit3d_hex_r4(tmp_path):
@@ -456,14 +471,35 @@ def test_repeated_hessians_keep_memory_flat():
 # same terms
 
 
+def gram_entries(dofs, g, k, gram):
+    """g_ia M_ij g_jb + delta_ij k_i,ab for each stored entry (i, j) of the
+    Gram form M and components a, b, as unsummed COO (rows, cols, data);
+    dofs (d, m), g (m, d) and k (m, d, d) at the marked nodes."""
+    row, col, data, on = gram
+    blocks = g[row, :, None] * g[col, None, :] * data[:, None, None]
+    blocks[on] += k
+    rows = np.broadcast_to(dofs.T[row, :, None], blocks.shape)
+    cols = np.broadcast_to(dofs.T[col, None, :], blocks.shape)
+    return rows.ravel(), cols.ravel(), blocks.ravel()
+
+
 def coo_reference_hessian(cfg, mesh, nodes):
-    """F_mu from the per-element loop plus the penalty COO, summed by
-    scipy, symmetrized, then masked rows/columns replaced by identity."""
+    """F_mu from the per-element loop plus the penalty Hessian
+    2c [g_ia M_ij g_jb + delta_ij (M s)_i H_i,ab] expanded into COO entries
+    from the level set's samples at the marked nodes, summed by scipy,
+    symmetrized, then masked rows/columns replaced by identity."""
     _, _, h_mu = reference_assembly(cfg, mesh, nodes)
-    h_sigma = penalty_hessian(cfg.penalty, nodes)
-    h = sp.coo_matrix(h_mu) + sp.csr_matrix(
-        (h_sigma.data, (h_sigma.row, h_sigma.col)), shape=h_mu.shape
+    penalty = cfg.penalty
+    ids = penalty.marked.indices
+    pts = nodes.as_matrix()[ids]
+    moments = penalty.gram @ penalty.source.values(pts)
+    dofs = np.arange(mesh.dim)[:, None] * mesh.num_nodes + ids
+    rows, cols, data = gram_entries(
+        dofs, penalty.source.gradients(pts),
+        moments[:, None, None] * penalty.source.hessians(pts), penalty.gram,
     )
+    data = 2.0 * penalty.weight / penalty.normalization * data
+    h = sp.coo_matrix(h_mu) + sp.csr_matrix((data, (rows, cols)), shape=h_mu.shape)
     h = (0.5 * (h + h.T)).tocoo()
     mask = cfg.fixed_mask
     keep = ~(mask[h.row] | mask[h.col])
@@ -543,8 +579,14 @@ def scipy_entries(h, magnitude=False):
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     data = [b.ravel() for _, _, b in blocks]
     if h.penalty is not None:
-        rows, cols = np.concatenate([rows, h.penalty.row]), np.concatenate([cols, h.penalty.col])
-        data.append(h.penalty.data)
+        # The factors K_i = 2c (M s)_i H_i and G_i = sqrt(2c) g_i expanded
+        # into the entries G_ia M_ij G_jb + delta_ij K_i,ab.
+        p = h.penalty
+        p_rows, p_cols, p_data = gram_entries(
+            p.dofs, p.factors[-1].T, p.factors[:-1].transpose(2, 0, 1), p.gram
+        )
+        rows, cols = np.concatenate([rows, p_rows]), np.concatenate([cols, p_cols])
+        data.append(p_data)
     data = np.abs(np.concatenate(data)) if magnitude else np.concatenate(data)
     keep = ~(h.fixed[rows] | h.fixed[cols])
     fixed = np.flatnonzero(h.fixed)
@@ -563,7 +605,8 @@ def test_csr_hessian_matches_scipy_conversion(geometry):
     h = hessian(cfg, mesh, current)
     ref = scipy_entries(h).tocsr()
     assert isinstance(h.nnz, int)
-    assert h.nnz == h.diag.size + h.off.size + len(h.penalty.data)
+    p = h.penalty
+    assert h.nnz == h.diag.size + h.off.size + p.gram.data.size + p.factors.size
     assert h.shape == ref.shape == (mesh.dim * mesh.num_nodes,) * 2
     # Sums in another order: rounding bounded by the sums of |entries|.
     # (scipy's abs() would sum the duplicates first.)

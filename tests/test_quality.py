@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tmopfit import quality
 from tmopfit.errors import InvalidMeshError, NonpositiveDeterminantError
 from tmopfit.mesh import NodeField, make_cartesian, quadrature_jacobians
 from tmopfit.quality import (
@@ -410,3 +411,52 @@ def test_mirrored_pairs_equal_full_second_derivative(mid, dim):
             mirrored = np.swapaxes(pairs[..., p, :, :], -1, -2)
             assert np.array_equal(full[..., c, :, a, :], mirrored)
 
+
+
+def merged_first_second_derivative(inv, f, f2, shape):
+    """quality._second_derivative as it was when every merged X (x) sum c Y
+    was built before the first term was written: the reference for
+    building each sum only when its term is written."""
+    d, n = shape[0], shape[-1]
+    ia, ic = np.triu_indices(d)
+    pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
+             for i, j in dict.fromkeys([(k, l), (l, k)])]
+    pairs += [(pattern, c * f[k], x, y) for k in f for pattern, c, x, y in inv[k].pairs]
+    terms = {}
+    for pattern, c, x, y in pairs:
+        key = (pattern, id(x))
+        terms[key] = (pattern, x, c * y + terms[key][2] if key in terms else c * y)
+    d2, scratch = np.empty((len(ia), d, d, n)), np.empty((len(ia), d, d, n))
+    for i, (pattern, x, y) in enumerate(terms.values()):
+        out = scratch if i else d2
+        if pattern == "ab,cf":
+            np.multiply(x.take(ia, 0)[:, :, None], y.take(ic, 0)[:, None], out=out)
+        elif pattern == "ac,bf":
+            np.multiply(x[ia, ic][:, None, None], y, out=out)
+        else:
+            np.multiply(y.take(ic, 0)[:, :, None], x.take(ia, 0)[:, None], out=out)
+        if i:
+            d2 += scratch
+    flat = d2.reshape(-1, n)
+    for k, fk in f.items():
+        if inv[k].const is not None:
+            const = inv[k].const[ia, :, ic].ravel()
+            rows = np.flatnonzero(const)
+            flat[rows] += const[rows, None] * fk
+    return d2
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_second_derivative_is_bit_identical_to_merging_all_terms_first(
+    monkeypatch, mid, dim
+):
+    rng = np.random.default_rng(80 + dim)
+    for shape in ((5, 3), (64,)):
+        t = random_batch(rng, dim, shape)
+        got = metric_batch(mid, t, 0.3)
+        monkeypatch.setattr(quality, "_second_derivative", merged_first_second_derivative)
+        want = metric_batch(mid, t, 0.3)
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
