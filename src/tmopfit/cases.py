@@ -13,12 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CaseConfigError
 from .fields import project
 from .fitting import attributes_from_sign, make_penalty, mark_interface_nodes
 from .levelsets import builtin_levelset
 from .mesh import make_cartesian, write_mesh
 from .objective import ObjectiveConfig, boundary_fixed_mask, fix_nodes
-from .quality import make_targets
+from .quality import METRIC_DIM, make_targets
 from .solver import SolverConfig, solve
 from .transfer import transfer_field
 from .vtk import write_vtk
@@ -43,6 +44,12 @@ class TestCase:
     eps: float = 1e-6
     align_w_sigma: float = 1e4
     align_max_iterations: int = 60
+
+    def __post_init__(self):
+        if METRIC_DIM.get(self.metric_id) != self.dim:
+            raise CaseConfigError(
+                f"metric {self.metric_id} is not a {self.dim}D metric (case {self.name})"
+            )
 
     def copy_with(self, **overrides):
         data = asdict(self)
@@ -196,7 +203,7 @@ def _align_mesh_to_levelset(case, mesh, nodes, level_set):
     aligned configuration for the relaxation cases.  Returns the aligned
     nodes and the SolveReport."""
     sigma = project(level_set, mesh, nodes)
-    marked = mark_interface_nodes(mesh, "sigma-sign", sigma)
+    marked = mark_interface_nodes(mesh, attributes_from_sign(mesh, sigma))
     scfg = SolverConfig(eps=1e-4, max_iterations=case.align_max_iterations)
     return _solve_case(case, mesh, nodes, level_set, marked, case.align_w_sigma, scfg)
 
@@ -215,13 +222,9 @@ def run_case(case, out_dir=None):
     align_report = None
     if case.mode in ("relax", "fixed"):
         nodes, align_report = _align_mesh_to_levelset(case, mesh, nodes, level_set)
-        sigma0 = project(level_set, mesh, nodes)
-        mesh.attributes = attributes_from_sign(mesh, sigma0)
-        marked = mark_interface_nodes(mesh, "element-attribute")
-    else:
-        sigma0 = project(level_set, mesh, nodes)
-        marked = mark_interface_nodes(mesh, "sigma-sign", sigma0)
-        mesh.attributes = attributes_from_sign(mesh, sigma0)
+    sigma0 = project(level_set, mesh, nodes)
+    mesh.attributes = attributes_from_sign(mesh, sigma0)
+    marked = mark_interface_nodes(mesh, mesh.attributes)
 
     initial_nodes = nodes.copy()
     w_sigma = None if case.mode == "fixed" else case.w_sigma

@@ -40,10 +40,10 @@ def _cmd_run(args):
         metric_id=args.metric,
         max_iterations=args.max_iter,
     )
-    case = named_case(args.case, **overrides)
-    if args.mode is not None:
-        case = case.copy_with(mode=args.mode)
     try:
+        case = named_case(args.case, **overrides)
+        if args.mode is not None:
+            case = case.copy_with(mode=args.mode)
         run = run_case(case, out_dir=args.out)
     except TmopFitError as exc:
         print(f"tmopfit: error: {exc}", file=sys.stderr)

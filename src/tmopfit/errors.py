@@ -24,6 +24,10 @@ class SingularJacobianError(TmopFitError):
     """Element Jacobian is singular at an evaluation point."""
 
 
+class CaseConfigError(TmopFitError):
+    """A case's settings do not fit together."""
+
+
 class EmptyMarkedSetError(TmopFitError):
     """Interface marking produced no nodes."""
 

@@ -66,31 +66,15 @@ class MarkedSet:
         return len(self.indices)
 
 
-def mark_interface_nodes(mesh, mode, sigma=None):
-    """Select the nodes to constrain onto the zero level set.
+def mark_interface_nodes(mesh, attributes):
+    """Select the nodes to constrain onto the zero level set: all nodes on
+    faces shared by elements with differing attributes (one per element).
 
-    mode "element-attribute": all nodes on faces shared by elements with
-    differing attributes (tangential-relaxation case, where the marked
-    set is known by definition).  mode "sigma-sign": element attributes
-    are first assigned from the sign of sigma at each element's
-    reference center, then the attribute rule applies (fitting case).
+    Fitting and relaxation cases pass attributes_from_sign(mesh, sigma).
     """
-    if mode == "sigma-sign":
-        if sigma is None:
-            raise ValueError("sigma-sign marking needs a sigma field")
-        attrs = attributes_from_sign(mesh, sigma)
-    elif mode == "element-attribute":
-        attrs = mesh.attributes
-        if len(_sorted_unique(attrs)) < 2:
-            raise EmptyMarkedSetError(
-                "attribute marking needs at least two element attributes"
-            )
-    else:
-        raise ValueError(f"unknown marking mode {mode!r}")
-
     shared = mesh.face_incidence()[1]
     elements = shared // len(REFERENCE_FACES[mesh.geometry])
-    interface = shared[attrs[elements[:, 0]] != attrs[elements[:, 1]], 0]
+    interface = shared[attributes[elements[:, 0]] != attributes[elements[:, 1]], 0]
     if len(interface) == 0:
         raise EmptyMarkedSetError("no interface faces between differing attributes")
     return MarkedSet(mesh.face_nodes()[interface])

@@ -28,7 +28,12 @@ from .errors import InvalidMeshError, NonpositiveDeterminantError
 from .mesh import det_inv, element_volumes, is_valid
 from .reference import IDEAL_TARGETS, REFERENCE_MEASURE
 
-METRIC_IDS = ("mu2", "mu58", "mu77", "mu80", "mu302", "mu316", "mu333")
+# The mesh dimension each metric is defined for.
+METRIC_DIM = {
+    "mu2": 2, "mu58": 2, "mu77": 2, "mu80": 2,
+    "mu302": 3, "mu316": 3, "mu333": 3,
+}
+METRIC_IDS = tuple(METRIC_DIM)
 
 TARGET_KINDS = ("ideal-shape-unit-size", "ideal-shape-initial-size")
 

@@ -3,7 +3,10 @@
 Supported geometries: segment, quad, hex (tensor-product Gauss-Lobatto
 Lagrange bases) and triangle, tet (total-degree Lagrange bases on
 blended Gauss-Lobatto node layouts).  The reference interval is [0, 1];
-the reference triangle/tet are the unit right simplices.
+the reference triangle/tet are the unit right simplices.  Both families
+index their nodes on one lattice, tensor_axes(order + 1, dim): tensor
+nodes take all of it, simplex nodes and monomial exponents the points of
+total degree <= order (_simplex_indices).
 """
 
 from dataclasses import dataclass, field
@@ -196,46 +199,21 @@ def _lagrange_table(nodes, t, grad=True):
     return vals, ders
 
 
-def _simplex_multi_indices(order, dim):
-    """Barycentric-style multi-indices in lexicographic (row-major) order."""
-    out = []
-    if dim == 2:
-        for j in range(order + 1):
-            for i in range(order + 1 - j):
-                out.append((i, j))
-    else:
-        for l in range(order + 1):
-            for j in range(order + 1 - l):
-                for i in range(order + 1 - j - l):
-                    out.append((i, j, l))
-    return out
-
-
 def _blended_simplex_nodes(order, dim):
-    """Interpolation nodes on the unit simplex.
+    """Interpolation nodes on the unit simplex, one per multi-index of
+    _simplex_indices(order, dim).
 
     Edge nodes sit at exact Gauss-Lobatto positions; face and interior
     nodes are barycentric blends of the 1D layout, so that traces on
     shared faces coincide between neighboring elements.
     """
-    g = gauss_lobatto_nodes(order + 1) if order >= 1 else np.array([0.5])
-    indices = _simplex_multi_indices(order, dim)
-    nodes = np.zeros((len(indices), dim))
-    for row, idx in enumerate(indices):
-        if dim == 2:
-            i, j = idx
-            a = (order - i - j, i, j)
-        else:
-            i, j, l = idx
-            a = (order - i - j - l, i, j, l)
-        lam = _blend_barycentric(a, g)
-        nodes[row] = lam[1 : dim + 1]
-    return nodes
+    g = gauss_lobatto_nodes(order + 1)
+    indices = _simplex_indices(order, dim).tolist()
+    return np.array([_blend_barycentric((order - sum(a), *a), g)[1:] for a in indices])
 
 
 def _blend_barycentric(a, g):
     """Blend 1D Gauss-Lobatto positions into simplex barycentrics."""
-    a = tuple(a)
     nz = [m for m, am in enumerate(a) if am > 0]
     lam = np.zeros(len(a))
     if len(nz) == 1:
@@ -257,14 +235,19 @@ def _blend_barycentric(a, g):
     return lam
 
 
-def _monomial_exponents(order, dim):
-    return [np.array(idx) for idx in _simplex_multi_indices(order, dim)]
-
-
-def _tensor_axes(k, dim):
+def tensor_axes(k, dim):
     """Index along each axis, shape (k**dim, dim), of the points of a
     k**dim tensor grid in lexicographic order (first axis fastest)."""
     return np.arange(k**dim)[:, None] // k ** np.arange(dim) % k
+
+
+def _simplex_indices(order, dim):
+    """The rows of tensor_axes(order + 1, dim) with total degree <= order,
+    in that order: the exponents of the total-degree monomials and, with
+    order - sum prepended, the barycentric multi-indices of the simplex
+    lattice."""
+    axes = tensor_axes(order + 1, dim)
+    return axes[axes.sum(axis=1) <= order]
 
 
 def _axis_products(values, derivs=None):
@@ -286,9 +269,9 @@ def _axis_products(values, derivs=None):
     return vals, grads
 
 
-def _eval_monomials(exponents, points, grad=True):
-    """Monomial values (n, m) and, if grad, gradients (n, m, dim)."""
-    exps = np.asarray(exponents)  # (n_mono, dim)
+def _eval_monomials(exps, points, grad=True):
+    """Monomial values (n, m) and, if grad, gradients (n, m, dim), of the
+    exponents exps (n_mono, dim)."""
     max_e = int(exps.max())
     # Power tables per axis: pw[a][:, e] = points[:, a] ** e.
     pw = [np.vander(x, max_e + 1, increasing=True) for x in points.T]
@@ -320,12 +303,12 @@ class NodalBasis:
         self.dim = GEOMETRY_DIM[geometry]
         if geometry in _TENSOR:
             self._nodes_1d = gauss_lobatto_nodes(order + 1)
-            self._node_axes = _tensor_axes(order + 1, self.dim)
+            self._node_axes = tensor_axes(order + 1, self.dim)
             self.nodes = self._nodes_1d[self._node_axes]
             self._vinv = None
         else:
             self.nodes = _blended_simplex_nodes(order, self.dim)
-            self._exponents = _monomial_exponents(order, self.dim)
+            self._exponents = _simplex_indices(order, self.dim)
             vand, _ = _eval_monomials(self._exponents, self.nodes, grad=False)
             self._vinv = np.linalg.inv(vand)
         self.num_nodes = len(self.nodes)
@@ -435,7 +418,7 @@ def quadrature_for(geometry, order):
     if geometry in _TENSOR:
         n = order + 3  # Gauss-Lobatto exactness 2n - 3 >= 2k + 2
         pts1, wts1 = gauss_lobatto_rule(n)
-        axes = _tensor_axes(n, dim)
+        axes = tensor_axes(n, dim)
         wts = np.ones(len(axes))
         for i in axes.T:
             wts *= wts1[i]
@@ -444,7 +427,7 @@ def quadrature_for(geometry, order):
     u, wu = gauss_legendre_rule(n)
     v, wv = _jacobi_rule_01(n, 1.0)
     # Point a + n b (+ n^2 c) collapses (u_a, v_b, w_c) onto the simplex.
-    a, b, *c = _tensor_axes(n, dim).T
+    a, b, *c = tensor_axes(n, dim).T
     if geometry == "triangle":
         pts = np.stack([u[a] * (1.0 - v[b]), v[b]], axis=1)
         return QuadratureRule(geometry, pts, wu[a] * wv[b], 2 * n - 1)

@@ -5,11 +5,22 @@ Lagrange cells expect (the mesh nodes themselves sit at Gauss-Lobatto
 positions), so curved geometry is represented exactly.  Points are
 written per element; sigma goes out as point data, the element
 attribute as cell data.
+
+VTK orders a cell's lattice points by entity: vertices, edges, faces,
+interior.  Tensor cells (segment, quad, hex) take each entity's points
+from the (n+1)^dim lattice in tensor_axes order, the entity given by its
+side along each axis: 0 or 1 on that face of the reference cell, 2 where
+the axis is free.  Simplex cells (triangle, tet) list barycentric
+multi-indices summing to n: each edge from its first vertex to its
+second, each tet face the triangle order of n - 3 plus 1 in every
+entry, the interior the same order at n - dim - 1 plus 1.
 """
 
 from functools import lru_cache
 
 import numpy as np
+
+from .reference import GEOMETRY_DIM, REFERENCE_VERTICES, tensor_axes
 
 VTK_LAGRANGE_CELL = {
     "segment": 68,
@@ -20,133 +31,52 @@ VTK_LAGRANGE_CELL = {
 }
 
 
-def _vtk_quad_index(i, j, n):
-    ibdy = i in (0, n)
-    jbdy = j in (0, n)
-    if ibdy and jbdy:
-        return (2 if j else 1) if i else (3 if j else 0)
-    offset = 4
-    if jbdy:  # interior i on a j = const edge
-        return offset + (i - 1) + (2 * (n - 1) if j else 0)
-    if ibdy:  # interior j on an i = const edge
-        return offset + (j - 1) + ((n - 1) if i else 3 * (n - 1))
-    return 4 + 4 * (n - 1) + (i - 1) + (n - 1) * (j - 1)
+# Tensor-cell entities after the vertices, in VTK order, as sides along
+# each axis: a hex's edges at m = 0, at m = 1, then the vertical ones in
+# vertex order, its faces -x, +x, -y, +y, -z, +z, and the interior.
+_QUAD_EDGES = ((2, 0), (1, 2), (2, 1), (0, 2))
+_TENSOR_ENTITIES = {
+    "segment": ((2,),),
+    "quad": _QUAD_EDGES + ((2, 2),),
+    "hex": tuple(e + (m,) for m in (0, 1) for e in _QUAD_EDGES)
+    + ((0, 0, 2), (1, 0, 2), (1, 1, 2), (0, 1, 2))
+    + ((0, 2, 2), (1, 2, 2), (2, 0, 2), (2, 1, 2), (2, 2, 0), (2, 2, 1), (2, 2, 2)),
+}
+
+# Simplex edges and tet faces as barycentric vertex ids, in VTK order.
+_SIMPLEX_EDGES = ((0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3))
+_TET_FACES = ((0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 1))
 
 
-def _vtk_hex_index(i, j, m, n):
-    ibdy = i in (0, n)
-    jbdy = j in (0, n)
-    mbdy = m in (0, n)
-    nbdy = ibdy + jbdy + mbdy
-    if nbdy == 3:
-        return ((2 if j else 1) if i else (3 if j else 0)) + (4 if m else 0)
-    offset = 8
-    if nbdy == 2:  # edge
-        if not ibdy:
-            return (
-                offset
-                + (i - 1)
-                + (2 * (n - 1) if j else 0)
-                + (4 * (n - 1) if m else 0)
-            )
-        if not jbdy:
-            return (
-                offset
-                + (j - 1)
-                + ((n - 1) if i else 3 * (n - 1))
-                + (4 * (n - 1) if m else 0)
-            )
-        offset += 8 * (n - 1)
-        return offset + (m - 1) + (n - 1) * ((2 if j else 1) if i else (3 if j else 0))
-    offset = 8 + 12 * (n - 1)
-    if nbdy == 1:  # face
-        if ibdy:
-            return (
-                offset
-                + (j - 1)
-                + (n - 1) * (m - 1)
-                + (i and (n - 1) * (n - 1) or 0)
-            )
-        offset += 2 * (n - 1) * (n - 1)
-        if jbdy:
-            return (
-                offset
-                + (i - 1)
-                + (n - 1) * (m - 1)
-                + (j and (n - 1) * (n - 1) or 0)
-            )
-        offset += 2 * (n - 1) * (n - 1)
-        return (
-            offset + (i - 1) + (n - 1) * (j - 1) + (m and (n - 1) * (n - 1) or 0)
-        )
-    offset = 8 + 12 * (n - 1) + 6 * (n - 1) * (n - 1)
-    return offset + (i - 1) + (n - 1) * ((j - 1) + (n - 1) * (m - 1))
-
-
-def _vtk_triangle_indices(n):
-    """Barycentric lattice multi-indices (i, j) in VTK Lagrange order."""
-    if n == 0:
-        return [(0, 0)]
-    out = [(0, 0), (n, 0), (0, n)]
-    out += [(a, 0) for a in range(1, n)]
-    out += [(n - a, a) for a in range(1, n)]
-    out += [(0, n - a) for a in range(1, n)]
-    if n >= 3:
-        out += [(i + 1, j + 1) for i, j in _vtk_triangle_indices(n - 3)]
-    return out
-
-
-def _vtk_tet_indices(n):
-    """Lattice multi-indices (i, j, m) in VTK Lagrange order."""
-    verts = [(0, 0, 0), (n, 0, 0), (0, n, 0), (0, 0, n)]
-    if n == 0:
-        return [verts[0]]
-    out = list(verts)
-    edges = [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)]
-    va = np.asarray(verts)
-    for a, b in edges:
-        step = (va[b] - va[a]) // n
-        for s in range(1, n):
-            out.append(tuple(va[a] + s * step))
-    faces = [(0, 1, 3), (1, 2, 3), (2, 0, 3), (0, 2, 1)]
-    if n >= 3:
-        for f in faces:
-            for p, q in _vtk_triangle_indices(n - 3):
-                b1, b2 = p + 1, q + 1
-                b0 = n - b1 - b2
-                pt = (b0 * va[f[0]] + b1 * va[f[1]] + b2 * va[f[2]]) // n
-                out.append(tuple(pt))
-    if n >= 4:
-        out += [
-            (i + 1, j + 1, m + 1) for i, j, m in _vtk_tet_indices(n - 4)
-        ]
-    return out
+def _simplex_order(n, dim):
+    """Barycentric multi-indices (dim + 1 entries summing to n) in VTK
+    order; none for n < 0."""
+    if n <= 0:
+        return np.zeros((int(n == 0), dim + 1), dtype=int)
+    eye = np.eye(dim + 1, dtype=int)
+    s = np.arange(1, n)[:, None]
+    parts = [n * eye]
+    parts += [(n - s) * eye[a] + s * eye[b] for a, b in _SIMPLEX_EDGES[: 3 * dim - 3]]
+    if dim == 3:
+        face = _simplex_order(n - 3, 2) + 1
+        parts += [face @ eye[list(f)] for f in _TET_FACES]
+    parts.append(_simplex_order(n - dim - 1, dim) + 1)
+    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=None)
 def vtk_lattice(geometry, order):
     """Uniform reference lattice in VTK Lagrange point order."""
-    n = order
-    if geometry == "segment":
-        idx = [(0,), (n,)] + [(a,) for a in range(1, n)]
-    elif geometry == "quad":
-        idx = [None] * (n + 1) ** 2
-        for j in range(n + 1):
-            for i in range(n + 1):
-                idx[_vtk_quad_index(i, j, n)] = (i, j)
-    elif geometry == "hex":
-        idx = [None] * (n + 1) ** 3
-        for m in range(n + 1):
-            for j in range(n + 1):
-                for i in range(n + 1):
-                    idx[_vtk_hex_index(i, j, m, n)] = (i, j, m)
-    elif geometry == "triangle":
-        idx = _vtk_triangle_indices(n)
-    elif geometry == "tet":
-        idx = _vtk_tet_indices(n)
+    if geometry in _TENSOR_ENTITIES:
+        axes = tensor_axes(order + 1, GEOMETRY_DIM[geometry])
+        sides = np.where(axes == 0, 0, np.where(axes == order, 1, 2))
+        entities = [*REFERENCE_VERTICES[geometry], *_TENSOR_ENTITIES[geometry]]
+        idx = np.concatenate([axes[(sides == e).all(axis=1)] for e in entities])
+    elif geometry in ("triangle", "tet"):
+        idx = _simplex_order(order, GEOMETRY_DIM[geometry])[:, 1:]
     else:
         raise ValueError(f"unsupported geometry {geometry!r}")
-    return np.asarray(idx, dtype=float) / n
+    return idx / order
 
 
 def write_vtk(path, mesh, node_field, sigma=None):

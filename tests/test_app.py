@@ -24,11 +24,12 @@ from tmopfit.cases import (
     run_case,
 )
 from tmopfit.cli import main
-from tmopfit.errors import EmptyMarkedSetError
+from tmopfit.errors import CaseConfigError, EmptyMarkedSetError
 from tmopfit.fields import ScalarField
 from tmopfit.fitting import MarkedSet
 from tmopfit.levelsets import builtin_levelset, sphere
 from tmopfit.mesh import NodeField, make_cartesian, write_mesh
+from tmopfit.reference import GEOMETRIES, REFERENCE_VERTICES
 from tmopfit.vtk import VTK_LAGRANGE_CELL, vtk_lattice, write_vtk
 
 
@@ -204,6 +205,22 @@ def test_cli_run_reports_a_package_error_in_one_line(capsys):
     assert err == "tmopfit: error: no interface faces between differing attributes\n"
 
 
+@pytest.mark.parametrize(
+    "case,dim,metric", [("fit3d-hex", 3, "mu58"), ("fit2d-quad", 2, "mu302")]
+)
+def test_cli_run_rejects_a_metric_of_the_other_dimension(case, dim, metric, capsys):
+    # mu58 is a shape metric only in 2D: on a 3D mesh its values go
+    # negative and the run still "converges".
+    assert main(["run", case, "--res", "3", "--metric", metric]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"tmopfit: error: metric {metric} is not a {dim}D metric (case {case})\n"
+    )
+    with pytest.raises(CaseConfigError):
+        named_case(case, metric_id=metric)
+
+
 @pytest.mark.parametrize("name", sorted(CASE_DEFAULTS))
 def test_cli_run_of_every_case_at_resolution_2_ends_with_an_exit_code(name, capsys):
     # Coarse meshes put a mesh node at a level set's center or leave no
@@ -351,6 +368,76 @@ def test_vtk_cell_types_and_counts(tmp_path, geometry, dim, cell_type, n_lattice
     n_points, n_cells, types, _, _ = _read_vtu(path)
     assert set(types) == {cell_type}
     assert n_points == n_lattice * n_cells
+
+
+# VTK Lagrange point order as integer lattice points (lattice * order),
+# written out from VTK's cell definitions: vertices, edges, faces,
+# interior.
+VTK_ORDER = {
+    ("quad", 2): [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)],
+    ("quad", 3): [
+        (0, 0), (3, 0), (3, 3), (0, 3), (1, 0), (2, 0), (3, 1), (3, 2), (1, 3), (2, 3),
+        (0, 1), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2),
+    ],
+    ("hex", 2): [
+        (0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (0, 0, 2), (2, 0, 2), (2, 2, 2),
+        (0, 2, 2), (1, 0, 0), (2, 1, 0), (1, 2, 0), (0, 1, 0), (1, 0, 2), (2, 1, 2),
+        (1, 2, 2), (0, 1, 2), (0, 0, 1), (2, 0, 1), (2, 2, 1), (0, 2, 1), (0, 1, 1),
+        (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2), (1, 1, 1),
+    ],
+    ("hex", 3): [
+        (0, 0, 0), (3, 0, 0), (3, 3, 0), (0, 3, 0), (0, 0, 3), (3, 0, 3), (3, 3, 3),
+        (0, 3, 3), (1, 0, 0), (2, 0, 0), (3, 1, 0), (3, 2, 0), (1, 3, 0), (2, 3, 0),
+        (0, 1, 0), (0, 2, 0), (1, 0, 3), (2, 0, 3), (3, 1, 3), (3, 2, 3), (1, 3, 3),
+        (2, 3, 3), (0, 1, 3), (0, 2, 3), (0, 0, 1), (0, 0, 2), (3, 0, 1), (3, 0, 2),
+        (3, 3, 1), (3, 3, 2), (0, 3, 1), (0, 3, 2), (0, 1, 1), (0, 2, 1), (0, 1, 2),
+        (0, 2, 2), (3, 1, 1), (3, 2, 1), (3, 1, 2), (3, 2, 2), (1, 0, 1), (2, 0, 1),
+        (1, 0, 2), (2, 0, 2), (1, 3, 1), (2, 3, 1), (1, 3, 2), (2, 3, 2), (1, 1, 0),
+        (2, 1, 0), (1, 2, 0), (2, 2, 0), (1, 1, 3), (2, 1, 3), (1, 2, 3), (2, 2, 3),
+        (1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (1, 1, 2), (2, 1, 2), (1, 2, 2),
+        (2, 2, 2),
+    ],
+    ("triangle", 3): [
+        (0, 0), (3, 0), (0, 3), (1, 0), (2, 0), (2, 1), (1, 2), (0, 2), (0, 1), (1, 1),
+    ],
+    ("triangle", 4): [
+        (0, 0), (4, 0), (0, 4), (1, 0), (2, 0), (3, 0), (3, 1), (2, 2), (1, 3), (0, 3),
+        (0, 2), (0, 1), (1, 1), (2, 1), (1, 2),
+    ],
+    ("tet", 3): [
+        (0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 0, 0), (2, 0, 0), (2, 1, 0),
+        (1, 2, 0), (0, 2, 0), (0, 1, 0), (0, 0, 1), (0, 0, 2), (2, 0, 1), (1, 0, 2),
+        (0, 2, 1), (0, 1, 2), (1, 0, 1), (1, 1, 1), (0, 1, 1), (1, 1, 0),
+    ],
+    ("tet", 4): [
+        (0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 0, 0), (2, 0, 0), (3, 0, 0),
+        (3, 1, 0), (2, 2, 0), (1, 3, 0), (0, 3, 0), (0, 2, 0), (0, 1, 0), (0, 0, 1),
+        (0, 0, 2), (0, 0, 3), (3, 0, 1), (2, 0, 2), (1, 0, 3), (0, 3, 1), (0, 2, 2),
+        (0, 1, 3), (1, 0, 1), (2, 0, 1), (1, 0, 2), (2, 1, 1), (1, 2, 1), (1, 1, 2),
+        (0, 2, 1), (0, 1, 1), (0, 1, 2), (1, 1, 0), (1, 2, 0), (2, 1, 0), (1, 1, 1),
+    ],
+}
+
+
+@pytest.mark.parametrize("geometry,order", sorted(VTK_ORDER))
+def test_vtk_lattice_follows_vtk_point_order(geometry, order):
+    lattice = vtk_lattice(geometry, order)
+    assert lattice.dtype == float
+    assert np.array_equal(lattice, np.array(VTK_ORDER[geometry, order]) / order)
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+@pytest.mark.parametrize("order", range(1, 7))
+def test_vtk_lattice_is_the_full_lattice_vertices_first(geometry, order):
+    points = np.rint(vtk_lattice(geometry, order) * order).astype(int)
+    dim = points.shape[1]
+    grid = np.stack(np.meshgrid(*[range(order + 1)] * dim), -1).reshape(-1, dim)
+    if geometry in ("triangle", "tet"):
+        grid = grid[grid.sum(axis=1) <= order]
+    assert len(points) == len(grid)
+    assert sorted(map(tuple, points)) == sorted(map(tuple, grid))
+    vertices = REFERENCE_VERTICES[geometry]
+    assert np.array_equal(points[: len(vertices)], order * vertices)
 
 
 def mesh_text_per_row(mesh, node_field):

@@ -50,29 +50,27 @@ def test_attribute_marking_two_element_mesh():
         attributes=np.array([1, 2]),
         num_nodes=6,
     )
-    marked = mark_interface_nodes(strip, "element-attribute")
+    marked = mark_interface_nodes(strip, strip.attributes)
     assert list(marked.indices) == [1, 4]  # the shared-edge nodes
 
 
 def test_attribute_marking_needs_two_attributes():
     mesh, _ = make_cartesian(2, 2, 1, "quad")
-    with pytest.raises(EmptyMarkedSetError):
-        mark_interface_nodes(mesh, "element-attribute")
+    with pytest.raises(EmptyMarkedSetError, match="no interface faces between differing"):
+        mark_interface_nodes(mesh, mesh.attributes)
 
 
 def test_sigma_sign_marking_forms_closed_loop():
     mesh, nodes = make_cartesian(2, 8, 2, "quad")
     sigma = project(builtin_levelset("sphere2d"), mesh, nodes)
-    marked = mark_interface_nodes(mesh, "sigma-sign", sigma)
+    attrs = attributes_from_sign(mesh, sigma)
+    marked = mark_interface_nodes(mesh, attrs)
     assert len(marked) > 8
     pts = nodes.as_matrix()[marked.indices]
     dist = np.linalg.norm(pts - 0.5, axis=1)
     # marked nodes hug the circle within one cell size
     assert np.all(np.abs(dist - 0.3) < 0.125 * np.sqrt(2.0))
     # each marked node's adjacent elements straddle the interface
-    from tmopfit.fitting import attributes_from_sign
-
-    attrs = attributes_from_sign(mesh, sigma)
     for node in marked.indices:
         touching = set(attrs[np.nonzero(mesh.connectivity == node)[0]])
         assert len(touching) == 2

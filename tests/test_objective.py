@@ -12,7 +12,9 @@ from tmopfit import quality
 from tmopfit.cases import builtin_levelset, named_case, run_case
 from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet, project
-from tmopfit.fitting import MarkedSet, make_penalty, mark_interface_nodes, penalty_hessian
+from tmopfit.fitting import (
+    MarkedSet, attributes_from_sign, make_penalty, mark_interface_nodes, penalty_hessian,
+)
 from tmopfit.mesh import (
     Mesh,
     NodeField,
@@ -357,7 +359,8 @@ def fit3d_hex_r4_problem():
     case = named_case("fit3d-hex", resolution=4)
     level_set = builtin_levelset(case.levelset)
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
-    marked = mark_interface_nodes(mesh, "sigma-sign", project(level_set, mesh, nodes))
+    sigma = project(level_set, mesh, nodes)
+    marked = mark_interface_nodes(mesh, attributes_from_sign(mesh, sigma))
     targets = make_targets(mesh, nodes, case.target_kind)
     penalty = make_penalty(case.w_sigma, level_set, mesh, targets, marked)
     cfg = ObjectiveConfig(

@@ -8,6 +8,7 @@ from tmopfit.errors import InvalidMeshError, NonpositiveDeterminantError
 from tmopfit.mesh import NodeField, make_cartesian, quadrature_jacobians
 from tmopfit.quality import (
     IDEAL_TARGETS,
+    METRIC_DIM,
     METRIC_IDS,
     TargetJacobians,
     make_targets,
@@ -17,10 +18,6 @@ from tmopfit.quality import (
     mirror_pairs,
 )
 
-METRIC_DIM = {
-    "mu2": 2, "mu58": 2, "mu77": 2, "mu80": 2,
-    "mu302": 3, "mu316": 3, "mu333": 3,
-}
 SHAPE_METRICS = ("mu2", "mu58", "mu302")
 
 
