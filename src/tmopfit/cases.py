@@ -8,7 +8,7 @@ then optimize with the interface either fixed or weakly relaxed.
 """
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,21 +16,29 @@ import numpy as np
 from .errors import CaseConfigError
 from .fields import project
 from .fitting import attributes_from_sign, make_penalty, mark_interface_nodes
-from .levelsets import builtin_levelset
+from .levelsets import BUILTIN_LEVELSETS, builtin_levelset
 from .mesh import make_cartesian, write_mesh
 from .objective import ObjectiveConfig, boundary_fixed_mask, fix_nodes
-from .quality import METRIC_DIM, make_targets
+from .quality import METRIC_DIM, TARGET_KINDS, make_targets
+from .reference import GEOMETRY_DIM
 from .solver import SolverConfig, solve
 from .transfer import transfer_field
 from .vtk import write_vtk
 
+MODES = ("fit", "relax", "fixed")
+# Solver settings of every case: main and alignment tolerances, alignment cap.
+EPS = 1e-6
+ALIGN_EPS = 1e-4
+ALIGN_MAX_ITERATIONS = 60
+
 
 @dataclass
 class TestCase:
-    """Fully resolved configuration of one named (or custom) run."""
+    """Fully resolved configuration of one named (or custom) run; an
+    unknown setting or a metric of the other dimension raises
+    CaseConfigError."""
 
     name: str
-    dim: int
     geometry: str
     resolution: int
     order: int
@@ -38,56 +46,63 @@ class TestCase:
     metric_id: str
     target_kind: str
     w_sigma: float
-    mode: str  # "fit" | "relax" | "fixed"
-    gamma: float = 0.5
+    mode: str  # one of MODES
     max_iterations: int = 200
-    eps: float = 1e-6
     align_w_sigma: float = 1e4
-    align_max_iterations: int = 60
 
     def __post_init__(self):
+        for setting, value, known in (
+            ("geometry", self.geometry, GEOMETRY_DIM),
+            ("mode", self.mode, MODES),
+            ("target kind", self.target_kind, TARGET_KINDS),
+            ("level set", self.levelset, BUILTIN_LEVELSETS),
+        ):
+            if value not in known:
+                raise CaseConfigError(f"unknown {setting} {value!r} (case {self.name})")
         if METRIC_DIM.get(self.metric_id) != self.dim:
             raise CaseConfigError(
                 f"metric {self.metric_id} is not a {self.dim}D metric (case {self.name})"
             )
 
+    @property
+    def dim(self):
+        return GEOMETRY_DIM[self.geometry]
+
     def copy_with(self, **overrides):
-        data = asdict(self)
-        data.update({k: v for k, v in overrides.items() if v is not None})
-        return TestCase(**data)
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 CASE_DEFAULTS = {
     "fit2d-quad": TestCase(
-        "fit2d-quad", 2, "quad", 8, 3, "sphere2d", "mu58",
+        "fit2d-quad", "quad", 8, 3, "sphere2d", "mu58",
         "ideal-shape-unit-size", 1000.0, "fit",
     ),
     "fit2d-tri": TestCase(
-        "fit2d-tri", 2, "triangle", 8, 3, "sphere2d", "mu58",
+        "fit2d-tri", "triangle", 8, 3, "sphere2d", "mu58",
         "ideal-shape-unit-size", 1000.0, "fit",
     ),
     "fit3d-hex": TestCase(
-        "fit3d-hex", 3, "hex", 8, 2, "sphere3d", "mu333",
+        "fit3d-hex", "hex", 8, 2, "sphere3d", "mu333",
         "ideal-shape-initial-size", 1000.0, "fit",
     ),
     "fit3d-tet": TestCase(
-        "fit3d-tet", 3, "tet", 8, 2, "sphere3d", "mu333",
+        "fit3d-tet", "tet", 8, 2, "sphere3d", "mu333",
         "ideal-shape-initial-size", 1000.0, "fit",
     ),
     "tg2d": TestCase(
-        "tg2d", 2, "quad", 8, 3, "tg2d", "mu80",
+        "tg2d", "quad", 8, 3, "tg2d", "mu80",
         "ideal-shape-initial-size", 1000.0, "relax",
     ),
     "tg3d": TestCase(
-        "tg3d", 3, "hex", 6, 2, "tg3d", "mu333",
+        "tg3d", "hex", 6, 2, "tg3d", "mu333",
         "ideal-shape-initial-size", 1000.0, "relax",
     ),
     "rt2d": TestCase(
-        "rt2d", 2, "quad", 8, 2, "rt2d", "mu80",
+        "rt2d", "quad", 8, 2, "rt2d", "mu80",
         "ideal-shape-initial-size", 1e4, "relax", align_w_sigma=1e5,
     ),
     "rt3d": TestCase(
-        "rt3d", 3, "hex", 8, 2, "rt3d", "mu333",
+        "rt3d", "hex", 8, 2, "rt3d", "mu333",
         "ideal-shape-initial-size", 1e4, "relax",
     ),
 }
@@ -192,9 +207,7 @@ def _solve_case(case, mesh, nodes, level_set, marked, w_sigma, scfg):
         mask = fix_nodes(mask, mesh, marked.indices)
     else:
         penalty = make_penalty(w_sigma, level_set, mesh, targets, marked)
-    config = ObjectiveConfig(
-        case.metric_id, targets, gamma=case.gamma, penalty=penalty, fixed_mask=mask
-    )
+    config = ObjectiveConfig(case.metric_id, targets, penalty=penalty, fixed_mask=mask)
     return solve(scfg, config, mesh, nodes)
 
 
@@ -204,7 +217,7 @@ def _align_mesh_to_levelset(case, mesh, nodes, level_set):
     nodes and the SolveReport."""
     sigma = project(level_set, mesh, nodes)
     marked = mark_interface_nodes(mesh, attributes_from_sign(mesh, sigma))
-    scfg = SolverConfig(eps=1e-4, max_iterations=case.align_max_iterations)
+    scfg = SolverConfig(eps=ALIGN_EPS, max_iterations=ALIGN_MAX_ITERATIONS)
     return _solve_case(case, mesh, nodes, level_set, marked, case.align_w_sigma, scfg)
 
 
@@ -228,7 +241,7 @@ def run_case(case, out_dir=None):
 
     initial_nodes = nodes.copy()
     w_sigma = None if case.mode == "fixed" else case.w_sigma
-    scfg = SolverConfig(eps=case.eps, max_iterations=case.max_iterations)
+    scfg = SolverConfig(eps=EPS, max_iterations=case.max_iterations)
     final_nodes, report = _solve_case(
         case, mesh, nodes, level_set, marked, w_sigma, scfg
     )

@@ -1,8 +1,9 @@
 """Scalar finite element functions on a mesh.
 
 Fields share the mesh's nodal basis, so coefficient i is the value at
-node i.  The level-set function sigma and its derived gradient/Hessian
-fields are all represented this way.
+node i.  element_gradients is the one kernel for physical gradients of
+element coefficients: nodal_physical_gradients calls it at the nodes,
+transfer.DiscreteLevelSet at located points.
 """
 
 from dataclasses import dataclass
@@ -26,9 +27,6 @@ class ScalarField:
                 f"field has {len(self.coefficients)} coefficients for a mesh "
                 f"with {self.mesh.num_nodes} nodes"
             )
-
-    def copy(self):
-        return ScalarField(self.mesh, self.coefficients.copy())
 
 
 @dataclass
@@ -61,6 +59,31 @@ def project(analytic, mesh, node_field):
     return ScalarField(mesh, values)
 
 
+def element_gradients(ref_grads, coords, coeffs, elements):
+    """Physical gradients (..., dim, m) of m coefficient columns, solving
+    J^T g = grad_ref^T c per batch entry: coords (..., K, dim) and coeffs
+    (..., K, m) of a K-node element, the reference basis gradients
+    ref_grads (..., K, dim) at the point and the element id elements (...).
+    Batch axes broadcast.  |det J| <= 1e-14 (|J|_F / sqrt(dim))^dim
+    raises SingularJacobianError naming the first such entry's element.
+    """
+    dim = coords.shape[-1]
+    # The first dim columns of m are J^T, the rest grad_ref^T c.
+    values = np.concatenate([coords, coeffs], axis=-1)
+    m = np.einsum("...kb,...kc->...bc", ref_grads, values)
+    jac_t = m[..., :dim]
+    det = np.linalg.det(jac_t)
+    scale = np.maximum(np.linalg.norm(jac_t, axis=(-2, -1)) / np.sqrt(dim), 1e-30) ** dim
+    singular = np.argwhere(np.abs(det) <= 1e-14 * scale)
+    if len(singular):
+        first = tuple(singular[0])
+        element = np.broadcast_to(elements, det.shape)[first]
+        raise SingularJacobianError(
+            f"singular Jacobian (det {det[first]:.3e}) in element {element}"
+        )
+    return np.linalg.solve(jac_t, m[..., dim:])
+
+
 def nodal_physical_gradients(field, node_field):
     """Physical field gradient at every node, averaged over adjacent
     elements; shape (num_nodes, dim).
@@ -71,30 +94,14 @@ def nodal_physical_gradients(field, node_field):
     mesh = field.mesh
     basis, conn, dim = mesh.basis, mesh.connectivity, mesh.dim
     _, ref_grads = basis.eval_with_grad(basis.nodes)  # (N, N, dim)
-    # Per element e and local node l, the columns of m[e, l] are A^T (the
-    # transposed element Jacobian at the node) and the reference gradient
-    # of the field there.
-    values = np.concatenate(
-        [node_field.as_matrix()[conn], field.coefficients[conn][..., None]], axis=2
-    )
-    m = np.einsum("lkb,ekc->elbc", ref_grads, values)
-    jac_t = m[..., :dim]
-    det = np.linalg.det(jac_t)
-    scale = np.maximum(np.linalg.norm(jac_t, axis=(2, 3)) / np.sqrt(dim), 1e-30) ** dim
-    singular = np.argwhere(np.abs(det) <= 1e-14 * scale)
-    if len(singular):
-        e, loc = singular[0]
-        raise SingularJacobianError(
-            f"singular Jacobian (det {det[e, loc]:.3e}) in element {e}"
-        )
-    grads = np.linalg.solve(jac_t, m[..., dim:])[..., 0]  # (E, N, dim)
+    # Batch (element e, local node l).
+    grads = element_gradients(
+        ref_grads,
+        node_field.as_matrix()[conn][:, None],
+        field.coefficients[conn][:, None, :, None],
+        np.arange(mesh.num_elements)[:, None],
+    )[..., 0]  # (E, N, dim)
     slots = (conn[..., None] * dim + np.arange(dim)).ravel()
     sums = np.bincount(slots, grads.ravel(), mesh.num_nodes * dim)
     counts = np.bincount(conn.ravel(), minlength=mesh.num_nodes)
     return sums.reshape(-1, dim) / counts[:, None]
-
-
-def discrete_gradient(field, node_field):
-    """FE discrete gradient: one ScalarField per spatial component."""
-    grads = nodal_physical_gradients(field, node_field)
-    return [ScalarField(field.mesh, grads[:, a]) for a in range(field.mesh.dim)]

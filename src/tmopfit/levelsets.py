@@ -139,7 +139,7 @@ def layer_wave(dim):
     return AnalyticLevelSet(dim, fn, grad, hess)
 
 
-_BUILTINS = {
+BUILTIN_LEVELSETS = {
     "sphere2d": lambda: sphere((0.5, 0.5)),
     "sphere3d": lambda: sphere((0.5, 0.5, 0.5)),
     "tg2d": lambda: radial_wave((0.5, 0.5)),
@@ -152,8 +152,8 @@ _BUILTINS = {
 def builtin_levelset(name):
     """Named level sets used by the bundled cases."""
     try:
-        return _BUILTINS[name]()
+        return BUILTIN_LEVELSETS[name]()
     except KeyError:
         raise ValueError(
-            f"unknown level set {name!r}; available: {sorted(_BUILTINS)}"
+            f"unknown level set {name!r}; available: {sorted(BUILTIN_LEVELSETS)}"
         ) from None

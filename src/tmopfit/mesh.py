@@ -17,9 +17,9 @@ from .reference import (
     REFERENCE_FACES,
     corner_local_indices,
     face_node_indices,
+    nodal_basis,
     quadrature_for,
     quadrature_tables,
-    reference_element,
 )
 
 # d x d matrices per element chunk of the batched kernels.  Up to order 1 a
@@ -61,11 +61,11 @@ class Mesh:
         self.attributes = np.asarray(self.attributes, dtype=int)
         if self.num_nodes == 0 and self.connectivity.size:
             self.num_nodes = int(self.connectivity.max()) + 1
-        ref = reference_element(self.geometry, self.order)
-        if self.connectivity.shape[1] != ref.num_nodes:
+        per_element = nodal_basis(self.geometry, self.order).num_nodes
+        if self.connectivity.shape[1] != per_element:
             raise InvalidMeshError(
                 f"{self.geometry} order {self.order} needs "
-                f"{ref.num_nodes} nodes per element, got "
+                f"{per_element} nodes per element, got "
                 f"{self.connectivity.shape[1]}"
             )
         if self.connectivity.size and (
@@ -78,12 +78,8 @@ class Mesh:
         return len(self.connectivity)
 
     @property
-    def reference(self):
-        return reference_element(self.geometry, self.order)
-
-    @property
     def basis(self):
-        return self.reference.basis
+        return nodal_basis(self.geometry, self.order)
 
     def face_nodes(self):
         """Node ids of every element face, shape (E F, n): row e F + f holds
@@ -278,7 +274,7 @@ def make_cartesian(dim, n_cells, order, geometry):
         raise ValueError("n_cells and order must be >= 1")
     if GEOMETRY_DIM[geometry] != dim:
         raise ValueError(f"geometry {geometry!r} is not {dim}-dimensional")
-    nodes = reference_element(geometry, order).basis.nodes
+    nodes = nodal_basis(geometry, order).nodes
     h = 1.0 / n_cells
     cells = np.stack(
         np.meshgrid(*([np.arange(n_cells)] * dim), indexing="ij"), axis=-1

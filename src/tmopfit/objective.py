@@ -67,7 +67,6 @@ class ObjectiveConfig:
 
     metric_id: str
     targets: object
-    gamma: float = 0.5
     penalty: object = None  # PenaltyConfig or None
     fixed_mask: np.ndarray = None  # bool, length dim * num_nodes; True = fixed
 
@@ -84,9 +83,9 @@ def _chunks(config, mesh, node_field, order):
         t = quadrature_jacobians(mesh, node_field, chunk, grads) * scale[chunk, None, None]
         try:
             if order == 0:
-                result = metric_values(config.metric_id, t, config.gamma)
+                result = metric_values(config.metric_id, t)
             else:
-                result = metric_batch(config.metric_id, t, config.gamma, order)[order]
+                result = metric_batch(config.metric_id, t, order=order)[order]
         except NonpositiveDeterminantError:
             tau = det(t)
             e = int(np.flatnonzero((tau <= 0.0).any(axis=0))[0])

@@ -6,10 +6,12 @@ blended Gauss-Lobatto node layouts).  The reference interval is [0, 1];
 the reference triangle/tet are the unit right simplices.  Both families
 index their nodes on one lattice, tensor_axes(order + 1, dim): tensor
 nodes take all of it, simplex nodes and monomial exponents the points of
-total degree <= order (_simplex_indices).
+total degree <= order (_simplex_indices).  nodal_basis(geometry, order)
+is the one cached way to a basis: Mesh.basis and the tables below
+(quadrature_tables, face_node_indices, corner_local_indices) share it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -370,25 +372,10 @@ class NodalBasis:
         return np.full(self.dim, 1.0 / (self.dim + 1))
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Reference element: geometry kind, dimension, order, and basis."""
-
-    geometry: str
-    dim: int
-    order: int
-    basis: NodalBasis = field(compare=False, repr=False)
-
-    @property
-    def num_nodes(self):
-        return self.basis.num_nodes
-
-
 @lru_cache(maxsize=None)
-def reference_element(geometry, order):
-    """Shared, immutable reference element for (geometry, order)."""
-    basis = NodalBasis(geometry, order)
-    return ReferenceElement(geometry, basis.dim, order, basis)
+def nodal_basis(geometry, order):
+    """The shared NodalBasis of (geometry, order); read-only by convention."""
+    return NodalBasis(geometry, order)
 
 
 @dataclass(frozen=True)
@@ -446,7 +433,7 @@ def quadrature_tables(geometry, order):
     the reference ones where W_ideal = I), at the points of
     quadrature_for(geometry, order); shared and read-only."""
     rule = quadrature_for(geometry, order)
-    vals, grads = reference_element(geometry, order).basis.eval_with_grad(rule.points)
+    vals, grads = nodal_basis(geometry, order).eval_with_grad(rule.points)
     tables = (vals, grads, np.dot(grads, np.linalg.inv(IDEAL_TARGETS[geometry])))
     for table in tables:
         table.flags.writeable = False
@@ -456,7 +443,7 @@ def quadrature_tables(geometry, order):
 @lru_cache(maxsize=None)
 def face_node_indices(geometry, order):
     """Local node ids lying on each reference face, per REFERENCE_FACES."""
-    nodes = reference_element(geometry, order).basis.nodes
+    nodes = nodal_basis(geometry, order).nodes
     dim = nodes.shape[1]
     out = []
     for face in REFERENCE_FACES[geometry]:
@@ -474,7 +461,7 @@ def face_node_indices(geometry, order):
 @lru_cache(maxsize=None)
 def corner_local_indices(geometry, order):
     """Local node ids of the reference vertices, in vertex order."""
-    basis = reference_element(geometry, order).basis
+    basis = nodal_basis(geometry, order)
     verts = REFERENCE_VERTICES[geometry]
     ids = []
     for v in verts:

@@ -9,7 +9,7 @@ curvature detection to monotonicity properties", SIAM J. Optim. 32,
 2022).  Every step passes through a backtracking line search that
 accepts the largest step in {1, 1/2, 1/4, ...} keeping det A positive at
 all quadrature points and strictly decreasing F.  Convergence is declared on
-|grad F(x)| / |grad F(x0)| <= eps.
+|grad F(x)| <= eps_abs or |grad F(x)| / |grad F(x0)| <= eps.
 """
 
 import math
@@ -34,8 +34,8 @@ NEGATIVE_CURVATURE = -1  # minres info: stopped at nonpositive curvature
 @dataclass
 class SolverConfig:
     """Settings of solve: the convergence tolerance eps and the iteration
-    cap.  The other attributes are class constants, the same for every
-    solve.
+    cap, at least 1.  The other attributes are class constants, the same
+    for every solve.
 
     minres_tol is the rtol of minres: MINRES stops once |r| / (|A| |x|)
     <= minres_tol (its test1, or |A r| / (|A| |r|) <= minres_tol, test2),
@@ -48,7 +48,7 @@ class SolverConfig:
     eps: float = 1e-6
     max_iterations: int = 100
 
-    eps_abs: ClassVar[float] = 1e-12  # numerical-zero floor for |grad F(x0)| = 0
+    eps_abs: ClassVar[float] = 1e-12  # |grad F| <= eps_abs converges, also at x0
     minres_tol: ClassVar[float] = 1e-8
     minres_max_iterations: ClassVar[int] = 500
     backtrack_factor: ClassVar[float] = 0.5
@@ -57,6 +57,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be finite and positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass
@@ -307,14 +309,10 @@ def solve(config, objective_config, mesh, node_field):
     report.history.append(
         (0, f, f_mu, f_sigma, grad_norm0, 0.0, min_det, "none", 0, 0, 0, 0.0)
     )
-    if grad_norm0 <= config.eps_abs:
-        report.reason = "converged"
-        report.wall_time = time.perf_counter() - t_start
-        return x, report
-
     for it in range(1, config.max_iterations + 1):
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm / grad_norm0 <= config.eps or grad_norm <= config.eps_abs:
+        # The absolute test comes first: it also covers grad_norm0 = 0.
+        if grad_norm <= config.eps_abs or grad_norm / grad_norm0 <= config.eps:
             report.reason = "converged"
             break
 

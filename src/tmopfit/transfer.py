@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TransferFailureError
-from .fields import ScalarField, discrete_gradient
-from .reference import quadrature_for
+from .fields import ScalarField, element_gradients, nodal_physical_gradients
+from .reference import quadrature_tables
 
 ACCEPT_TOL = 1e-10  # residual / domain size for an interior point
 PROJECT_TOL = 1e-8  # residual / domain size for a boundary projection
@@ -98,9 +98,9 @@ def _ragged_arange(counts):
 
 def build_index(mesh, node_field):
     """Bounding boxes from node and quadrature-point images, inflated."""
-    quad = quadrature_for(mesh.geometry, mesh.order)
+    vals = quadrature_tables(mesh.geometry, mesh.order)[0]
     coords = node_field.as_matrix()[mesh.connectivity]  # (E, K, dim)
-    images = np.einsum("qk,ekd->eqd", mesh.basis.eval(quad.points), coords)
+    images = np.einsum("qk,ekd->eqd", vals, coords)
     samples = np.concatenate([coords, images], axis=1)
     lo, hi = samples.min(axis=1), samples.max(axis=1)
     pad = _INFLATE * np.maximum(hi - lo, 1e-12)
@@ -297,9 +297,10 @@ class DiscreteLevelSet:
     no element holds raises TransferFailureError.  The value and the
     gradient both come from the containing element's polynomial, so the
     gradient is the exact derivative of the value away from element faces
-    (required for consistent line searches).  Second derivatives come
-    from one application of the FE discrete gradient operator to the
-    field, differentiated element-wise.
+    (required for consistent line searches).  Second derivatives are the
+    element-wise derivatives of the averaged nodal gradients
+    (fields.nodal_physical_gradients).  Both go through
+    fields.element_gradients, which names a singular source element.
     """
 
     def __init__(self, field, node_field):
@@ -308,15 +309,14 @@ class DiscreteLevelSet:
         self.mesh = field.mesh
         self.dim = field.mesh.dim
         self.index = build_index(field.mesh, node_field)
-        self._grad_fields = None
+        self._nodal_grads = None
         self._at = {}
 
     def _located(self, points):
-        # Per point set: the element node ids "conn" and reference points
-        # "ref", then the basis values "vals", gradients "grads" and
-        # transposed element Jacobians "jac_t" as queries first need them.
-        # One-slot memo: value/gradient/Hessian queries within a solver
-        # iterate repeat the same points.
+        # Per point set: "element" ids, their node ids "conn", reference
+        # points "ref", then basis values "vals" and gradients "grads" as
+        # queries first need them.  One-slot memo: value/gradient/Hessian
+        # queries within a solver iterate repeat the same points.
         points = np.atleast_2d(np.asarray(points, dtype=float))
         key = points.tobytes()
         if self._at.get("key") != key:
@@ -325,7 +325,7 @@ class DiscreteLevelSet:
             if missing.any():
                 raise TransferFailureError(points[missing])
             conn = self.mesh.connectivity[loc.element]
-            self._at = {"key": key, "conn": conn, "ref": loc.ref}
+            self._at = {"key": key, "element": loc.element, "conn": conn, "ref": loc.ref}
         return self._at
 
     def values(self, points):
@@ -335,25 +335,22 @@ class DiscreteLevelSet:
         return np.einsum("pk,pk->p", at["vals"], self.field.coefficients[at["conn"]])
 
     def gradients(self, points):
-        return self._element_gradients(points, [self.field.coefficients])[:, 0]
+        return self._gradients(points, self.field.coefficients[:, None])[..., 0]
 
     def hessians(self, points):
-        if self._grad_fields is None:
-            self._grad_fields = discrete_gradient(self.field, self.node_field)
-        coeffs = [g.coefficients for g in self._grad_fields]
-        rows = self._element_gradients(points, coeffs)  # (n, dim, dim)
-        return 0.5 * (rows + rows.transpose(0, 2, 1))
+        if self._nodal_grads is None:
+            self._nodal_grads = nodal_physical_gradients(self.field, self.node_field)
+        hess = self._gradients(points, self._nodal_grads)  # (n, dim, dim)
+        return 0.5 * (hess + hess.transpose(0, 2, 1))
 
-    def _element_gradients(self, points, coeffs):
-        """Physical gradients (n, len(coeffs), dim) of FE coefficient
-        vectors on the located elements, by one batched solve."""
+    def _gradients(self, points, coeffs):
+        """Physical gradients (n, dim, m) of the nodal coefficient columns
+        coeffs (num_nodes, m) at the located points."""
         at = self._located(points)
-        if "jac_t" not in at:
+        if "grads" not in at:
             at["grads"] = self.mesh.basis.eval_with_grad(at["ref"])[1]
-            coords = self.node_field.as_matrix()[at["conn"]]
-            at["jac_t"] = np.einsum("pkb,pkd->pbd", at["grads"], coords)
-        rhs = np.einsum("pkb,jpk->pbj", at["grads"], np.array(coeffs)[:, at["conn"]])
-        return np.linalg.solve(at["jac_t"], rhs).transpose(0, 2, 1)
+        coords = self.node_field.as_matrix()[at["conn"]]
+        return element_gradients(at["grads"], coords, coeffs[at["conn"]], at["element"])
 
 
 def transfer_field(sigma0, nodes0, current_mesh, current_nodes):

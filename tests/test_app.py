@@ -1,6 +1,7 @@
 """Level sets, error measures, VTK output, reports, and the CLI."""
 
 import ast
+import dataclasses
 import importlib
 import json
 import math
@@ -589,6 +590,38 @@ def test_rt2d_solves_converge_without_steepest_descent():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         named_case("fit9d-dodeca")
+
+
+@pytest.mark.parametrize(
+    "setting,value",
+    [("mode", "relaxed"), ("target_kind", "ideal-size"), ("levelset", "sphere4d")],
+)
+def test_unknown_case_setting_rejected_on_construction(setting, value):
+    # Not at run time: an unknown mode would run as a fit, and an unknown
+    # target kind or level set would fail inside run_case.
+    with pytest.raises(CaseConfigError, match=f"{value!r} \\(case tg2d\\)"):
+        named_case("tg2d").copy_with(**{setting: value})
+
+
+def test_every_case_field_varies_between_named_cases_or_has_a_run_flag(monkeypatch):
+    # A setting that every named case shares and no `tmopfit run` flag
+    # sets is a constant of cases.py, not a TestCase field.
+    import tmopfit.cli as cli
+
+    ran = []
+
+    def record(case, out_dir=None):
+        ran.append(case)
+        raise CaseConfigError("recorded")
+
+    monkeypatch.setattr(cli, "run_case", record)
+    flags = ["--res", "3", "--order", "2", "--wsigma", "7", "--metric", "mu2",
+             "--mode", "fixed", "--max-iter", "5"]
+    assert main(["run", "tg2d", *flags]) == 2
+    names = [f.name for f in dataclasses.fields(ran[0])]
+    flagged = {n for n in names if getattr(ran[0], n) != getattr(CASE_DEFAULTS["tg2d"], n)}
+    varied = {n for n in names if len({getattr(c, n) for c in CASE_DEFAULTS.values()}) > 1}
+    assert set(names) - flagged - varied == set()
 
 
 def test_cli_info(tmp_path, capsys):

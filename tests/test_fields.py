@@ -7,7 +7,6 @@ from tmopfit.errors import SingularJacobianError
 from tmopfit.fields import (
     AnalyticLevelSet,
     ScalarField,
-    discrete_gradient,
     nodal_physical_gradients,
     project,
 )
@@ -116,24 +115,24 @@ def test_quadratic_field_value_at_midpoint():
     assert abs(got - 0.25) < 1e-13
 
 
-def test_discrete_gradient_linear_exact():
+def test_nodal_physical_gradients_linear_exact():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     sigma = project(linear_level_set([2.0, -1.5], 0.7), mesh, nodes)
-    gx, gy = discrete_gradient(sigma, nodes)
-    assert np.abs(gx.coefficients - 2.0).max() < 1e-12
-    assert np.abs(gy.coefficients + 1.5).max() < 1e-12
+    grads = nodal_physical_gradients(sigma, nodes)
+    assert np.abs(grads[:, 0] - 2.0).max() < 1e-12
+    assert np.abs(grads[:, 1] + 1.5).max() < 1e-12
 
 
-def test_discrete_gradient_twice_on_linear_is_zero():
+def test_nodal_physical_gradients_twice_on_linear_is_zero():
     mesh, nodes = make_cartesian(2, 3, 2, "quad")
     sigma = project(linear_level_set([2.0, -1.5], 0.7), mesh, nodes)
-    gx, _ = discrete_gradient(sigma, nodes)
-    gxx, gxy = discrete_gradient(gx, nodes)
-    assert np.abs(gxx.coefficients).max() < 1e-11
-    assert np.abs(gxy.coefficients).max() < 1e-11
+    gx = ScalarField(mesh, nodal_physical_gradients(sigma, nodes)[:, 0])
+    gxx, gxy = nodal_physical_gradients(gx, nodes).T
+    assert np.abs(gxx).max() < 1e-11
+    assert np.abs(gxy).max() < 1e-11
 
 
-def test_repeated_discrete_gradient_converges_to_hessian():
+def test_repeated_nodal_physical_gradients_converge_to_hessian():
     # sigma = x^2 on order-1 meshes: second application approximates the
     # constant Hessian entry 2 within O(h).
     ls = AnalyticLevelSet(2, lambda p: p[:, 0] ** 2, lambda p: None, lambda p: None)
@@ -141,12 +140,12 @@ def test_repeated_discrete_gradient_converges_to_hessian():
     for n in (4, 8, 16):
         mesh, nodes = make_cartesian(2, n, 1, "quad")
         sigma = project(ls, mesh, nodes)
-        gx, _ = discrete_gradient(sigma, nodes)
-        gxx, _ = discrete_gradient(gx, nodes)
+        gx = ScalarField(mesh, nodal_physical_gradients(sigma, nodes)[:, 0])
+        gxx = nodal_physical_gradients(gx, nodes)[:, 0]
         interior = np.setdiff1d(
             np.arange(mesh.num_nodes), mesh.boundary_node_ids()
         )
-        errors.append(np.abs(gxx.coefficients[interior] - 2.0).max())
+        errors.append(np.abs(gxx[interior] - 2.0).max())
     assert errors[0] < 1.0
     assert errors[2] <= errors[0]
 
@@ -200,6 +199,23 @@ def test_singular_jacobian_names_the_first_singular_element():
     sigma = ScalarField(mesh, np.ones(mesh.num_nodes))
     with pytest.raises(SingularJacobianError, match="in element 2$"):
         nodal_physical_gradients(sigma, NodeField.from_matrix(mat))
+
+
+def test_located_gradient_at_singular_source_jacobian_names_the_element():
+    # As above, element 2's corner (1, 0) sits on (1, 0.5), so its
+    # Jacobian vanishes on its edge through that point.  The point is
+    # located there (at reference point (1, 0.5)), and its gradient
+    # raises rather than solving a singular system.
+    mesh, nodes = make_cartesian(2, 2, 1, "quad")
+    mat = nodes.as_matrix().copy()
+    for corner in ([1.0, 0.0], [1.0, 1.0]):
+        mat[np.argmin(np.linalg.norm(mat - corner, axis=1))] = [1.0, 0.5]
+    sigma = ScalarField(mesh, np.arange(mesh.num_nodes, dtype=float))
+    source = DiscreteLevelSet(sigma, NodeField.from_matrix(mat))
+    points = np.array([[0.25, 0.25], [1.0, 0.5]])
+    source.values(points)  # both points are located
+    with pytest.raises(SingularJacobianError, match="in element 2$"):
+        source.gradients(points)
 
 
 @pytest.mark.parametrize("geometry,order", [("quad", 3), ("triangle", 3), ("hex", 2), ("tet", 2)])

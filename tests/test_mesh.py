@@ -22,7 +22,7 @@ from tmopfit.mesh import (
     read_mesh,
     write_mesh,
 )
-from tmopfit.reference import GEOMETRY_DIM, reference_element
+from tmopfit.reference import GEOMETRY_DIM, nodal_basis
 
 
 @pytest.mark.parametrize("row", [[0, 1, 2, -1], [0, 1, 2, 4]])
@@ -159,7 +159,7 @@ def test_make_cartesian_hex_volume():
 def cartesian_by_dict(dim, n_cells, order, geometry):
     """make_cartesian element by element, numbering each node at its first
     appearance through a dict keyed by rounded coordinates (reference loop)."""
-    nodes = reference_element(geometry, order).basis.nodes
+    nodes = nodal_basis(geometry, order).nodes
     h = 1.0 / n_cells
     cells = np.stack(
         np.meshgrid(*([np.arange(n_cells)] * dim), indexing="ij"), axis=-1

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 
 import tmopfit.mesh
 from tmopfit import quality
-from tmopfit.cases import builtin_levelset, named_case, run_case
+from tmopfit.cases import EPS, builtin_levelset, named_case, run_case
 from tmopfit.errors import NonpositiveDeterminantError
 from tmopfit.fields import AnalyticLevelSet, project
 from tmopfit.fitting import (
@@ -238,7 +238,7 @@ def reference_assembly(cfg, mesh, nodes):
         coords = nodes.as_matrix()[mesh.connectivity[e]]
         a = np.einsum("id,qib->qdb", coords, ref_grads)
         t = a @ winv
-        vals, dmu, d2 = metric_batch(cfg.metric_id, t, cfg.gamma)
+        vals, dmu, d2 = metric_batch(cfg.metric_id, t)
         d2mu = mirror_pairs(d2)
         wdet = quad.weights * np.linalg.det(w)
         dhat = np.einsum("qib,be->qie", ref_grads, winv)
@@ -364,10 +364,9 @@ def fit3d_hex_r4_problem():
     targets = make_targets(mesh, nodes, case.target_kind)
     penalty = make_penalty(case.w_sigma, level_set, mesh, targets, marked)
     cfg = ObjectiveConfig(
-        case.metric_id, targets, gamma=case.gamma, penalty=penalty,
-        fixed_mask=boundary_fixed_mask(mesh),
+        case.metric_id, targets, penalty=penalty, fixed_mask=boundary_fixed_mask(mesh)
     )
-    scfg = SolverConfig(eps=case.eps, max_iterations=case.max_iterations)
+    scfg = SolverConfig(eps=EPS, max_iterations=case.max_iterations)
     return cfg, mesh, nodes, scfg
 
 

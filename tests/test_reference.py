@@ -13,9 +13,9 @@ from tmopfit.reference import (
     NodalBasis,
     gauss_lobatto_nodes,
     gauss_lobatto_rule,
+    nodal_basis,
     quadrature_for,
     quadrature_tables,
-    reference_element,
     face_node_indices,
     _jacobi_rule_01,
     _lagrange_table,
@@ -186,11 +186,11 @@ def test_quadrature_exactness_on_random_polynomial(geometry, order):
     assert abs(rule.weights @ vals - exact) < 1e-12
 
 
-def test_reference_element_cache_and_fields():
-    ref = reference_element("triangle", 2)
-    assert ref is reference_element("triangle", 2)
-    assert ref.dim == 2 and ref.order == 2 and ref.num_nodes == 6
-    assert REFERENCE_MEASURE[ref.geometry] == 0.5
+def test_nodal_basis_cache_and_fields():
+    basis = nodal_basis("triangle", 2)
+    assert basis is nodal_basis("triangle", 2)
+    assert basis.dim == 2 and basis.order == 2 and basis.num_nodes == 6
+    assert REFERENCE_MEASURE[basis.geometry] == 0.5
 
 
 def test_simplex_edge_nodes_are_gauss_lobatto():
@@ -292,7 +292,7 @@ def test_values_of_a_point_do_not_depend_on_its_batch(geometry):
 def test_target_frame_table_folds_in_the_ideal_map(geometry):
     vals, grads, target = quadrature_tables(geometry, 2)
     points = quadrature_for(geometry, 2).points
-    want_vals, want_grads = reference_element(geometry, 2).basis.eval_with_grad(points)
+    want_vals, want_grads = nodal_basis(geometry, 2).eval_with_grad(points)
     assert np.array_equal(vals, want_vals) and np.array_equal(grads, want_grads)
     # G W_ideal = grad phi; where W_ideal = I, G is grad phi to the bit.
     w_ideal = IDEAL_TARGETS[geometry]
@@ -329,7 +329,7 @@ FACE_PLANES = {
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_face_nodes_from_face_vertices_match_the_face_planes(geometry, order):
-    nodes = reference_element(geometry, order).basis.nodes
+    nodes = nodal_basis(geometry, order).nodes
     want = [
         np.flatnonzero(np.abs(nodes @ np.asarray(normal) - offset) <= 1e-12)
         for normal, offset in FACE_PLANES[geometry]

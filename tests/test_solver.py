@@ -356,6 +356,12 @@ def test_solver_config_validation():
             SolverConfig(eps=eps)
 
 
+def test_solver_config_rejects_fewer_than_one_iteration():
+    for max_iterations in (0, -1):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iterations=max_iterations)
+
+
 def test_programming_error_in_value_propagates(monkeypatch):
     # Only evaluation failures of a trial mesh reject a line-search step;
     # a bug inside value() must not pass for a rejected step.
