@@ -35,8 +35,8 @@ ALIGN_MAX_ITERATIONS = 60
 @dataclass
 class TestCase:
     """Fully resolved configuration of one named (or custom) run; an
-    unknown setting or a metric of the other dimension raises
-    CaseConfigError."""
+    unknown setting or a metric or level set of the other dimension
+    raises CaseConfigError."""
 
     name: str
     geometry: str
@@ -59,10 +59,13 @@ class TestCase:
         ):
             if value not in known:
                 raise CaseConfigError(f"unknown {setting} {value!r} (case {self.name})")
-        if METRIC_DIM.get(self.metric_id) != self.dim:
-            raise CaseConfigError(
-                f"metric {self.metric_id} is not a {self.dim}D metric (case {self.name})"
-            )
+        for setting, value, dim in (
+            ("metric", self.metric_id, METRIC_DIM.get(self.metric_id)),
+            ("level set", self.levelset, BUILTIN_LEVELSETS[self.levelset]().dim),
+        ):
+            if dim != self.dim:
+                message = f"{setting} {value} is not a {self.dim}D {setting} (case {self.name})"
+                raise CaseConfigError(message)
 
     @property
     def dim(self):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularJacobianError
+from .reference import det_inv
 
 
 @dataclass
@@ -60,9 +61,9 @@ def project(analytic, mesh, node_field):
 
 
 def element_gradients(ref_grads, coords, coeffs, elements):
-    """Physical gradients (..., dim, m) of m coefficient columns, solving
-    J^T g = grad_ref^T c per batch entry: coords (..., K, dim) and coeffs
-    (..., K, m) of a K-node element, the reference basis gradients
+    """Physical gradients (..., dim, m) of m coefficient columns, g =
+    J^-T grad_ref^T c by det_inv per batch entry: coords (..., K, dim) and
+    coeffs (..., K, m) of a K-node element, the reference basis gradients
     ref_grads (..., K, dim) at the point and the element id elements (...).
     Batch axes broadcast.  |det J| <= 1e-14 (|J|_F / sqrt(dim))^dim
     raises SingularJacobianError naming the first such entry's element.
@@ -72,7 +73,7 @@ def element_gradients(ref_grads, coords, coeffs, elements):
     values = np.concatenate([coords, coeffs], axis=-1)
     m = np.einsum("...kb,...kc->...bc", ref_grads, values)
     jac_t = m[..., :dim]
-    det = np.linalg.det(jac_t)
+    det, inv = det_inv(jac_t)
     scale = np.maximum(np.linalg.norm(jac_t, axis=(-2, -1)) / np.sqrt(dim), 1e-30) ** dim
     singular = np.argwhere(np.abs(det) <= 1e-14 * scale)
     if len(singular):
@@ -81,7 +82,7 @@ def element_gradients(ref_grads, coords, coeffs, elements):
         raise SingularJacobianError(
             f"singular Jacobian (det {det[first]:.3e}) in element {element}"
         )
-    return np.linalg.solve(jac_t, m[..., dim:])
+    return inv @ m[..., dim:]
 
 
 def nodal_physical_gradients(field, node_field):

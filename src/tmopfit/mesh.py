@@ -16,6 +16,7 @@ from .reference import (
     GEOMETRY_DIM,
     REFERENCE_FACES,
     corner_local_indices,
+    det,
     face_node_indices,
     nodal_basis,
     quadrature_for,
@@ -163,46 +164,6 @@ def quadrature_jacobians(mesh, node_field, elements, grads=None):
     return np.tensordot(grads, coords, axes=(1, 1)).transpose(0, 2, 3, 1)
 
 
-def _cofactors(t, rows):
-    """t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a], and the given
-    rows (a slice) of x's cofactor matrix, which is the adjugate of t."""
-    t = np.asarray(t, dtype=float)
-    d = t.shape[-1]
-    x = np.ascontiguousarray(t.reshape(-1, d, d).T)
-    if d == 1:
-        return x, np.ones_like(x[rows])
-    if d == 2:
-        return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
-    # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
-    # indices mod 3.
-    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
-    x1, x2 = x[one[rows]], x[two[rows]]
-    return x, x1[:, one] * x2[:, two] - x1[:, two] * x2[:, one]
-
-
-def det(t):
-    """Determinants of the d x d matrices t, shape (..., d, d) with d <= 3:
-    det_inv(t)[0], bit for bit, from the first cofactor row only."""
-    x, cof = _cofactors(t, slice(0, 1))
-    return np.einsum("bp,bp->p", x[0], cof[0]).reshape(np.shape(t)[:-2])
-
-
-def det_inv(t):
-    """Determinants and inverses of the d x d matrices t, shape (..., d, d)
-    with d <= 3, in closed form: the adjugate over the determinant.
-
-    Returns det (...,) and inv (..., d, d), inf or nan where det is 0.
-    inv is a view of an array stored as (d, d, ...), so each inv[..., a, b]
-    is contiguous.
-    """
-    batch, d = np.shape(t)[:-2], np.shape(t)[-1]
-    x, cof = _cofactors(t, slice(None))
-    dets = np.einsum("bp,bp->p", x[0], cof[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = cof / dets
-    return dets.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
-
-
 def is_valid(mesh, node_field):
     """Check det A > 0 at every quadrature point of every element.
 
@@ -224,7 +185,7 @@ def element_volumes(mesh, node_field):
     weights = quadrature_for(mesh.geometry, mesh.order).weights
     return np.concatenate(
         [
-            weights @ np.linalg.det(quadrature_jacobians(mesh, node_field, chunk))
+            weights @ det(quadrature_jacobians(mesh, node_field, chunk))
             for chunk in element_chunks(mesh, 0)
         ]
     )
@@ -251,7 +212,7 @@ def _kuhn_tets():
         p3 = p2 + axes[perm[2]]
         verts = [p0, p1, p2, p3]
         mat = np.array([verts[1] - verts[0], verts[2] - verts[0], verts[3] - verts[0]])
-        if np.linalg.det(mat) < 0:
+        if det(mat) < 0:
             verts = [p0, p2, p1, p3]
         tets.append(np.array(verts))
     return tets

@@ -25,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidMeshError, NonpositiveDeterminantError
-from .mesh import det_inv, element_volumes, is_valid
-from .reference import IDEAL_TARGETS, REFERENCE_MEASURE
+from .mesh import element_volumes, is_valid
+from .reference import IDEAL_TARGETS, REFERENCE_MEASURE, det, det_inv
 
 # The mesh dimension each metric is defined for.
 METRIC_DIM = {
@@ -283,6 +283,8 @@ def metric_values(metric_id, t, gamma=0.5):
 # ---------------------------------------------------------------------------
 # Target Jacobians
 
+_IDEAL_DET = {geometry: float(det(w)) for geometry, w in IDEAL_TARGETS.items()}
+
 
 @dataclass
 class TargetJacobians:
@@ -304,7 +306,7 @@ class TargetJacobians:
 
     def det(self, geometry):
         """det W_e = size_e det W_ideal, shape (num_elements,)."""
-        return self.size * np.linalg.det(IDEAL_TARGETS[geometry])
+        return self.size * _IDEAL_DET[geometry]
 
 
 def make_targets(mesh, node_field, kind="ideal-shape-unit-size"):

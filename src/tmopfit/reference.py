@@ -9,8 +9,15 @@ nodes take all of it, simplex nodes and monomial exponents the points of
 total degree <= order (_simplex_indices).  nodal_basis(geometry, order)
 is the one cached way to a basis: Mesh.basis and the tables below
 (quadrature_tables, face_node_indices, corner_local_indices) share it.
+
+det and det_inv, closed-form cofactors of batched d x d matrices (d <= 3),
+are every small det, inverse or solve of the package.  One Gauss-Jacobi
+builder, Newton on the three-term recurrence, makes all 1D rules: (0, 0)
+Gauss-Legendre, (1, 1) the Gauss-Lobatto interior, (alpha, 0) the simplex
+directions.  Only the simplex Vandermonde inverse calls LAPACK.
 """
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -87,90 +94,116 @@ REFERENCE_FACES = {
 }
 
 
-def gauss_lobatto_nodes(n_points):
-    """Gauss-Lobatto points on [0, 1].
+def _cofactors(t, rows):
+    """t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a], and the given
+    rows (a slice) of x's cofactor matrix, which is the adjugate of t."""
+    t = np.asarray(t, dtype=float)
+    d = t.shape[-1]
+    x = np.ascontiguousarray(t.reshape(-1, d, d).T)
+    if d == 1:
+        return x, np.ones_like(x[rows])
+    if d == 2:
+        return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
+    # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
+    # indices mod 3.
+    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
+    x1, x2 = x[one[rows]], x[two[rows]]
+    return x, x1[:, one] * x2[:, two] - x1[:, two] * x2[:, one]
 
-    The first and last points are 0 and 1; interior points are the roots
-    of the derivative of the Legendre polynomial of degree n_points - 1,
-    mapped from [-1, 1].
 
-    Parameters
-    ----------
-    n_points : int
-        Number of points, at least 2.
+def det(t):
+    """Determinants of the d x d matrices t, shape (..., d, d) with d <= 3:
+    det_inv(t)[0], bit for bit, from the first cofactor row only."""
+    x, cof = _cofactors(t, slice(0, 1))
+    return np.einsum("bp,bp->p", x[0], cof[0]).reshape(np.shape(t)[:-2])
 
-    Returns
-    -------
-    ndarray, shape (n_points,)
-        Increasing, symmetric about 0.5.
+
+def det_inv(t):
+    """Determinants and inverses of the d x d matrices t, shape (..., d, d)
+    with d <= 3, in closed form: the adjugate over the determinant.
+
+    Returns det (...,) and inv (..., d, d), inf or nan where det is 0.
+    inv is a view of an array stored as (d, d, ...), so each inv[..., a, b]
+    is contiguous.
     """
-    if n_points < 2:
-        raise ValueError(f"need at least 2 Gauss-Lobatto points, got {n_points}")
-    if n_points == 2:
-        return np.array([0.0, 1.0])
-    coef = np.zeros(n_points)
-    coef[-1] = 1.0
-    legendre = np.polynomial.legendre.Legendre(coef)
-    interior = np.sort(legendre.deriv().roots().real)
-    # Enforce exact symmetry; companion-matrix roots are accurate to ~1e-15.
-    interior = 0.5 * (interior - interior[::-1])
-    pts = np.concatenate(([-1.0], interior, [1.0]))
-    return 0.5 * (pts + 1.0)
+    batch, d = np.shape(t)[:-2], np.shape(t)[-1]
+    x, cof = _cofactors(t, slice(None))
+    dets = np.einsum("bp,bp->p", x[0], cof[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = cof / dets
+    return dets.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
 
 
-def gauss_lobatto_rule(n_points):
-    """Gauss-Lobatto points and weights on [0, 1]; exact to degree 2n - 3."""
-    pts01 = gauss_lobatto_nodes(n_points)
-    x = 2.0 * pts01 - 1.0
-    coef = np.zeros(n_points)
-    coef[-1] = 1.0
-    pn = np.polynomial.legendre.Legendre(coef)(x)
-    w = 2.0 / (n_points * (n_points - 1) * pn**2)
-    return pts01, 0.5 * w
-
-
-def gauss_legendre_rule(n_points):
-    """Gauss-Legendre points and weights on [0, 1]; exact to degree 2n - 1."""
-    x, w = np.polynomial.legendre.leggauss(n_points)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _jacobi_rule_01(n_points, alpha):
-    """Gauss-Jacobi rule on [0, 1] with weight (1 - t)**alpha absorbed.
-
-    Golub-Welsch on [-1, 1] with weight (1 - x)**alpha, alpha > 0: the
-    points are the eigenvalues of the Jacobi matrix of the orthonormal
-    polynomials p_k, polished by one Newton step on p_n; the weights are
-    the Christoffel numbers 1 / sum_{k<n} p_k(x)**2, scaled to the
-    integral of the weight.
-    """
+def _gauss_jacobi(n_points, alpha, beta):
+    """Gauss-Jacobi points x, increasing, on [-1, 1] for the weight
+    (1 - x)**alpha (1 + x)**beta, alpha, beta >= 0, and weights scaled to
+    its integral over [0, 1] under x = 2t - 1.  With p_k orthonormal,
+    b_k p_k = (x - a_{k-1}) p_{k-1} - b_{k-1} p_{k-2}, p_0 = 1, the points
+    are the roots of p_n, by Newton's method with Aberth's deflation from
+    x = cos(pi (k + alpha/2 - 1/4) / (n + (alpha + beta + 1)/2)), k = n..1,
+    and the weights 1 / sum_{k<n} p_k(x)**2."""
     k = np.arange(n_points + 1.0)
-    t = 2.0 * k + alpha
-    diag = -(alpha**2) / (t * (t + 2.0))  # a_k
-    off = 2.0 * k[1:] * (k[1:] + alpha) / (t[1:] * np.sqrt(t[1:] ** 2 - 1.0))  # b_k
-    jacobi = np.diag(diag[:-1]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1)
+    s = 2.0 * k + alpha + beta
+    a = (beta**2 - alpha**2) / np.where(s > 0.0, s * (s + 2.0), 1.0)
+    k, s = k[1:], s[1:]
+    b = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + alpha + beta) / (s * s * (s * s - 1.0)))
 
-    def recurrence(x):
-        # b_k p_k = (x - a_{k-1}) p_{k-1} - b_{k-1} p_{k-2}, p_0 = 1:
-        # p_n, dp_n/dx and sum_{k<n} p_k**2.
-        p_prev, p, dp_prev, dp = np.zeros_like(x), np.ones_like(x), 0.0, 0.0
-        squares = np.zeros_like(x)
+    def recurrence(x):  # p_n, dp_n/dx and sum_{k<n} p_k**2
+        p_prev, p, dp_prev, dp, squares = 0.0, np.ones_like(x), 0.0, 0.0, np.zeros_like(x)
         for j in range(n_points):
             squares += p * p
-            back = off[j - 1] if j else 0.0
+            back = b[j - 1] if j else 0.0
             p_prev, p, dp_prev, dp = (
-                p,
-                ((x - diag[j]) * p - back * p_prev) / off[j],
-                dp,
-                ((x - diag[j]) * dp + p - back * dp_prev) / off[j],
+                p, ((x - a[j]) * p - back * p_prev) / b[j],
+                dp, ((x - a[j]) * dp + p - back * dp_prev) / b[j],
             )
         return p, dp, squares
 
-    x = np.linalg.eigvalsh(jacobi)
-    p, dp, _ = recurrence(x)
-    x = x - p / dp
-    _, _, squares = recurrence(x)
-    return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * squares)
+    k = np.arange(n_points, 0, -1)
+    x = np.cos(np.pi * (k + alpha / 2 - 0.25) / (n_points + (alpha + beta + 1) / 2))
+    for _ in range(50):  # 2-4 iterations reach round-off for n <= 12
+        p, dp, _ = recurrence(x)
+        apart = x[:, None] - x
+        np.fill_diagonal(apart, np.inf)
+        step = p / dp / (1.0 - p / dp * (1.0 / apart).sum(axis=1))
+        x = x - step
+        if np.abs(step).max(initial=0.0) <= 1e-15:
+            break
+    measure = math.gamma(alpha + 1) * math.gamma(beta + 1) / math.gamma(alpha + beta + 2)
+    return x, measure / recurrence(x)[2]
+
+
+def _mirrored(x, w):
+    """A symmetric rule from [-1, 1] on [0, 1], with exactly mirrored
+    points, t[n - 1 - i] = 1 - t[i], and weights."""
+    t = 0.5 * (1.0 + 0.5 * (x - x[::-1]))  # t >= 0.5 is a multiple of 2**-53
+    half = len(t) // 2
+    t[:half] = 1.0 - t[::-1][:half]  # exact
+    return t, 0.5 * (w + w[::-1])
+
+
+def gauss_jacobi_rule(n_points, alpha=0.0):
+    """Gauss-Jacobi points and weights on [0, 1] for the weight
+    (1 - t)**alpha, exact to degree 2n - 1: Gauss-Legendre for alpha = 0."""
+    x, w = _gauss_jacobi(n_points, alpha, 0.0)
+    return _mirrored(x, w) if alpha == 0.0 else (0.5 * (x + 1.0), w)
+
+
+def gauss_lobatto_rule(n_points):
+    """Gauss-Lobatto points and weights on [0, 1], exact to degree 2n - 3:
+    0, 1 and the Gauss-Jacobi (1, 1) points, the roots of P'_(n-1), whose
+    weights over t (1 - t) are the interior weights."""
+    if n_points < 2:
+        raise ValueError(f"need at least 2 Gauss-Lobatto points, got {n_points}")
+    x, w = _gauss_jacobi(n_points - 2, 1.0, 1.0)
+    end = [1.0 / (n_points * (n_points - 1))]
+    inner = w / (0.25 * (1.0 - x) * (1.0 + x))
+    return _mirrored(np.concatenate(([-1.0], x, [1.0])), np.concatenate((end, inner, end)))
+
+
+def gauss_lobatto_nodes(n_points):
+    """Gauss-Lobatto points on [0, 1], increasing, exactly symmetric."""
+    return gauss_lobatto_rule(n_points)[0]
 
 
 def _lagrange_table(nodes, t, grad=True):
@@ -224,9 +257,7 @@ def _blend_barycentric(a, g):
     if len(nz) == 2:
         p, q = nz
         lam[p] = g[a[p]]
-        lam[q] = g[a[q]]
-        # GL symmetry makes these sum to 1 exactly up to round-off.
-        lam[nz] /= lam[nz].sum()
+        lam[q] = g[a[q]]  # sums to 1: g is exactly symmetric
         return lam
     gs = [g[a[m]] if m in nz else 0.0 for m in range(len(a))]
     total = sum(gs[m] for m in nz)
@@ -411,14 +442,14 @@ def quadrature_for(geometry, order):
             wts *= wts1[i]
         return QuadratureRule(geometry, pts1[axes], wts, 2 * n - 3)
     n = order + 2  # Gauss exactness 2n - 1 >= 2k + 2
-    u, wu = gauss_legendre_rule(n)
-    v, wv = _jacobi_rule_01(n, 1.0)
+    u, wu = gauss_jacobi_rule(n)
+    v, wv = gauss_jacobi_rule(n, 1.0)
     # Point a + n b (+ n^2 c) collapses (u_a, v_b, w_c) onto the simplex.
     a, b, *c = tensor_axes(n, dim).T
     if geometry == "triangle":
         pts = np.stack([u[a] * (1.0 - v[b]), v[b]], axis=1)
         return QuadratureRule(geometry, pts, wu[a] * wv[b], 2 * n - 1)
-    w, ww = _jacobi_rule_01(n, 2.0)
+    w, ww = gauss_jacobi_rule(n, 2.0)
     c = c[0]
     shrink = 1.0 - w[c]
     pts = np.stack([u[a] * (1.0 - v[b]) * shrink, v[b] * shrink, w[c]], axis=1)
@@ -434,7 +465,7 @@ def quadrature_tables(geometry, order):
     quadrature_for(geometry, order); shared and read-only."""
     rule = quadrature_for(geometry, order)
     vals, grads = nodal_basis(geometry, order).eval_with_grad(rule.points)
-    tables = (vals, grads, np.dot(grads, np.linalg.inv(IDEAL_TARGETS[geometry])))
+    tables = (vals, grads, np.dot(grads, det_inv(IDEAL_TARGETS[geometry])[1]))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -450,10 +481,10 @@ def face_node_indices(geometry, order):
         v = REFERENCE_VERTICES[geometry][list(face)]
         # Cofactor normal: normal_a = det[e_1; ...; e_(d-1); unit_a] over
         # the face's first d - 1 edges, which are independent on every
-        # reference face.  (An SVD null vector would do as well, but the
-        # first SVD call adds about 1 MiB to a run's peak RSS.)
+        # reference face, from the closed-form det (a first LAPACK call
+        # would map library code and heap into the run).
         edges = v[1:dim] - v[0]
-        normal = np.linalg.det([np.vstack([edges, unit]) for unit in np.eye(dim)])
+        normal = det(np.array([np.vstack([edges, unit]) for unit in np.eye(dim)]))
         out.append(np.flatnonzero(np.abs((nodes - v[0]) @ normal) <= 1e-12))
     return tuple(out)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import TransferFailureError
 from .fields import ScalarField, element_gradients, nodal_physical_gradients
-from .reference import quadrature_tables
+from .reference import det_inv, quadrature_tables
 
 ACCEPT_TOL = 1e-10  # residual / domain size for an interior point
 PROJECT_TOL = 1e-8  # residual / domain size for a boundary projection
@@ -203,13 +203,14 @@ def _newton(basis, coords, points, owner, accept):
             break
         grads = basis.eval_with_grad(ref[idx])[1]
         jac = np.einsum("pkd,pkb->pdb", coords[idx], grads)
-        solvable = np.abs(np.linalg.det(jac)) > 0.0
+        det, inv = det_inv(jac)
+        solvable = np.abs(det) > 0.0
         active[idx[~solvable]] = False
         idx = idx[solvable]
         if not len(idx):
             break
         iterations += 1
-        step = np.linalg.solve(jac[solvable], -res[idx][..., None])[..., 0]
+        step = -np.einsum("pab,pb->pa", inv[solvable], res[idx])
         missed = first_decrease(idx, step, np.ones(1))
         idx, step = idx[missed], step[missed]
         for s in range(0, len(idx), per_batch):

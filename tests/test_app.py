@@ -603,6 +603,19 @@ def test_unknown_case_setting_rejected_on_construction(setting, value):
         named_case("tg2d").copy_with(**{setting: value})
 
 
+@pytest.mark.parametrize(
+    "case,dim,levelset", [("fit2d-quad", 2, "sphere3d"), ("fit3d-hex", 3, "tg2d")]
+)
+def test_levelset_of_the_other_dimension_rejected_on_construction(case, dim, levelset):
+    # Not inside run_case, where the level set's evaluation fails with a
+    # numpy broadcast error.
+    with pytest.raises(
+        CaseConfigError,
+        match=f"^level set {levelset} is not a {dim}D level set \\(case {case}\\)$",
+    ):
+        named_case(case, resolution=3).copy_with(levelset=levelset)
+
+
 def test_every_case_field_varies_between_named_cases_or_has_a_run_flag(monkeypatch):
     # A setting that every named case shares and no `tmopfit run` flag
     # sets is a constant of cases.py, not a TestCase field.

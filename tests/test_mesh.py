@@ -13,8 +13,6 @@ from tmopfit.mesh import (
     NodeField,
     _domain_boundary_faces,
     _kuhn_tets,
-    det,
-    det_inv,
     element_volumes,
     is_valid,
     make_cartesian,
@@ -22,7 +20,7 @@ from tmopfit.mesh import (
     read_mesh,
     write_mesh,
 )
-from tmopfit.reference import GEOMETRY_DIM, nodal_basis
+from tmopfit.reference import GEOMETRY_DIM, det, det_inv, nodal_basis
 
 
 @pytest.mark.parametrize("row", [[0, 1, 2, -1], [0, 1, 2, 4]])

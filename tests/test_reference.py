@@ -1,10 +1,19 @@
 """Reference elements: Gauss-Lobatto nodes, bases, quadrature."""
 
+import json
+import os
+import re
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import roots_jacobi
 
+import tmopfit
 from tmopfit.reference import (
     GEOMETRIES,
     GEOMETRY_DIM,
@@ -17,7 +26,7 @@ from tmopfit.reference import (
     quadrature_for,
     quadrature_tables,
     face_node_indices,
-    _jacobi_rule_01,
+    gauss_jacobi_rule,
     _lagrange_table,
 )
 
@@ -45,11 +54,86 @@ def exact_monomial_integral(geometry, exponents):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_jacobi_rule_matches_scipy_roots_jacobi(n, alpha):
     x, w = roots_jacobi(n, alpha, 0.0)
-    points, weights = _jacobi_rule_01(n, alpha)
+    points, weights = gauss_jacobi_rule(n, alpha)
     assert np.abs(points - 0.5 * (x + 1.0)).max() <= 1e-15
     # roots_jacobi's own weights are accurate to about 5e-14 relative.
     assert np.abs(weights / (w / 2.0 ** (alpha + 1)) - 1.0).max() <= 1e-13
     assert np.all(np.diff(points) > 0.0) and np.all(weights > 0.0)
+
+
+def numpy_gauss_lobatto_rule(n):
+    """Gauss-Lobatto rule on [0, 1] from numpy.polynomial (oracle): the
+    companion-matrix roots of P'_(n-1), weights 2 / (n (n - 1) P_(n-1)**2)."""
+    legendre = np.polynomial.legendre.Legendre.basis(n - 1)
+    interior = np.sort(legendre.deriv().roots().real)
+    x = np.concatenate(([-1.0], 0.5 * (interior - interior[::-1]), [1.0]))
+    return 0.5 * (x + 1.0), 1.0 / (n * (n - 1) * legendre(x) ** 2)
+
+
+def golub_welsch_jacobi_rule(n, alpha):
+    """Gauss-Jacobi rule on [0, 1] for (1 - t)**alpha (oracle): eigvalsh of
+    the Jacobi matrix, one Newton step on p_n, Christoffel weights."""
+    k = np.arange(n + 1.0)
+    t = 2.0 * k + alpha
+    diag = -(alpha**2) / (t * (t + 2.0))
+    off = 2.0 * k[1:] * (k[1:] + alpha) / (t[1:] * np.sqrt(t[1:] ** 2 - 1.0))
+
+    def recurrence(x):
+        p_prev, p, dp_prev, dp, squares = 0.0, np.ones_like(x), 0.0, 0.0, 0.0
+        for j in range(n):
+            squares = squares + p * p
+            back = off[j - 1] if j else 0.0
+            p_prev, p, dp_prev, dp = (
+                p,
+                ((x - diag[j]) * p - back * p_prev) / off[j],
+                dp,
+                ((x - diag[j]) * dp + p - back * dp_prev) / off[j],
+            )
+        return p, dp, squares
+
+    x = np.linalg.eigvalsh(np.diag(diag[:-1]) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    p, dp, _ = recurrence(x)
+    x = x - p / dp
+    return 0.5 * (x + 1.0), 1.0 / ((alpha + 1.0) * recurrence(x)[2])
+
+
+def numpy_rule(n, alpha, lobatto):
+    if lobatto:
+        return numpy_gauss_lobatto_rule(n)
+    if alpha == 0.0:
+        x, w = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (x + 1.0), 0.5 * w
+    return golub_welsch_jacobi_rule(n, alpha)
+
+
+RULES = (
+    [(n, 0.0, False) for n in range(1, 11)]
+    + [(n, alpha, False) for alpha in (1.0, 2.0) for n in range(1, 11)]
+    + [(n, 0.0, True) for n in range(2, 11)]
+)
+
+
+@pytest.mark.parametrize("n,alpha,lobatto", RULES)
+def test_gauss_rules_within_four_ulp_of_numpy_rules(n, alpha, lobatto):
+    points, weights = gauss_lobatto_rule(n) if lobatto else gauss_jacobi_rule(n, alpha)
+    want_points, want_weights = numpy_rule(n, alpha, lobatto)
+    # A rule on [0, 1] taken from [-1, 1] holds each point to the spacing
+    # at its farther end, and each weight to that of the rule's total:
+    # numpy's own weights are up to 58 ulp of themselves off near the ends.
+    point_ulp = np.spacing(np.maximum(want_points, 1.0 - want_points))
+    assert np.all(np.abs(points - want_points) <= 4 * point_ulp)
+    assert np.all(np.abs(weights - want_weights) <= 4 * np.spacing(want_weights.sum()))
+    assert np.all(np.diff(points) > 0.0) and np.all(weights > 0.0)
+
+
+@pytest.mark.parametrize("n,alpha,lobatto", RULES)
+def test_gauss_rules_exact_on_monomials(n, alpha, lobatto):
+    points, weights = gauss_lobatto_rule(n) if lobatto else gauss_jacobi_rule(n, alpha)
+    a = int(alpha)
+    for k in range(2 * n - (3 if lobatto else 1) + 1):
+        # int_0^1 t**k (1 - t)**a dt
+        exact = factorial(k) * factorial(a) / factorial(k + a + 1)
+        assert abs(weights @ points**k - exact) <= 10 * np.finfo(float).eps * exact
 
 
 def test_gauss_lobatto_two_and_three_points():
@@ -72,12 +156,15 @@ def test_gauss_lobatto_rule_degree_five_exact():
         assert abs(wts @ pts**m - 1.0 / (m + 1)) < 1e-14
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("n", range(2, 11))
 def test_gauss_lobatto_structure(n):
-    pts = gauss_lobatto_nodes(n)
+    pts, wts = gauss_lobatto_rule(n)
+    assert np.array_equal(gauss_lobatto_nodes(n), pts)
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert np.all(np.diff(pts) > 0)
-    assert np.abs(pts + pts[::-1] - 1.0).max() < 1e-14  # symmetric about 0.5
+    # Exactly symmetric about 0.5, so the blended simplex edge nodes'
+    # barycentrics sum to 1.
+    assert np.array_equal(1.0 - pts[::-1], pts) and np.array_equal(wts[::-1], wts)
 
 
 def test_gauss_lobatto_rejects_short_rules():
@@ -338,3 +425,46 @@ def test_face_nodes_from_face_vertices_match_the_face_planes(geometry, order):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+_LAPACK_OR_POLYNOMIAL = re.compile(
+    r"linalg\.(det|slogdet|inv|pinv|solve|lstsq|eig\w*|svd)\b|polynomial\.|leggauss"
+)
+
+
+def test_source_calls_lapack_only_for_the_simplex_vandermonde_inverse():
+    package = Path(tmopfit.__file__).resolve().parent
+    hits = [
+        (path.name, line.strip())
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if _LAPACK_OR_POLYNOMIAL.search(line.split("#")[0])
+    ]
+    assert hits == [("reference.py", "self._vinv = np.linalg.inv(vand)")]
+
+
+def test_hex_run_calls_no_lapack_and_imports_no_numpy_polynomial(tmp_path):
+    # A first call of a LAPACK routine, or the import of numpy.polynomial,
+    # maps library code and heap into the run: 0.25-1.4 MiB of peak RSS.
+    code = """
+import json, sys
+import numpy.linalg as la
+calls = []
+for name in ("det", "slogdet", "inv", "pinv", "solve", "lstsq", "eig", "eigh",
+             "eigvals", "eigvalsh", "svd"):
+    def wrapper(*args, _name=name, _f=getattr(la, name), **kwargs):
+        calls.append(_name)
+        return _f(*args, **kwargs)
+    setattr(la, name, wrapper)
+import tmopfit.cases as c
+run = c.run_case(c.named_case("fit3d-hex", resolution=3), out_dir=sys.argv[1])
+print(json.dumps([run.case.order, run.solve_report.reason, calls,
+                  "numpy.polynomial" in sys.modules]))
+"""
+    src = str(Path(tmopfit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [2, "converged", [], False]
