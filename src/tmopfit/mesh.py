@@ -23,13 +23,16 @@ from .reference import (
     quadrature_tables,
 )
 
-# d x d matrices per element chunk of the batched kernels.  Up to order 1 a
-# point holds a few (T, T^{-1}, dmu, their points-last copies), counted as 4.
-# The Hessian holds per point the d (d + 1) / 2 component pairs of d2mu and
-# one pair's x (d N values, N nodes per element): 15 matrices for an order-2
-# hex, 8 for an order-3 triangle.  So value and gradient chunks have 2304
-# points, a Hessian chunk of order-2 hexes 4 elements (500 points) and one of
-# order-3 triangles 46 (1150 points).
+# d x d matrices per element chunk of the batched kernels, as counted per
+# point: 4 up to order 1 (T, T^{-1}, dmu, their points-last copies) and,
+# for the Hessian, the d (d + 1) / 2 component pairs of d2mu and one pair's
+# x (d N values, N nodes per element): 15 matrices for an order-2 hex, 8
+# for an order-3 triangle.  So value and gradient chunks have 2304 points,
+# a Hessian chunk of order-2 hexes 4 elements (500 points) and one of
+# order-3 triangles 46 (1150 points).  The counts are not what the kernels
+# hold: on fit3d-hex chunks at resolution 4 (mu333, tracemalloc), the
+# metric call peaks at 4.3 matrices a point at order 0, 7.6 at order 1
+# and 21.3 at order 2, to which the contraction's x adds 9.
 _CHUNK_MATRICES = 256 * 36
 
 

@@ -11,8 +11,9 @@ d1 (d, d, P) and d2 as factor pairs X (x) Y in the index patterns
 X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b] plus a constant part,
 never as a dense array.  As d2mu[a, b, c, f] = d2mu[c, f, a, b], only
 the component pairs (a, c), a <= c, of PAIRS[d] are computed, into one
-contiguous (pair, b, f, P) array: each factor-pair term is one broadcast
-product on the pair rows a and c (see _second_derivative).  Where the
+contiguous (pair, b, f, P) array, written in place pair by pair from
+views of the rows a and c of each factor pair (see _second_derivative):
+besides the result, d2mu holds two (d, d, P) temporaries.  Where the
 full (d, d, d, d) d2mu is needed, mirror_pairs copies pair (a, c) to
 rows c, a transposed.  metric_values is the order-0 path, with the same
 arithmetic as the values of metric_batch.  A target W_e = s_e^(1/d)
@@ -57,8 +58,11 @@ def _sq(x):
 
 
 def _matmul(x, y):
-    """Per-point matrix product of (d, d, P) arrays."""
-    return (x[:, :, None] * y[None]).sum(axis=1)
+    """Per-point matrix product of (d, d, P) arrays, summed in j order."""
+    out = x[:, 0, None] * y[0]
+    for j in range(1, len(y)):
+        out += x[:, j, None] * y[j]
+    return out
 
 
 def _seed_invariants(t, tau, k, names, order):
@@ -166,10 +170,11 @@ def _second_derivative(inv, f, f2, shape):
     (pair, b, f, P): entry [p, b, f] is d2mu[a, b, c, f] for the p-th pair
     (a, c) of PAIRS[d].  The outer products enter as dI_k (x) h_k,
     h_k = sum_l f_kl dI_l, and the terms of a pattern that share X are
-    merged into X (x) sum c Y.  Each merged term is built only when it is
-    written, as one broadcast product on the pair rows a and c, the first
-    into d2 and the others added, so that one sum c Y is alive at a time;
-    constant parts are added on their nonzeros only."""
+    merged into X (x) sum c Y.  Each merged term is written pair by pair,
+    as one product of views of the rows a of X and c of Y: the first term
+    into d2, the others into one (d, d, P) temporary added to d2, so that
+    besides d2 only sum c Y and that temporary are alive; constant parts
+    are added on their nonzeros only."""
     d, n = shape[0], shape[-1]
     ia, ic = PAIRS[d]
     pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
@@ -178,27 +183,29 @@ def _second_derivative(inv, f, f2, shape):
     terms = {}  # (pattern, id(X)) -> (pattern, X, [(c, Y), ...])
     for pattern, c, x, y in pairs:
         terms.setdefault((pattern, id(x)), (pattern, x, []))[2].append((c, y))
-    d2, scratch = np.empty((len(ia), d, d, n)), np.empty((len(ia), d, d, n))
+    d2 = np.empty((len(ia), d, d, n))
+    y, product = np.empty((d, d, n)), np.empty((d, d, n))
     for i, (pattern, x, cys) in enumerate(terms.values()):
-        y = cys[0][0] * cys[0][1]
+        np.multiply(*cys[0], out=y)
         for c, yk in cys[1:]:
-            y = c * yk + y
-        out = scratch if i else d2
-        if pattern == "ab,cf":  # X[a, b] Y[c, f]
-            np.multiply(x.take(ia, 0)[:, :, None], y.take(ic, 0)[:, None], out=out)
-        elif pattern == "ac,bf":  # X[a, c] Y[b, f]
-            np.multiply(x[ia, ic][:, None, None], y, out=out)
-        else:  # "af,cb": X[a, f] Y[c, b]
-            np.multiply(y.take(ic, 0)[:, :, None], x.take(ia, 0)[:, None], out=out)
-        del y
-        if i:
-            d2 += scratch
+            np.multiply(c, yk, out=product)
+            y += product  # c Y_k + y: the sum commutes bit for bit
+        for p, (a, c) in enumerate(zip(ia, ic)):
+            out = product if i else d2[p]
+            if pattern == "ab,cf":  # X[a, b] Y[c, f]
+                np.multiply(x[a][:, None], y[c], out=out)
+            elif pattern == "ac,bf":  # X[a, c] Y[b, f]
+                np.multiply(x[a, c], y, out=out)
+            else:  # "af,cb": X[a, f] Y[c, b]
+                np.multiply(y[c][:, None], x[a], out=out)
+            if i:
+                d2[p] += product
     flat = d2.reshape(-1, n)
     for k, fk in f.items():
         if inv[k].const is not None:
             const = inv[k].const[ia, :, ic].ravel()
-            rows = np.flatnonzero(const)
-            flat[rows] += const[rows, None] * fk
+            for row in np.flatnonzero(const):
+                flat[row] += const[row] * fk
     return d2
 
 
@@ -240,7 +247,10 @@ def _metric_derivatives(metric_id, t, gamma, order):
             total.update({k: total.get(k, 0.0) + weight * v for k, v in part_f.items()})
     out = [mu]
     if order:
-        out.append(sum(fk * inv[k].d1 for k, fk in f.items()))
+        dmu = np.zeros_like(t)  # from 0 as a sum: -0.0 terms read +0.0
+        for k, fk in f.items():
+            dmu += fk * inv[k].d1
+        out.append(dmu)
     if order > 1:
         out.append(_second_derivative(inv, f, f2, t.shape))
     return [np.moveaxis(u, -1, 0).reshape(batch + u.shape[:-1]) for u in out]

@@ -14,7 +14,8 @@ det and det_inv, closed-form cofactors of batched d x d matrices (d <= 3),
 are every small det, inverse or solve of the package.  One Gauss-Jacobi
 builder, Newton on the three-term recurrence, makes all 1D rules: (0, 0)
 Gauss-Legendre, (1, 1) the Gauss-Lobatto interior, (alpha, 0) the simplex
-directions.  Only the simplex Vandermonde inverse calls LAPACK.
+directions.  The simplex Vandermonde inverse is Gauss-Jordan elimination,
+so no routine calls LAPACK.
 """
 
 import math
@@ -95,27 +96,56 @@ REFERENCE_FACES = {
 
 
 def _cofactors(t, rows):
-    """t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a], and the given
-    rows (a slice) of x's cofactor matrix, which is the adjugate of t."""
+    """Of t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a]: the row x[0]
+    (d, P) and the given rows (a slice) of x's cofactor matrix, which is
+    the adjugate of t.
+
+    Each product is one ufunc on rows of P values, written in place: numpy
+    buffers the operands of a broadcast or strided ufunc over few points,
+    which would double the working set.  In 3D the cofactors are stored as
+    (b, a, p), the layout that indexed gathers once gave them here: an
+    einsum sums in the memory order of its operands (quality._sq of
+    T^{-1}), so the layout keeps every result bit for bit.  They are built
+    a column b at a time from w[b, a] = x[a mod 3, b], x's columns with
+    their rows wrapped, so that each product reads slices."""
     t = np.asarray(t, dtype=float)
-    d = t.shape[-1]
-    x = np.ascontiguousarray(t.reshape(-1, d, d).T)
+    d, batch = t.shape[-1], t.shape[:-2]
+    n, cof_rows = t.size // (d * d), range(d)[rows]
     if d == 1:
-        return x, np.ones_like(x[rows])
+        return t.reshape(1, n), np.ones((len(cof_rows), 1, n))
+    # t is copied in through views shaped like its batch, which read a
+    # strided t in place where reshaping it would copy it first.
     if d == 2:
-        return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
+        x = np.empty((2, 2, n))
+        x.reshape((2, 2) + batch)[...] = np.moveaxis(t, (-1, -2), (0, 1))
+        cof = np.empty((len(cof_rows), 2, n))
+        for i, a in enumerate(cof_rows):
+            for b in range(2):  # cof[a, b] = (-1)^(a+b) x[1-a, 1-b]
+                np.multiply(x[1 - a, 1 - b], (-1.0) ** (a + b), out=cof[i, b])
+        return x[0], cof
     # cof[a, b] = x[a+1, b+1] x[a+2, b+2] - x[a+1, b+2] x[a+2, b+1],
     # indices mod 3.
-    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
-    x1, x2 = x[one[rows]], x[two[rows]]
-    return x, x1[:, one] * x2[:, two] - x1[:, two] * x2[:, one]
+    w = np.empty((3, 5, n))
+    w[:, :3].reshape((3, 3) + batch)[...] = np.moveaxis(t, (-2, -1), (0, 1))
+    w[:, 3:].reshape((3, 2) + batch)[...] = np.moveaxis(t[..., :2], (-2, -1), (0, 1))
+    by_column = np.empty((3, len(cof_rows), n))
+    products = np.empty((len(cof_rows), n))
+    a = slice(cof_rows.start + 1, cof_rows.stop + 1)  # rows a + 1 of w
+    a2 = slice(a.start + 1, a.stop + 1)
+    for b in range(3):
+        w1, w2 = w[(b + 1) % 3], w[(b + 2) % 3]
+        np.multiply(w1[a], w2[a2], out=by_column[b])
+        np.multiply(w2[a], w1[a2], out=products)
+        by_column[b] -= products
+    # x[0] as a C-ordered copy: the einsum over it sums in memory order too.
+    return np.ascontiguousarray(w[:, 0]), by_column.transpose(1, 0, 2)
 
 
 def det(t):
     """Determinants of the d x d matrices t, shape (..., d, d) with d <= 3:
     det_inv(t)[0], bit for bit, from the first cofactor row only."""
-    x, cof = _cofactors(t, slice(0, 1))
-    return np.einsum("bp,bp->p", x[0], cof[0]).reshape(np.shape(t)[:-2])
+    x0, cof = _cofactors(t, slice(0, 1))
+    return np.einsum("bp,bp->p", x0, cof[0]).reshape(np.shape(t)[:-2])
 
 
 def det_inv(t):
@@ -127,10 +157,13 @@ def det_inv(t):
     is contiguous.
     """
     batch, d = np.shape(t)[:-2], np.shape(t)[-1]
-    x, cof = _cofactors(t, slice(None))
-    dets = np.einsum("bp,bp->p", x[0], cof[0])
+    x0, inv = _cofactors(t, slice(None))
+    dets = np.einsum("bp,bp->p", x0, inv[0])
+    del x0
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = cof / dets
+        for row in inv:
+            for entry in row:  # (P,) each, as in _cofactors
+                entry /= dets
     return dets.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
 
 
@@ -314,6 +347,20 @@ def _eval_monomials(exps, points, grad=True):
     return _axis_products(values, derivs if grad else None)
 
 
+def _inverse(a):
+    """Inverse of a nonsingular square matrix by Gauss-Jordan elimination
+    with partial pivoting."""
+    n = len(a)
+    m = np.hstack([a, np.eye(n)])
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(m[k:, k])))
+        m[[k, p]] = m[[p, k]]
+        pivot_row = m[k] / m[k, k]
+        m -= np.outer(m[:, k], pivot_row)
+        m[k] = pivot_row
+    return m[:, n:]
+
+
 class NodalBasis:
     """Interpolatory Lagrange basis on a reference element.
 
@@ -343,7 +390,7 @@ class NodalBasis:
             self.nodes = _blended_simplex_nodes(order, self.dim)
             self._exponents = _simplex_indices(order, self.dim)
             vand, _ = _eval_monomials(self._exponents, self.nodes, grad=False)
-            self._vinv = np.linalg.inv(vand)
+            self._vinv = _inverse(vand)
         self.num_nodes = len(self.nodes)
 
     def eval(self, points):

@@ -32,11 +32,12 @@ _MAX_HALVINGS = 12
 # (point, element) pairs per Newton batch, and trial points per batch of
 # halved steps.  A batch holds coordinates, basis gradients and trial
 # values for each of its pairs, so this bounds the memory of a location.
-# At 1,024, the post-solve transfer sets the traced high-water mark of a
-# warm fit3d-hex run at resolution 4, 3.91 MB, level with the solve's
-# 3.89 MB; on fit2d-tri the transfer peaks at 1.27 MB and the solve at
-# 1.31 MB.  Locations do not depend on it.
-_CHUNK = 1024
+# At 512, the post-solve transfer of a warm run peaks at 1.94 MB on
+# fit3d-hex at resolution 4 and 0.67 MB on fit2d-tri (tracemalloc), about
+# half of what 1,024 took and under one Newton Hessian (3.29 MB and
+# 1.02 MB), so the solve sets the run's high-water mark.  Locations do not
+# depend on it; the Newton iterations summed over batches do.
+_CHUNK = 512
 
 
 @dataclass

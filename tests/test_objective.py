@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tmopfit.cases
 import tmopfit.mesh
 from tmopfit import quality
 from tmopfit.cases import EPS, builtin_levelset, named_case, run_case
@@ -22,6 +23,7 @@ from tmopfit.mesh import (
     element_volumes,
     is_valid,
     make_cartesian,
+    quadrature_jacobians,
 )
 from tmopfit.objective import (
     ObjectiveConfig,
@@ -39,8 +41,9 @@ from tmopfit.quality import (
     metric_batch,
     mirror_pairs,
 )
-from tmopfit.reference import quadrature_for
+from tmopfit.reference import det_inv, quadrature_for, quadrature_tables
 from tmopfit.solver import SolverConfig, newton_step, solve
+from tmopfit.transfer import transfer_field
 
 
 def perturbed(mesh, nodes, seed=0, amplitude=0.02):
@@ -356,7 +359,12 @@ PEAK_FIT3D_HEX_R4 = int(1.1 * 7_177_281)
 def fit3d_hex_r4_problem():
     """The objective, mesh and start nodes of the fit3d-hex case at
     resolution 4, with its solver settings."""
-    case = named_case("fit3d-hex", resolution=4)
+    return start_problem(named_case("fit3d-hex", resolution=4))
+
+
+def start_problem(case):
+    """The objective, mesh and start nodes of a fit case, with its solver
+    settings."""
     level_set = builtin_levelset(case.levelset)
     mesh, nodes = make_cartesian(case.dim, case.resolution, case.order, case.geometry)
     sigma = project(level_set, mesh, nodes)
@@ -415,12 +423,14 @@ def test_solve_peak_memory_fit3d_hex_r4_holds_one_hessian():
 
 
 # tracemalloc peak of a whole fit3d-hex run at resolution 4, outputs
-# included, after a warm-up: 10% over the 3,909,576 bytes it takes with
+# included, after a warm-up: 10% over the 3,909,576 bytes it took with
 # the fitting penalty's Hessian in factored form and one element chunk
-# alive in the Hessian pass; the run's peak is then set by the
-# post-solve transfer.  The penalty's COO entries and chunks that outlive
-# the next metric call take 5,045,549 bytes, and full element blocks
-# with 8,192-pair point-location batches 6,379,609.
+# alive in the Hessian pass, when the post-solve transfer set the run's
+# peak.  The penalty's COO entries and chunks that outlive the next metric
+# call took 5,045,549 bytes, and full element blocks with 8,192-pair
+# point-location batches 6,379,609.  With in-place metric kernels and
+# 512-pair batches the run takes 3,595,051 bytes, set by the solve's
+# Newton Hessian; the transfer peaks at 1,940,558.
 PEAK_RUN_FIT3D_HEX_R4 = int(1.1 * 3_909_576)
 
 
@@ -435,6 +445,54 @@ def test_run_peak_memory_fit3d_hex_r4(tmp_path):
     run, peak = traced_peak(lambda: run_case(case, out_dir=tmp_path / "run"))
     assert run.solve_report.reason == "converged"
     assert peak <= PEAK_RUN_FIT3D_HEX_R4
+
+
+# tracemalloc peaks on the first Hessian chunk of fit3d-hex at resolution
+# 4: 4 elements, 500 points of T in the memory order of quadrature_jacobians.
+# det_inv, which returns 41,136 bytes, at most half of the 254,760 it took
+# with gathered cofactor rows (in place: 121,824).  metric_batch at order 2,
+# which returns 261,960, at most 820,000, where a scratch twin of d2 and
+# take copies of its rows took 1,088,752 (in place: 765,344).  One hessian
+# at most 3,350,000, against 3,607,808 with those kernels (in place:
+# 3,287,680).
+PEAK_DET_INV_CHUNK_FIT3D_HEX_R4 = 254_760 // 2
+PEAK_METRIC_BATCH_CHUNK_FIT3D_HEX_R4 = 820_000
+PEAK_HESSIAN_FIT3D_HEX_R4 = 3_350_000
+
+
+def test_kernel_peak_memory_fit3d_hex_r4():
+    cfg, mesh, nodes, _ = fit3d_hex_r4_problem()
+    chunk = element_chunks(mesh, 2)[0]
+    grads = quadrature_tables(mesh.geometry, mesh.order)[2]
+    scale = cfg.targets.size[chunk, None, None] ** (-1.0 / mesh.dim)
+    t = quadrature_jacobians(mesh, nodes, chunk, grads) * scale
+    assert t.shape == (125, 4, 3, 3)
+    assert traced_peak(lambda: det_inv(t))[1] <= PEAK_DET_INV_CHUNK_FIT3D_HEX_R4
+    peak = traced_peak(lambda: metric_batch(cfg.metric_id, t, order=2))[1]
+    assert peak <= PEAK_METRIC_BATCH_CHUNK_FIT3D_HEX_R4
+    hessian(cfg, mesh, nodes)
+    assert traced_peak(lambda: hessian(cfg, mesh, nodes))[1] <= PEAK_HESSIAN_FIT3D_HEX_R4
+
+
+@pytest.mark.parametrize("name, overrides", [("fit3d-hex", {"resolution": 4}), ("fit2d-tri", {})])
+def test_post_solve_transfer_peaks_under_one_hessian(monkeypatch, tmp_path, name, overrides):
+    # The transfer runs after the solve's last Hessian is freed, so with
+    # its working set under one Hessian's it does not raise the run's peak.
+    case = named_case(name, **overrides)
+    cfg, mesh, nodes, _ = start_problem(case)
+    hessian(cfg, mesh, nodes)
+    hessian_peak = traced_peak(lambda: hessian(cfg, mesh, nodes))[1]
+    run_case(case, out_dir=tmp_path / "warm-up")
+    peaks = []
+
+    def traced_transfer(*args):
+        moved, peak = traced_peak(lambda: transfer_field(*args))
+        peaks.append(peak)
+        return moved
+
+    monkeypatch.setattr(tmopfit.cases, "transfer_field", traced_transfer)
+    run_case(case, out_dir=tmp_path / "run")
+    assert len(peaks) == 1 and peaks[0] < hessian_peak
 
 
 def test_fit2d_quad_start_mesh_f_mu_has_no_cancellation():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tmopfit import quality
+from tmopfit import quality, reference
 from tmopfit.errors import InvalidMeshError, NonpositiveDeterminantError
 from tmopfit.mesh import NodeField, make_cartesian, quadrature_jacobians
 from tmopfit.quality import (
@@ -457,3 +457,82 @@ def test_second_derivative_is_bit_identical_to_merging_all_terms_first(
         monkeypatch.undo()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# The in-place kernels against broadcast forms of them: the same products
+# in the same order, so every result is bit for bit the same
+
+
+def broadcast_cofactors(t, rows):
+    """reference._cofactors by gathered rows and whole-array products: x
+    and the given rows of its cofactor matrix, x[a, b, p] = t[p, b, a].
+    The gathers leave the 3D cofactors in (b, a, p) memory order."""
+    t = np.asarray(t, dtype=float)
+    d = t.shape[-1]
+    x = np.ascontiguousarray(t.reshape(-1, d, d).T)
+    if d == 1:
+        return x, np.ones_like(x[rows])
+    if d == 2:
+        return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
+    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
+    x1, x2 = x[one[rows]], x[two[rows]]
+    return x, x1[:, one] * x2[:, two] - x1[:, two] * x2[:, one]
+
+
+def broadcast_det(t):
+    x, cof = broadcast_cofactors(t, slice(0, 1))
+    return np.einsum("bp,bp->p", x[0], cof[0]).reshape(np.shape(t)[:-2])
+
+
+def broadcast_det_inv(t):
+    batch, d = np.shape(t)[:-2], np.shape(t)[-1]
+    x, cof = broadcast_cofactors(t, slice(None))
+    dets = np.einsum("bp,bp->p", x[0], cof[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = cof / dets
+    return dets.reshape(batch), inv.transpose(2, 0, 1).reshape(batch + (d, d))
+
+
+def broadcast_matmul(x, y):
+    return (x[:, :, None] * y[None]).sum(axis=1)
+
+
+def kernel_batches(rng, dim):
+    """Batches of valid T: C-ordered, in the memory order of a Hessian
+    chunk's T (quadrature_jacobians), a single point and a lone matrix."""
+    chunk = random_batch(rng, dim, (125, 4)).transpose(0, 1, 3, 2).copy().transpose(0, 1, 3, 2)
+    return [random_batch(rng, dim, (7, 5)), chunk, random_batch(rng, dim, (1,)),
+            random_valid_t(rng, dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_det_and_det_inv_are_bit_identical_to_broadcast_cofactors(dim):
+    rng = np.random.default_rng(90 + dim)
+    strided = np.swapaxes(rng.standard_normal((6, 3, dim, dim)), -1, -2)[::2, :, ::-1]
+    for t in [strided, np.zeros((2, dim, dim))] + kernel_batches(rng, dim):
+        assert np.array_equal(reference.det(t), broadcast_det(t))
+        (got_det, got_inv), (det, inv) = reference.det_inv(t), broadcast_det_inv(t)
+        assert np.array_equal(got_det, det)
+        assert np.array_equal(got_inv, inv, equal_nan=True)
+        # The same memory order, which einsums over the inverse sum in.
+        long_axes = [n > 1 for n in inv.shape]
+        assert np.compress(long_axes, got_inv.strides).tolist() == np.compress(
+            long_axes, inv.strides).tolist()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_metric_jets_are_bit_identical_to_broadcast_kernels(monkeypatch, mid, dim):
+    rng = np.random.default_rng(100 + dim)
+    for t in kernel_batches(rng, dim):
+        got = [metric_values(mid, t, 0.3)] + [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        monkeypatch.setattr(quality, "det_inv", broadcast_det_inv)
+        monkeypatch.setattr(quality, "_matmul", broadcast_matmul)
+        monkeypatch.setattr(quality, "_second_derivative", merged_first_second_derivative)
+        want = [metric_values(mid, t, 0.3)] + [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        monkeypatch.undo()
+        assert np.array_equal(got[0], want[0])
+        for g, w in zip(got[1:], want[1:]):
+            assert all(np.array_equal(a, b) for a, b in zip(g[:2], w[:2]))
+            assert (g[2] is None and w[2] is None) or np.array_equal(g[2], w[2])

@@ -27,6 +27,7 @@ from tmopfit.reference import (
     quadrature_tables,
     face_node_indices,
     gauss_jacobi_rule,
+    _eval_monomials,
     _lagrange_table,
 )
 
@@ -432,7 +433,7 @@ _LAPACK_OR_POLYNOMIAL = re.compile(
 )
 
 
-def test_source_calls_lapack_only_for_the_simplex_vandermonde_inverse():
+def test_source_calls_no_lapack_routine_and_no_numpy_polynomial():
     package = Path(tmopfit.__file__).resolve().parent
     hits = [
         (path.name, line.strip())
@@ -440,10 +441,11 @@ def test_source_calls_lapack_only_for_the_simplex_vandermonde_inverse():
         for line in path.read_text().splitlines()
         if _LAPACK_OR_POLYNOMIAL.search(line.split("#")[0])
     ]
-    assert hits == [("reference.py", "self._vinv = np.linalg.inv(vand)")]
+    assert hits == []
 
 
-def test_hex_run_calls_no_lapack_and_imports_no_numpy_polynomial(tmp_path):
+@pytest.mark.parametrize("name, order", [("fit3d-hex", 2), ("fit2d-tri", 3)])
+def test_run_calls_no_lapack_and_imports_no_numpy_polynomial(tmp_path, name, order):
     # A first call of a LAPACK routine, or the import of numpy.polynomial,
     # maps library code and heap into the run: 0.25-1.4 MiB of peak RSS.
     code = """
@@ -457,14 +459,26 @@ for name in ("det", "slogdet", "inv", "pinv", "solve", "lstsq", "eig", "eigh",
         return _f(*args, **kwargs)
     setattr(la, name, wrapper)
 import tmopfit.cases as c
-run = c.run_case(c.named_case("fit3d-hex", resolution=3), out_dir=sys.argv[1])
+run = c.run_case(c.named_case(sys.argv[2], resolution=3), out_dir=sys.argv[1])
 print(json.dumps([run.case.order, run.solve_report.reason, calls,
                   "numpy.polynomial" in sys.modules]))
 """
     src = str(Path(tmopfit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, str(tmp_path), name],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert json.loads(out.stdout.strip().splitlines()[-1]) == [2, "converged", [], False]
+    assert json.loads(out.stdout.strip().splitlines()[-1]) == [order, "converged", [], False]
+
+
+@pytest.mark.parametrize("geometry, order", [("triangle", 3), ("tet", 4)])
+def test_simplex_vandermonde_inverse_without_lapack(geometry, order):
+    # Gauss-Jordan elimination against LAPACK as the oracle.
+    basis = NodalBasis(geometry, order)
+    vand, _ = _eval_monomials(basis._exponents, basis.nodes, grad=False)
+    eye = np.eye(basis.num_nodes)
+    assert np.abs(basis._vinv @ vand - eye).max() <= 1e-12
+    assert np.abs(vand @ basis._vinv - eye).max() <= 1e-12
+    want = np.linalg.inv(vand)
+    assert np.abs(basis._vinv - want).max() <= 1e-13 * np.abs(want).max()

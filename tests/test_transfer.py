@@ -10,7 +10,7 @@ from tmopfit import transfer
 from tmopfit.errors import TransferFailureError
 from tmopfit.fields import AnalyticLevelSet, ScalarField, project
 from tmopfit.mesh import Mesh, NodeField, make_cartesian
-from tmopfit.reference import GEOMETRY_DIM, NodalBasis, det_inv
+from tmopfit.reference import GEOMETRY_DIM, NodalBasis, det_inv, quadrature_tables
 from tmopfit.transfer import (
     DiscreteLevelSet,
     build_index,
@@ -445,13 +445,15 @@ def test_shared_vertex_tie_goes_to_first_candidate_in_cell_order(geometry):
 
 
 @pytest.mark.parametrize("geometry", list(GEOMETRY_MESHES))
-def test_affine_source_mesh_locates_in_few_newton_iterations(geometry):
+def test_affine_source_mesh_locates_in_few_newton_iterations(geometry, monkeypatch):
     # Every fit case starts from an affine mesh.  Its smoothly moved nodes
     # are each accepted by their element after the first Newton step,
     # which stops every other candidate of the point, including those
     # clamped on the reference boundary.  Stopping only the candidates
     # after the accepted one leaves those creeping on for 3 (hex) to all
-    # 50 (tet) iterations on these meshes.
+    # 50 (tet) iterations on these meshes.  "iterations" sums over the
+    # Newton batches, so the pairs are located in one batch.
+    monkeypatch.setattr(transfer, "_CHUNK", 1 << 20)
     n_cells, order = GEOMETRY_MESHES[geometry]
     mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
     index = build_index(mesh, nodes)
@@ -476,8 +478,12 @@ def test_transfer_eval_calls_do_not_grow_with_points(monkeypatch):
     ls, _ = poly_ls(2, 2, seed=5)
     sigma = project(ls, mesh, nodes)
     moved_nodes = smooth_motion(mesh, nodes)
+    quadrature_tables(mesh.geometry, mesh.order)  # cached: its basis calls are not counted
     calls = []
     count_basis_calls(monkeypatch, calls)
+    # Each pass in one Newton batch, so that the batches of the two meshes
+    # match whatever the default _CHUNK.
+    monkeypatch.setattr(transfer, "_CHUNK", 1 << 20)
     counts = []
     for copies in (1, 4):
         tiled, tiled_nodes = tiled_mesh(mesh, moved_nodes, copies)
