@@ -51,6 +51,8 @@ def _cmd_run(args):
     r = run.fit_report
     print(f"case          {r.case}")
     print(f"termination   {r.reason}")
+    if run.align_report is not None:  # relax and fixed cases
+        print(f"alignment     {run.align_report.reason}, {run.align_report.iterations} iterations")
     print(f"iterations    {r.iterations}")
     print(f"F0            {r.f0:.6e}")
     print(f"F_final       {r.f_final:.6e}")

@@ -40,9 +40,10 @@ marked nodes, fitting.PenaltyHessian) and copies x into the fixed rows.
 That, and the exact diagonal for the Jacobi preconditioner, is all
 MINRES needs.
 
-The Hessian pass keeps one element chunk alive at a time: the metric's
-d2mu pairs and the per-point products of a chunk are released before
-the next chunk's metric call.
+Besides its element blocks, the Hessian pass holds one element chunk at
+a time, released before the next chunk's metric call: its weights (no
+(Q, E) table), its d2mu pairs alone (quality.metric_d2 builds neither
+values nor dmu) and their per-point products.
 """
 
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import NonpositiveDeterminantError
 from .fitting import penalty_gradient, penalty_hessian, penalty_value
 from .mesh import det, element_chunks, quadrature_jacobians
-from .quality import PAIRS, metric_batch, metric_values
+from .quality import PAIRS, metric_batch, metric_d2, metric_values
 from .reference import quadrature_for, quadrature_tables
 
 # The component pairs (a, c), a < c, of the off-diagonal blocks, in the
@@ -72,20 +73,23 @@ class ObjectiveConfig:
 
 
 def _chunks(config, mesh, node_field, order):
-    """Yield (elements, metric) per element chunk: the metric's values,
-    dmu or d2mu pairs (metric_batch) at the given order, at T = A W^{-1}
-    of shape (Q, E_c, d, d).  Raises NonpositiveDeterminantError naming
-    the first element with det T <= 0.  Only the yielded array is kept,
-    and it is released before the next chunk is evaluated."""
+    """Yield (elements, w_q det W_e s_e^(-order/d) of shape (Q, E_c), metric)
+    per element chunk: the metric's values, dmu or d2mu pairs at the given
+    order, at T = A W^{-1} of shape (Q, E_c, d, d).  Raises
+    NonpositiveDeterminantError naming the first element with det T <= 0.
+    The yielded arrays are released before the next chunk is evaluated."""
     grads = quadrature_tables(mesh.geometry, mesh.order)[2]
-    scale = config.targets.size ** (-1.0 / mesh.dim)
+    size = config.targets.size
+    scale = size ** (-1.0 / mesh.dim)
+    fold = config.targets.det(mesh.geometry) * size ** (-order / mesh.dim)
+    weights = quadrature_for(mesh.geometry, mesh.order).weights
     for chunk in element_chunks(mesh, order):
         t = quadrature_jacobians(mesh, node_field, chunk, grads) * scale[chunk, None, None]
         try:
-            if order == 0:
-                result = metric_values(config.metric_id, t)
+            if order == 1:
+                result = metric_batch(config.metric_id, t, order=1)[1]
             else:
-                result = metric_batch(config.metric_id, t, order=order)[order]
+                result = (metric_d2 if order else metric_values)(config.metric_id, t)
         except NonpositiveDeterminantError:
             tau = det(t)
             e = int(np.flatnonzero((tau <= 0.0).any(axis=0))[0])
@@ -93,15 +97,8 @@ def _chunks(config, mesh, node_field, order):
                 chunk.start + e, float(tau[:, e].min())
             ) from None
         del t
-        yield chunk, result
+        yield chunk, np.outer(weights, fold[chunk]), result
         del result
-
-
-def _weights(config, mesh, order=0):
-    """w_q det W_e times s_e^(-1/d) per derivative of T, shape (Q, E)."""
-    targets = config.targets
-    fold = targets.det(mesh.geometry) * targets.size ** (-order / mesh.dim)
-    return np.outer(quadrature_for(mesh.geometry, mesh.order).weights, fold)
 
 
 def _gemm_table(mesh):
@@ -112,10 +109,9 @@ def _gemm_table(mesh):
 
 def value(config, mesh, node_field):
     """(F, F_mu, F_sigma)."""
-    wdet = _weights(config, mesh)
     f_mu = 0.0
-    for chunk, vals in _chunks(config, mesh, node_field, 0):  # vals (Q, E_c)
-        f_mu += np.vdot(wdet[:, chunk], vals)
+    for _, wdet, vals in _chunks(config, mesh, node_field, 0):  # vals (Q, E_c)
+        f_mu += np.vdot(wdet, vals)
     f_sigma = 0.0
     if config.penalty is not None:
         f_sigma = penalty_value(config.penalty, node_field)
@@ -125,14 +121,13 @@ def value(config, mesh, node_field):
 def gradient(config, mesh, node_field):
     """Masked derivative of F with respect to all node coordinates."""
     dim, nnod = mesh.dim, mesh.num_nodes
-    fold = _weights(config, mesh, 1)
     bt = _gemm_table(mesh)
     # local[i, e, a] = sum_q sum_b B[(q, b), i] P[q, b, e, a]
     local = np.empty((mesh.basis.num_nodes, mesh.num_elements, dim))
-    for chunk, dmu in _chunks(config, mesh, node_field, 1):
+    for chunk, fold, dmu in _chunks(config, mesh, node_field, 1):
         # P[q, b, e, a] = w_q det W_e s_e^(-1/d) dmu[q, e, a, b]
         p = np.empty((len(fold), dim, dmu.shape[1], dim))
-        np.multiply(dmu.transpose(0, 3, 1, 2), fold[:, None, chunk, None], out=p)
+        np.multiply(dmu.transpose(0, 3, 1, 2), fold[:, None, :, None], out=p)
         local[:, chunk] = (bt @ p.reshape(bt.shape[1], -1)).reshape(len(bt), -1, dim)
     conn = mesh.connectivity.T  # (N, E), matching local
     grad = np.concatenate(
@@ -149,7 +144,6 @@ def hessian(config, mesh, node_field):
     """Masked symmetric Hessian of F as an ElementHessian."""
     dim, nnod, nw = mesh.dim, mesh.num_nodes, mesh.basis.num_nodes
     ndof = dim * nnod
-    fold = _weights(config, mesh, 2)
     grads = quadrature_tables(mesh.geometry, mesh.order)[2]
     grads_t = np.ascontiguousarray(grads.transpose(0, 2, 1))  # (Q, d, N)
     bt = _gemm_table(mesh)
@@ -159,11 +153,11 @@ def hessian(config, mesh, node_field):
     off = np.empty((len(ia) - dim, mesh.num_elements, nw, nw))
     rest = iter(off)  # the pairs a < c come in _UPPER order
     dest = [diag[a] if a == c else next(rest) for a, c in zip(ia, ic)]
-    for chunk, d2 in _chunks(config, mesh, node_field, 2):
+    for chunk, fold, d2 in _chunks(config, mesh, node_field, 2):
         ne = d2.shape[1]
         # D[q, e, p, b', c'] = w_q det W_e s_e^(-2/d) d2[q, e, p, b', c'],
         # folded in place: d2 is this chunk's own array.
-        d2 *= fold[:, chunk, None, None, None]
+        d2 *= fold[..., None, None, None]
         x = np.empty((nq, dim, ne, nw))  # x[q, b', e, j] of one pair
         for p, (a, c) in enumerate(zip(ia, ic)):
             # One small matmul per point, then one GEMM over (q, b') gives
@@ -176,7 +170,7 @@ def hessian(config, mesh, node_field):
                 local *= 0.5
             else:
                 local[...] = block
-        del d2, x, block  # before the next chunk's metric call
+        del fold, d2, x, block  # before the next chunk's metric call
     dofs = np.arange(dim)[:, None, None] * nnod + mesh.connectivity  # (d, E, N)
     h_sigma = None
     if config.penalty is not None:

@@ -7,17 +7,18 @@ A metric gives its value and scalar partials f_k, f_kl (mu80 and mu333
 blend those of their parts), and the chain rule gives dmu = sum f_k dI_k
 and d2mu = sum f_kl dI_k (x) dI_l + sum f_k d2I_k.  All runs points last,
 T as (d, d, P).  Each invariant is seeded once per batch with value (P,),
-d1 (d, d, P) and d2 as factor pairs X (x) Y in the index patterns
-X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b] plus a constant part,
-never as a dense array.  As d2mu[a, b, c, f] = d2mu[c, f, a, b], only
-the component pairs (a, c), a <= c, of PAIRS[d] are computed, into one
-contiguous (pair, b, f, P) array, written in place pair by pair from
-views of the rows a and c of each factor pair (see _second_derivative):
-besides the result, d2mu holds two (d, d, P) temporaries.  Where the
-full (d, d, d, d) d2mu is needed, mirror_pairs copies pair (a, c) to
-rows c, a transposed.  metric_values is the order-0 path, with the same
-arithmetic as the values of metric_batch.  A target W_e = s_e^(1/d)
-W_ideal is one size s_e per element.
+d1 (d, d, P), held unscaled (2 T as T), and d2 as factor pairs X (x) Y
+in the index patterns X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b]
+plus a constant part, never as a dense array.  As d2mu[a, b, c, f] =
+d2mu[c, f, a, b], only the component pairs (a, c), a <= c, of PAIRS[d]
+are computed, into one contiguous (pair, b, f, P) array, written in
+place pair by pair from views of the rows a and c of each factor pair
+(see _second_derivative): besides the result, d2mu holds two (d, d, P)
+temporaries.  Where the full (d, d, d, d) d2mu is needed, mirror_pairs
+copies pair (a, c) to rows c, a transposed.  metric_values and metric_d2
+are the order-0 and order-2 paths, with the same arithmetic as those
+parts of metric_batch.  A target W_e = s_e^(1/d) W_ideal is one size
+s_e per element.
 """
 
 from dataclasses import dataclass
@@ -43,13 +44,20 @@ TARGET_KINDS = ("ideal-shape-unit-size", "ideal-shape-initial-size")
 
 
 class _Invariant(NamedTuple):
-    """Value (P,), d1 (d, d, P) and d2 of an invariant: factor pairs
-    (pattern, c, X, Y), each c X (x) Y, plus a constant (d, d, d, d) part."""
+    """Value (P,), d1 = scale grad with grad (d, d, P), and d2 of an
+    invariant: factor pairs (pattern, c, X, Y), each c X (x) Y, plus a
+    constant (d, d, d, d) part.  scale is a power of two, which the chain
+    rule folds into its coefficients exactly: 2 T of |T|^2 is held as T."""
 
     value: np.ndarray
-    d1: np.ndarray = None
+    grad: np.ndarray = None
+    scale: float = 1.0
     pairs: tuple = ()
     const: np.ndarray = None
+
+    @property
+    def d1(self):
+        return self.grad if self.scale == 1.0 else self.scale * self.grad
 
 
 def _sq(x):
@@ -75,27 +83,27 @@ def _seed_invariants(t, tau, k, names, order):
     # d2 det = tau (K^t[a,b] K^t[c,f] - K^t[a,f] K^t[c,b])
     dtau = tau * kt if order else None
     det_pairs = (("ab,cf", 1.0, dtau, kt), ("af,cb", -tau, kt, kt)) if second else ()
-    inv = {"det": _Invariant(tau, dtau, det_pairs)}
+    inv = {"det": _Invariant(tau, dtau, pairs=det_pairs)}
     if "frob2" in names:
-        inv["frob2"] = _Invariant(_sq(t), 2.0 * t if order else None, const=d2frob2)
+        inv["frob2"] = _Invariant(_sq(t), t if order else None, 2.0, const=d2frob2)
     if "s" in names:  # s = |T|^2 - 2 det T: d2s = d2|T|^2 - 2 d2 det
         u, v = t[0, 0] - t[1, 1], t[0, 1] + t[1, 0]
         d1 = 2.0 * np.array([[u, v], [v, -u]]) if order else None
         pairs = tuple((p, -2.0 * c, x, y) for p, c, x, y in det_pairs)
-        inv["s"] = _Invariant(u * u + v * v, d1, pairs, d2frob2)
+        inv["s"] = _Invariant(u * u + v * v, d1, pairs=pairs, const=d2frob2)
     if "invfrob2" in names:
         b = _matmul(kt, k) if order else None
         m = _matmul(b, kt) if order else None  # K^t K K^t
         pairs = (("af,cb", 2.0, kt, m), ("ac,bf", 2.0, b, _matmul(k, kt)),
                  ("af,cb", 2.0, m, kt)) if second else ()
-        inv["invfrob2"] = _Invariant(_sq(k), -2.0 * m if order else None, pairs)
+        inv["invfrob2"] = _Invariant(_sq(k), m, -2.0, pairs)
     if "ttfrob2" in names:
         tt = t.transpose(1, 0, 2)
         gram = _matmul(tt, t)
         eye = np.eye(d)[:, :, None]
         pairs = (("ac,bf", 4.0, eye, gram), ("af,cb", 4.0, t, t),
                  ("ac,bf", 4.0, _matmul(t, tt), eye)) if second else ()
-        inv["ttfrob2"] = _Invariant(_sq(gram), 4.0 * _matmul(t, gram) if order else None, pairs)
+        inv["ttfrob2"] = _Invariant(_sq(gram), _matmul(t, gram) if order else None, 4.0, pairs)
     return inv
 
 
@@ -177,8 +185,8 @@ def _second_derivative(inv, f, f2, shape):
     are added on their nonzeros only."""
     d, n = shape[0], shape[-1]
     ia, ic = PAIRS[d]
-    pairs = [("ab,cf", fkl, inv[i].d1, inv[j].d1) for (k, l), fkl in f2.items()
-             for i, j in dict.fromkeys([(k, l), (l, k)])]
+    pairs = [("ab,cf", fkl * inv[i].scale * inv[j].scale, inv[i].grad, inv[j].grad)
+             for (k, l), fkl in f2.items() for i, j in dict.fromkeys([(k, l), (l, k)])]
     pairs += [(pattern, c * f[k], x, y) for k in f for pattern, c, x, y in inv[k].pairs]
     terms = {}  # (pattern, id(X)) -> (pattern, X, [(c, Y), ...])
     for pattern, c, x, y in pairs:
@@ -223,9 +231,9 @@ def mirror_pairs(pairs):
     return full
 
 
-def _metric_derivatives(metric_id, t, gamma, order):
-    """Value, dmu and the pairs of d2mu at T (..., d, d) up to the given
-    order, as points-first views (...,), (..., d, d), (..., pair, d, d) of
+def _metric_derivatives(metric_id, t, gamma, orders):
+    """Value, dmu and the pairs of d2mu at T (..., d, d), those of the given
+    orders, as points-first views (...,), (..., d, d), (..., pair, d, d) of
     the points-last arrays.  Raises NonpositiveDeterminantError if det T <= 0."""
     parts = _BLENDS.get(metric_id, (metric_id,))
     if not all(part in _METRICS for part in parts):
@@ -237,7 +245,7 @@ def _metric_derivatives(metric_id, t, gamma, order):
     if np.any(tau <= 0.0):
         raise NonpositiveDeterminantError(None, float(tau.min()))
     names = {n for p in parts for n in (_INVARIANTS_2D if d == 2 else _INVARIANTS)[p]}
-    inv = _seed_invariants(t, tau, np.moveaxis(k, (-2, -1), (0, 1)), names, order)
+    inv = _seed_invariants(t, tau, np.moveaxis(k, (-2, -1), (0, 1)), names, max(orders))
     values = {name: i.value for name, i in inv.items()}
     mu, f, f2 = 0.0, {}, {}
     for part, weight in zip(parts, (1.0 - gamma, gamma) if len(parts) > 1 else (1.0,)):
@@ -245,13 +253,13 @@ def _metric_derivatives(metric_id, t, gamma, order):
         mu = mu + weight * part_mu
         for total, part_f in zip((f, f2), partials):
             total.update({k: total.get(k, 0.0) + weight * v for k, v in part_f.items()})
-    out = [mu]
-    if order:
+    out = [mu] if 0 in orders else []
+    if 1 in orders:
         dmu = np.zeros_like(t)  # from 0 as a sum: -0.0 terms read +0.0
         for k, fk in f.items():
-            dmu += fk * inv[k].d1
+            dmu += fk * inv[k].scale * inv[k].grad
         out.append(dmu)
-    if order > 1:
+    if 2 in orders:
         out.append(_second_derivative(inv, f, f2, t.shape))
     return [np.moveaxis(u, -1, 0).reshape(batch + u.shape[:-1]) for u in out]
 
@@ -274,7 +282,7 @@ def metric_batch(metric_id, t, gamma=0.5, order=2):
     (..., d, d, d, d) array), and is None when order=1.  Raises
     NonpositiveDeterminantError if any det T <= 0.
     """
-    values, dmu, *d2mu = _metric_derivatives(metric_id, t, gamma, order)
+    values, dmu, *d2mu = _metric_derivatives(metric_id, t, gamma, range(order + 1))
     return values, dmu, d2mu[0] if d2mu else None
 
 
@@ -287,7 +295,12 @@ def metric(metric_id, t, gamma=0.5):
 def metric_values(metric_id, t, gamma=0.5):
     """Metric values only (the order-0 path) on batched T; the line
     search's objective evaluations take this path."""
-    return _metric_derivatives(metric_id, t, gamma, 0)[0]
+    return _metric_derivatives(metric_id, t, gamma, (0,))[0]
+
+
+def metric_d2(metric_id, t, gamma=0.5):
+    """metric_batch's d2 alone, with no values or dmu: the Hessian's path."""
+    return _metric_derivatives(metric_id, t, gamma, (2,))[0]
 
 
 # ---------------------------------------------------------------------------

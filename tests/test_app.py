@@ -673,3 +673,17 @@ def test_cli_run_tiny_case(tmp_path, capsys):
     assert code == 0
     assert "termination   converged" in out
     assert (tmp_path / "out" / "report.json").exists()
+    assert "alignment" not in out  # a fit case has no alignment solve
+
+
+def test_cli_run_reports_an_alignment_that_stops_short(monkeypatch, capsys):
+    # The alignment's end reason and step count are printed, so an
+    # alignment cut at its step cap is no longer hidden behind the main
+    # solve's "converged"; the exit code still follows the main solve.
+    assert main(["run", "rt2d", "--mode", "relax"]) == 0
+    align = run_case(named_case("rt2d")).align_report
+    assert f"alignment     converged, {align.iterations} iterations\n" in capsys.readouterr().out
+    monkeypatch.setattr(tmopfit.cases, "ALIGN_MAX_ITERATIONS", 2)
+    assert main(["run", "rt2d", "--mode", "relax"]) == 0
+    out = capsys.readouterr().out
+    assert "termination   converged\nalignment     max-iter, 2 iterations\n" in out

@@ -423,15 +423,18 @@ def test_solve_peak_memory_fit3d_hex_r4_holds_one_hessian():
 
 
 # tracemalloc peak of a whole fit3d-hex run at resolution 4, outputs
-# included, after a warm-up: 10% over the 3,909,576 bytes it took with
-# the fitting penalty's Hessian in factored form and one element chunk
-# alive in the Hessian pass, when the post-solve transfer set the run's
-# peak.  The penalty's COO entries and chunks that outlive the next metric
+# included, after a warm-up: at most 3,450,000 bytes.  The bound was 10%
+# over the 3,909,576 bytes it took with the fitting penalty's Hessian in
+# factored form and one element chunk alive in the Hessian pass, when the
+# post-solve transfer set the run's peak.  The penalty's COO entries and chunks that outlive the next metric
 # call took 5,045,549 bytes, and full element blocks with 8,192-pair
 # point-location batches 6,379,609.  With in-place metric kernels and
-# 512-pair batches the run takes 3,595,051 bytes, set by the solve's
-# Newton Hessian; the transfer peaks at 1,940,558.
-PEAK_RUN_FIT3D_HEX_R4 = int(1.1 * 3_909_576)
+# 512-pair batches the run took 3,595,051 bytes, set by the solve's
+# Newton Hessian; the transfer peaks at 1,940,558.  With the Hessian pass
+# holding only its element blocks and one metric chunk (weights folded
+# per chunk, d2mu pairs alone, unscaled invariant derivatives) the run
+# takes 3,411,900, still set by the Hessian.
+PEAK_RUN_FIT3D_HEX_R4 = 3_450_000
 
 
 def test_run_peak_memory_fit3d_hex_r4(tmp_path):
@@ -451,13 +454,15 @@ def test_run_peak_memory_fit3d_hex_r4(tmp_path):
 # 4: 4 elements, 500 points of T in the memory order of quadrature_jacobians.
 # det_inv, which returns 41,136 bytes, at most half of the 254,760 it took
 # with gathered cofactor rows (in place: 121,824).  metric_batch at order 2,
-# which returns 261,960, at most 820,000, where a scratch twin of d2 and
-# take copies of its rows took 1,088,752 (in place: 765,344).  One hessian
-# at most 3,350,000, against 3,607,808 with those kernels (in place:
-# 3,287,680).
+# which returns 261,960, at most 700,000: with a scratch twin of d2 and
+# take copies of its rows it took 1,088,752, in place 765,344 (bound
+# 820,000), and with 2 T and -2 K^t K K^t held unscaled 697,160.  One
+# hessian at most 3,120,000: it took 3,607,808 with those kernels, 3,287,680
+# in place (bound 3,350,000), and with the weights folded per chunk and
+# the d2mu pairs alone (metric_d2) 3,116,864.
 PEAK_DET_INV_CHUNK_FIT3D_HEX_R4 = 254_760 // 2
-PEAK_METRIC_BATCH_CHUNK_FIT3D_HEX_R4 = 820_000
-PEAK_HESSIAN_FIT3D_HEX_R4 = 3_350_000
+PEAK_METRIC_BATCH_CHUNK_FIT3D_HEX_R4 = 700_000
+PEAK_HESSIAN_FIT3D_HEX_R4 = 3_120_000
 
 
 def test_kernel_peak_memory_fit3d_hex_r4():

@@ -14,6 +14,7 @@ from tmopfit.quality import (
     make_targets,
     metric,
     metric_batch,
+    metric_d2,
     metric_values,
     mirror_pairs,
 )
@@ -536,3 +537,42 @@ def test_metric_jets_are_bit_identical_to_broadcast_kernels(monkeypatch, mid, di
         for g, w in zip(got[1:], want[1:]):
             assert all(np.array_equal(a, b) for a, b in zip(g[:2], w[:2]))
             assert (g[2] is None and w[2] is None) or np.array_equal(g[2], w[2])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_metric_d2_is_bit_identical_to_the_order_2_jet(mid, dim):
+    # metric_d2, the Hessian's path, builds the d2mu pairs alone, without
+    # the values and dmu, by the same arithmetic as metric_batch.
+    rng = np.random.default_rng(110 + dim)
+    for t in kernel_batches(rng, dim):
+        got, want = metric_d2(mid, t, 0.3), metric_batch(mid, t, 0.3)[2]
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("mid", METRIC_IDS)
+def test_folded_scales_are_bit_identical_to_scaled_first_derivatives(monkeypatch, mid, dim):
+    # 2 T of |T|^2 and -2 K^t K K^t of |T^-1|^2 are held unscaled and their
+    # factors folded into the chain rule's coefficients.  Powers of two
+    # scale exactly, so dmu and d2mu equal, bit for bit, those built from
+    # the scaled copies.
+    rng = np.random.default_rng(120 + dim)
+    seed = quality._seed_invariants
+    scales = set()
+
+    def scaled_copies(*args):
+        inv = seed(*args)
+        scales.update(i.scale for i in inv.values())
+        return {name: i._replace(grad=i.d1, scale=1.0) for name, i in inv.items()}
+
+    for t in kernel_batches(rng, dim):
+        got = [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        monkeypatch.setattr(quality, "_seed_invariants", scaled_copies)
+        want = [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+            assert (g[2] is None and w[2] is None) or np.array_equal(g[2], w[2])
+    if mid in ("mu302", "mu333"):
+        assert scales == {1.0, 2.0, -2.0}
