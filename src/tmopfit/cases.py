@@ -8,7 +8,7 @@ then optimize with the interface either fixed or weakly relaxed.
 """
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +119,13 @@ def named_case(name, **overrides):
     return CASE_DEFAULTS[name].copy_with(**overrides)
 
 
+# The report.json key of each FitReport field, in field and file order.
+REPORT_KEYS = (
+    "case", "F0", "F_final", "F_decrease_pct", "e_S", "E_avg", "E_max",
+    "iterations", "wall_time_s", "converged", "reason",
+)
+
+
 @dataclass
 class FitReport:
     """Summary of one optimization run."""
@@ -136,31 +143,18 @@ class FitReport:
     reason: str = "converged"
 
     def to_json(self):
-        return json.dumps(
-            {
-                "case": self.case,
-                "F0": self.f0,
-                "F_final": self.f_final,
-                "F_decrease_pct": self.f_decrease_pct,
-                "e_S": self.e_s,
-                "E_avg": self.e_avg,
-                "E_max": self.e_max,
-                "iterations": self.iterations,
-                "wall_time_s": self.wall_time_s,
-                "converged": self.converged,
-                "reason": self.reason,
-            },
-            indent=2,
-        )
+        values = (getattr(self, f.name) for f in fields(self))
+        return json.dumps(dict(zip(REPORT_KEYS, values)), indent=2)
 
     @classmethod
     def from_json(cls, text):
+        """The report of to_json's text; a missing key raises KeyError
+        unless its field has a default."""
         d = json.loads(text)
-        return cls(
-            d["case"], d["F0"], d["F_final"], d["F_decrease_pct"], d["e_S"],
-            d["E_avg"], d["E_max"], d["iterations"], d["wall_time_s"],
-            d.get("converged", True), d.get("reason", "converged"),
-        )
+        return cls(**{
+            f.name: d[key] for f, key in zip(fields(cls), REPORT_KEYS)
+            if key in d or f.default is MISSING
+        })
 
 
 def compute_e_S(node_field, marked, level_set):

@@ -12,7 +12,8 @@ from .fields import AnalyticLevelSet, project
 from .fitting import MarkedSet, make_penalty
 from .mesh import NodeField, is_valid, make_cartesian
 from .objective import ObjectiveConfig, gradient, hessian, value
-from .quality import make_targets
+from .quality import METRIC_DIM, make_targets
+from .reference import GEOMETRY_DIM
 from .transfer import DiscreteLevelSet
 
 CONFIGS = (
@@ -25,19 +26,21 @@ CONFIGS = (
 )
 
 
-def perturbed_mesh(geometry, n_cells, order, rng, amplitude=0.12):
-    """Cartesian mesh plus a random valid interior perturbation.
+_FD_STEP = 1e-6  # central-difference step of fd_gradient and fd_hessian
+
+
+def perturbed_mesh(geometry, n_cells, order, rng):
+    """Cartesian mesh plus a random valid interior perturbation of at most
+    0.12 h / order per axis, halved until the mesh is valid.
 
     Returns (mesh, initial_nodes, perturbed_nodes); discrete sigma
     sources belong on the unperturbed (affine) initial mesh, where
     polynomial fields are represented exactly.
     """
-    mesh, nodes = make_cartesian(
-        3 if geometry in ("hex", "tet") else 2, n_cells, order, geometry
-    )
+    mesh, nodes = make_cartesian(GEOMETRY_DIM[geometry], n_cells, order, geometry)
     interior = np.setdiff1d(np.arange(mesh.num_nodes), mesh.boundary_node_ids())
     h = 1.0 / n_cells
-    scale = amplitude * h / order
+    scale = 0.12 * h / order
     while True:
         mat = nodes.as_matrix().copy()
         mat[interior] += scale * rng.uniform(-1.0, 1.0, (len(interior), mesh.dim))
@@ -71,8 +74,7 @@ def _poly_level_set(dim, order, rng):
 
 def _config(mesh, initial_nodes, nodes, rng, source_kind):
     dim = mesh.dim
-    metric = rng.choice(["mu2", "mu58", "mu77", "mu80"] if dim == 2 else
-                        ["mu302", "mu316", "mu333"])
+    metric = rng.choice([m for m, metric_dim in METRIC_DIM.items() if metric_dim == dim])
     kind = rng.choice(["ideal-shape-unit-size", "ideal-shape-initial-size"])
     targets = make_targets(mesh, nodes, kind)
     analytic = _poly_level_set(dim, mesh.order, rng)
@@ -91,35 +93,35 @@ def _config(mesh, initial_nodes, nodes, rng, source_kind):
     return ObjectiveConfig(str(metric), targets, penalty=penalty)
 
 
-def fd_gradient(config, mesh, nodes, step=1e-6):
+def fd_gradient(config, mesh, nodes):
     """Central differences of (F_mu, F_sigma) in one pass over the dofs."""
     ndof = mesh.dim * mesh.num_nodes
     out_mu = np.zeros(ndof)
     out_sigma = np.zeros(ndof)
     work = nodes.copy()
     for dof in range(ndof):
-        work.coords[dof] += step
+        work.coords[dof] += _FD_STEP
         _, mu_p, sig_p = value(config, mesh, work)
-        work.coords[dof] -= 2.0 * step
+        work.coords[dof] -= 2.0 * _FD_STEP
         _, mu_m, sig_m = value(config, mesh, work)
-        work.coords[dof] += step
-        out_mu[dof] = (mu_p - mu_m) / (2.0 * step)
-        out_sigma[dof] = (sig_p - sig_m) / (2.0 * step)
+        work.coords[dof] += _FD_STEP
+        out_mu[dof] = (mu_p - mu_m) / (2.0 * _FD_STEP)
+        out_sigma[dof] = (sig_p - sig_m) / (2.0 * _FD_STEP)
     return out_mu, out_sigma
 
 
-def fd_hessian(config, mesh, nodes, step=1e-6):
+def fd_hessian(config, mesh, nodes):
     """Columnwise central differences of the analytic gradient."""
     ndof = mesh.dim * mesh.num_nodes
     out = np.zeros((ndof, ndof))
     work = nodes.copy()
     for dof in range(ndof):
-        work.coords[dof] += step
+        work.coords[dof] += _FD_STEP
         gp = gradient(config, mesh, work)
-        work.coords[dof] -= 2.0 * step
+        work.coords[dof] -= 2.0 * _FD_STEP
         gm = gradient(config, mesh, work)
-        work.coords[dof] += step
-        out[:, dof] = (gp - gm) / (2.0 * step)
+        work.coords[dof] += _FD_STEP
+        out[:, dof] = (gp - gm) / (2.0 * _FD_STEP)
     return 0.5 * (out + out.T)
 
 

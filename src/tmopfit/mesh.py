@@ -236,15 +236,15 @@ def make_cartesian(dim, n_cells, order, geometry):
     """
     if n_cells < 1 or order < 1:
         raise ValueError("n_cells and order must be >= 1")
+    nodes = nodal_basis(geometry, order).nodes  # ValueError on an unknown geometry
     if GEOMETRY_DIM[geometry] != dim:
         raise ValueError(f"geometry {geometry!r} is not {dim}-dimensional")
-    nodes = nodal_basis(geometry, order).nodes
     h = 1.0 / n_cells
     cells = np.stack(
         np.meshgrid(*([np.arange(n_cells)] * dim), indexing="ij"), axis=-1
     ).reshape(-1, dim)
     origin = cells[:, None, :] * h  # (cells, 1, dim)
-    if geometry in ("segment", "quad", "hex"):
+    if geometry in ("quad", "hex"):
         points = origin + h * nodes
     else:
         if geometry == "triangle":
@@ -280,10 +280,12 @@ def make_cartesian(dim, n_cells, order, geometry):
     return mesh, node_field
 
 
-def _domain_boundary_faces(mesh, node_field, tol=1e-12):
-    """Boundary faces with attributes 1..2*dim by unit-domain side, in
-    ascending order of their sorted corner ids; 0 where a face lies on no
-    side, the last axis winning where it lies on several."""
+def _domain_boundary_faces(mesh, node_field):
+    """Boundary faces with attributes 1..2*dim by unit-domain side (all
+    face nodes within 1e-12 of it), in ascending order of their sorted
+    corner ids; 0 where a face lies on no side, the last axis winning
+    where it lies on several."""
+    tol = 1e-12
     nodes = mesh.face_nodes()[mesh.face_incidence()[0]]
     pts = node_field.as_matrix()[nodes]  # (faces, face nodes, dim)
     attrs = np.zeros(len(nodes), dtype=int)

@@ -59,7 +59,7 @@ from .reference import quadrature_for, quadrature_tables
 
 # The component pairs (a, c), a < c, of the off-diagonal blocks, in the
 # order of quality.PAIRS.
-_UPPER = {d: np.triu_indices(d, 1) for d in (1, 2, 3)}
+_UPPER = {d: np.triu_indices(d, 1) for d in (2, 3)}
 
 
 @dataclass

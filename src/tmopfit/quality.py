@@ -1,13 +1,14 @@
 """Target Jacobians and TMOP quality metrics with derivatives.
 
-Metrics are scalar functions of invariants I_k of the weighted Jacobian
-T = A W^{-1}: |T|^2, det T, |T^{-1}|^2, |T^t T|^2 and, in 2D, the
-cancellation-free s = |T|^2 - 2 det T = (t00 - t11)^2 + (t01 + t10)^2.
-A metric gives its value and scalar partials f_k, f_kl (mu80 and mu333
-blend those of their parts), and the chain rule gives dmu = sum f_k dI_k
-and d2mu = sum f_kl dI_k (x) dI_l + sum f_k d2I_k.  All runs points last,
-T as (d, d, P).  Each invariant is seeded once per batch with value (P,),
-d1 (d, d, P), held unscaled (2 T as T), and d2 as factor pairs X (x) Y
+Each metric is defined in one dimension (METRIC_DIM), as a scalar
+function of invariants I_k of the weighted Jacobian T = A W^{-1}: det T
+and, in 2D, the cancellation-free s = |T|^2 - 2 det T = (t00 - t11)^2 +
+(t01 + t10)^2, in 3D |T|^2 and |T^{-1}|^2.  A metric gives its value and
+scalar partials f_k, f_kl (mu80 and mu333 average those of their two
+parts), and the chain rule gives dmu = sum f_k dI_k and d2mu = sum f_kl
+dI_k (x) dI_l + sum f_k d2I_k.  All runs points last, T as (d, d, P).
+Each invariant is seeded once per batch with value (P,), d1 (d, d, P),
+held unscaled (2 T as T), and d2 as factor pairs X (x) Y
 in the index patterns X[a,b] Y[c,f], X[a,c] Y[b,f] and X[a,f] Y[c,b]
 plus a constant part, never as a dense array.  As d2mu[a, b, c, f] =
 d2mu[c, f, a, b], only the component pairs (a, c), a <= c, of PAIRS[d]
@@ -76,7 +77,7 @@ def _matmul(x, y):
 def _seed_invariants(t, tau, k, names, order):
     """{name: _Invariant} at T (d, d, P) with det tau (P,) and inverse k
     (d, d, P): "det" and the names among "frob2" (|T|^2), "invfrob2"
-    (|T^{-1}|^2), "ttfrob2" (|T^t T|^2) and "s"; d2 pairs at order 2."""
+    (|T^{-1}|^2) and "s"; d2 pairs at order 2."""
     d, second = len(t), order >= 2
     kt = k.transpose(1, 0, 2)
     d2frob2 = 2.0 * np.eye(d * d).reshape((d,) * 4)  # 2 delta_ac delta_bf
@@ -97,13 +98,6 @@ def _seed_invariants(t, tau, k, names, order):
         pairs = (("af,cb", 2.0, kt, m), ("ac,bf", 2.0, b, _matmul(k, kt)),
                  ("af,cb", 2.0, m, kt)) if second else ()
         inv["invfrob2"] = _Invariant(_sq(k), m, -2.0, pairs)
-    if "ttfrob2" in names:
-        tt = t.transpose(1, 0, 2)
-        gram = _matmul(tt, t)
-        eye = np.eye(d)[:, :, None]
-        pairs = (("ac,bf", 4.0, eye, gram), ("af,cb", 4.0, t, t),
-                 ("ac,bf", 4.0, _matmul(t, tt), eye)) if second else ()
-        inv["ttfrob2"] = _Invariant(_sq(gram), _matmul(t, gram) if order else None, 4.0, pairs)
     return inv
 
 
@@ -117,24 +111,15 @@ def _ratio(mu, x, r, tau, phi1, phi2):
 
 
 def _mu2(v):
-    """|T|^2 / (2 tau) - 1; in 2D s / (2 tau), free of cancellation."""
-    x = "s" if "s" in v else "frob2"
-    r = v[x] / v["det"]
-    return _ratio(0.5 * r if x == "s" else 0.5 * r - 1.0, x, r, v["det"], 0.5, 0.0)
+    """|T|^2 / (2 tau) - 1 as s / (2 tau), free of cancellation."""
+    r = v["s"] / v["det"]
+    return _ratio(0.5 * r, "s", r, v["det"], 0.5, 0.0)
 
 
 def _mu58(v):
-    """|T^t T|^2 / tau^2 - 2 |T|^2 / tau + 2; in 2D (s / tau)^2 + 2 s / tau."""
-    tau = v["det"]
-    if "s" in v:
-        r = v["s"] / tau
-        return _ratio(r * (r + 2.0), "s", r, tau, 2.0 * r + 2.0, 2.0)
-    i4, i1, inv = v["ttfrob2"], v["frob2"], 1.0 / tau
-    inv2 = inv * inv
-    f = {"ttfrob2": inv2, "frob2": -2.0 * inv, "det": (2.0 * i1 - 2.0 * i4 * inv) * inv2}
-    f2 = {("ttfrob2", "det"): -2.0 * inv2 * inv, ("frob2", "det"): 2.0 * inv2,
-          ("det", "det"): (6.0 * i4 * inv - 4.0 * i1) * inv2 * inv}
-    return i4 * inv * inv - 2.0 * (i1 * inv) + 2.0, f, f2
+    """|T^t T|^2 / tau^2 - 2 |T|^2 / tau + 2 as (s / tau)^2 + 2 s / tau."""
+    r = v["s"] / v["det"]
+    return _ratio(r * (r + 2.0), "s", r, v["det"], 2.0 * r + 2.0, 2.0)
 
 
 def _mu77(v):
@@ -161,16 +146,15 @@ def _mu316(v):
 # partials: (mu, {k: f_k}, {(k, l): f_kl}), each unordered pair k, l once.
 _METRICS = {"mu2": _mu2, "mu58": _mu58, "mu77": _mu77, "mu302": _mu302, "mu316": _mu316}
 
-# Invariants of each unblended metric; in 2D s replaces |T|^2 and |T^t T|^2.
-_INVARIANTS = {"mu2": ("frob2", "det"), "mu58": ("frob2", "det", "ttfrob2"),
-               "mu77": ("det",), "mu302": ("frob2", "invfrob2"), "mu316": ("det",)}
-_INVARIANTS_2D = {**_INVARIANTS, "mu2": ("s", "det"), "mu58": ("s", "det")}
+# Invariants of each unblended metric.
+_INVARIANTS = {"mu2": ("s", "det"), "mu58": ("s", "det"), "mu77": ("det",),
+               "mu302": ("frob2", "invfrob2"), "mu316": ("det",)}
 
-# Blended metrics: (1 - gamma) * first + gamma * second.
+# Blended metrics: (first + second) / 2.
 _BLENDS = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
 
 # The component pairs (a, c), a <= c, in which d2mu is stored, per d.
-PAIRS = {d: np.triu_indices(d) for d in (1, 2, 3)}
+PAIRS = {d: np.triu_indices(d) for d in (2, 3)}
 
 
 def _second_derivative(inv, f, f2, shape):
@@ -231,24 +215,26 @@ def mirror_pairs(pairs):
     return full
 
 
-def _metric_derivatives(metric_id, t, gamma, orders):
+def _metric_derivatives(metric_id, t, orders):
     """Value, dmu and the pairs of d2mu at T (..., d, d), those of the given
     orders, as points-first views (...,), (..., d, d), (..., pair, d, d) of
-    the points-last arrays.  Raises NonpositiveDeterminantError if det T <= 0."""
-    parts = _BLENDS.get(metric_id, (metric_id,))
-    if not all(part in _METRICS for part in parts):
-        raise ValueError(f"unknown metric id {metric_id!r}")
+    the points-last arrays.  Raises ValueError unless the metric is defined
+    in d dimensions, NonpositiveDeterminantError if det T <= 0."""
     t = np.asarray(t, dtype=float)
     batch, d = t.shape[:-2], t.shape[-1]
+    if METRIC_DIM.get(metric_id) != d:
+        raise ValueError(f"metric {metric_id!r} is not defined in {d}D")
+    parts = _BLENDS.get(metric_id, (metric_id,))
     t = np.ascontiguousarray(np.moveaxis(t, (-2, -1), (0, 1)).reshape(d, d, -1))
     tau, k = det_inv(np.moveaxis(t, (0, 1), (-2, -1)))
     if np.any(tau <= 0.0):
         raise NonpositiveDeterminantError(None, float(tau.min()))
-    names = {n for p in parts for n in (_INVARIANTS_2D if d == 2 else _INVARIANTS)[p]}
+    names = {n for p in parts for n in _INVARIANTS[p]}
     inv = _seed_invariants(t, tau, np.moveaxis(k, (-2, -1), (0, 1)), names, max(orders))
     values = {name: i.value for name, i in inv.items()}
     mu, f, f2 = 0.0, {}, {}
-    for part, weight in zip(parts, (1.0 - gamma, gamma) if len(parts) > 1 else (1.0,)):
+    weight = 1.0 / len(parts)
+    for part in parts:
         part_mu, *partials = _METRICS[part](values)
         mu = mu + weight * part_mu
         for total, part_f in zip((f, f2), partials):
@@ -273,7 +259,7 @@ class MetricEval:
     d2mu: np.ndarray
 
 
-def metric_batch(metric_id, t, gamma=0.5, order=2):
+def metric_batch(metric_id, t, order=2):
     """Evaluate a metric on batched T of shape (..., d, d).
 
     Returns (values, dmu, d2) with shapes (...,), (..., d, d) and
@@ -282,25 +268,25 @@ def metric_batch(metric_id, t, gamma=0.5, order=2):
     (..., d, d, d, d) array), and is None when order=1.  Raises
     NonpositiveDeterminantError if any det T <= 0.
     """
-    values, dmu, *d2mu = _metric_derivatives(metric_id, t, gamma, range(order + 1))
+    values, dmu, *d2mu = _metric_derivatives(metric_id, t, range(order + 1))
     return values, dmu, d2mu[0] if d2mu else None
 
 
-def metric(metric_id, t, gamma=0.5):
+def metric(metric_id, t):
     """Evaluate a single d x d weighted Jacobian; see metric_batch."""
-    value, dmu, d2 = metric_batch(metric_id, np.asarray(t, dtype=float)[None, ...], gamma)
+    value, dmu, d2 = metric_batch(metric_id, np.asarray(t, dtype=float)[None, ...])
     return MetricEval(float(value[0]), dmu[0], mirror_pairs(d2[0]))
 
 
-def metric_values(metric_id, t, gamma=0.5):
+def metric_values(metric_id, t):
     """Metric values only (the order-0 path) on batched T; the line
     search's objective evaluations take this path."""
-    return _metric_derivatives(metric_id, t, gamma, (0,))[0]
+    return _metric_derivatives(metric_id, t, (0,))[0]
 
 
-def metric_d2(metric_id, t, gamma=0.5):
+def metric_d2(metric_id, t):
     """metric_batch's d2 alone, with no values or dmu: the Hessian's path."""
-    return _metric_derivatives(metric_id, t, gamma, (2,))[0]
+    return _metric_derivatives(metric_id, t, (2,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +318,7 @@ class TargetJacobians:
         return self.size * _IDEAL_DET[geometry]
 
 
-def make_targets(mesh, node_field, kind="ideal-shape-unit-size"):
+def make_targets(mesh, node_field, kind):
     """Build per-element targets W = s^(1/d) W_ideal.
 
     s = 1 for unit-size targets; s = element volume / reference measure

@@ -1,16 +1,16 @@
 """Reference elements, nodal bases, and quadrature rules.
 
-Supported geometries: segment, quad, hex (tensor-product Gauss-Lobatto
-Lagrange bases) and triangle, tet (total-degree Lagrange bases on
-blended Gauss-Lobatto node layouts).  The reference interval is [0, 1];
-the reference triangle/tet are the unit right simplices.  Both families
-index their nodes on one lattice, tensor_axes(order + 1, dim): tensor
-nodes take all of it, simplex nodes and monomial exponents the points of
-total degree <= order (_simplex_indices).  nodal_basis(geometry, order)
-is the one cached way to a basis: Mesh.basis and the tables below
-(quadrature_tables, face_node_indices, corner_local_indices) share it.
+Supported geometries, the four a case can run: quad, hex (tensor-product
+Gauss-Lobatto Lagrange bases) and triangle, tet (total-degree Lagrange
+bases on blended Gauss-Lobatto node layouts) on the unit square, cube
+and right simplices.  Both families index their nodes on one lattice,
+tensor_axes(order + 1, dim): tensor nodes take all of it, simplex nodes
+and monomial exponents the points of total degree <= order
+(_simplex_indices).  nodal_basis(geometry, order) is the one cached way
+to a basis: Mesh.basis and the tables below (quadrature_tables,
+face_node_indices, corner_local_indices) share it.
 
-det and det_inv, closed-form cofactors of batched d x d matrices (d <= 3),
+det and det_inv, closed-form cofactors of batched d x d matrices (d = 2, 3),
 are every small det, inverse or solve of the package.  One Gauss-Jacobi
 builder, Newton on the three-term recurrence, makes all 1D rules: (0, 0)
 Gauss-Legendre, (1, 1) the Gauss-Lobatto interior, (alpha, 0) the simplex
@@ -24,26 +24,24 @@ from functools import lru_cache
 
 import numpy as np
 
-GEOMETRIES = ("segment", "triangle", "quad", "tet", "hex")
+GEOMETRIES = ("triangle", "quad", "tet", "hex")
 
-GEOMETRY_DIM = {"segment": 1, "triangle": 2, "quad": 2, "tet": 3, "hex": 3}
+GEOMETRY_DIM = {"triangle": 2, "quad": 2, "tet": 3, "hex": 3}
 
 REFERENCE_MEASURE = {
-    "segment": 1.0,
     "quad": 1.0,
     "hex": 1.0,
     "triangle": 0.5,
     "tet": 1.0 / 6.0,
 }
 
-_TENSOR = {"segment", "quad", "hex"}
+_TENSOR = {"quad", "hex"}
 
 _SQRT3 = np.sqrt(3.0)
 _SQRT6 = np.sqrt(6.0)
 
 # Maps from the reference element to the ideally shaped element.
 IDEAL_TARGETS = {
-    "segment": np.array([[1.0]]),
     "quad": np.eye(2),
     "hex": np.eye(3),
     "triangle": np.array([[1.0, 0.5], [0.0, _SQRT3 / 2.0]]),
@@ -58,7 +56,6 @@ IDEAL_TARGETS = {
 
 # Reference vertices, counterclockwise / right-handed.
 REFERENCE_VERTICES = {
-    "segment": np.array([[0.0], [1.0]]),
     "quad": np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
     "triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
     "hex": np.array(
@@ -78,9 +75,8 @@ REFERENCE_VERTICES = {
     ),
 }
 
-# Faces as tuples of reference-vertex ids (edges in 2D, endpoints in 1D).
+# Faces as tuples of reference-vertex ids (edges in 2D).
 REFERENCE_FACES = {
-    "segment": ((0,), (1,)),
     "quad": ((0, 1), (1, 2), (2, 3), (3, 0)),
     "triangle": ((0, 1), (1, 2), (2, 0)),
     "hex": (
@@ -96,7 +92,7 @@ REFERENCE_FACES = {
 
 
 def _cofactors(t, rows):
-    """Of t (..., d, d), d <= 3, as x[a, b, p] = t[p, b, a]: the row x[0]
+    """Of t (..., d, d), d = 2 or 3, as x[a, b, p] = t[p, b, a]: the row x[0]
     (d, P) and the given rows (a slice) of x's cofactor matrix, which is
     the adjugate of t.
 
@@ -111,8 +107,6 @@ def _cofactors(t, rows):
     t = np.asarray(t, dtype=float)
     d, batch = t.shape[-1], t.shape[:-2]
     n, cof_rows = t.size // (d * d), range(d)[rows]
-    if d == 1:
-        return t.reshape(1, n), np.ones((len(cof_rows), 1, n))
     # t is copied in through views shaped like its batch, which read a
     # strided t in place where reshaping it would copy it first.
     if d == 2:
@@ -142,15 +136,15 @@ def _cofactors(t, rows):
 
 
 def det(t):
-    """Determinants of the d x d matrices t, shape (..., d, d) with d <= 3:
-    det_inv(t)[0], bit for bit, from the first cofactor row only."""
+    """Determinants of the d x d matrices t, shape (..., d, d) with d = 2
+    or 3: det_inv(t)[0], bit for bit, from the first cofactor row only."""
     x0, cof = _cofactors(t, slice(0, 1))
     return np.einsum("bp,bp->p", x0, cof[0]).reshape(np.shape(t)[:-2])
 
 
 def det_inv(t):
     """Determinants and inverses of the d x d matrices t, shape (..., d, d)
-    with d <= 3, in closed form: the adjugate over the determinant.
+    with d = 2 or 3, in closed form: the adjugate over the determinant.
 
     Returns det (...,) and inv (..., d, d), inf or nan where det is 0.
     inv is a view of an array stored as (d, d, ...), so each inv[..., a, b]
@@ -474,7 +468,7 @@ class QuadratureRule:
 def quadrature_for(geometry, order):
     """Quadrature rule with exactness >= 2 * order + 2 per direction.
 
-    Tensor-product Gauss-Lobatto for segment/quad/hex; conical-product
+    Tensor-product Gauss-Lobatto for quad/hex; conical-product
     (Duffy) Gauss-Jacobi rules for triangle/tet.  All weights positive.
     """
     if geometry not in GEOMETRIES:
@@ -538,15 +532,12 @@ def face_node_indices(geometry, order):
 
 @lru_cache(maxsize=None)
 def corner_local_indices(geometry, order):
-    """Local node ids of the reference vertices, in vertex order."""
-    basis = nodal_basis(geometry, order)
-    verts = REFERENCE_VERTICES[geometry]
-    ids = []
-    for v in verts:
-        d = np.linalg.norm(basis.nodes - v[None, :], axis=1)
-        ids.append(int(np.argmin(d)))
-        if d.min() > 1e-12:
-            raise RuntimeError("reference vertex is not an interpolation node")
-    return tuple(ids)
+    """Local node ids of the reference vertices, in vertex order: every
+    basis has a node at each vertex."""
+    nodes = nodal_basis(geometry, order).nodes
+    return tuple(
+        int(np.argmin(np.linalg.norm(nodes - v, axis=1)))
+        for v in REFERENCE_VERTICES[geometry]
+    )
 
 

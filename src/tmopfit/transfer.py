@@ -156,8 +156,11 @@ def _newton(basis, coords, points, owner, accept):
     """Damped Newton for the reference coordinates of each points[i] in
     the element with node coordinates coords[i], all rows at once.
 
-    Returns (ref, residual_norm, iterations).  Iterates are clamped to
-    the reference element.  An iteration evaluates basis gradients once,
+    Returns (ref, residual_norm, iterations).  Each row starts at the
+    reference point of its element's node nearest points[i], the first on
+    ties: from the element center, the iterates can stall clamped on a
+    face of a curved element that holds the point.  Iterates are clamped
+    to the reference element.  An iteration evaluates basis gradients once,
     at the active rows' iterates, and trial points by values only: the
     full step, then, for rows it does not improve, all _MAX_HALVINGS - 1
     halved steps in batches of at most _CHUNK points; each row takes the
@@ -169,7 +172,8 @@ def _newton(basis, coords, points, owner, accept):
     stop; of rows accepted in the same iteration, the first is kept.
     """
     n = len(points)
-    ref = np.tile(basis.center, (n, 1))
+    gap = coords - points[:, None]
+    ref = basis.nodes[np.argmin(np.einsum("rkd,rkd->rk", gap, gap), axis=1)]
     res, res_norm = (r[:, 0] for r in _residual(basis, ref[:, None], coords, points))
     stop = 1e-14 * np.maximum(1.0, np.abs(coords).max(axis=(1, 2)))
     active = np.ones(n, dtype=bool)

@@ -7,7 +7,7 @@ written per element; sigma goes out as point data, the element
 attribute as cell data.
 
 VTK orders a cell's lattice points by entity: vertices, edges, faces,
-interior.  Tensor cells (segment, quad, hex) take each entity's points
+interior.  Tensor cells (quad, hex) take each entity's points
 from the (n+1)^dim lattice in tensor_axes order, the entity given by its
 side along each axis: 0 or 1 on that face of the reference cell, 2 where
 the axis is free.  Simplex cells (triangle, tet) list barycentric
@@ -23,7 +23,6 @@ import numpy as np
 from .reference import GEOMETRY_DIM, REFERENCE_VERTICES, tensor_axes
 
 VTK_LAGRANGE_CELL = {
-    "segment": 68,
     "triangle": 69,
     "quad": 70,
     "tet": 71,
@@ -36,7 +35,6 @@ VTK_LAGRANGE_CELL = {
 # vertex order, its faces -x, +x, -y, +y, -z, +z, and the interior.
 _QUAD_EDGES = ((2, 0), (1, 2), (2, 1), (0, 2))
 _TENSOR_ENTITIES = {
-    "segment": ((2,),),
     "quad": _QUAD_EDGES + ((2, 2),),
     "hex": tuple(e + (m,) for m in (0, 1) for e in _QUAD_EDGES)
     + ((0, 0, 2), (1, 0, 2), (1, 1, 2), (0, 1, 2))
@@ -72,10 +70,8 @@ def vtk_lattice(geometry, order):
         sides = np.where(axes == 0, 0, np.where(axes == order, 1, 2))
         entities = [*REFERENCE_VERTICES[geometry], *_TENSOR_ENTITIES[geometry]]
         idx = np.concatenate([axes[(sides == e).all(axis=1)] for e in entities])
-    elif geometry in ("triangle", "tet"):
-        idx = _simplex_order(order, GEOMETRY_DIM[geometry])[:, 1:]
     else:
-        raise ValueError(f"unsupported geometry {geometry!r}")
+        idx = _simplex_order(order, GEOMETRY_DIM[geometry])[:, 1:]
     return idx / order
 
 

@@ -525,11 +525,24 @@ def test_fit_report_json_roundtrip():
     )
     back = FitReport.from_json(report.to_json())
     assert back == report
-    data = json.loads(report.to_json())
-    assert set(data) >= {
-        "case", "F0", "F_final", "F_decrease_pct", "e_S", "E_avg", "E_max",
-        "iterations", "wall_time_s",
+    # The report.json schema, key order included.
+    written = {
+        "case": "fit2d-quad", "F0": 1.25, "F_final": 0.5, "F_decrease_pct": 60.0,
+        "e_S": 1.5e-5, "E_avg": 1e-3, "E_max": 4e-3, "iterations": 7,
+        "wall_time_s": 12.5, "converged": True, "reason": "converged",
     }
+    assert report.to_json() == json.dumps(written, indent=2)
+
+
+def test_fit_report_from_json_requires_every_key_but_the_end_state():
+    report = FitReport("tg2d", 1.0, 0.5, 50.0, None, 1e-3, 2e-3, 3, 0.1, False, "max-iter")
+    data = json.loads(report.to_json())
+    end_state = ("converged", "reason")
+    back = FitReport.from_json(json.dumps({k: v for k, v in data.items() if k not in end_state}))
+    assert (back.converged, back.reason) == (True, "converged")
+    for key in list(data)[:-2]:
+        with pytest.raises(KeyError, match=key):
+            FitReport.from_json(json.dumps({k: v for k, v in data.items() if k != key}))
 
 
 def test_run_case_writes_outputs(tmp_path):
@@ -650,8 +663,9 @@ def test_cli_info(tmp_path, capsys):
 @pytest.mark.parametrize(
     "content, message",
     [("tmopfit-mesh v1\ndim 2\norder x\n", "line 3: 'order' needs"),
+     ("tmopfit-mesh v1\ndim 1\norder 1\ngeom segment\n", "line 4: unknown geometry 'segment'"),
      (None, "No such file or directory")],
-    ids=["malformed", "missing"],
+    ids=["malformed", "segment", "missing"],
 )
 def test_cli_info_reports_unreadable_file_in_one_line(tmp_path, capsys, content, message):
     path = tmp_path / "m.mesh"
@@ -674,6 +688,14 @@ def test_cli_run_tiny_case(tmp_path, capsys):
     assert "termination   converged" in out
     assert (tmp_path / "out" / "report.json").exists()
     assert "alignment" not in out  # a fit case has no alignment solve
+
+
+def test_cli_run_tg2d_at_resolution_4_locates_every_final_node(capsys):
+    # The post-solve transfer used to lose final node (0.3616, 0.7257): from
+    # the center of the curved element holding it, the location Newton
+    # stalled clamped on a face; from the element's nearest node it lands.
+    assert main(["run", "tg2d", "--res", "4"]) == 0
+    assert "termination   converged\n" in capsys.readouterr().out
 
 
 def test_cli_run_reports_an_alignment_that_stops_short(monkeypatch, capsys):

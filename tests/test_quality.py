@@ -5,6 +5,7 @@ import pytest
 
 from tmopfit import quality, reference
 from tmopfit.errors import InvalidMeshError, NonpositiveDeterminantError
+from tmopfit.levelsets import BUILTIN_LEVELSETS, builtin_levelset
 from tmopfit.mesh import NodeField, make_cartesian, quadrature_jacobians
 from tmopfit.quality import (
     IDEAL_TARGETS,
@@ -177,13 +178,29 @@ def test_metric_values_matches_jet_values():
     # metric_values is the order-0 jet: the same arithmetic as the values
     # of metric_batch, in 2D and 3D alike.
     rng = np.random.default_rng(31)
-    for mid in METRIC_IDS:
-        for d in (2, 3):
-            t = np.stack([random_valid_t(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
-            vals, _, _ = metric_batch(mid, t, 0.3)
-            fast = metric_values(mid, t, 0.3)
-            assert fast.shape == (2, 3)
-            assert np.array_equal(vals, fast)
+    for mid, d in METRIC_DIM.items():
+        t = np.stack([random_valid_t(rng, d) for _ in range(6)]).reshape(2, 3, d, d)
+        vals, _, _ = metric_batch(mid, t)
+        fast = metric_values(mid, t)
+        assert fast.shape == (2, 3)
+        assert np.array_equal(vals, fast)
+
+
+@pytest.mark.parametrize("evaluate", [metric_values, metric_batch, metric_d2])
+def test_metric_of_the_other_dimension_is_rejected(evaluate):
+    with pytest.raises(ValueError, match=r"'mu58'.* 3D"):
+        evaluate("mu58", np.eye(3)[None])
+    with pytest.raises(ValueError, match=r"'mu333'.* 2D"):
+        evaluate("mu333", np.eye(2)[None])
+    with pytest.raises(ValueError, match=r"'mu999'"):
+        evaluate("mu999", np.eye(2)[None])
+
+
+def test_every_geometry_has_a_metric_and_a_level_set_of_its_dimension():
+    level_set_dims = {builtin_levelset(name).dim for name in BUILTIN_LEVELSETS}
+    for geometry, dim in reference.GEOMETRY_DIM.items():
+        assert dim in METRIC_DIM.values(), geometry
+        assert dim in level_set_dims, geometry
 
 
 def test_unit_size_targets_are_ideal_maps():
@@ -306,7 +323,7 @@ def points_first_outer(x, y):
     return x[..., :, :, None, None] * y[..., None, None, :, :]
 
 
-def points_first_metric_batch(metric_id, t, gamma, order):
+def points_first_metric_batch(metric_id, t, order):
     """(values, dmu, d2mu) from invariant jets seeded with np.linalg."""
     d = t.shape[-1]
     eye = np.eye(d)
@@ -360,10 +377,21 @@ def points_first_metric_batch(metric_id, t, gamma, order):
     blends = {"mu80": ("mu2", "mu77"), "mu333": ("mu302", "mu316")}
     if metric_id in blends:
         first, second_part = map(compose, blends[metric_id])
-        jet = (1.0 - gamma) * first + gamma * second_part
+        jet = 0.5 * first + 0.5 * second_part
     else:
         jet = compose(metric_id)
     return jet.value, jet.d1, jet.d2
+
+
+def rejected_in_the_other_dimension(mid, dim, *entry_points):
+    """Whether mid is a metric of the other dimension than dim; if so,
+    checks that each entry point rejects it with a ValueError."""
+    if METRIC_DIM[mid] == dim:
+        return False
+    for evaluate in entry_points:
+        with pytest.raises(ValueError, match=rf"'{mid}'.* {dim}D"):
+            evaluate(mid, np.eye(dim)[None])
+    return True
 
 
 def random_batch(rng, dim, shape):
@@ -375,11 +403,13 @@ def random_batch(rng, dim, shape):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("mid", METRIC_IDS)
 def test_metric_batch_matches_points_first_jets(mid, dim):
+    if rejected_in_the_other_dimension(mid, dim, metric_batch):
+        return
     rng = np.random.default_rng(40 + dim)
     t = random_batch(rng, dim, (7, 5))
     for order in (1, 2):
-        got = metric_batch(mid, t, 0.3, order)
-        want = points_first_metric_batch(mid, t, 0.3, order)
+        got = metric_batch(mid, t, order)
+        want = points_first_metric_batch(mid, t, order)
         assert got[0].shape == (7, 5) and got[1].shape == (7, 5, dim, dim)
         if order == 1:
             assert got[2] is None
@@ -396,11 +426,13 @@ def test_metric_batch_matches_points_first_jets(mid, dim):
 def test_mirrored_pairs_equal_full_second_derivative(mid, dim):
     # metric_batch computes d2mu[a, :, c, :] for the pairs a <= c only;
     # mirror_pairs fills in a > c from d2mu[a, b, c, f] = d2mu[c, f, a, b].
+    if rejected_in_the_other_dimension(mid, dim, metric_batch):
+        return
     rng = np.random.default_rng(60 + dim)
     t = random_batch(rng, dim, (4, 3))
-    pairs = metric_batch(mid, t, 0.3)[2]
+    pairs = metric_batch(mid, t)[2]
     full = mirror_pairs(pairs)
-    want = points_first_metric_batch(mid, t, 0.3, 2)[2]
+    want = points_first_metric_batch(mid, t, 2)[2]
     assert full.shape == want.shape == (4, 3) + (dim,) * 4
     assert np.abs(full - want).max() <= 1e-13 * np.abs(want).max()
     for p, (a, c) in enumerate(zip(*np.triu_indices(dim))):
@@ -449,12 +481,14 @@ def merged_first_second_derivative(inv, f, f2, shape):
 def test_second_derivative_is_bit_identical_to_merging_all_terms_first(
     monkeypatch, mid, dim
 ):
+    if rejected_in_the_other_dimension(mid, dim, metric_batch):
+        return
     rng = np.random.default_rng(80 + dim)
     for shape in ((5, 3), (64,)):
         t = random_batch(rng, dim, shape)
-        got = metric_batch(mid, t, 0.3)
+        got = metric_batch(mid, t)
         monkeypatch.setattr(quality, "_second_derivative", merged_first_second_derivative)
-        want = metric_batch(mid, t, 0.3)
+        want = metric_batch(mid, t)
         monkeypatch.undo()
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
@@ -472,8 +506,6 @@ def broadcast_cofactors(t, rows):
     t = np.asarray(t, dtype=float)
     d = t.shape[-1]
     x = np.ascontiguousarray(t.reshape(-1, d, d).T)
-    if d == 1:
-        return x, np.ones_like(x[rows])
     if d == 2:
         return x, x[::-1, ::-1][rows] * np.array([[[1.0], [-1.0]], [[-1.0], [1.0]]])[rows]
     one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -507,7 +539,7 @@ def kernel_batches(rng, dim):
             random_valid_t(rng, dim)]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 3])
 def test_det_and_det_inv_are_bit_identical_to_broadcast_cofactors(dim):
     rng = np.random.default_rng(90 + dim)
     strided = np.swapaxes(rng.standard_normal((6, 3, dim, dim)), -1, -2)[::2, :, ::-1]
@@ -525,13 +557,15 @@ def test_det_and_det_inv_are_bit_identical_to_broadcast_cofactors(dim):
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("mid", METRIC_IDS)
 def test_metric_jets_are_bit_identical_to_broadcast_kernels(monkeypatch, mid, dim):
+    if rejected_in_the_other_dimension(mid, dim, metric_values, metric_batch):
+        return
     rng = np.random.default_rng(100 + dim)
     for t in kernel_batches(rng, dim):
-        got = [metric_values(mid, t, 0.3)] + [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        got = [metric_values(mid, t)] + [metric_batch(mid, t, order) for order in (1, 2)]
         monkeypatch.setattr(quality, "det_inv", broadcast_det_inv)
         monkeypatch.setattr(quality, "_matmul", broadcast_matmul)
         monkeypatch.setattr(quality, "_second_derivative", merged_first_second_derivative)
-        want = [metric_values(mid, t, 0.3)] + [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        want = [metric_values(mid, t)] + [metric_batch(mid, t, order) for order in (1, 2)]
         monkeypatch.undo()
         assert np.array_equal(got[0], want[0])
         for g, w in zip(got[1:], want[1:]):
@@ -544,9 +578,11 @@ def test_metric_jets_are_bit_identical_to_broadcast_kernels(monkeypatch, mid, di
 def test_metric_d2_is_bit_identical_to_the_order_2_jet(mid, dim):
     # metric_d2, the Hessian's path, builds the d2mu pairs alone, without
     # the values and dmu, by the same arithmetic as metric_batch.
+    if rejected_in_the_other_dimension(mid, dim, metric_d2, metric_batch):
+        return
     rng = np.random.default_rng(110 + dim)
     for t in kernel_batches(rng, dim):
-        got, want = metric_d2(mid, t, 0.3), metric_batch(mid, t, 0.3)[2]
+        got, want = metric_d2(mid, t), metric_batch(mid, t)[2]
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -557,6 +593,8 @@ def test_folded_scales_are_bit_identical_to_scaled_first_derivatives(monkeypatch
     # factors folded into the chain rule's coefficients.  Powers of two
     # scale exactly, so dmu and d2mu equal, bit for bit, those built from
     # the scaled copies.
+    if rejected_in_the_other_dimension(mid, dim, metric_batch):
+        return
     rng = np.random.default_rng(120 + dim)
     seed = quality._seed_invariants
     scales = set()
@@ -567,9 +605,9 @@ def test_folded_scales_are_bit_identical_to_scaled_first_derivatives(monkeypatch
         return {name: i._replace(grad=i.d1, scale=1.0) for name, i in inv.items()}
 
     for t in kernel_batches(rng, dim):
-        got = [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        got = [metric_batch(mid, t, order) for order in (1, 2)]
         monkeypatch.setattr(quality, "_seed_invariants", scaled_copies)
-        want = [metric_batch(mid, t, 0.3, order) for order in (1, 2)]
+        want = [metric_batch(mid, t, order) for order in (1, 2)]
         monkeypatch.undo()
         for g, w in zip(got, want):
             assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])

@@ -39,7 +39,7 @@ def exact_monomial_integral(geometry, exponents):
     from math import factorial
 
     e = list(exponents)
-    if geometry in ("segment", "quad", "hex"):
+    if geometry in ("quad", "hex"):
         out = 1.0
         for a in e:
             out /= a + 1
@@ -214,13 +214,6 @@ def test_eval_basis_order1_quad_at_first_node():
     assert np.allclose(values, [[1.0, 0.0, 0.0, 0.0]], atol=1e-14)
 
 
-def test_eval_basis_segment_values_and_gradients():
-    basis = NodalBasis("segment", 1)
-    values, grads = basis.eval_with_grad([[0.25]])
-    assert np.allclose(values, [[0.75, 0.25]], atol=1e-14)
-    assert np.allclose(grads.ravel(), [-1.0, 1.0], atol=1e-14)
-
-
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_quadrature_weights_sum_to_measure(geometry, order):
@@ -237,14 +230,6 @@ def test_triangle_rule_weights_sum_to_half():
     assert abs(quadrature_for("triangle", 3).weights.sum() - 0.5) < 1e-13
 
 
-def test_segment_rule_exact_to_degree_four():
-    rule = quadrature_for("segment", 1)
-    assert rule.exactness >= 4
-    for m in range(5):
-        got = rule.weights @ rule.points[:, 0] ** m
-        assert abs(got - 1.0 / (m + 1)) < 1e-13
-
-
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_quadrature_exactness_on_random_polynomial(geometry, order):
@@ -253,7 +238,7 @@ def test_quadrature_exactness_on_random_polynomial(geometry, order):
     dim = GEOMETRY_DIM[geometry]
     rng = np.random.default_rng(order * 17 + dim)
     # Random polynomial of the stated exactness degree.
-    if geometry in ("segment", "quad", "hex"):
+    if geometry in ("quad", "hex"):
         exps = [e for e in np.ndindex(*([rule.exactness + 1] * dim))]
     else:
         exps = [
@@ -341,7 +326,7 @@ def tensor_basis_per_node(basis, points):
     return vals, grads
 
 
-@pytest.mark.parametrize("geometry", ["segment", "quad", "hex"])
+@pytest.mark.parametrize("geometry", ["quad", "hex"])
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
 def test_tensor_basis_matches_per_node_products_exactly(geometry, order):
     basis = NodalBasis(geometry, order)
@@ -394,7 +379,6 @@ def test_target_frame_table_folds_in_the_ideal_map(geometry):
 # REFERENCE_FACES order, written out: points p on the face satisfy
 # normal . p == offset.
 FACE_PLANES = {
-    "segment": (((1.0,), 0.0), ((1.0,), 1.0)),
     "quad": (((0.0, 1.0), 0.0), ((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((1.0, 0.0), 0.0)),
     "triangle": (((0.0, 1.0), 0.0), ((1.0, 1.0), 1.0), ((1.0, 0.0), 0.0)),
     "hex": (

@@ -258,11 +258,13 @@ def test_locate_points_counts():
     loc = locate_points(index, mesh, nodes, points)
     # Candidates per point: 1, 4 (shared vertex), 2, 0 (outside every box).
     # The projected and the outside point both miss the grid candidates.
-    # Each of the two passes takes two Newton iterations: the elements are
-    # affine, so one step lands on every point an element holds, and the
-    # rows clamped at the boundary find no decrease in the second.
+    # Each of the two passes takes one Newton iteration: every row starts
+    # at its element's node nearest the point, which is the shared vertex
+    # itself; the elements are affine, so one step lands on every other
+    # point an element holds; and the rows clamped at the boundary find no
+    # decrease.
     assert loc.counts == {
-        "points": 4, "pairs": 7, "fallback": 2, "projected": 1, "iterations": 4
+        "points": 4, "pairs": 7, "fallback": 2, "projected": 1, "iterations": 2
     }
     assert list(loc.status) == [
         "interior", "interior", "boundary-projected", "not-found"
@@ -316,7 +318,11 @@ def newton_by_halving(basis, coords, points, owner, accept):
     Newton step is _newton's, through the same det_inv kernel: the test
     checks the batching, not the linear solver."""
     n = len(points)
-    ref = np.tile(basis.center, (n, 1))
+    # Each row starts at its element's node nearest the point, the first
+    # on ties.
+    ref = np.array([
+        basis.nodes[np.argmin(np.linalg.norm(c - p, axis=1))] for c, p in zip(coords, points)
+    ])
     vals, grads = basis.eval_with_grad(ref)
     res = np.einsum("pk,pkd->pd", vals, coords) - points
     res_norm = np.linalg.norm(res, axis=1)
