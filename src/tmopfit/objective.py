@@ -264,11 +264,7 @@ class ElementHessian(NamedTuple):
 
 def boundary_fixed_mask(mesh):
     """Mask fixing every domain-boundary node in all components."""
-    mask = np.zeros(mesh.dim * mesh.num_nodes, dtype=bool)
-    ids = mesh.boundary_node_ids()
-    for a in range(mesh.dim):
-        mask[a * mesh.num_nodes + ids] = True
-    return mask
+    return fix_nodes(np.zeros(mesh.dim * mesh.num_nodes, bool), mesh, mesh.boundary_node_ids())
 
 
 def fix_nodes(mask, mesh, node_ids):

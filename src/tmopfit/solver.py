@@ -7,9 +7,13 @@ stops where it detects nonpositive curvature and returns its previous
 iterate, which descends (Liu and Roosta, "MINRES: from negative
 curvature detection to monotonicity properties", SIAM J. Optim. 32,
 2022).  Every step passes through a backtracking line search that
-accepts the largest step in {1, 1/2, 1/4, ...} keeping det A positive at
-all quadrature points and strictly decreasing F.  Convergence is declared on
-|grad F(x)| <= eps_abs or |grad F(x)| / |grad F(x0)| <= eps.
+accepts the largest step in {1, 1/2, 1/4, ...} strictly decreasing F.
+It evaluates F on each trial, and that evaluation is the one validity
+gate: objective.value raises where det T, which has the sign of det A,
+is not positive at a quadrature point.  mesh.is_valid checks only the
+initial mesh and reports min det A of each accepted iterate.
+Convergence is declared on |grad F(x)| <= eps_abs or
+|grad F(x)| / |grad F(x0)| <= eps.
 """
 
 import math
@@ -241,26 +245,28 @@ def minres(a, b, diag, rtol, maxiter):
     return MinresResult(x, maxiter if istop == 6 else 0, itn, phibar / beta1)
 
 
-def line_search(
-    objective_fn, validity_fn, node_field, direction, f_current, grad, config
-):
-    """Largest backtracked step keeping the mesh valid and decreasing F.
+def line_search(objective_config, mesh, node_field, direction, f_current, grad, config):
+    """Largest backtracked step along a descent direction that decreases F.
 
-    Returns (alpha, f_trial, trial_node_field, halvings), or
-    (None, None, None, max_halvings + 1) when every step fails.
+    Each trial is rejected when objective.value raises
+    NonpositiveDeterminantError (det T <= 0, so det A <= 0, at a
+    quadrature point) or TransferFailureError; any other exception is a
+    bug and propagates.  Returns (alpha, (F, F_mu, F_sigma),
+    trial_node_field, halvings), or (None, None, None, max_halvings + 1)
+    when every step fails.
     """
-    if not np.any(direction):
-        raise ValueError("zero direction is not a descent direction")
-    if grad is not None and direction @ grad >= 0.0:
+    if not direction @ grad < 0.0:
         raise ValueError("direction is not a descent direction")
     alpha = 1.0
     for halvings in range(config.max_halvings + 1):
         trial = node_field.copy()
         trial.coords = node_field.coords + alpha * direction
-        if validity_fn(trial):
-            f_trial = objective_fn(trial)
-            if f_trial is not None and f_trial < f_current:
+        try:
+            f_trial = value(objective_config, mesh, trial)
+            if f_trial[0] < f_current:
                 return alpha, f_trial, trial, halvings
+        except (NonpositiveDeterminantError, TransferFailureError):
+            pass
         alpha *= config.backtrack_factor
     return None, None, None, config.max_halvings + 1
 
@@ -281,24 +287,6 @@ def solve(config, objective_config, mesh, node_field):
     valid, min_det = is_valid(mesh, x)
     if not valid:
         raise InvalidMeshError(f"initial mesh invalid (min det A = {min_det:.3e})")
-
-    # The line search evaluates validity and then F on each trial, so
-    # after it returns these hold (F, F_mu, F_sigma) and min det A of the
-    # accepted trial.
-    last = {}
-
-    def objective_fn(trial):
-        # Only a failed evaluation of a valid-looking trial mesh rejects
-        # the step; any other exception is a bug and propagates.
-        try:
-            last["f"] = value(objective_config, mesh, trial)
-        except (NonpositiveDeterminantError, TransferFailureError):
-            return None
-        return last["f"][0]
-
-    def validity_fn(trial):
-        ok, last["min_det"] = is_valid(mesh, trial)
-        return ok
 
     report = SolveReport()
     f, f_mu, f_sigma = value(objective_config, mesh, x)
@@ -322,16 +310,15 @@ def solve(config, objective_config, mesh, node_field):
             hessian(objective_config, mesh, x), grad, config
         )
 
-        f_current = f
         alpha, f_trial, trial, halvings = line_search(
-            objective_fn, validity_fn, x, p, f_current, grad, config
+            objective_config, mesh, x, p, f, grad, config
         )
-        if alpha is None and p @ grad < 0.0 and not np.array_equal(p, -grad):
+        if alpha is None and not np.array_equal(p, -grad):
             # The Newton direction exhausted the backtracking budget;
             # steepest descent still has untried scales.
             kind = "steepest"
             alpha, f_trial, trial, more = line_search(
-                objective_fn, validity_fn, x, -grad, f_current, grad, config
+                objective_config, mesh, x, -grad, f, grad, config
             )
             halvings += more
         if alpha is None:
@@ -339,8 +326,8 @@ def solve(config, objective_config, mesh, node_field):
             break
 
         x = trial
-        f, f_mu, f_sigma = last["f"]
-        min_det = last["min_det"]
+        f, f_mu, f_sigma = f_trial
+        min_det = is_valid(mesh, x)[1]
         grad = gradient(objective_config, mesh, x)
         report.iterations = it
         report.history.append(

@@ -134,7 +134,7 @@ def test_traced_results_expose_what_the_hooks_read(monkeypatch):
     # halvings with its seventh positional argument's backtrack_factor, and
     # count transfer_field(...).coefficients.
     import tmopfit.solver as solver
-    from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, gradient, hessian
+    from tmopfit.objective import ObjectiveConfig, boundary_fixed_mask, gradient, hessian, value
     from tmopfit.quality import make_targets
     from tmopfit.transfer import transfer_field
 
@@ -165,6 +165,12 @@ def test_traced_results_expose_what_the_hooks_read(monkeypatch):
     monkeypatch.setattr(solver, "line_search", recorded)
     solver.solve(solver.SolverConfig(), cfg, mesh, moved)
     assert searches
+    # The quad solve takes every step whole; a step that inverts the mesh
+    # checks the halvings formula on a nonzero count.
+    f = value(cfg, mesh, moved)[0]
+    recorded(cfg, mesh, moved, -grad * (5.0 / np.abs(grad).max()), f, grad,
+             solver.SolverConfig())
+    assert any(halvings > 0 for _, (_, _, _, halvings) in searches)
     for args, (alpha, _, _, halvings) in searches:
         factor = args[6].backtrack_factor
         assert round(math.log(alpha) / math.log(factor)) == halvings

@@ -221,19 +221,12 @@ def test_line_search_accepts_descent_step():
     f0 = value(cfg, mesh, start)[0]
     scfg = SolverConfig()
 
-    def objective_fn(trial):
-        return value(cfg, mesh, trial)[0]
-
-    def validity_fn(trial):
-        from tmopfit.mesh import is_valid
-
-        return is_valid(mesh, trial)[0]
-
     alpha, f_trial, trial, halvings = line_search(
-        objective_fn, validity_fn, start, -1e-3 * g, f0, g, scfg
+        cfg, mesh, start, -1e-3 * g, f0, g, scfg
     )
-    assert alpha is not None and f_trial < f0
+    assert alpha is not None and f_trial[0] < f0
     assert alpha == scfg.backtrack_factor**halvings
+    assert f_trial == value(cfg, mesh, trial)
 
 
 def test_line_search_halves_on_inverting_step():
@@ -248,40 +241,77 @@ def test_line_search_halves_on_inverting_step():
     f0 = value(cfg, mesh, start)[0]
     scfg = SolverConfig()
 
-    def objective_fn(trial):
-        try:
-            return value(cfg, mesh, trial)[0]
-        except Exception:
-            return None
-
-    def validity_fn(trial):
-        return is_valid(mesh, trial)[0]
-
     full = start.copy()
     full.coords = start.coords + direction
-    assert not validity_fn(full)
+    assert not is_valid(mesh, full)[0]
     alpha, f_trial, trial, halvings = line_search(
-        objective_fn, validity_fn, start, direction, f0, g, scfg
+        cfg, mesh, start, direction, f0, g, scfg
     )
     assert alpha is not None and alpha < 1.0
     assert halvings > 0 and alpha == scfg.backtrack_factor**halvings
-    assert validity_fn(trial) and f_trial < f0
+    assert is_valid(mesh, trial)[0] and f_trial[0] < f0
+
+
+def test_line_search_fails_when_every_scale_inverts():
+    mesh, nodes, cfg = quad_problem()
+    start = displaced_nodes(mesh, nodes, frac=0.2)
+    from tmopfit.objective import gradient
+
+    from tmopfit.mesh import is_valid
+
+    g = gradient(cfg, mesh, start)
+    scfg = SolverConfig()
+    smallest = start.copy()
+    smallest.coords = start.coords - 1e9 * scfg.backtrack_factor**scfg.max_halvings * g
+    assert not is_valid(mesh, smallest)[0]
+    result = line_search(
+        cfg, mesh, start, -1e9 * g, value(cfg, mesh, start)[0], g, scfg
+    )
+    assert result == (None, None, None, scfg.max_halvings + 1)
+
+
+def test_line_search_halves_on_transfer_failure(monkeypatch):
+    # A trial whose evaluation cannot locate its points is rejected like
+    # an inverted one: the step is halved, the error is not raised.
+    import tmopfit.solver as solver
+    from tmopfit.errors import TransferFailureError
+    from tmopfit.objective import gradient
+
+    mesh, nodes, cfg = quad_problem()
+    start = displaced_nodes(mesh, nodes)
+    g = gradient(cfg, mesh, start)
+    f0 = value(cfg, mesh, start)[0]
+    calls = []
+
+    def failing_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise TransferFailureError([np.zeros(2)])
+        return value(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "value", failing_once)
+    scfg = SolverConfig()
+    alpha, f_trial, trial, halvings = line_search(
+        cfg, mesh, start, -1e-3 * g, f0, g, scfg
+    )
+    assert halvings == 1 and alpha == scfg.backtrack_factor
+    assert len(calls) == 2 and f_trial[0] < f0
 
 
 def test_line_search_rejects_zero_direction():
     mesh, nodes, cfg = quad_problem()
-    scfg = SolverConfig()
-    with pytest.raises(ValueError):
-        line_search(lambda t: 0.0, lambda t: True, nodes,
-                    np.zeros(2 * mesh.num_nodes), 1.0, None, scfg)
+    g = np.ones(2 * mesh.num_nodes)
+    for fill in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            line_search(cfg, mesh, nodes, np.full(len(g), fill), 1.0, g,
+                        SolverConfig())
 
 
 def test_line_search_rejects_ascent_direction():
     mesh, nodes, cfg = quad_problem()
     g = np.ones(2 * mesh.num_nodes)
     with pytest.raises(ValueError):
-        line_search(lambda t: 0.0, lambda t: True, nodes, g, 1.0, g,
-                    SolverConfig())
+        line_search(cfg, mesh, nodes, g, 1.0, g, SolverConfig())
 
 
 def test_solve_recovers_uniform_mesh():
@@ -293,6 +323,30 @@ def test_solve_recovers_uniform_mesh():
     f_values = [row[1] for row in report.history]
     assert all(b < a for a, b in zip(f_values, f_values[1:]))
     assert all(row[6] > 0.0 for row in report.history)  # min det
+
+
+def test_solve_checks_validity_once_per_accepted_iterate(monkeypatch):
+    # The line search's evaluation of F is its only validity gate:
+    # is_valid runs on the initial mesh and on each accepted iterate, for
+    # the history's min det, never on a rejected trial.
+    import tmopfit.solver as solver
+    from tmopfit.mesh import is_valid
+
+    checked = []
+
+    def recording(mesh, node_field):
+        checked.append(node_field.copy())
+        return is_valid(mesh, node_field)
+
+    monkeypatch.setattr(solver, "is_valid", recording)
+    mesh, nodes, cfg = quad_problem()
+    _, report = solve(SolverConfig(), cfg, mesh, displaced_nodes(mesh, nodes, 0.55))
+    assert report.reason == "converged"
+    assert sum(row[10] for row in report.history) > 0  # some trials halved
+    assert len(checked) == len(report.history) == report.iterations + 1
+    for row, x in zip(report.history, checked):
+        assert row[1] == value(cfg, mesh, x)[0]  # the accepted iterate
+        assert row[6] == is_valid(mesh, x)[1]
 
 
 def test_solve_converges_immediately_at_optimum():
